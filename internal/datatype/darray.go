@@ -116,8 +116,8 @@ func Darray(gsizes []int, dists []Distribution, psizes []int, coords []int, orde
 
 	// Enumerate owned cells in global row-major order: an odometer over
 	// the outer dimensions, with consecutive-index runs along the
-	// innermost dimension coalesced into blocks.
-	var bl []block
+	// innermost dimension appended as blocks.
+	var c coalescer
 	if size > 0 {
 		outer := make([]int, n-1)
 		for {
@@ -131,7 +131,7 @@ func Darray(gsizes []int, dists []Distribution, psizes []int, coords []int, orde
 				for i+run < len(inner) && inner[i+run] == inner[i]+run {
 					run++
 				}
-				bl = append(bl, block{off: (baseOff + inner[i]) * base.Extent(), count: run, base: base})
+				c.repeat((baseOff+inner[i])*base.Extent(), base.runs, run, base.Extent())
 				i += run
 			}
 			d := n - 2
@@ -153,7 +153,7 @@ func Darray(gsizes []int, dists []Distribution, psizes []int, coords []int, orde
 		kind: KindSubarray,
 		size: size,
 	}
-	t.iovFromBlocks(bl)
+	t.setRuns(c.runs)
 	t.lb = 0
 	full := base.Extent()
 	for d := 0; d < n; d++ {

@@ -1,8 +1,8 @@
 // Package datatype implements an MPI derived-datatype engine that operates
 // on real bytes: type construction (contiguous, vector, hvector, indexed,
-// hindexed, struct, subarray, resized), commit-time flattening to an
-// I/O vector, full and partial pack/unpack, and shape analysis used by the
-// GPU path to offload packing onto 2D copy engines.
+// hindexed, struct, subarray, resized) straight into a run-length type
+// map, full and partial pack/unpack, and shape analysis used by the GPU
+// path to offload packing onto 2D copy engines.
 //
 // Semantics follow MPI-1.1/2.2: a datatype is a type map — a sequence of
 // (displacement, basic type) pairs. Size is the number of real data bytes;
@@ -15,7 +15,6 @@ package datatype
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Kind identifies the constructor that built a type.
@@ -74,17 +73,13 @@ type Datatype struct {
 	ub   int // highest displacement+len touched (or set by Resized)
 
 	committed bool
-	iov       []Segment // flattened type map of ONE element, coalesced
-	prefix    []int     // prefix[i] = total packed bytes before iov[i]
-
-	// Commit-time canonicalization: when the element's own type map is a
-	// uniform row grid (equal widths, constant pitch), Uniform2D answers
-	// analytically from these three fields instead of materializing
-	// SegmentsOf(count). Only meaningful for len(iov) > 1; single-segment
-	// and contiguous cases are derived directly from iov[0].
-	elemUniform bool
-	elemWidth   int
-	elemPitch   int
+	// runs is the type map of ONE element in canonical run form (see
+	// coalescer): pieces in type-map order, adjacent ones coalesced, each
+	// run's pack field its offset in the element's packed stream.
+	runs   []run
+	pieces int // segments per element: the sum of the runs' n
+	trueLB int // data hull of one element, unaffected by Resized
+	trueUB int
 
 	planCache // lazily built per-(count, chunkBytes) chunk plans
 }
@@ -101,10 +96,20 @@ var (
 
 func predefined(name string, size int) *Datatype {
 	t := &Datatype{name: name, kind: KindPredefined, size: size, lb: 0, ub: size}
-	t.iov = []Segment{{0, size}}
-	t.prefix = []int{0}
+	t.setRuns([]run{{len: size, n: 1}})
 	t.committed = true
 	return t
+}
+
+// setRuns installs the element's run list and the summaries derived from
+// it.
+func (t *Datatype) setRuns(runs []run) {
+	t.runs = runs
+	t.pieces = 0
+	for _, r := range runs {
+		t.pieces += r.n
+	}
+	t.trueLB, t.trueUB = runsHull(runs)
 }
 
 // Name returns a human-readable type name.
@@ -159,8 +164,7 @@ func Contiguous(count int, base *Datatype) (*Datatype, error) {
 		kind: KindContiguous,
 		size: count * base.size,
 	}
-	t.boundsFromBlocks(blocksOf(count, 1, base.Extent(), base))
-	t.iovFromBlocks(blocksOf(count, 1, base.Extent(), base))
+	t.strided(1, count, 0, base)
 	return t, nil
 }
 
@@ -178,9 +182,7 @@ func Vector(count, blocklen, stride int, base *Datatype) (*Datatype, error) {
 		kind: KindVector,
 		size: count * blocklen * base.size,
 	}
-	bl := blocksOf(count, blocklen, stride*base.Extent(), base)
-	t.boundsFromBlocks(bl)
-	t.iovFromBlocks(bl)
+	t.strided(count, blocklen, stride*base.Extent(), base)
 	return t, nil
 }
 
@@ -198,10 +200,27 @@ func Hvector(count, blocklen, strideBytes int, base *Datatype) (*Datatype, error
 		kind: KindHvector,
 		size: count * blocklen * base.size,
 	}
-	bl := blocksOf(count, blocklen, strideBytes, base)
-	t.boundsFromBlocks(bl)
-	t.iovFromBlocks(bl)
+	t.strided(count, blocklen, strideBytes, base)
 	return t, nil
+}
+
+// strided sets t's type map and bounds to count blocks of blocklen base
+// elements, block starts strideBytes apart. A block of one-run bases is
+// one run and the blocks repeat it analytically, so a vector costs O(1)
+// however many rows it has.
+func (t *Datatype) strided(count, blocklen, strideBytes int, base *Datatype) {
+	var blk, c coalescer
+	blk.repeat(0, base.runs, blocklen, base.Extent())
+	c.repeat(0, blk.runs, count, strideBytes)
+	t.setRuns(c.runs)
+	// Block offsets are linear in the block index, so the first and last
+	// blocks bound them all.
+	var h bounds
+	if count > 0 {
+		h.block(0, blocklen, base)
+		h.block((count-1)*strideBytes, blocklen, base)
+	}
+	t.lb, t.ub = h.lb, h.ub
 }
 
 // Indexed builds blocks of blocklens[i] base elements at displacements
@@ -244,18 +263,15 @@ func Hindexed(blocklens, byteDispls []int, base *Datatype) (*Datatype, error) {
 }
 
 func hindexed(blocklens, byteDispls []int, base *Datatype) (*Datatype, error) {
-	var bl []block
-	size := 0
-	for i := range blocklens {
-		if blocklens[i] < 0 {
-			return nil, fmt.Errorf("datatype: negative block length %d", blocklens[i])
-		}
-		bl = append(bl, block{off: byteDispls[i], count: blocklens[i], base: base})
-		size += blocklens[i] * base.size
+	types := make([]*Datatype, len(blocklens))
+	for i := range types {
+		types[i] = base
 	}
-	t := &Datatype{kind: KindHindexed, size: size}
-	t.boundsFromBlocks(bl)
-	t.iovFromBlocks(bl)
+	t, err := blocks(blocklens, byteDispls, types)
+	if err != nil {
+		return nil, err
+	}
+	t.kind = KindHindexed
 	return t, nil
 }
 
@@ -265,25 +281,36 @@ func Struct(blocklens, byteDispls []int, types []*Datatype) (*Datatype, error) {
 	if len(blocklens) != len(byteDispls) || len(blocklens) != len(types) {
 		return nil, errors.New("datatype: struct argument lengths mismatch")
 	}
-	var bl []block
-	size := 0
-	for i := range blocklens {
-		if err := checkBase(types[i]); err != nil {
+	for _, ty := range types {
+		if err := checkBase(ty); err != nil {
 			return nil, err
 		}
-		if blocklens[i] < 0 {
-			return nil, fmt.Errorf("datatype: negative block length %d", blocklens[i])
+	}
+	t, err := blocks(blocklens, byteDispls, types)
+	if err != nil {
+		return nil, err
+	}
+	t.name = fmt.Sprintf("struct(%d members)", len(blocklens))
+	t.kind = KindStruct
+	return t, nil
+}
+
+// blocks builds the type of blocklens[i] elements of types[i] at byte
+// displacement byteDispls[i], in order.
+func blocks(blocklens, byteDispls []int, types []*Datatype) (*Datatype, error) {
+	var c coalescer
+	var h bounds
+	size := 0
+	for i, bl := range blocklens {
+		if bl < 0 {
+			return nil, fmt.Errorf("datatype: negative block length %d", bl)
 		}
-		bl = append(bl, block{off: byteDispls[i], count: blocklens[i], base: types[i]})
-		size += blocklens[i] * types[i].size
+		c.repeat(byteDispls[i], types[i].runs, bl, types[i].Extent())
+		h.block(byteDispls[i], bl, types[i])
+		size += bl * types[i].size
 	}
-	t := &Datatype{
-		name: fmt.Sprintf("struct(%d members)", len(blocklens)),
-		kind: KindStruct,
-		size: size,
-	}
-	t.boundsFromBlocks(bl)
-	t.iovFromBlocks(bl)
+	t := &Datatype{size: size, lb: h.lb, ub: h.ub}
+	t.setRuns(c.runs)
 	return t, nil
 }
 
@@ -318,33 +345,23 @@ func Subarray(sizes, subsizes, starts []int, order Order, base *Datatype) (*Data
 	if order == ColMajor {
 		sz, sub, st = reverse(sizes), reverse(subsizes), reverse(starts)
 	}
-	// Row-major strides in base elements.
-	stride := make([]int, n)
-	stride[n-1] = 1
+	// Build from the innermost dimension out: a row of sub[n-1] base
+	// elements, then each outer dimension repeats the one inside it at its
+	// row-major stride. Uniform faces stay one run.
+	ext := base.Extent()
+	var row coalescer
+	row.repeat(0, base.runs, sub[n-1], ext)
+	runs := row.runs
+	stride, off := ext, st[n-1]*ext
 	for d := n - 2; d >= 0; d-- {
-		stride[d] = stride[d+1] * sz[d+1]
+		stride *= sz[d+1]
+		var c coalescer
+		c.repeat(0, runs, sub[d], stride)
+		runs = c.runs
+		off += st[d] * stride
 	}
-	// Emit one block per contiguous run along the innermost dimension.
-	var bl []block
-	idx := make([]int, n-1)
-	for {
-		off := st[n-1] * stride[n-1]
-		for d := 0; d < n-1; d++ {
-			off += (st[d] + idx[d]) * stride[d]
-		}
-		bl = append(bl, block{off: off * base.Extent(), count: sub[n-1], base: base})
-		// Advance the outer-dimension odometer.
-		d := n - 2
-		for ; d >= 0; d-- {
-			idx[d]++
-			if idx[d] < sub[d] {
-				break
-			}
-			idx[d] = 0
-		}
-		if d < 0 {
-			break
-		}
+	for i := range runs {
+		runs[i].off += off
 	}
 	size := base.size
 	for d := 0; d < n; d++ {
@@ -355,14 +372,10 @@ func Subarray(sizes, subsizes, starts []int, order Order, base *Datatype) (*Data
 		kind: KindSubarray,
 		size: size,
 	}
-	t.iovFromBlocks(bl)
+	t.setRuns(runs)
 	// Subarray extent spans the whole array, per the MPI standard.
 	t.lb = 0
-	full := base.Extent()
-	for d := 0; d < n; d++ {
-		full *= sizes[d]
-	}
-	t.ub = full
+	t.ub = stride * sz[0]
 	return t, nil
 }
 
@@ -390,123 +403,29 @@ func Resized(base *Datatype, lb, extent int) (*Datatype, error) {
 		lb:   lb,
 		ub:   lb + extent,
 	}
-	t.iov = append([]Segment(nil), base.iov...)
+	t.setRuns(base.runs) // run lists are never mutated once built
 	return t, nil
 }
 
-// block is an intermediate flattening unit: count copies of base starting
-// at byte offset off, laid out contiguously by base extent.
-type block struct {
-	off    int
-	count  int
-	base   *Datatype
-	stride int // byte stride between copies; 0 means base extent
-}
-
-// blocksOf describes count blocks of blocklen base elements with the given
-// byte stride between block starts.
-func blocksOf(count, blocklen, strideBytes int, base *Datatype) []block {
-	bl := make([]block, 0, count)
-	for i := 0; i < count; i++ {
-		bl = append(bl, block{off: i * strideBytes, count: blocklen, base: base})
-	}
-	return bl
-}
-
-// boundsFromBlocks computes lb/ub over the block list. An empty type map
-// gets lb=ub=0.
-func (t *Datatype) boundsFromBlocks(bl []block) {
-	first := true
-	for _, b := range bl {
-		if b.count == 0 {
-			continue
-		}
-		lo := b.off + b.base.lb
-		hi := b.off + (b.count-1)*b.base.Extent() + b.base.ub
-		if first {
-			t.lb, t.ub = lo, hi
-			first = false
-			continue
-		}
-		if lo < t.lb {
-			t.lb = lo
-		}
-		if hi > t.ub {
-			t.ub = hi
-		}
-	}
-}
-
-// iovFromBlocks flattens the block list into t.iov with adjacent-segment
-// coalescing.
-func (t *Datatype) iovFromBlocks(bl []block) {
-	var iov []Segment
-	emit := func(off, n int) {
-		if n == 0 {
-			return
-		}
-		if len(iov) > 0 && iov[len(iov)-1].Off+iov[len(iov)-1].Len == off {
-			iov[len(iov)-1].Len += n
-			return
-		}
-		iov = append(iov, Segment{off, n})
-	}
-	for _, b := range bl {
-		for i := 0; i < b.count; i++ {
-			elemOff := b.off + i*b.base.Extent()
-			for _, s := range b.base.iov {
-				emit(elemOff+s.Off, s.Len)
-			}
-		}
-	}
-	t.iov = iov
-}
-
-// Commit finalizes the type for communication (MPI_Type_commit): it builds
-// the packed-offset prefix table used by partial packing. Committing twice
-// is a no-op.
+// Commit finalizes the type for communication (MPI_Type_commit): it
+// rejects ambiguous (self-overlapping) type maps. Committing twice is a
+// no-op.
 func (t *Datatype) Commit() error {
 	if t.committed {
 		return nil
 	}
-	if t.overlaps() {
+	if overlaps(t.runs) {
 		return fmt.Errorf("datatype: %s has overlapping segments; packing would be ambiguous", t.name)
 	}
-	t.prefix = make([]int, len(t.iov))
 	sum := 0
-	for i, s := range t.iov {
-		t.prefix[i] = sum
-		sum += s.Len
+	for _, r := range t.runs {
+		sum += r.n * r.len
 	}
 	if sum != t.size {
-		return fmt.Errorf("datatype: internal error: iov covers %d bytes, size is %d", sum, t.size)
+		return fmt.Errorf("datatype: internal error: type map covers %d bytes, size is %d", sum, t.size)
 	}
-	t.canonicalize()
 	t.committed = true
 	return nil
-}
-
-// canonicalize precomputes the per-element row shape the analytic
-// Uniform2D fast path answers from. Committed type maps are coalesced and
-// overlap-free, so a uniform element always has pitch > width; the guard
-// also rejects unsorted (negative-pitch) struct layouts.
-func (t *Datatype) canonicalize() {
-	t.elemUniform = false
-	m := len(t.iov)
-	if m < 2 {
-		return
-	}
-	w := t.iov[0].Len
-	pitch := t.iov[1].Off - t.iov[0].Off
-	if pitch <= w {
-		return
-	}
-	for i := 1; i < m; i++ {
-		if t.iov[i].Len != w || t.iov[i].Off-t.iov[i-1].Off != pitch {
-			return
-		}
-	}
-	t.elemUniform, t.elemWidth, t.elemPitch = true, w, pitch
 }
 
 // MustCommit commits or panics; for statically correct test/benchmark
@@ -518,40 +437,27 @@ func (t *Datatype) MustCommit() *Datatype {
 	return t
 }
 
-// overlaps reports whether any two segments of one element overlap.
-// (Overlap across elements — extent smaller than the data span — is legal
-// for sends in MPI; within one element it would make unpacking ambiguous,
-// and MPI forbids it for receives. We reject it at commit for simplicity.)
-// Segments are sorted by offset and checked pairwise-adjacent, so commit
-// stays O(n log n) even for types with millions of segments.
-func (t *Datatype) overlaps() bool {
-	segs := append([]Segment(nil), t.iov...)
-	sort.Slice(segs, func(i, j int) bool { return segs[i].Off < segs[j].Off })
-	for i := 1; i < len(segs); i++ {
-		if segs[i].Off < segs[i-1].Off+segs[i-1].Len {
-			return true
-		}
-	}
-	return false
-}
-
-// IOV returns the flattened segment list of one element. The slice is
-// shared; callers must not mutate it.
-func (t *Datatype) IOV() []Segment { return t.iov }
+// IOV expands the type map of one element into one segment per
+// contiguous piece, in type-map order. It allocates a fresh slice per
+// call; it is meant for tests and introspection, not hot paths.
+func (t *Datatype) IOV() []Segment { return appendSegments(nil, t.runs, 0) }
 
 // IsContiguous reports whether count elements of t occupy one gap-free
 // byte range starting at displacement 0 — the layout for which pack and
 // unpack degenerate to a single memcpy.
 func (t *Datatype) IsContiguous() bool {
-	if len(t.iov) == 0 {
+	if len(t.runs) == 0 {
 		return true
 	}
-	return len(t.iov) == 1 && t.iov[0].Off == 0 && t.iov[0].Len == t.size && t.size == t.Extent()
+	r := t.runs[0]
+	return len(t.runs) == 1 && r.n == 1 && r.off == 0 && r.len == t.size && t.size == t.Extent()
 }
 
-// SegmentCount returns the number of distinct contiguous pieces in count
-// elements, after cross-element coalescing. It is the per-segment cost
-// driver for host packing models.
+// SegmentCount returns count times the number of contiguous pieces in one
+// element, or 1 for a contiguous type. Pieces that abut across an element
+// boundary are counted once per element, so for such a type this exceeds
+// len(SegmentsOf(count)). It is the per-segment cost driver for host
+// packing models.
 func (t *Datatype) SegmentCount(count int) int {
 	if count <= 0 {
 		return 0
@@ -559,24 +465,16 @@ func (t *Datatype) SegmentCount(count int) int {
 	if t.IsContiguous() {
 		return 1
 	}
-	return count * len(t.iov)
+	return count * t.pieces
 }
 
 // SegmentsOf returns the absolute segments of `count` elements: element i
-// contributes its IOV shifted by i*Extent().
+// contributes its IOV shifted by i*Extent(), and pieces that abut across
+// elements coalesce. Like IOV it expands on demand.
 func (t *Datatype) SegmentsOf(count int) []Segment {
-	out := make([]Segment, 0, count*len(t.iov))
-	for i := 0; i < count; i++ {
-		base := i * t.Extent()
-		for _, s := range t.iov {
-			if len(out) > 0 && out[len(out)-1].Off+out[len(out)-1].Len == base+s.Off {
-				out[len(out)-1].Len += s.Len
-				continue
-			}
-			out = append(out, Segment{base + s.Off, s.Len})
-		}
-	}
-	return out
+	var c coalescer
+	c.repeat(0, t.runs, count, t.Extent())
+	return appendSegments(nil, c.runs, 0)
 }
 
 // Span returns the number of buffer bytes touched by count elements,

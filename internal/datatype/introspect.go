@@ -40,7 +40,7 @@ type Envelope struct {
 func (t *Datatype) GetEnvelope() Envelope {
 	return Envelope{
 		Kind:        t.kind,
-		NumSegments: len(t.iov),
+		NumSegments: t.pieces,
 		Size:        t.size,
 		Extent:      t.Extent(),
 		LB:          t.lb,
@@ -52,19 +52,7 @@ func (t *Datatype) GetEnvelope() Envelope {
 // covering all touched bytes), like MPI_Type_get_true_extent — unaffected
 // by Resized bounds.
 func (t *Datatype) TrueExtent() (trueLB, trueExtent int) {
-	if len(t.iov) == 0 {
-		return 0, 0
-	}
-	lo, hi := t.iov[0].Off, t.iov[0].Off+t.iov[0].Len
-	for _, s := range t.iov[1:] {
-		if s.Off < lo {
-			lo = s.Off
-		}
-		if s.Off+s.Len > hi {
-			hi = s.Off + s.Len
-		}
-	}
-	return lo, hi - lo
+	return t.trueLB, t.trueUB - t.trueLB
 }
 
 // GetElements returns how many complete elements of t fit in nbytes of

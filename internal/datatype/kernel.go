@@ -34,9 +34,7 @@ func (d KernelDesc) Segments() int {
 	if d.n == 0 {
 		return 0
 	}
-	c0 := d.packOff / d.p.chunkBytes
-	c1 := (d.packOff + d.n + d.p.chunkBytes - 1) / d.p.chunkBytes
-	return d.p.index[c1] - d.p.index[c0]
+	return d.p.RangeSegments(d.packOff, d.n)
 }
 
 // Pack applies the gather: dst addresses the packed range itself (byte 0

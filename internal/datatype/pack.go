@@ -2,7 +2,6 @@ package datatype
 
 import (
 	"fmt"
-	"sort"
 
 	"mv2sim/internal/mem"
 )
@@ -20,17 +19,8 @@ func (t *Datatype) mustCommitted() {
 // count*Size() bytes. Only bytes move; timing is modeled elsewhere.
 func (t *Datatype) Pack(dst, src mem.Ptr, count int) {
 	t.mustCommitted()
-	if t.IsContiguous() {
-		mem.Copy(dst, src, count*t.size)
-		return
-	}
-	pos := 0
-	for i := 0; i < count; i++ {
-		elem := i * t.Extent()
-		for _, s := range t.iov {
-			mem.Copy(dst.Add(pos), src.Add(elem+s.Off), s.Len)
-			pos += s.Len
-		}
+	if n := count * t.size; n > 0 {
+		t.walk(dst.Bytes(n), src, 0, true)
 	}
 }
 
@@ -38,17 +28,8 @@ func (t *Datatype) Pack(dst, src mem.Ptr, count int) {
 // typed buffer at dst — the inverse of Pack.
 func (t *Datatype) Unpack(dst, src mem.Ptr, count int) {
 	t.mustCommitted()
-	if t.IsContiguous() {
-		mem.Copy(dst, src, count*t.size)
-		return
-	}
-	pos := 0
-	for i := 0; i < count; i++ {
-		elem := i * t.Extent()
-		for _, s := range t.iov {
-			mem.Copy(dst.Add(elem+s.Off), src.Add(pos), s.Len)
-			pos += s.Len
-		}
+	if n := count * t.size; n > 0 {
+		t.walk(src.Bytes(n), dst, 0, false)
 	}
 }
 
@@ -58,20 +39,12 @@ func (t *Datatype) Unpack(dst, src mem.Ptr, count int) {
 // space.
 func (t *Datatype) PackBytes(dst []byte, src mem.Ptr, count int) {
 	t.mustCommitted()
-	if len(dst) < count*t.size {
-		panic(fmt.Sprintf("datatype: PackBytes destination too small (%d < %d)", len(dst), count*t.size))
+	n := count * t.size
+	if len(dst) < n {
+		panic(fmt.Sprintf("datatype: PackBytes destination too small (%d < %d)", len(dst), n))
 	}
-	if t.IsContiguous() {
-		copy(dst[:count*t.size], src.Bytes(count*t.size))
-		return
-	}
-	pos := 0
-	for i := 0; i < count; i++ {
-		elem := i * t.Extent()
-		for _, s := range t.iov {
-			copy(dst[pos:pos+s.Len], src.Add(elem+s.Off).Bytes(s.Len))
-			pos += s.Len
-		}
+	if n > 0 {
+		t.walk(dst[:n], src, 0, true)
 	}
 }
 
@@ -79,32 +52,13 @@ func (t *Datatype) PackBytes(dst []byte, src mem.Ptr, count int) {
 // dst — the inverse of PackBytes.
 func (t *Datatype) UnpackBytes(dst mem.Ptr, src []byte, count int) {
 	t.mustCommitted()
-	if len(src) < count*t.size {
-		panic(fmt.Sprintf("datatype: UnpackBytes source too small (%d < %d)", len(src), count*t.size))
+	n := count * t.size
+	if len(src) < n {
+		panic(fmt.Sprintf("datatype: UnpackBytes source too small (%d < %d)", len(src), n))
 	}
-	if t.IsContiguous() {
-		copy(dst.Bytes(count*t.size), src[:count*t.size])
-		return
+	if n > 0 {
+		t.walk(src[:n], dst, 0, false)
 	}
-	pos := 0
-	for i := 0; i < count; i++ {
-		elem := i * t.Extent()
-		for _, s := range t.iov {
-			copy(dst.Add(elem+s.Off).Bytes(s.Len), src[pos:pos+s.Len])
-			pos += s.Len
-		}
-	}
-}
-
-// locate maps a packed-stream offset to (element, segment index, offset
-// within segment). packOff must lie in [0, count*size).
-func (t *Datatype) locate(packOff int) (elem, segIdx, segOff int) {
-	elem = packOff / t.size
-	rem := packOff % t.size
-	// prefix is sorted; find the last segment whose prefix ≤ rem.
-	segIdx = sort.Search(len(t.prefix), func(i int) bool { return t.prefix[i] > rem }) - 1
-	segOff = rem - t.prefix[segIdx]
-	return
 }
 
 // PackRange gathers the byte range [packOff, packOff+n) of the packed
@@ -118,10 +72,10 @@ func (t *Datatype) PackRange(dst, src mem.Ptr, count, packOff, n int) {
 // UnpackRange scatters the byte range [packOff, packOff+n) of the packed
 // stream from src into the typed buffer at dst — the inverse of PackRange.
 func (t *Datatype) UnpackRange(dst, src mem.Ptr, count, packOff, n int) {
-	t.copyRange(dst, src, count, packOff, n, false)
+	t.copyRange(src, dst, count, packOff, n, false)
 }
 
-func (t *Datatype) copyRange(a, b mem.Ptr, count, packOff, n int, packing bool) {
+func (t *Datatype) copyRange(packed, typed mem.Ptr, count, packOff, n int, packing bool) {
 	t.mustCommitted()
 	if n == 0 {
 		return
@@ -130,42 +84,33 @@ func (t *Datatype) copyRange(a, b mem.Ptr, count, packOff, n int, packing bool) 
 	if packOff < 0 || n < 0 || packOff+n > total {
 		panic(fmt.Sprintf("datatype: range [%d,%d) outside packed size %d", packOff, packOff+n, total))
 	}
-	if t.size == 0 {
-		return
-	}
+	t.walk(packed.Bytes(n), typed, packOff, packing)
+}
+
+// walk moves packed bytes [packOff, packOff+len(pv)) of consecutive
+// elements between pv and the typed buffer at typed, gathering into pv
+// when packing. It takes one bounds-checked view of the typed elements
+// the range touches and strides over it run by run.
+func (t *Datatype) walk(pv []byte, typed mem.Ptr, packOff int, packing bool) {
+	n := len(pv)
 	if t.IsContiguous() {
+		tv := typed.Add(packOff).Bytes(n)
 		if packing {
-			mem.Copy(a, b.Add(packOff), n)
+			copy(pv, tv)
 		} else {
-			mem.Copy(a.Add(packOff), b, n)
+			copy(tv, pv)
 		}
 		return
 	}
-	elem, segIdx, segOff := t.locate(packOff)
-	pos := 0 // progress within the requested range
-	for pos < n {
-		seg := t.iov[segIdx]
-		take := seg.Len - segOff
-		if take > n-pos {
-			take = n - pos
-		}
-		typedOff := elem*t.Extent() + seg.Off + segOff
-		if packing {
-			mem.Copy(a.Add(pos), b.Add(typedOff), take)
-		} else {
-			mem.Copy(a.Add(typedOff), b.Add(pos), take)
-		}
-		pos += take
-		segOff += take
-		if segOff == seg.Len {
-			segOff = 0
-			segIdx++
-			if segIdx == len(t.iov) {
-				segIdx = 0
-				elem++
-			}
-		}
-	}
+	ext := t.Extent()
+	lo := t.trueLB + packOff/t.size*ext
+	hi := t.trueUB + (packOff+n-1)/t.size*ext
+	tv := typed.Add(lo).Bytes(hi - lo)
+	p := 0
+	t.clip(packOff, n, func(off, l, stride, k int) {
+		moveRun(pv[p:], tv, off-lo, l, stride, k, packing)
+		p += k * l
+	})
 }
 
 // Shape2D describes a uniform strided layout equivalent to the type map of
@@ -185,72 +130,43 @@ type Shape2D struct {
 // types with irregular gaps do not. A fully contiguous region qualifies
 // with Rows == 1.
 //
-// The answer is computed in O(1) from the element shape canonicalized at
-// Commit time — no segment list is materialized, so calling this per
-// message (as the transport's planFor does) allocates nothing. The
-// uncached uniform2DSlow derivation is kept for cross-validation.
+// The answer is computed in O(1) from the run form: an element is a
+// uniform grid exactly when it is one run (the coalescer's canonical
+// form), so no segment list is materialized and calling this per message
+// (as the transport's planFor does) allocates nothing.
 func (t *Datatype) Uniform2D(count int) (Shape2D, bool) {
 	t.mustCommitted()
-	m := len(t.iov)
-	if count <= 0 || m == 0 {
+	if count <= 0 || len(t.runs) != 1 {
 		return Shape2D{}, false
 	}
-	off := t.iov[0].Off
-	if m == 1 {
-		w := t.iov[0].Len
+	r := t.runs[0]
+	if r.n == 1 {
 		if count == 1 {
-			return Shape2D{Off: off, Width: w, Pitch: w, Rows: 1}, true
+			return Shape2D{Off: r.off, Width: r.len, Pitch: r.len, Rows: 1}, true
 		}
 		switch ext := t.Extent(); {
-		case w == ext:
+		case r.len == ext:
 			// Consecutive elements butt together: one contiguous run.
-			return Shape2D{Off: off, Width: count * w, Pitch: count * w, Rows: 1}, true
-		case w < ext:
+			return Shape2D{Off: r.off, Width: count * r.len, Pitch: count * r.len, Rows: 1}, true
+		case r.len < ext:
 			// One row per element, extent apart.
-			return Shape2D{Off: off, Width: w, Pitch: ext, Rows: count}, true
+			return Shape2D{Off: r.off, Width: r.len, Pitch: ext, Rows: count}, true
 		default:
 			// Extent shrunk below the data span (Resized): rows overlap.
 			return Shape2D{}, false
 		}
 	}
-	if !t.elemUniform {
+	if r.stride <= r.len {
+		// Descending rows are no pitch a 2D copy accepts.
 		return Shape2D{}, false
 	}
 	if count == 1 {
-		return Shape2D{Off: off, Width: t.elemWidth, Pitch: t.elemPitch, Rows: m}, true
+		return Shape2D{Off: r.off, Width: r.len, Pitch: r.stride, Rows: r.n}, true
 	}
 	// Across elements the grid continues only if the gap from the last row
 	// of one element to the first row of the next equals the row pitch.
-	if t.Extent()+off-t.iov[m-1].Off != t.elemPitch {
+	if t.Extent()+r.off-r.last() != r.stride {
 		return Shape2D{}, false
 	}
-	return Shape2D{Off: off, Width: t.elemWidth, Pitch: t.elemPitch, Rows: count * m}, true
-}
-
-// uniform2DSlow is the original derivation of Uniform2D: expand the full
-// segment list and test it for uniformity. Retained as the ground truth
-// the analytic fast path is validated against in tests.
-func (t *Datatype) uniform2DSlow(count int) (Shape2D, bool) {
-	t.mustCommitted()
-	if count <= 0 || len(t.iov) == 0 {
-		return Shape2D{}, false
-	}
-	segs := t.SegmentsOf(count)
-	if len(segs) == 1 {
-		return Shape2D{Off: segs[0].Off, Width: segs[0].Len, Pitch: segs[0].Len, Rows: 1}, true
-	}
-	width := segs[0].Len
-	pitch := segs[1].Off - segs[0].Off
-	if pitch < width {
-		return Shape2D{}, false
-	}
-	for i, s := range segs {
-		if s.Len != width {
-			return Shape2D{}, false
-		}
-		if i > 0 && s.Off-segs[i-1].Off != pitch {
-			return Shape2D{}, false
-		}
-	}
-	return Shape2D{Off: segs[0].Off, Width: width, Pitch: pitch, Rows: len(segs)}, true
+	return Shape2D{Off: r.off, Width: r.len, Pitch: r.stride, Rows: count * r.n}, true
 }

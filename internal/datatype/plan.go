@@ -1,12 +1,12 @@
 // Chunk-aligned pack plans. The pipeline moves a non-contiguous message
 // as a sequence of fixed-size packed chunks; without a plan every chunk
-// re-derives its segment list from the type map (a divide, a binary
-// search, and per-segment bookkeeping in copyRange). A ChunkPlan does that
-// derivation once per (count, chunkBytes) pair and caches the result on
-// the datatype, so the steady-state chunk path is a straight walk over a
-// precomputed []chunkSeg slice with zero allocations — the commit-time
-// canonicalization real CUDA-aware MPI implementations use (TEMPI,
-// arXiv:2012.14363).
+// re-derives its pieces from the type map (a divide, a binary search, and
+// per-run bookkeeping). A ChunkPlan does that derivation once per (count,
+// chunkBytes) pair and caches the result on the datatype: each chunk's
+// pieces as runs clipped at the chunk's boundaries, so the steady-state
+// chunk path is a straight walk over a few precomputed runs with zero
+// allocations — the commit-time canonicalization real CUDA-aware MPI
+// implementations use (TEMPI, arXiv:2012.14363).
 package datatype
 
 import (
@@ -16,15 +16,6 @@ import (
 	"mv2sim/internal/mem"
 )
 
-// chunkSeg is one contiguous copy of a chunk plan: Len bytes at TypedOff
-// in the typed buffer, landing at absolute offset PackOff in the packed
-// stream. Segments never straddle a chunk boundary.
-type chunkSeg struct {
-	typedOff int
-	packOff  int
-	len      int
-}
-
 // ChunkPlan is the precomputed chunk-aligned pack plan for `count`
 // elements of one datatype split into chunkBytes-sized packed chunks. It
 // is immutable and safe for concurrent use.
@@ -32,9 +23,10 @@ type ChunkPlan struct {
 	t          *Datatype
 	count      int
 	chunkBytes int
-	total      int // count * size
-	segs       []chunkSeg
-	index      []int // segs[index[c]:index[c+1]] belong to chunk c
+	total      int   // count * size
+	runs       []run // per chunk, coalesced; pack is the absolute packed offset
+	index      []int // runs[index[c]:index[c+1]] belong to chunk c
+	segs       []int // segs[c] = contiguous pieces in chunks before c
 }
 
 type planKey struct {
@@ -66,56 +58,29 @@ func (t *Datatype) ChunkPlan(count, chunkBytes int) *ChunkPlan {
 	return p
 }
 
-// buildPlan walks the packed stream of count elements once, splitting the
-// type map's segments at chunk boundaries and coalescing typed-contiguous
-// neighbours within a chunk (cross-element coalescing included).
+// buildPlan clips the packed stream of count elements at chunk
+// boundaries, coalescing typed-contiguous pieces within each chunk
+// (cross-element coalescing included) but never across a boundary.
 func (t *Datatype) buildPlan(count, chunkBytes int) *ChunkPlan {
 	total := count * t.size
 	chunks := (total + chunkBytes - 1) / chunkBytes
 	p := &ChunkPlan{t: t, count: count, chunkBytes: chunkBytes, total: total}
 	p.index = make([]int, chunks+1)
-	if total == 0 {
-		return p
+	p.segs = make([]int, chunks+1)
+	var c coalescer
+	for ch := 0; ch < chunks; ch++ {
+		c.seal()
+		p.index[ch] = len(c.runs)
+		t.clip(ch*chunkBytes, p.ChunkLen(ch), c.add)
 	}
-	packOff := 0
-	emit := func(typedOff, n int) {
-		for n > 0 {
-			c := packOff / chunkBytes
-			take := n
-			if room := (c+1)*chunkBytes - packOff; take > room {
-				take = room
-			}
-			if k := len(p.segs) - 1; k >= 0 &&
-				p.segs[k].packOff+p.segs[k].len == packOff &&
-				p.segs[k].typedOff+p.segs[k].len == typedOff &&
-				p.segs[k].packOff/chunkBytes == c {
-				p.segs[k].len += take
-			} else {
-				p.segs = append(p.segs, chunkSeg{typedOff: typedOff, packOff: packOff, len: take})
-			}
-			packOff += take
-			typedOff += take
-			n -= take
+	p.index[chunks] = len(c.runs)
+	p.runs = c.runs
+	for ch := 0; ch < chunks; ch++ {
+		p.segs[ch+1] = p.segs[ch]
+		for _, r := range p.runs[p.index[ch]:p.index[ch+1]] {
+			p.segs[ch+1] += r.n
 		}
 	}
-	for i := 0; i < count; i++ {
-		base := i * t.Extent()
-		for _, s := range t.iov {
-			emit(base+s.Off, s.Len)
-		}
-	}
-	k := 0
-	for c := 0; c < chunks; c++ {
-		p.index[c] = k
-		end := (c + 1) * chunkBytes
-		if end > total {
-			end = total
-		}
-		for k < len(p.segs) && p.segs[k].packOff < end {
-			k++
-		}
-	}
-	p.index[chunks] = len(p.segs)
 	return p
 }
 
@@ -140,7 +105,13 @@ func (p *ChunkPlan) ChunkLen(c int) int {
 
 // SegmentCount returns the number of contiguous copies chunk c takes —
 // the per-segment cost driver for pack-kernel models.
-func (p *ChunkPlan) SegmentCount(c int) int { return p.index[c+1] - p.index[c] }
+func (p *ChunkPlan) SegmentCount(c int) int { return p.segs[c+1] - p.segs[c] }
+
+// chunkSpan returns the chunks [c0, c1) covering the chunk-aligned range
+// [packOff, packOff+n).
+func (p *ChunkPlan) chunkSpan(packOff, n int) (c0, c1 int) {
+	return packOff / p.chunkBytes, (packOff + n + p.chunkBytes - 1) / p.chunkBytes
+}
 
 // checkAligned enforces the plan contract: ranges start on a chunk
 // boundary and end on one (or at the end of the stream).
@@ -156,7 +127,7 @@ func (p *ChunkPlan) checkAligned(packOff, n int) {
 // PackRange gathers the packed byte range [packOff, packOff+n) into dst,
 // where dst addresses the range itself (dst byte 0 holds packed byte
 // packOff). The range must be chunk-aligned per checkAligned. The walk
-// touches only the precomputed segments and allocates nothing.
+// touches only the precomputed runs and allocates nothing.
 func (p *ChunkPlan) PackRange(dst, src mem.Ptr, packOff, n int) {
 	p.copyRange(dst, src, packOff, n, true)
 }
@@ -164,33 +135,38 @@ func (p *ChunkPlan) PackRange(dst, src mem.Ptr, packOff, n int) {
 // UnpackRange scatters the packed byte range [packOff, packOff+n) from
 // src into the typed buffer at dst — the inverse of PackRange.
 func (p *ChunkPlan) UnpackRange(dst, src mem.Ptr, packOff, n int) {
-	p.copyRange(dst, src, packOff, n, false)
+	p.copyRange(src, dst, packOff, n, false)
 }
 
 // PackChunk gathers chunk c into dst (chunk-local addressing).
 func (p *ChunkPlan) PackChunk(dst, src mem.Ptr, c int) {
-	p.copyRange(dst, src, c*p.chunkBytes, p.ChunkLen(c), true)
+	p.PackRange(dst, src, c*p.chunkBytes, p.ChunkLen(c))
 }
 
 // UnpackChunk scatters chunk c from src into the typed buffer at dst.
 func (p *ChunkPlan) UnpackChunk(dst, src mem.Ptr, c int) {
-	p.copyRange(dst, src, c*p.chunkBytes, p.ChunkLen(c), false)
+	p.UnpackRange(dst, src, c*p.chunkBytes, p.ChunkLen(c))
 }
 
-func (p *ChunkPlan) copyRange(a, b mem.Ptr, packOff, n int, packing bool) {
+func (p *ChunkPlan) copyRange(packed, typed mem.Ptr, packOff, n int, packing bool) {
 	if n == 0 {
 		return
 	}
 	p.checkAligned(packOff, n)
-	c0 := packOff / p.chunkBytes
-	c1 := (packOff + n + p.chunkBytes - 1) / p.chunkBytes
-	for _, s := range p.segs[p.index[c0]:p.index[c1]] {
-		rel := s.packOff - packOff
-		if packing {
-			mem.Copy(a.Add(rel), b.Add(s.typedOff), s.len)
-		} else {
-			mem.Copy(a.Add(s.typedOff), b.Add(rel), s.len)
-		}
+	p.walk(packed.Bytes(n), typed, packOff, packing)
+}
+
+// walk moves the chunk-aligned packed range [packOff, packOff+len(pv))
+// between pv and the typed buffer at typed, gathering into pv when
+// packing: one bounds-checked view per side, then a strided walk over
+// the range's runs.
+func (p *ChunkPlan) walk(pv []byte, typed mem.Ptr, packOff int, packing bool) {
+	c0, c1 := p.chunkSpan(packOff, len(pv))
+	runs := p.runs[p.index[c0]:p.index[c1]]
+	lo, hi := runsHull(runs)
+	tv := typed.Add(lo).Bytes(hi - lo)
+	for _, r := range runs {
+		moveRun(pv[r.pack-packOff:], tv, r.off-lo, r.len, r.stride, r.n, packing)
 	}
 }
 

@@ -31,9 +31,8 @@ func (p *ChunkPlan) RangeSegments(packOff, n int) int {
 		return 0
 	}
 	p.checkAligned(packOff, n)
-	c0 := packOff / p.chunkBytes
-	c1 := (packOff + n + p.chunkBytes - 1) / p.chunkBytes
-	return p.index[c1] - p.index[c0]
+	c0, c1 := p.chunkSpan(packOff, n)
+	return p.segs[c1] - p.segs[c0]
 }
 
 func (p *ChunkPlan) copyRangeBytes(b []byte, a mem.Ptr, packOff, n int, packing bool) {
@@ -41,14 +40,5 @@ func (p *ChunkPlan) copyRangeBytes(b []byte, a mem.Ptr, packOff, n int, packing 
 		return
 	}
 	p.checkAligned(packOff, n)
-	c0 := packOff / p.chunkBytes
-	c1 := (packOff + n + p.chunkBytes - 1) / p.chunkBytes
-	for _, s := range p.segs[p.index[c0]:p.index[c1]] {
-		rel := s.packOff - packOff
-		if packing {
-			copy(b[rel:rel+s.len], a.Add(s.typedOff).Bytes(s.len))
-		} else {
-			copy(a.Add(s.typedOff).Bytes(s.len), b[rel:rel+s.len])
-		}
-	}
+	p.walk(b[:n], a, packOff, packing)
 }

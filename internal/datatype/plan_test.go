@@ -175,8 +175,8 @@ func TestChunkPlanCached(t *testing.T) {
 }
 
 // TestChunkPlanSteadyStateAllocs pins the zero-allocation contract of the
-// steady-state chunk path: after the plan is built, packing a chunk
-// allocates nothing.
+// steady-state chunk path: after the plan is built, every range walk on
+// the plan and on the type itself allocates nothing.
 func TestChunkPlanSteadyStateAllocs(t *testing.T) {
 	ix, _ := Indexed([]int{3, 1, 5, 2}, []int{9, 0, 20, 3}, Int32)
 	ix.MustCommit()
@@ -185,17 +185,29 @@ func TestChunkPlanSteadyStateAllocs(t *testing.T) {
 	h := mem.NewHostSpace("h", ix.Span(count)+total)
 	src, packed := h.Base(), h.Base().Add(ix.Span(count))
 	plan := ix.ChunkPlan(count, 64)
+	buf := make([]byte, total)
+	kd := plan.Kernel(128, 256)
 	c := 0
-	if avg := testing.AllocsPerRun(200, func() {
-		plan.PackChunk(packed.Add(c*64), src, c)
-		c = (c + 1) % plan.Chunks()
-	}); avg != 0 {
-		t.Errorf("steady-state PackChunk allocates %.1f times per chunk, want 0", avg)
+	walks := map[string]func(){
+		"PackChunk": func() {
+			plan.PackChunk(packed.Add(c*64), src, c)
+			c = (c + 1) % plan.Chunks()
+		},
+		"PackRange":        func() { plan.PackRange(packed, src, 64, 192) },
+		"UnpackRange":      func() { plan.UnpackRange(src, packed, 0, total) },
+		"PackRangeBytes":   func() { plan.PackRangeBytes(buf[:128], src, 256, 128) },
+		"UnpackRangeBytes": func() { plan.UnpackRangeBytes(src, buf, 0, total) },
+		"KernelPack":       func() { kd.Pack(packed, src) },
+		"RangeSegments":    func() { _ = plan.RangeSegments(0, total) },
+		"Pack":             func() { ix.Pack(packed, src, count) },
+		"UnpackBytes":      func() { ix.UnpackBytes(src, buf, count) },
+		"TypePackRange":    func() { ix.PackRange(packed, src, count, 5, 900) },
+		"Uniform2D":        func() { _, _ = ix.Uniform2D(count) },
 	}
-	if avg := testing.AllocsPerRun(200, func() {
-		_, _ = ix.Uniform2D(count)
-	}); avg != 0 {
-		t.Errorf("analytic Uniform2D allocates %.1f times per call, want 0", avg)
+	for name, f := range walks {
+		if avg := testing.AllocsPerRun(200, f); avg != 0 {
+			t.Errorf("steady-state %s allocates %.1f times per call, want 0", name, avg)
+		}
 	}
 }
 

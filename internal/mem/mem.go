@@ -147,8 +147,15 @@ func Copy2D(dst Ptr, dpitch int, src Ptr, spitch, width, height int) {
 	if dpitch < width || spitch < width {
 		panic(fmt.Sprintf("mem: pitch smaller than width (dpitch=%d spitch=%d width=%d)", dpitch, spitch, width))
 	}
+	if height == 0 {
+		return
+	}
+	// One bounds-checked view per side covers every row: pitches are at
+	// least the width, so the last row ends furthest out.
+	d := dst.Bytes((height-1)*dpitch + width)
+	s := src.Bytes((height-1)*spitch + width)
 	for r := 0; r < height; r++ {
-		copy(dst.Add(r*dpitch).Bytes(width), src.Add(r*spitch).Bytes(width))
+		copy(d[r*dpitch:r*dpitch+width], s[r*spitch:r*spitch+width])
 	}
 }
 

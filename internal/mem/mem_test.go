@@ -164,6 +164,28 @@ func TestCopy2DZeroRows(t *testing.T) {
 	Copy2D(s.Base(), 8, s.Base(), 8, 4, 0) // no-op, must not panic
 }
 
+// TestCopy2DLastRowBounds pins the bounds check to the last row: a
+// rectangle whose final row ends exactly at the end of the space copies,
+// and one byte further panics on either side.
+func TestCopy2DLastRowBounds(t *testing.T) {
+	s := NewHostSpace("s", 4*8+4)
+	d := NewHostSpace("d", 64)
+	Copy2D(d.Base(), 4, s.Base(), 8, 4, 5) // last source row is [32,36)
+	for name, f := range map[string]func(){
+		"src": func() { Copy2D(d.Base(), 4, s.Base().Add(1), 8, 4, 5) },
+		"dst": func() { Copy2D(s.Base().Add(1), 8, d.Base(), 4, 4, 5) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: copy past the end of the space did not panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
 // Property: Copy2D into a contiguous destination followed by Copy2D back
 // into a strided buffer restores the original strided contents (the
 // pack/unpack identity the whole datatype path relies on).

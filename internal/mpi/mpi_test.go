@@ -665,3 +665,36 @@ func TestPropAllreduceCorrect(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestZeroCopyMatchesSegments pins the O(1) zero-copy test of the host
+// rendezvous paths to its definition: count elements expand to exactly
+// one segment, at offset 0.
+func TestZeroCopyMatchesSegments(t *testing.T) {
+	must := func(dt *datatype.Datatype, err error) *datatype.Datatype {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dt.MustCommit()
+	}
+	contig := must(datatype.Contiguous(6, datatype.Int32))
+	types := []*datatype.Datatype{
+		datatype.Byte,
+		contig,
+		must(datatype.Vector(4, 2, 3, datatype.Int32)),
+		must(datatype.Vector(4, 3, 3, datatype.Int32)),
+		must(datatype.Resized(contig, 0, 32)),
+		must(datatype.Hindexed([]int{2}, []int{8}, datatype.Int32)),
+		must(datatype.Struct([]int{1, 1}, []int{0, 4}, []*datatype.Datatype{datatype.Int32, datatype.Float32})),
+		must(datatype.Contiguous(0, datatype.Int32)),
+	}
+	for _, dt := range types {
+		for _, count := range []int{0, 1, 3} {
+			segs := dt.SegmentsOf(count)
+			want := len(segs) == 1 && segs[0].Off == 0
+			if got := zeroCopy(dt, count); got != want {
+				t.Errorf("%s count=%d: zeroCopy = %v, want %v (segments %v)", dt, count, got, want, segs)
+			}
+		}
+	}
+}

@@ -547,6 +547,15 @@ func (w *World) ChunkGeometry(size int) (totalChunks, chunkBytes int) {
 	return
 }
 
+// zeroCopy reports whether count elements of dt are one gap-free byte
+// range starting at the buffer base, so the user buffer itself can be
+// registered for RDMA instead of a packed temporary. It answers in O(1)
+// from the type's run form.
+func zeroCopy(dt *datatype.Datatype, count int) bool {
+	shape, ok := dt.Uniform2D(count)
+	return ok && shape.Rows == 1 && shape.Off == 0
+}
+
 // recvHostData is the host-memory rendezvous receiver. A receive into a
 // single-segment (fully contiguous) host buffer is zero-copy: the user
 // buffer itself is registered and announced. Otherwise the data lands in a
@@ -557,8 +566,7 @@ func (r *Rank) recvHostData(p *sim.Proc, q *Request) {
 
 	var landing mem.Ptr
 	temp := false
-	segs := q.dt.SegmentsOf(q.count)
-	if len(segs) == 1 && segs[0].Off == 0 {
+	if zeroCopy(q.dt, q.count) {
 		landing = q.buf
 	} else {
 		landing = r.AllocHost(size)

@@ -46,8 +46,7 @@ func (r *Rank) sendHostGet(q *Request) {
 	p := r.Proc()
 	var packed mem.Ptr
 	temp := false
-	segs := q.dt.SegmentsOf(q.count)
-	if len(segs) == 1 && segs[0].Off == 0 {
+	if zeroCopy(q.dt, q.count) {
 		packed = q.buf // zero-copy: expose the user buffer
 	} else {
 		packed = r.AllocHost(q.size)
@@ -75,8 +74,7 @@ func (r *Rank) recvHostGet(p *sim.Proc, q *Request) {
 
 	var landing mem.Ptr
 	temp := false
-	segs := q.dt.SegmentsOf(q.count)
-	if len(segs) == 1 && segs[0].Off == 0 {
+	if zeroCopy(q.dt, q.count) {
 		landing = q.buf
 	} else {
 		landing = r.AllocHost(size)

@@ -40,6 +40,10 @@ fi
 echo "== go test -race"
 go test -race ./...
 
+echo "== benchmark module tests"
+# benchmark/ is a Go module of its own, so ./... above does not reach it.
+(cd benchmark && go test -race -short .)
+
 echo "== race-mode benchmark smoke"
 # Each benchmark body runs once under the race detector: catches data
 # races in pipeline setup paths that the unit tests' smaller
