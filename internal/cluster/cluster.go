@@ -26,10 +26,13 @@ import (
 type Config struct {
 	// Nodes is the number of cluster nodes (one MPI rank, one GPU each).
 	Nodes int
-	// GPUMemBytes is each GPU's global memory. Default 64 MiB.
+	// GPUMemBytes is each GPU's global memory capacity: the most
+	// cudaMalloc can hand out. Host memory is paid only for allocated
+	// bytes, so a generous capacity costs nothing. Default 64 MiB.
 	GPUMemBytes int
-	// HostHeapBytes is each node's host heap for application and library
-	// allocations. Default 64 MiB.
+	// HostHeapBytes is each node's host heap capacity for application and
+	// library allocations (AllocHost); like GPUMemBytes, only allocated
+	// bytes cost host memory. Default 64 MiB.
 	HostHeapBytes int
 	// Engine selects the discrete-event scheduler: "serial" (default) for
 	// the cooperative single-executor engine, "parallel" for the
@@ -170,7 +173,7 @@ func New(cfg Config) *Cluster {
 	blockSize := world.Config().BlockSize
 	for i := 0; i < cfg.Nodes; i++ {
 		hca := fabric.NewHCA(i)
-		heap := mem.NewHostSpace(fmt.Sprintf("node%d.heap", i), cfg.HostHeapBytes)
+		heap := mem.Reserve(mem.Host, fmt.Sprintf("node%d.heap", i), -1, cfg.HostHeapBytes)
 		rank := world.AddRank(hca, heap)
 		node := &Node{Rank: rank}
 		if !cfg.NoGPU {
@@ -196,9 +199,9 @@ func New(cfg Config) *Cluster {
 // Run launches fn on every rank and executes the simulation to completion.
 // When the simulation finishes, the engine is shut down: daemon processes
 // (CUDA stream workers, service loops) are terminated so a discarded
-// cluster's gigabytes of simulated memory become collectable. The cluster's
-// state (memories, statistics) remains readable, but no further simulation
-// can run on it.
+// cluster, with the device buffers and vbufs it still maps, becomes
+// collectable. The cluster's state (memories, statistics) remains
+// readable, but no further simulation can run on it.
 func (cl *Cluster) Run(fn func(n *Node)) error {
 	byRank := map[*mpi.Rank]*Node{}
 	for _, n := range cl.Nodes {
@@ -211,10 +214,12 @@ func (cl *Cluster) Run(fn func(n *Node)) error {
 }
 
 // CheckDeviceLeaks is the end-of-run leak gate: it validates every device
-// allocator's invariants and reports any allocation still live. Benchmarks
-// call it after Run, once all device buffers have been freed — Free is pure
-// allocator bookkeeping, so it works after engine shutdown and costs no
-// virtual time.
+// allocator's invariants, checks that each device space maps exactly one
+// extent per live allocation (a stray mapping is a leaked buffer), and
+// reports any allocation still live. Benchmarks call it after Run, once
+// all device buffers have been freed — Free is pure allocator and mapping
+// bookkeeping, so it works after engine shutdown and costs no virtual
+// time.
 func (cl *Cluster) CheckDeviceLeaks() error {
 	for i, n := range cl.Nodes {
 		if n.Dev == nil {
@@ -223,7 +228,11 @@ func (cl *Cluster) CheckDeviceLeaks() error {
 		if err := n.Dev.CheckAllocator(); err != nil {
 			return fmt.Errorf("cluster: node %d allocator corrupt: %w", i, err)
 		}
-		if live := n.Dev.LiveAllocs(); live != 0 {
+		live := n.Dev.LiveAllocs()
+		if m := n.Dev.Space().Mappings(); m != live {
+			return fmt.Errorf("cluster: node %d has %d device memory mappings for %d live allocations", i, m, live)
+		}
+		if live != 0 {
 			return fmt.Errorf("cluster: node %d leaks %d device allocations (%d bytes in use)",
 				i, live, n.Dev.MemInUse())
 		}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"strings"
 	"testing"
 
 	"mv2sim/internal/datatype"
@@ -99,5 +100,19 @@ func TestEndToEndDeviceMessage(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLeakGateCountsMappings: a device mapping with no allocation behind
+// it is a leaked buffer, even when the allocator itself is clean.
+func TestLeakGateCountsMappings(t *testing.T) {
+	cl := New(Config{})
+	if err := cl.CheckDeviceLeaks(); err != nil {
+		t.Fatalf("fresh cluster: %v", err)
+	}
+	cl.Nodes[1].Dev.Space().Map(0, 64)
+	err := cl.CheckDeviceLeaks()
+	if err == nil || !strings.Contains(err.Error(), "node 1 has 1 device memory mappings for 0 live allocations") {
+		t.Errorf("stray mapping: got %v", err)
 	}
 }

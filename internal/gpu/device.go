@@ -64,7 +64,7 @@ type Stats struct {
 
 // Config parameterizes a device.
 type Config struct {
-	MemBytes int       // device global memory size
+	MemBytes int       // device global memory capacity; host cost is paid per allocated byte
 	Model    CostModel // cost constants; zero value replaced by DefaultModel
 }
 
@@ -93,7 +93,7 @@ func New(e sim.Engine, id int, cfg Config) *Device {
 	d := &Device{
 		id:    id,
 		e:     e,
-		space: mem.NewDeviceSpace(fmt.Sprintf("gpu%d", id), id, cfg.MemBytes),
+		space: mem.Reserve(mem.Device, fmt.Sprintf("gpu%d", id), id, cfg.MemBytes),
 		alloc: newAllocator(cfg.MemBytes),
 		model: model,
 		stats: Stats{Copies: map[CopyDir]int{}, Bytes: map[CopyDir]int64{}},
@@ -149,13 +149,15 @@ func (d *Device) Stats() Stats {
 	return cp
 }
 
-// Malloc allocates device memory, like cudaMalloc.
+// Malloc allocates device memory, like cudaMalloc. Only the n bytes
+// handed out are mapped: touching the alignment padding past them, or the
+// buffer after Free, panics.
 func (d *Device) Malloc(n int) (mem.Ptr, error) {
 	off, err := d.alloc.Alloc(n)
 	if err != nil {
 		return mem.Ptr{}, err
 	}
-	return d.space.Base().Add(off), nil
+	return d.space.Map(off, n), nil
 }
 
 // MustMalloc allocates or panics; for setup code whose sizes are static.
@@ -172,7 +174,11 @@ func (d *Device) Free(p mem.Ptr) error {
 	if p.Space() != d.space {
 		return fmt.Errorf("gpu%d: free of foreign pointer %v", d.id, p)
 	}
-	return d.alloc.Free(p.Offset())
+	if err := d.alloc.Free(p.Offset()); err != nil {
+		return err
+	}
+	d.space.Unmap(p.Offset())
+	return nil
 }
 
 // LiveAllocs returns the number of outstanding device allocations.

@@ -500,3 +500,28 @@ func TestKernelPackCrossover(t *testing.T) {
 		}
 	}
 }
+
+// TestFreedBufferUnreadable: Malloc maps exactly what it hands out, so a
+// read into the alignment padding past the buffer, or of the buffer after
+// Free, panics naming the device space and offset.
+func TestFreedBufferUnreadable(t *testing.T) {
+	d := newTestDevice(sim.New())
+	p := d.MustMalloc(100)
+	p.Bytes(100)[99] = 1
+	wantPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			if msg, _ := recover().(string); !strings.Contains(msg, "gpu0+0x") {
+				t.Errorf("%s: panic %q does not name the space and offset", what, msg)
+			}
+		}()
+		f()
+	}
+	wantPanic("read into the padding", func() { p.Bytes(101) })
+	if err := d.Free(p); err != nil {
+		t.Fatal(err)
+	}
+	wantPanic("read after free", func() { p.Bytes(1) })
+	wantPanic("interior read after free", func() { p.Add(64).Bytes(8) })
+}

@@ -24,6 +24,7 @@ package ib
 
 import (
 	"fmt"
+	"sync"
 
 	"mv2sim/internal/mem"
 	"mv2sim/internal/obs"
@@ -92,6 +93,34 @@ type Fabric struct {
 	model Model
 	hcas  map[int]*HCA
 	hub   *obs.Hub
+	snaps snapPool
+}
+
+// snapPool recycles RDMA write payload snapshots by exact length. A
+// snapshot is taken from the pool when the write is posted, fully
+// overwritten by the HCA's DMA read, and returned once its last reader,
+// the deposit copy or the scatter unit, has run. That reader is an engine
+// task body, which the parallel engine runs on a worker, hence the mutex.
+type snapPool struct {
+	mu   sync.Mutex
+	free map[int][][]byte
+}
+
+func (sp *snapPool) get(n int) []byte {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	l := sp.free[n]
+	if len(l) == 0 {
+		return make([]byte, n)
+	}
+	sp.free[n] = l[:len(l)-1]
+	return l[len(l)-1]
+}
+
+func (sp *snapPool) put(b []byte) {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	sp.free[len(b)] = append(sp.free[len(b)], b)
 }
 
 // SetHub attaches an observability hub: every wire operation becomes a
@@ -114,7 +143,7 @@ func NewFabric(e sim.Engine, model Model) *Fabric {
 	if model.Rails < minRails {
 		model.Rails = minRails
 	}
-	return &Fabric{e: e, model: model, hcas: map[int]*HCA{}}
+	return &Fabric{e: e, model: model, hcas: map[int]*HCA{}, snaps: snapPool{free: map[int][][]byte{}}}
 }
 
 // Model returns the fabric's cost model.
@@ -385,7 +414,7 @@ func (h *HCA) RDMAWriteRailTask(dst int, src mem.Ptr, n int, rkey uint32, roff, 
 	// The HCA's DMA read of the source happens "at post time": the task is
 	// due at the post instant, and the poster owns src until the local
 	// completion event, so nothing rewrites it before the slot commits.
-	snap := make([]byte, n)
+	snap := h.f.snaps.get(n)
 	h.f.e.TaskAt(h.f.e.Now(), func() { copy(snap, src.Bytes(n)) })
 	h.stats.RDMAWrites++
 	return h.transmit(dst, n, obs.KindRDMA, railIdx, parent, chunk, func(rx *HCA, wire obs.Task) {
@@ -414,7 +443,10 @@ func (h *HCA) deposit(rkey uint32, roff int, snap []byte, railIdx int, wire obs.
 	// Bytes land in remote memory at delivery time; the receiver only
 	// looks after the FIN, which trails the data on the same rail.
 	dst := reg.ptr.Add(roff).Bytes(len(snap))
-	h.f.e.TaskAt(h.f.e.Now(), func() { copy(dst, snap) })
+	h.f.e.TaskAt(h.f.e.Now(), func() {
+		copy(dst, snap)
+		h.f.snaps.put(snap)
+	})
 }
 
 // RDMARead fetches n bytes from the remote region identified by rkey at

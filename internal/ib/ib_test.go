@@ -2,6 +2,7 @@ package ib
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -386,4 +387,63 @@ func TestRDMAReadUnknownRkeyPanics(t *testing.T) {
 		}
 	}()
 	_ = nw.e.Run()
+}
+
+// TestRegisterUnmappedDeviceRangePanics: with GPUDirect, registration
+// validates the range against device allocations, so a range past the
+// end of an allocation or in unallocated memory panics, naming the range.
+func TestRegisterUnmappedDeviceRangePanics(t *testing.T) {
+	f := NewFabric(sim.New(), Model{AllowDeviceRegistration: true})
+	hca := f.NewHCA(0)
+	dev := mem.Reserve(mem.Device, "gpu0", 0, 1<<20)
+	buf := dev.Map(4096, 256)
+	hca.Register(buf, 256)
+	for _, c := range []struct {
+		what string
+		p    mem.Ptr
+		n    int
+	}{
+		{"range past the allocation", buf, 257},
+		{"unallocated range", dev.Base(), 64},
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, c.p.String()) {
+					t.Errorf("%s: panic %q does not name %v", c.what, msg, c.p)
+				}
+			}()
+			hca.Register(c.p, c.n)
+		}()
+	}
+}
+
+// TestRDMASnapshotsRecycled: each write's payload snapshot returns to the
+// fabric's pool once deposited, so back-to-back writes of one length
+// reuse one snapshot, and every write still lands its own bytes.
+func TestRDMASnapshotsRecycled(t *testing.T) {
+	nw := newNet(2)
+	dst := nw.host[1].Base()
+	reg := nw.hcas[1].Register(dst, 4096)
+	src := nw.host[0].Base()
+	nw.e.Spawn("sender", func(p *sim.Proc) {
+		for i := 0; i < 3; i++ {
+			mem.Fill(src, 512, func(j int) byte { return byte(i*7 + j) })
+			p.Wait(nw.hcas[0].RDMAWrite(1, src, 512, reg.Rkey, i*1024))
+			p.Sleep(sim.Microsecond * 10) // past delivery
+		}
+	})
+	if err := nw.e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		got := dst.Add(i * 1024).Bytes(512)
+		for j, b := range got {
+			if b != byte(i*7+j) {
+				t.Fatalf("write %d byte %d = %d, want %d", i, j, b, byte(i*7+j))
+			}
+		}
+	}
+	if n := len(nw.f.snaps.free[512]); n != 1 {
+		t.Errorf("pool holds %d snapshots of 512 bytes after three sequential writes, want 1", n)
+	}
 }

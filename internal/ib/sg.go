@@ -203,8 +203,11 @@ func (h *HCA) scatterDeposit(reg Region, roff int, snap []byte, railIdx int, wir
 		sp := h.f.hub.Start(obs.KindNicScatter, rl.sgeTrack, chunk, sub.N)
 		sp.DependsOnTask(wire, obs.DepStage)
 		// The typed bytes are due when the scatter completes; snap is the
-		// wire payload, never reused by the sender.
-		h.f.e.TaskAt(h.f.e.Now()+cost, func() { sub.scatter(snap) })
+		// wire payload, recycled once the scatter has read it.
+		h.f.e.TaskAt(h.f.e.Now()+cost, func() {
+			sub.scatter(snap)
+			h.f.snaps.put(snap)
+		})
 		p.Sleep(cost)
 		sp.End()
 		rl.sgEngine.Release()
@@ -232,7 +235,7 @@ func (h *HCA) RDMAWriteGatherRailTask(dst int, sg SGDesc, rkey uint32, roff, rai
 		rl.sgEngine.Acquire(p)
 		cost := h.f.model.GatherCost(sg.N, sg.Segments())
 		g := h.f.hub.StartChild(parent, obs.KindNicGather, rl.sgeTrack, chunk, sg.N)
-		snap := make([]byte, sg.N)
+		snap := h.f.snaps.get(sg.N)
 		// The unit's DMA read of the segments is due at gather completion;
 		// the poster owns the typed buffer until the transfer completes.
 		h.f.e.TaskAt(h.f.e.Now()+cost, func() { sg.gather(snap) })

@@ -182,10 +182,10 @@ func Run(cfg Config) (Result, error) {
 		}
 	}
 
-	// Tight sizing, like osu.MultiPairLatency: virtual sizes don't affect
-	// virtual time, but the backing bytes are real host RAM. A sender may
-	// in the worst case have its whole schedule in flight as packed tbufs;
-	// a receiver holds MaxPosted user buffers plus their tbufs.
+	// Device memory is a capacity sized for the worst case: a sender may
+	// have its whole schedule in flight as packed tbufs; a receiver holds
+	// MaxPosted user buffers plus their tbufs. Only allocated bytes cost
+	// host memory.
 	ccfg := cluster.Config{
 		Nodes:     2 * cfg.Pairs,
 		Engine:    cfg.Engine,

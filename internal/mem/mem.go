@@ -1,18 +1,27 @@
 // Package mem provides the unified memory abstraction shared by the
 // simulated host and GPU devices.
 //
-// A Space is one physical address space backed by a real Go byte slice;
-// a Ptr is an (space, offset) pair, the simulation's analogue of a raw
+// A Space is one physical address space: a reserved range of addresses
+// whose bytes exist only where an allocator has mapped them, the
+// simulated analogue of CUDA's reserve-then-map virtual memory calls. A
+// Ptr is an (space, offset) pair, the simulation's analogue of a raw
 // pointer under CUDA Unified Virtual Addressing: any component can inspect
 // a Ptr and tell whether it points into host or device memory and into
 // which device — exactly the classification MVAPICH2 performs with
 // cuPointerGetAttribute to route device buffers onto the GPU path.
 //
-// All simulated copies ultimately move real bytes between Spaces through
-// this package, so end-to-end data integrity is directly testable.
+// Each mapping is backed by a real Go byte slice, so all simulated copies
+// move real bytes between Spaces through this package and end-to-end data
+// integrity is directly testable. Host cost is paid only for mapped
+// bytes: a 3 GB device costs nothing until cudaMalloc hands memory out.
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"sync"
+	"sync/atomic"
+)
 
 // Kind classifies an address space.
 type Kind uint8
@@ -35,23 +44,66 @@ func (k Kind) String() string {
 	}
 }
 
-// Space is one simulated physical address space.
+// Space is one simulated physical address space of a fixed size. Only
+// mapped extents have backing bytes; an access outside every extent
+// panics, which is how use-after-free and out-of-allocation accesses
+// surface.
+//
+// The extent table is copy-on-write behind an atomic pointer: Bytes takes
+// one atomic load and a binary search and never locks, so engine task
+// bodies may read memory while a process maps or unmaps other buffers.
 type Space struct {
 	kind Kind
 	dev  int // device ordinal; -1 for host
 	name string
-	data []byte
+	size int
+
+	table atomic.Pointer[[]extent] // sorted by offset, disjoint
+
+	mu         sync.Mutex // serialises Map and Unmap
+	spares     [][]byte   // unmapped backings, reused LIFO by exact length
+	mapped     int        // bytes in the table
+	spareBytes int        // bytes in spares
 }
 
-// NewHostSpace creates a host address space of the given size.
+// extent is one mapped range [off, off+len(b)).
+type extent struct {
+	off int
+	b   []byte
+}
+
+// Reserve creates an address space of the given size with nothing
+// mapped; Map materialises the ranges an allocator hands out. dev is the
+// device ordinal of a Device space and is ignored for Host.
+func Reserve(kind Kind, name string, dev, size int) *Space {
+	if size < 0 {
+		panic(fmt.Sprintf("mem: negative size %d for space %s", size, name))
+	}
+	if kind == Host {
+		dev = -1
+	}
+	s := &Space{kind: kind, dev: dev, name: name, size: size}
+	s.table.Store(&[]extent{})
+	return s
+}
+
+// NewHostSpace creates a host address space of the given size, mapped in
+// full.
 func NewHostSpace(name string, size int) *Space {
-	return &Space{kind: Host, dev: -1, name: name, data: make([]byte, size)}
+	return mapAll(Reserve(Host, name, -1, size))
 }
 
 // NewDeviceSpace creates a device address space of the given size for
-// device ordinal dev.
+// device ordinal dev, mapped in full.
 func NewDeviceSpace(name string, dev, size int) *Space {
-	return &Space{kind: Device, dev: dev, name: name, data: make([]byte, size)}
+	return mapAll(Reserve(Device, name, dev, size))
+}
+
+func mapAll(s *Space) *Space {
+	if s.size > 0 {
+		s.Map(0, s.size)
+	}
+	return s
 }
 
 // Kind returns the space kind.
@@ -63,11 +115,95 @@ func (s *Space) DeviceID() int { return s.dev }
 // Name returns the space name.
 func (s *Space) Name() string { return s.name }
 
-// Size returns the space size in bytes.
-func (s *Space) Size() int { return len(s.data) }
+// Size returns the space size in bytes: its reserved capacity, mapped or
+// not.
+func (s *Space) Size() int { return s.size }
 
 // Base returns a pointer to offset 0 of the space.
 func (s *Space) Base() Ptr { return Ptr{sp: s} }
+
+// Mappings returns the number of mapped extents.
+func (s *Space) Mappings() int { return len(*s.table.Load()) }
+
+// Map gives the n bytes at off a backing and returns a pointer to them.
+// The range must lie inside the space and overlap no mapping; both are
+// allocator invariants, so a violation panics. A backing unmapped earlier
+// with the same length is reused as is, stale bytes included, the way
+// freed memory keeps its contents; otherwise the bytes are zero.
+func (s *Space) Map(off, n int) Ptr {
+	if n <= 0 || off < 0 || off+n > s.size {
+		panic(fmt.Sprintf("mem: map [0x%x,0x%x) outside %s [0,0x%x)", off, off+n, s.name, s.size))
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	old := *s.table.Load()
+	i := search(old, off+n-1) + 1 // insertion point: first extent past the range's last byte
+	if i > 0 && old[i-1].off+len(old[i-1].b) > off {
+		panic(fmt.Sprintf("mem: map [0x%x,0x%x) of %s overlaps mapping %v len %d",
+			off, off+n, s.name, Ptr{sp: s, off: old[i-1].off}, len(old[i-1].b)))
+	}
+	t := make([]extent, 0, len(old)+1)
+	t = append(append(append(t, old[:i]...), extent{off, s.backing(n)}), old[i:]...)
+	s.mapped += n
+	s.table.Store(&t)
+	return Ptr{sp: s, off: off}
+}
+
+// backing returns an n-byte slice for a new mapping: the most recently
+// unmapped spare of exactly that length, or a fresh zeroed slice after
+// releasing the oldest spares to keep mapped plus spare bytes within the
+// space's size. The caller holds s.mu.
+func (s *Space) backing(n int) []byte {
+	for i := len(s.spares) - 1; i >= 0; i-- {
+		if b := s.spares[i]; len(b) == n {
+			s.spares = slices.Delete(s.spares, i, i+1)
+			s.spareBytes -= n
+			return b
+		}
+	}
+	drop := 0
+	for ; s.mapped+s.spareBytes+n > s.size; drop++ {
+		s.spareBytes -= len(s.spares[drop])
+		s.spares[drop] = nil
+	}
+	s.spares = s.spares[drop:]
+	return make([]byte, n)
+}
+
+// Unmap removes the mapping that starts at off. Its bytes become
+// unreachable through the space; the backing is kept as a spare for the
+// next mapping of the same length.
+func (s *Space) Unmap(off int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	old := *s.table.Load()
+	i := search(old, off)
+	if i < 0 || old[i].off != off {
+		panic(fmt.Sprintf("mem: unmap of %v, which starts no mapping", Ptr{sp: s, off: off}))
+	}
+	b := old[i].b
+	t := make([]extent, 0, len(old)-1)
+	t = append(append(t, old[:i]...), old[i+1:]...)
+	s.table.Store(&t)
+	s.mapped -= len(b)
+	s.spares = append(s.spares, b)
+	s.spareBytes += len(b)
+}
+
+// search returns the index of the last extent in t starting at or before
+// off, or -1.
+func search(t []extent, off int) int {
+	lo, hi := 0, len(t)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if t[m].off <= off {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo - 1
+}
 
 // Ptr is a pointer into a Space. The zero Ptr is a "null pointer":
 // IsNil reports true and any access panics.
@@ -104,19 +240,29 @@ func (p Ptr) DeviceID() int { return p.Space().dev }
 // long as the result stays within the space.
 func (p Ptr) Add(n int) Ptr {
 	q := Ptr{sp: p.Space(), off: p.off + n}
-	if q.off < 0 || q.off > len(q.sp.data) {
-		panic(fmt.Sprintf("mem: pointer %v+%d out of space bounds [0,%d]", p, n, len(q.sp.data)))
+	if q.off < 0 || q.off > q.sp.size {
+		panic(fmt.Sprintf("mem: pointer %v+%d out of space bounds [0,%d]", p, n, q.sp.size))
 	}
 	return q
 }
 
-// Bytes returns a mutable view of n bytes at p, bounds-checked.
+// Bytes returns a mutable view of n bytes at p. The range must lie inside
+// one mapping; a zero-length view is legal anywhere in the space.
 func (p Ptr) Bytes(n int) []byte {
 	s := p.Space()
-	if n < 0 || p.off+n > len(s.data) {
-		panic(fmt.Sprintf("mem: access %v len %d out of bounds (space size %d)", p, n, len(s.data)))
+	if n < 0 || p.off+n > s.size {
+		panic(fmt.Sprintf("mem: access %v len %d out of bounds (space size %d)", p, n, s.size))
 	}
-	return s.data[p.off : p.off+n : p.off+n]
+	if n == 0 {
+		return nil
+	}
+	t := *s.table.Load()
+	i := search(t, p.off)
+	if i < 0 || p.off+n > t[i].off+len(t[i].b) {
+		panic(fmt.Sprintf("mem: access %v len %d is not inside one mapping (unallocated or freed memory)", p, n))
+	}
+	rel := p.off - t[i].off
+	return t[i].b[rel : rel+n : rel+n]
 }
 
 // SameSpace reports whether two pointers target the same address space.
@@ -147,7 +293,7 @@ func Copy2D(dst Ptr, dpitch int, src Ptr, spitch, width, height int) {
 	if dpitch < width || spitch < width {
 		panic(fmt.Sprintf("mem: pitch smaller than width (dpitch=%d spitch=%d width=%d)", dpitch, spitch, width))
 	}
-	if height == 0 {
+	if height == 0 || width == 0 {
 		return
 	}
 	// One bounds-checked view per side covers every row: pitches are at

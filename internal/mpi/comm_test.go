@@ -460,7 +460,7 @@ func runGet(t *testing.T, n int, fn func(r *Rank)) *World {
 	fabric := ib.NewFabric(e, ib.Model{})
 	w := NewWorld(e, Config{Rendezvous: RendezvousGet})
 	for i := 0; i < n; i++ {
-		w.AddRank(fabric.NewHCA(i), mem.NewHostSpace(fmt.Sprintf("host%d", i), 64<<20))
+		w.AddRank(fabric.NewHCA(i), mem.Reserve(mem.Host, fmt.Sprintf("host%d", i), -1, 64<<20))
 	}
 	w.Launch(fn)
 	if err := e.Run(); err != nil {
@@ -580,7 +580,7 @@ func TestPropTypedTrafficBothProtocols(t *testing.T) {
 		fabric := ib.NewFabric(e, ib.Model{})
 		w := NewWorld(e, cfg)
 		for i := 0; i < 2; i++ {
-			w.AddRank(fabric.NewHCA(i), mem.NewHostSpace(fmt.Sprintf("host%d", i), 64<<20))
+			w.AddRank(fabric.NewHCA(i), mem.Reserve(mem.Host, fmt.Sprintf("host%d", i), -1, 64<<20))
 		}
 		ok := true
 		w.Launch(func(r *Rank) {

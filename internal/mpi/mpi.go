@@ -175,7 +175,9 @@ func (w *World) GPUTransport() GPUTransport { return w.transport }
 
 // AddRank attaches the next rank, bound to an HCA and a host memory space
 // used both for application allocations and the library's internal staging
-// buffers. The HCA's node ID must equal the new rank's index.
+// buffers. The space must be reserved with nothing mapped (mem.Reserve):
+// AllocHost maps what it hands out. The HCA's node ID must equal the new
+// rank's index.
 func (w *World) AddRank(hca *ib.HCA, host *mem.Space) *Rank {
 	r := &Rank{
 		w:           w,
@@ -275,7 +277,7 @@ func (r *Rank) AllocHost(n int) mem.Ptr {
 	if err != nil {
 		panic(fmt.Sprintf("mpi rank %d: %v", r.rank, err))
 	}
-	return r.host.Base().Add(off)
+	return r.host.Map(off, n)
 }
 
 // FreeHost returns memory obtained from AllocHost.
@@ -283,6 +285,7 @@ func (r *Rank) FreeHost(p mem.Ptr) {
 	if err := r.heap.Free(p.Offset()); err != nil {
 		panic(fmt.Sprintf("mpi rank %d: %v", r.rank, err))
 	}
+	r.host.Unmap(p.Offset())
 }
 
 // callOverhead charges the fixed MPI call entry cost.

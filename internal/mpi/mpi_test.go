@@ -18,7 +18,7 @@ func testWorld(n int) (sim.Engine, *World) {
 	fabric := ib.NewFabric(e, ib.Model{})
 	w := NewWorld(e, Config{})
 	for i := 0; i < n; i++ {
-		w.AddRank(fabric.NewHCA(i), mem.NewHostSpace(fmt.Sprintf("host%d", i), 64<<20))
+		w.AddRank(fabric.NewHCA(i), mem.Reserve(mem.Host, fmt.Sprintf("host%d", i), -1, 64<<20))
 	}
 	return e, w
 }

@@ -186,16 +186,9 @@ func MultiPairLatency(msgBytes, pairs int, cfg VectorConfig) (sim.Time, error) {
 	if rows == 0 {
 		rows = 1
 	}
-	// Tight per-node memory: the footprint is 2*pairs nodes, so the
-	// default 64 MB heaps would put a 64-pair sweep at 12 GB of host
-	// allocation per run. The benchmark only needs the vector span on
-	// device plus staging headroom; sizes here don't affect virtual time.
 	span := rows * cfg.PitchBytes
 	if cfg.Cluster.GPUMemBytes < span+(4<<20) {
-		cfg.Cluster.GPUMemBytes = span + (8 << 20)
-	}
-	if cfg.Cluster.HostHeapBytes == 0 {
-		cfg.Cluster.HostHeapBytes = 4 << 20
+		cfg.Cluster.GPUMemBytes = span + (8 << 20) // room for the vector plus staging
 	}
 	vec, err := datatype.Vector(rows, cfg.ElemBytes, cfg.PitchBytes, datatype.Byte)
 	if err != nil {
