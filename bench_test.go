@@ -377,10 +377,11 @@ func BenchmarkPackPlanCache(b *testing.B) {
 
 // BenchmarkEngineEventLoop measures raw event-loop throughput of the
 // discrete-event engine: one process sleeping through b.N timer events,
-// once per engine implementation. This is the denominator of every other
-// wall-clock number in this file, and the serial/parallel pair puts a
-// number on the worker-pool engine's dispatch overhead for workloads
-// with no launchable tasks.
+// once per engine implementation. Each event is one heap pop and a
+// coroutine switch into the process and back. This is the denominator of
+// every other wall-clock number in this file; the parallel engine adds
+// nothing to it for workloads with no launchable tasks, so the pair
+// should read the same.
 func BenchmarkEngineEventLoop(b *testing.B) {
 	for _, name := range []string{"serial", "parallel"} {
 		b.Run(name, func(b *testing.B) {
@@ -393,6 +394,36 @@ func BenchmarkEngineEventLoop(b *testing.B) {
 					p.Sleep(sim.Nanosecond)
 				}
 			})
+			b.ResetTimer()
+			if err := e.Run(); err != nil {
+				b.Fatal(err)
+			}
+			e.Shutdown()
+		})
+	}
+}
+
+// BenchmarkEngineSpawn measures one process spawn-and-finish: a chain of
+// b.N processes, each spawning its successor before it returns, so the
+// two carriers they run on are reused throughout. The eager path spawns
+// about three processes per message, so spawn cost is a share of
+// small-message host time of its own.
+func BenchmarkEngineSpawn(b *testing.B) {
+	for _, name := range []string{"serial", "parallel"} {
+		b.Run(name, func(b *testing.B) {
+			e, err := sim.NewByName(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			n := 0
+			var body func(p *sim.Proc)
+			body = func(p *sim.Proc) {
+				if n++; n < b.N {
+					e.Spawn("bench", body)
+				}
+			}
+			e.Spawn("bench", body)
+			b.ReportAllocs()
 			b.ResetTimer()
 			if err := e.Run(); err != nil {
 				b.Fatal(err)

@@ -48,7 +48,7 @@ func (ev *Event) Trigger() {
 	}
 	ev.fired = true
 	ev.firedAt = ev.e.now
-	ev.e.trace("event %s: fired", ev.name)
+	ev.e.trace("event", ev.name, "fired")
 	if ev.e.hook != nil {
 		ev.e.hook.EventFired(ev.e.now, ev.name)
 	}
@@ -80,7 +80,7 @@ func (p *Proc) Wait(ev *Event) {
 		return
 	}
 	ev.waiters = append(ev.waiters, p)
-	p.block("wait " + ev.name)
+	p.block("wait", ev)
 }
 
 // WaitAll blocks until every listed event has fired.

@@ -86,8 +86,8 @@ func (e *ParallelEngine) worker() {
 	}
 }
 
-// Shutdown stops the pool workers and then terminates parked process
-// goroutines exactly like the serial engine's Shutdown. Idempotent; must
+// Shutdown stops the pool workers and then ends blocked processes
+// exactly like the serial engine's Shutdown. Idempotent; must
 // only be called after Run/RunUntil has returned, at which point the
 // inflight barrier guarantees the pending queue is empty.
 func (e *ParallelEngine) Shutdown() {

@@ -10,9 +10,10 @@ import (
 // processes. It returns the finish time and dispatched-event count so
 // concurrent runs can be checked for determinism.
 //
-// Every baton handoff in here crosses the channel pair between the engine
-// goroutine (Run) and a process goroutine (the Spawn closure), which is
-// exactly the boundary the race detector must see happens-before edges on.
+// Every handoff in here crosses the coroutine switch between the engine
+// goroutine (Run) and a process carrier (running the Spawn closure), which
+// is exactly the boundary the race detector must see happens-before edges
+// on.
 func workload(t *testing.T) (Time, uint64) {
 	t.Helper()
 	e := New()
@@ -61,7 +62,7 @@ func workload(t *testing.T) (Time, uint64) {
 		t.Errorf("workload: %v", err)
 	}
 	now, events := e.Now(), e.Events()
-	e.Shutdown() // terminates the still-blocked daemon goroutine
+	e.Shutdown() // ends the still-blocked daemon and releases its carrier
 	return now, events
 }
 
@@ -90,11 +91,11 @@ func TestRaceConcurrentEngines(t *testing.T) {
 	}
 }
 
-// TestRaceHandoffStress bounces the baton across many process goroutines
-// in one engine: a ring of processes each relaying a token through a
-// queue. The engine goroutine and every process goroutine take turns on
-// the shared scheduler state, so any missing synchronization in the
-// resume/yield handoff shows up under -race.
+// TestRaceHandoffStress bounces control across many process carriers in
+// one engine: a ring of processes each relaying a token through a queue.
+// The engine goroutine and every carrier take turns on the shared
+// scheduler state, so any missing synchronization in the next/yield
+// handoff shows up under -race.
 func TestRaceHandoffStress(t *testing.T) {
 	e := New()
 	const ring, rounds = 64, 50

@@ -8,12 +8,14 @@
 // execute off the dispatch goroutine as long as the bytes are in place when
 // the task's slot in (time, seq) order is reached.
 //
-// Processes are ordinary goroutines wrapped by Proc. Exactly one process
-// (or the engine itself) executes at any instant; control is transferred
-// explicitly when a process blocks in Sleep, Wait, or a resource/queue
-// operation. This cooperative single-executor discipline makes the whole
-// simulation race-free and fully deterministic: the same program produces
-// the same event trace on every run.
+// Processes are coroutines wrapped by Proc: each runs on a pooled carrier
+// (an iter.Pull coroutine, see coro.go) that the engine resumes directly.
+// Exactly one process (or the engine itself) executes at any instant;
+// control is transferred explicitly when a process blocks in Sleep, Wait,
+// or a resource/queue operation. This cooperative single-executor
+// discipline makes the whole simulation race-free and fully
+// deterministic: the same program produces the same event trace on every
+// run.
 //
 // Two engines implement the Engine interface: the default SerialEngine
 // (New) runs everything, tasks included, on the dispatch goroutine; the
@@ -29,7 +31,6 @@ package sim
 import (
 	"container/heap"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 )
@@ -158,7 +159,7 @@ type Engine interface {
 	SetTracer(fn func(t Time, msg string))
 	// SetHook installs a structured lifecycle observer.
 	SetHook(h Hook)
-	// Shutdown terminates every parked goroutine; see SerialEngine docs.
+	// Shutdown ends every blocked process; see engineCore.Shutdown.
 	Shutdown()
 
 	core() *engineCore
@@ -183,18 +184,13 @@ func NewByName(name string) (Engine, error) {
 // launch hook is the only seam the ParallelEngine overrides (nil means
 // "run tasks inline at their slot").
 type engineCore struct {
-	now     Time
-	seq     uint64
-	heap    itemHeap
-	free    []*item       // recycled items, engine-goroutine only
-	cur     *Proc         // process currently holding the baton, nil in engine context
-	yield   chan struct{} // signalled by a process when it blocks or finishes
-	nlive   int           // spawned processes that have not finished
-	blocked map[*Proc]string
-	nevents uint64 // dispatched item count, for stats and runaway guards
-
-	shutdown     chan struct{}
-	shutdownDone bool
+	now      Time
+	seq      uint64
+	heap     itemHeap
+	free     []*item    // recycled items, engine-goroutine only
+	carriers []*carrier // every carrier created, in creation order
+	idle     []*carrier // carriers with no process, reused LIFO by SpawnAt
+	nevents  uint64     // dispatched item count, for stats and runaway guards
 
 	tracer func(t Time, msg string)
 	hook   Hook
@@ -202,7 +198,7 @@ type engineCore struct {
 	self     Engine         // the concrete engine embedding this core
 	launch   func(it *item) // set by ParallelEngine: start a task off-goroutine
 	inflight sync.WaitGroup // launched tasks not yet finished
-	goros    sync.WaitGroup // process + pool goroutines not yet exited
+	goros    sync.WaitGroup // ParallelEngine pool workers not yet exited
 }
 
 // Hook observes engine lifecycle events with structured callbacks, the
@@ -233,39 +229,34 @@ func New() *SerialEngine {
 	return e
 }
 
-// init wires the core's channels and back-reference to the concrete engine.
+// init wires the core's back-reference to the concrete engine.
 func (e *engineCore) init(self Engine) {
-	e.yield = make(chan struct{})
-	e.blocked = map[*Proc]string{}
-	e.shutdown = make(chan struct{})
 	e.self = self
 }
 
 // core seals the Engine interface to this package's implementations.
 func (e *engineCore) core() *engineCore { return e }
 
-// Shutdown terminates every process goroutine still blocked in the engine
-// (daemons waiting for work, processes stuck on unfired events). Blocked
-// goroutines otherwise live for the lifetime of the Go program and keep
-// everything they reference — entire simulated memories — reachable, so
-// long-running harnesses that build many engines must call Shutdown when
-// each simulation finishes.
+// Shutdown ends every process still blocked in the engine (daemons
+// waiting for work, processes stuck on unfired events) and releases every
+// carrier. A blocked carrier otherwise lives for the lifetime of the Go
+// program and keeps everything it references — entire simulated memories
+// — reachable, so long-running harnesses that build many engines must
+// call Shutdown when each simulation finishes.
+//
+// Each carrier is stopped in creation order: the blocked operation in its
+// body panics with a private sentinel, the body's deferred calls run, and
+// the carrier's goroutine exits before stop returns. No lifecycle output
+// (tracer lines, hook calls) is emitted for the ended processes.
 //
 // Shutdown must only be called while the engine is not executing (i.e.
 // after Run/RunUntil has returned). It is idempotent. The engine must not
 // be used afterwards.
-//
-// Shutdown joins the goroutines before returning. Without the join, a
-// harness that builds engines back to back races the previous run's
-// dying goroutines: their stacks keep the dead simulation reachable, so
-// the next run's allocation storm fights the collector over gigabytes
-// that are about to be garbage (a 60x wall-clock cliff on a single-CPU
-// host before the join was added).
 func (e *engineCore) Shutdown() {
-	if !e.shutdownDone {
-		e.shutdownDone = true
-		close(e.shutdown)
+	for _, c := range e.carriers {
+		c.stop()
 	}
+	e.carriers, e.idle = nil, nil
 	e.goros.Wait()
 }
 
@@ -282,9 +273,11 @@ func (e *engineCore) SetTracer(fn func(t Time, msg string)) { e.tracer = fn }
 // SetHook installs a structured lifecycle observer. Pass nil to disable.
 func (e *engineCore) SetHook(h Hook) { e.hook = h }
 
-func (e *engineCore) trace(format string, args ...interface{}) {
+// trace emits "<kind> <name>: <what>". Plain string arguments keep the
+// untraced path free of allocations.
+func (e *engineCore) trace(kind, name, what string) {
 	if e.tracer != nil {
-		e.tracer(e.now, fmt.Sprintf(format, args...))
+		e.tracer(e.now, kind+" "+name+": "+what)
 	}
 }
 
@@ -416,9 +409,13 @@ func (e *engineCore) run(limit Time) error {
 		}
 	}
 	var msgs []string
-	for p, why := range e.blocked {
-		if !p.daemon {
-			msgs = append(msgs, p.name+": "+why)
+	for _, c := range e.carriers {
+		if p := c.p; p != nil && !p.daemon && p.why != "" {
+			msg := p.name + ": " + p.why
+			if p.on != nil {
+				msg += " " + p.on.name
+			}
+			msgs = append(msgs, msg)
 		}
 	}
 	if len(msgs) > 0 {
@@ -428,18 +425,14 @@ func (e *engineCore) run(limit Time) error {
 	return nil
 }
 
-// runProc hands the baton to p and waits for it to yield it back.
+// runProc switches to p's carrier and returns when p blocks or finishes.
 // A panic inside the process is re-raised here, in the Run caller's
 // goroutine, so it is observable and recoverable like any ordinary panic.
 func (e *engineCore) runProc(p *Proc) {
 	if p.done {
 		panic("sim: resuming finished process " + p.name)
 	}
-	prev := e.cur
-	e.cur = p
-	p.resume <- struct{}{}
-	<-e.yield
-	e.cur = prev
+	p.c.next()
 	if p.panicked != nil {
 		pv := p.panicked
 		p.panicked = nil
@@ -449,14 +442,20 @@ func (e *engineCore) runProc(p *Proc) {
 
 // Proc is a cooperative simulated process. Procs are created with Spawn and
 // must only call blocking operations (Sleep, Wait, Resource.Acquire, ...)
-// from their own goroutine while they hold the baton.
+// from their own body while it is running.
 type Proc struct {
 	e        *engineCore
 	name     string
-	resume   chan struct{}
+	fn       func(p *Proc)
+	c        *carrier // the coroutine running fn
 	done     bool
 	daemon   bool
-	panicked interface{} // panic value captured from the process goroutine
+	panicked interface{} // panic value captured from the process body
+
+	// Deadlock diagnostics, written by every block: a static reason and,
+	// for "wait", the awaited event. Formatted only when Run reports.
+	why string
+	on  *Event
 }
 
 // Name returns the process name given at Spawn.
@@ -484,60 +483,16 @@ func (e *engineCore) SpawnDaemon(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// SpawnAt creates a process starting at absolute time t.
+// SpawnAt creates a process starting at absolute time t. The process
+// runs on an idle carrier if one exists.
 func (e *engineCore) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
-	p := &Proc{e: e, name: name, resume: make(chan struct{})}
-	e.nlive++
-	e.goros.Add(1)
-	//lint:ignore detrand this goroutine IS the engine's process implementation: it baton-passes with the dispatcher (exactly one goroutine runs at a time, handed off via resume channels), so the Go scheduler never picks an interleaving
-	go func() {
-		defer e.goros.Done() // runs on normal return and on Goexit at Shutdown
-		p.awaitResume()      // wait for first dispatch
-		e.trace("proc %s: start", p.name)
-		if e.hook != nil {
-			e.hook.ProcStart(e.now, p.name)
-		}
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					p.panicked = r
-				}
-			}()
-			fn(p)
-		}()
-		e.trace("proc %s: done", p.name)
-		if e.hook != nil {
-			e.hook.ProcEnd(e.now, p.name)
-		}
-		p.done = true
-		e.nlive--
-		e.yield <- struct{}{}
-	}()
+	p := &Proc{e: e, name: name, fn: fn, c: e.carrier()}
+	p.c.p = p
 	it := e.newItem()
 	it.kind = kindResume
 	it.proc = p
 	e.schedule(t, it)
 	return p
-}
-
-// block releases the baton and waits until the engine resumes this process.
-// reason is recorded for deadlock diagnostics.
-func (p *Proc) block(reason string) {
-	p.e.blocked[p] = reason
-	p.e.yield <- struct{}{}
-	p.awaitResume()
-	delete(p.e.blocked, p)
-}
-
-// awaitResume parks the goroutine until the engine hands it the baton —
-// or until Shutdown, in which case the goroutine exits so it stops
-// retaining the simulation's memory.
-func (p *Proc) awaitResume() {
-	select {
-	case <-p.resume:
-	case <-p.e.shutdown:
-		runtime.Goexit()
-	}
 }
 
 // scheduleResume queues a wake-up for p at absolute time t.
@@ -554,12 +509,12 @@ func (p *Proc) Sleep(d Time) {
 		panic("sim: negative sleep")
 	}
 	p.scheduleResume(p.e.now + d)
-	p.block("sleep")
+	p.block("sleep", nil)
 }
 
 // Yield reschedules the process at the current instant, letting other items
 // queued for the same time run first.
 func (p *Proc) Yield() {
 	p.scheduleResume(p.e.now)
-	p.block("yield")
+	p.block("yield", nil)
 }
