@@ -52,7 +52,8 @@ type Config struct {
 	// side — separate pools make the pipeline deadlock-free even when
 	// many large transfers cross in both directions, the same reason
 	// MVAPICH2 partitions its vbuf credits). Default 64. Each chunk is
-	// MPI.BlockSize bytes.
+	// MPI.BlockSize bytes. Host memory is paid per vbuf first used, not
+	// for the whole count: a pool maps a vbuf when it first hands it out.
 	VbufCount int
 	// GPUModel overrides the GPU cost model (zero value = calibrated
 	// defaults).
@@ -118,6 +119,9 @@ type Node struct {
 	// Pool is the send-side staging pool; RecvPool the receive side.
 	Pool     *hostmem.Pool
 	RecvPool *hostmem.Pool
+	// Pinned is the reserved host range both pools carve their vbufs
+	// from; it maps one extent per vbuf ever used.
+	Pinned *mem.Space
 }
 
 // Cluster is the assembled testbed.
@@ -179,7 +183,8 @@ func New(cfg Config) *Cluster {
 		if !cfg.NoGPU {
 			node.Dev = gpu.New(e, i, gpu.Config{MemBytes: cfg.GPUMemBytes, Model: cfg.GPUModel})
 			node.Ctx = cuda.NewCtx(e, node.Dev)
-			pinned := mem.NewHostSpace(fmt.Sprintf("node%d.pinned", i), 2*cfg.VbufCount*blockSize)
+			pinned := mem.Reserve(mem.Host, fmt.Sprintf("node%d.pinned", i), -1, 2*cfg.VbufCount*blockSize)
+			node.Pinned = pinned
 			node.Pool = hostmem.NewPool(e, fmt.Sprintf("node%d.txvbufs", i), hca, pinned.Base(), blockSize, cfg.VbufCount)
 			node.RecvPool = hostmem.NewPool(e, fmt.Sprintf("node%d.rxvbufs", i), hca,
 				pinned.Base().Add(cfg.VbufCount*blockSize), blockSize, cfg.VbufCount)

@@ -107,6 +107,9 @@ type NodeGPU struct {
 	kernOps int
 
 	tracks stageTracks
+
+	// eager-path process names, "rankN.gpustage" and "rankN.gpudeliver"
+	stageName, deliverName string
 }
 
 // stageTracks holds the precomputed per-rank tracing track names — one per
@@ -184,6 +187,8 @@ func (t *Transport) Attach(r *mpi.Rank, ctx *cuda.Ctx, sendPool, recvPool *hostm
 			h2d:    railTracks(fmt.Sprintf("rank%d.h2d", r.Rank()), rails),
 			unpack: fmt.Sprintf("rank%d.unpack", r.Rank()),
 		},
+		stageName:   fmt.Sprintf("rank%d.gpustage", r.Rank()),
+		deliverName: fmt.Sprintf("rank%d.gpudeliver", r.Rank()),
 	}
 	for i := 0; i < rails; i++ {
 		n.d2hStreams = append(n.d2hStreams, ctx.NewStream())
@@ -384,15 +389,16 @@ func (t *Transport) unpackChunk(p *sim.Proc, n1 *NodeGPU, pl plan, req *mpi.Requ
 // D2D pack into tbuf, then chunk-sized D2H copies double-buffered through
 // two vbufs, so the host memcpy draining chunk i overlaps chunk i+1's D2H.
 // The second vbuf is best-effort (TryGet): a drained pool degrades to the
-// serial single-vbuf path instead of risking deadlock.
+// serial single-vbuf path instead of risking deadlock. The packed bytes
+// live in a pooled buffer that is recycled once deliver returns.
 func (t *Transport) StageToHost(req *mpi.Request, deliver func(packed []byte)) {
 	r := req.Rank()
 	n1 := t.Node(r)
 	pl := t.planFor(req)
 	e := r.World().Engine()
-	e.Spawn(fmt.Sprintf("rank%d.gpustage", r.Rank()), func(p *sim.Proc) {
+	e.Spawn(n1.stageName, func(p *sim.Proc) {
 		size := pl.size
-		packed := make([]byte, size)
+		packed := r.Buffers().Get(size)
 		var tbuf mem.Ptr
 		if !pl.contig {
 			tbuf = n1.Ctx.MustMalloc(size)
@@ -446,6 +452,7 @@ func (t *Transport) StageToHost(req *mpi.Request, deliver func(packed []byte)) {
 			mustFree(n1.Ctx, tbuf)
 		}
 		deliver(packed)
+		r.Buffers().Put(packed)
 	})
 }
 
@@ -453,12 +460,13 @@ func (t *Transport) StageToHost(req *mpi.Request, deliver func(packed []byte)) {
 // host copy into a vbuf, H2D into tbuf, D2D unpack, complete. The host
 // copies and H2D transfers are double-buffered across two vbufs (when the
 // pool allows): the H2D of chunk i runs while the host fills chunk i+1.
+// packed goes back to the rank's payload pool once the fills have read it.
 func (t *Transport) DeliverFromHost(req *mpi.Request, packed []byte) {
 	r := req.Rank()
 	n1 := t.Node(r)
 	pl := t.planFor(req)
 	e := r.World().Engine()
-	e.Spawn(fmt.Sprintf("rank%d.gpudeliver", r.Rank()), func(p *sim.Proc) {
+	e.Spawn(n1.deliverName, func(p *sim.Proc) {
 		size := len(packed)
 		var tbuf mem.Ptr
 		if pl.contig {
@@ -496,6 +504,8 @@ func (t *Transport) DeliverFromHost(req *mpi.Request, packed []byte) {
 				b = 1 - b
 			}
 		}
+		// Every fill task's slot has passed, so nothing reads packed now.
+		r.Buffers().Put(packed)
 		for i := 0; i < nbuf; i++ {
 			if evs[i] != nil {
 				p.Wait(evs[i])

@@ -600,3 +600,44 @@ func TestGetProtocolIntoDeviceBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDeviceEagerBuffersNotAliased is the device-buffer form of the
+// eager aliasing check: two same-size eager vectors are in flight at once,
+// one of them arriving unexpected, and a third passes through the
+// payload pool while the unexpected copy waits. The sender rewrites its
+// buffers as soon as each send completes; all three arrive byte-exact.
+func TestDeviceEagerBuffersNotAliased(t *testing.T) {
+	v, _ := datatype.Vector(512, 4, 16, datatype.Byte) // 2 KB packed
+	v.MustCommit()
+	cl := runPair(t, cluster.Config{}, func(n *cluster.Node) {
+		r := n.Rank
+		var bufs [4]mem.Ptr
+		for i := 1; i <= 3; i++ {
+			bufs[i] = n.Ctx.MustMalloc(v.Span(1))
+		}
+		switch r.Rank() {
+		case 0:
+			fillDev(bufs[2], v.Span(1), 2)
+			fillDev(bufs[1], v.Span(1), 1)
+			q2 := r.Isend(bufs[2], 1, v, 1, 2)
+			q1 := r.Isend(bufs[1], 1, v, 1, 1)
+			r.Waitall(q1, q2)
+			fillDev(bufs[1], v.Span(1), 9)
+			fillDev(bufs[2], v.Span(1), 9)
+			fillDev(bufs[3], v.Span(1), 3)
+			r.Send(bufs[3], 1, v, 1, 3)
+			fillDev(bufs[3], v.Span(1), 9)
+		case 1:
+			r.Recv(bufs[1], 1, v, 0, 1)
+			r.Recv(bufs[3], 1, v, 0, 3)
+			r.Proc().Sleep(sim.Millisecond)
+			r.Recv(bufs[2], 1, v, 0, 2) // long since arrived
+			for i := 1; i <= 3; i++ {
+				checkTyped(t, v, 1, bufs[i], byte(i), fmt.Sprintf("message %d", i))
+			}
+		}
+	})
+	if st := cl.Nodes[1].Rank.Stats(); st.Unexpected == 0 {
+		t.Error("no message took the unexpected path")
+	}
+}

@@ -8,6 +8,12 @@
 // block until one is returned. That back-pressure bounds pipeline depth,
 // which is exactly the behaviour the vbuf-pool ablation benchmark
 // measures.
+//
+// The pool's address range is reserved up front, but host memory is paid
+// per vbuf: a vbuf is mapped and registered the first time it is handed
+// out, the way MVAPICH2 grows its registered vbuf pool on demand
+// (MV2_VBUF_SECONDARY_POOL_SIZE). Since the free list is LIFO, a run maps
+// only as many vbufs as it ever held at once.
 package hostmem
 
 import (
@@ -23,20 +29,23 @@ import (
 type Vbuf struct {
 	// Ptr addresses the chunk's bytes in host memory.
 	Ptr mem.Ptr
-	// Region is the chunk's RDMA registration with the owning node's HCA.
+	// Region is the chunk's RDMA registration with the owning node's HCA,
+	// made when the vbuf is first handed out.
 	Region ib.Region
 	// Index is the chunk's position in the pool, for diagnostics.
 	Index int
 
-	pool *Pool
-	free bool
-	rail int      // rail the current hold is accounted to
-	span obs.Span // open while the vbuf is held
+	pool   *Pool
+	free   bool
+	mapped bool     // Ptr is mapped and Region registered
+	rail   int      // rail the current hold is accounted to
+	span   obs.Span // open while the vbuf is held
 }
 
-// Pool is a fixed set of vbufs carved from one pinned host allocation.
+// Pool is a fixed set of vbufs carved from one reserved pinned host range.
 type Pool struct {
 	e         sim.Engine
+	hca       *ib.HCA
 	name      string
 	chunkSize int
 	bufs      []*Vbuf
@@ -52,6 +61,7 @@ type Pool struct {
 	// calls that found the pool empty and had to block.
 	held, maxHeld int
 	waits         uint64
+	mapped        int // vbufs mapped so far
 
 	// Per-rail accounting for multi-rail pipelines: railGets[r] counts
 	// vbufs handed out to rail r's chunk stream, railHeld[r] how many it
@@ -68,9 +78,10 @@ type Pool struct {
 	waitTrack string // track for pool-exhaustion wait tasks
 }
 
-// NewPool carves count chunks of chunkSize bytes out of host space at base
-// and registers each with hca. The range base..base+count*chunkSize must
-// be valid host memory.
+// NewPool carves count chunks of chunkSize bytes out of the host space at
+// base. The range base..base+count*chunkSize must be reserved and
+// unmapped (mem.Reserve): each chunk is mapped and registered with hca
+// the first time the pool hands it out.
 func NewPool(e sim.Engine, name string, hca *ib.HCA, base mem.Ptr, chunkSize, count int) *Pool {
 	if chunkSize <= 0 || count <= 0 {
 		panic("hostmem: pool dimensions must be positive")
@@ -78,11 +89,11 @@ func NewPool(e sim.Engine, name string, hca *ib.HCA, base mem.Ptr, chunkSize, co
 	if base.IsDevice() {
 		panic("hostmem: vbuf pool must live in host memory")
 	}
-	p := &Pool{e: e, name: name, chunkSize: chunkSize, minFree: count,
+	base.Add(count * chunkSize) // bounds-check the whole range now
+	p := &Pool{e: e, hca: hca, name: name, chunkSize: chunkSize, minFree: count,
 		freeCtr: name + ".free", waitsCtr: name + ".waits", waitTrack: name + ".wait"}
 	for i := 0; i < count; i++ {
-		ptr := base.Add(i * chunkSize)
-		v := &Vbuf{Ptr: ptr, Region: hca.Register(ptr, chunkSize), Index: i, pool: p, free: true}
+		v := &Vbuf{Ptr: base.Add(i * chunkSize), Index: i, pool: p, free: true}
 		p.bufs = append(p.bufs, v)
 		p.freeList = append(p.freeList, v)
 	}
@@ -107,6 +118,10 @@ func (p *Pool) Free() int { return len(p.freeList) }
 // MinFree returns the low-water mark of available vbufs over the run,
 // i.e. how deep the pipeline actually dug into the pool.
 func (p *Pool) MinFree() int { return p.minFree }
+
+// Mapped returns the number of vbufs mapped and registered so far: the
+// distinct vbufs ever handed out.
+func (p *Pool) Mapped() int { return p.mapped }
 
 // Get blocks until a vbuf is available and returns it, accounted to
 // rail 0.
@@ -167,6 +182,13 @@ func (p *Pool) take(rail int) *Vbuf {
 	}
 	v := p.freeList[len(p.freeList)-1]
 	p.freeList = p.freeList[:len(p.freeList)-1]
+	if !v.mapped {
+		sp := v.Ptr.Space()
+		sp.Map(v.Ptr.Offset(), p.chunkSize)
+		v.Region = p.hca.Register(v.Ptr, p.chunkSize)
+		v.mapped = true
+		p.mapped++
+	}
 	v.free = false
 	v.rail = rail
 	p.gets++
@@ -211,8 +233,11 @@ func (p *Pool) Put(v *Vbuf) {
 	p.puts++
 	p.hub.Counter(p.freeCtr, float64(len(p.freeList)))
 	if len(p.waiters) > 0 {
+		// Shift rather than reslice, so the array is reused.
 		head := p.waiters[0]
-		p.waiters = p.waiters[1:]
+		n := copy(p.waiters, p.waiters[1:])
+		p.waiters[n] = nil
+		p.waiters = p.waiters[:n]
 		head.Trigger()
 	}
 }

@@ -20,7 +20,7 @@ type fixture struct {
 func newFixture() *fixture {
 	e := sim.New()
 	f := ib.NewFabric(e, ib.Model{})
-	return &fixture{e: e, hca: f.NewHCA(0), host: mem.NewHostSpace("host", 1<<20)}
+	return &fixture{e: e, hca: f.NewHCA(0), host: mem.Reserve(mem.Host, "host", -1, 1<<20)}
 }
 
 func TestPoolBasics(t *testing.T) {
@@ -254,4 +254,63 @@ func TestTryGetDoesNotCountAsWait(t *testing.T) {
 	if p.MaxHeld() != 1 {
 		t.Errorf("MaxHeld = %d, want 1", p.MaxHeld())
 	}
+}
+
+// TestVbufsMappedOnFirstTake pins the pay-per-use pinned range: a vbuf is
+// mapped and registered the first time it is handed out and never again,
+// so the space maps exactly the distinct vbufs ever taken, each under its
+// own rkey, and a never-taken vbuf has no bytes behind it.
+func TestVbufsMappedOnFirstTake(t *testing.T) {
+	fx := newFixture()
+	p := NewPool(fx.e, "pool", fx.hca, fx.host.Base(), 64, 8)
+	if p.Mapped() != 0 || fx.host.Mappings() != 0 {
+		t.Fatalf("fresh pool maps %d vbufs, space %d extents; want 0", p.Mapped(), fx.host.Mappings())
+	}
+	rkeys := map[uint32]int{}
+	taken := map[int]bool{}
+	for round := 0; round < 3; round++ {
+		var held []*Vbuf
+		for i := 0; i < 3-round%2; i++ {
+			v, _ := p.TryGet()
+			taken[v.Index] = true
+			if idx, dup := rkeys[v.Region.Rkey]; dup && idx != v.Index {
+				t.Fatalf("vbufs %d and %d share rkey %d", idx, v.Index, v.Region.Rkey)
+			}
+			rkeys[v.Region.Rkey] = v.Index
+			v.Ptr.Bytes(64)[63] = byte(round) // the whole chunk is mapped
+			held = append(held, v)
+		}
+		for _, v := range held {
+			p.Put(v)
+		}
+	}
+	if p.Mapped() != len(taken) || fx.host.Mappings() != len(taken) || len(rkeys) != len(taken) {
+		t.Errorf("Mapped = %d, space extents = %d, rkeys = %d; want %d distinct vbufs taken",
+			p.Mapped(), fx.host.Mappings(), len(rkeys), len(taken))
+	}
+	if taken[0] {
+		t.Fatal("LIFO pool handed out vbuf 0 while others were free")
+	}
+	untaken := fx.host.Base() // vbuf 0, at the bottom of the free stack
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, untaken.String()) {
+			t.Errorf("reading a never-taken vbuf: panic %q does not name %v", msg, untaken)
+		}
+	}()
+	untaken.Bytes(64)
+}
+
+// TestPoolRejectsMappedRange pins the constructor contract: the range must
+// be reserved, not mapped, because the pool maps each vbuf itself.
+func TestPoolRejectsMappedRange(t *testing.T) {
+	fx := newFixture()
+	fx.host.Map(0, 64)
+	p := NewPool(fx.e, "pool", fx.hca, fx.host.Base(), 64, 1)
+	defer func() {
+		if recover() == nil {
+			t.Error("taking a vbuf over an already-mapped range did not panic")
+		}
+	}()
+	p.TryGet()
 }

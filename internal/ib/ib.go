@@ -83,8 +83,10 @@ type Message interface{}
 
 // Handler receives two-sided messages on an HCA. It runs in engine
 // context at delivery-completion time and must not block; payload is the
-// sender's snapshot of the inline data (nil for header-only messages) and
-// must not be retained beyond the call without copying.
+// sender's snapshot of the inline data (nil for header-only messages). The
+// snapshot is a pooled buffer that is recycled for another message as
+// soon as the handler returns, so it must not be retained beyond the call
+// without copying.
 type Handler func(from int, msg Message, payload []byte)
 
 // Fabric is the switch connecting all HCAs.
@@ -93,34 +95,49 @@ type Fabric struct {
 	model Model
 	hcas  map[int]*HCA
 	hub   *obs.Hub
-	snaps snapPool
+	bufs  BufPool
 }
 
-// snapPool recycles RDMA write payload snapshots by exact length. A
-// snapshot is taken from the pool when the write is posted, fully
-// overwritten by the HCA's DMA read, and returned once its last reader,
-// the deposit copy or the scatter unit, has run. That reader is an engine
-// task body, which the parallel engine runs on a worker, hence the mutex.
-type snapPool struct {
+// BufPool recycles host payload buffers by exact length: RDMA write
+// snapshots, two-sided send snapshots, and the MPI layer's eager buffers
+// all draw from the one pool of their fabric, so a steady stream of
+// equal-size messages allocates nothing. Get returns a buffer with stale
+// contents; every user overwrites all of it before reading. Reuse is LIFO
+// and deterministic. A buffer may be returned by an engine task body,
+// which the parallel engine runs on a worker, hence the mutex.
+type BufPool struct {
 	mu   sync.Mutex
 	free map[int][][]byte
 }
 
-func (sp *snapPool) get(n int) []byte {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	l := sp.free[n]
+// Get returns an n-byte buffer, reusing the most recently returned one of
+// that length. Get(0) returns nil.
+func (bp *BufPool) Get(n int) []byte {
+	if n == 0 {
+		return nil
+	}
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	l := bp.free[n]
 	if len(l) == 0 {
 		return make([]byte, n)
 	}
-	sp.free[n] = l[:len(l)-1]
+	bp.free[n] = l[:len(l)-1]
 	return l[len(l)-1]
 }
 
-func (sp *snapPool) put(b []byte) {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	sp.free[len(b)] = append(sp.free[len(b)], b)
+// Put returns b to the pool. The caller must hold no other reference to
+// it: the next Get of its length hands it to another message.
+func (bp *BufPool) Put(b []byte) {
+	if len(b) == 0 {
+		return
+	}
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	if bp.free == nil {
+		bp.free = map[int][][]byte{}
+	}
+	bp.free[len(b)] = append(bp.free[len(b)], b)
 }
 
 // SetHub attaches an observability hub: every wire operation becomes a
@@ -143,7 +160,7 @@ func NewFabric(e sim.Engine, model Model) *Fabric {
 	if model.Rails < minRails {
 		model.Rails = minRails
 	}
-	return &Fabric{e: e, model: model, hcas: map[int]*HCA{}, snaps: snapPool{free: map[int][][]byte{}}}
+	return &Fabric{e: e, model: model, hcas: map[int]*HCA{}}
 }
 
 // Model returns the fabric's cost model.
@@ -163,6 +180,7 @@ func (f *Fabric) NewHCA(node int) *HCA {
 		node:     node,
 		txCtr:    fmt.Sprintf("hca%d.bytesTx", node),
 		rxCtr:    fmt.Sprintf("hca%d.bytesRx", node),
+		txDone:   fmt.Sprintf("hca%d.tx.done", node),
 		regions:  map[uint32]Region{},
 		nextRkey: 1,
 	}
@@ -255,10 +273,29 @@ type HCA struct {
 
 	// precomputed obs counter names
 	txCtr, rxCtr string
+	// precomputed transfer names: the local-completion event, and the
+	// per-destination prefix "hcaN->D." of each transfer's process
+	txDone     string
+	sendPrefix []string
 }
 
 // Node returns the node ID this HCA serves.
 func (h *HCA) Node() int { return h.node }
+
+// Buffers returns the fabric's payload buffer pool.
+func (h *HCA) Buffers() *BufPool { return &h.f.bufs }
+
+// sendName returns the prefix "hcaN->dst." that transmit numbers its
+// processes with, built once per destination.
+func (h *HCA) sendName(dst int) string {
+	for len(h.sendPrefix) <= dst {
+		h.sendPrefix = append(h.sendPrefix, "")
+	}
+	if h.sendPrefix[dst] == "" {
+		h.sendPrefix[dst] = fmt.Sprintf("hca%d->%d.", h.node, dst)
+	}
+	return h.sendPrefix[dst]
+}
 
 // Model returns the fabric cost model this HCA operates under.
 func (h *HCA) Model() Model { return h.f.model }
@@ -331,11 +368,11 @@ func (h *HCA) transmit(dst int, nbytes int, kind string, railIdx int, parent obs
 		panic("ib: loopback transfer; same-node communication does not use the fabric")
 	}
 	txRail, rxRail := h.railAt(railIdx), rx.railAt(railIdx)
-	localDone := h.f.e.NewEvent(fmt.Sprintf("hca%d.tx.done", h.node))
+	localDone := h.f.e.NewEvent(h.txDone)
 	h.seq++
 	txRail.queued++
 	h.f.hub.Counter(txRail.qCtr, float64(txRail.queued))
-	h.f.e.Spawn(fmt.Sprintf("hca%d->%d.%d", h.node, dst, h.seq), func(p *sim.Proc) {
+	h.f.e.SpawnNumbered(h.sendName(dst), h.seq, func(p *sim.Proc) {
 		txRail.sendLink.Acquire(p)
 		tx := h.f.hub.StartChild(parent, kind, txRail.txTrack, chunk, nbytes)
 		p.Sleep(h.wireTime(nbytes))
@@ -369,7 +406,8 @@ const headerBytes = 64
 // PostSend transmits a two-sided message carrying msg and an optional
 // payload snapshot taken from payload at post time, on rail 0. The
 // returned event fires at local completion (send buffer reusable). The
-// remote handler is invoked when the message fully arrives.
+// remote handler is invoked when the message fully arrives; the snapshot
+// goes back to the fabric's buffer pool when the handler returns.
 func (h *HCA) PostSend(dst int, msg Message, payload []byte) *sim.Event {
 	return h.PostSendRail(dst, msg, payload, 0)
 }
@@ -377,16 +415,15 @@ func (h *HCA) PostSend(dst int, msg Message, payload []byte) *sim.Event {
 // PostSendRail is PostSend on an explicit rail. Delivery order is
 // guaranteed only relative to other operations on the same rail.
 func (h *HCA) PostSendRail(dst int, msg Message, payload []byte, railIdx int) *sim.Event {
-	var snap []byte
-	if len(payload) > 0 {
-		snap = append([]byte(nil), payload...)
-	}
+	snap := h.f.bufs.Get(len(payload))
+	copy(snap, payload)
 	h.stats.SendsPosted++
 	return h.transmit(dst, headerBytes+len(snap), obs.KindSend, railIdx, obs.Span{}, -1, func(rx *HCA, _ obs.Task) {
 		if rx.handler == nil {
 			panic(fmt.Sprintf("ib: message for node %d dropped: no handler", rx.node))
 		}
 		rx.handler(h.node, msg, snap)
+		h.f.bufs.Put(snap)
 	})
 }
 
@@ -414,7 +451,7 @@ func (h *HCA) RDMAWriteRailTask(dst int, src mem.Ptr, n int, rkey uint32, roff, 
 	// The HCA's DMA read of the source happens "at post time": the task is
 	// due at the post instant, and the poster owns src until the local
 	// completion event, so nothing rewrites it before the slot commits.
-	snap := h.f.snaps.get(n)
+	snap := h.f.bufs.Get(n)
 	h.f.e.TaskAt(h.f.e.Now(), func() { copy(snap, src.Bytes(n)) })
 	h.stats.RDMAWrites++
 	return h.transmit(dst, n, obs.KindRDMA, railIdx, parent, chunk, func(rx *HCA, wire obs.Task) {
@@ -445,7 +482,7 @@ func (h *HCA) deposit(rkey uint32, roff int, snap []byte, railIdx int, wire obs.
 	dst := reg.ptr.Add(roff).Bytes(len(snap))
 	h.f.e.TaskAt(h.f.e.Now(), func() {
 		copy(dst, snap)
-		h.f.snaps.put(snap)
+		h.f.bufs.Put(snap)
 	})
 }
 

@@ -2,6 +2,7 @@ package ib
 
 import (
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -17,8 +18,13 @@ type net struct {
 	host []*mem.Space
 }
 
+// newNet wires n HCAs to one fabric, on the engine MV2SIM_ENGINE names
+// (serial by default).
 func newNet(n int) *net {
-	e := sim.New()
+	e, err := sim.NewByName(os.Getenv("MV2SIM_ENGINE"))
+	if err != nil {
+		panic(err)
+	}
 	f := NewFabric(e, Model{})
 	nw := &net{e: e, f: f}
 	for i := 0; i < n; i++ {
@@ -443,7 +449,46 @@ func TestRDMASnapshotsRecycled(t *testing.T) {
 			}
 		}
 	}
-	if n := len(nw.f.snaps.free[512]); n != 1 {
+	if n := len(nw.f.bufs.free[512]); n != 1 {
 		t.Errorf("pool holds %d snapshots of 512 bytes after three sequential writes, want 1", n)
+	}
+}
+
+// TestPostSendSnapshotsNotAliased: the payload pool never hands one
+// snapshot to two live messages. Two equal-length sends are posted back
+// to back from a warm pool, the sender rewrites both sources right after
+// posting, and each delivery still carries its own post-time bytes.
+func TestPostSendSnapshotsNotAliased(t *testing.T) {
+	nw := newNet(2)
+	got := map[int][]byte{}
+	nw.hcas[1].SetHandler(func(from int, msg Message, payload []byte) {
+		got[msg.(int)] = append([]byte(nil), payload...)
+	})
+	a, b := make([]byte, 256), make([]byte, 256)
+	fill := func(buf []byte, seed byte) {
+		for i := range buf {
+			buf[i] = byte(i) + seed
+		}
+	}
+	nw.e.Spawn("sender", func(p *sim.Proc) {
+		fill(a, 0)
+		p.Wait(nw.hcas[0].PostSend(1, 0, a))
+		p.Sleep(10 * sim.Microsecond) // delivered: its snapshot is back in the pool
+		fill(a, 1)
+		fill(b, 2)
+		nw.hcas[0].PostSend(1, 1, a)
+		nw.hcas[0].PostSend(1, 2, b)
+		fill(a, 3)
+		fill(b, 4)
+	})
+	if err := nw.e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for msg := 0; msg < 3; msg++ {
+		want := make([]byte, 256)
+		fill(want, byte(msg))
+		if string(got[msg]) != string(want) {
+			t.Errorf("message %d delivered %v..., want %v...", msg, got[msg][:4], want[:4])
+		}
 	}
 }

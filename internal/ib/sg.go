@@ -206,7 +206,7 @@ func (h *HCA) scatterDeposit(reg Region, roff int, snap []byte, railIdx int, wir
 		// wire payload, recycled once the scatter has read it.
 		h.f.e.TaskAt(h.f.e.Now()+cost, func() {
 			sub.scatter(snap)
-			h.f.snaps.put(snap)
+			h.f.bufs.Put(snap)
 		})
 		p.Sleep(cost)
 		sp.End()
@@ -235,7 +235,7 @@ func (h *HCA) RDMAWriteGatherRailTask(dst int, sg SGDesc, rkey uint32, roff, rai
 		rl.sgEngine.Acquire(p)
 		cost := h.f.model.GatherCost(sg.N, sg.Segments())
 		g := h.f.hub.StartChild(parent, obs.KindNicGather, rl.sgeTrack, chunk, sg.N)
-		snap := h.f.snaps.get(sg.N)
+		snap := h.f.bufs.Get(sg.N)
 		// The unit's DMA read of the segments is due at gather completion;
 		// the poster owns the typed buffer until the transfer completes.
 		h.f.e.TaskAt(h.f.e.Now()+cost, func() { sg.gather(snap) })

@@ -188,6 +188,7 @@ func (w *World) AddRank(hca *ib.HCA, host *mem.Space) *Rank {
 		reqs:        map[int]*Request{},
 		stats:       &RankStats{},
 		obsTrack:    fmt.Sprintf("rank%d.mpi", len(w.ranks)),
+		reqName:     fmt.Sprintf("rank%d.req", len(w.ranks)),
 		inflightCtr: fmt.Sprintf("rank%d.inflight", len(w.ranks)),
 	}
 	if hca.Node() != r.rank {
@@ -237,6 +238,7 @@ type Rank struct {
 	nextID      int
 	reqs        map[int]*Request // in-flight rendezvous requests by ID
 	obsTrack    string           // tracing track name, "rankN.mpi"
+	reqName     string           // request event name prefix, "rankN.req"
 	inflightCtr string           // in-flight request gauge, "rankN.inflight"
 }
 
@@ -251,6 +253,10 @@ func (r *Rank) World() *World { return r.w }
 
 // HCA returns the rank's adapter (used by GPU transports).
 func (r *Rank) HCA() *ib.HCA { return r.hca }
+
+// Buffers returns the payload buffer pool eager messages draw their host
+// buffers from: the fabric's pool, shared by every rank of the world.
+func (r *Rank) Buffers() *ib.BufPool { return r.hca.Buffers() }
 
 // Proc returns the rank's main simulation process. MPI is used
 // single-threaded: all blocking calls must come from this process.

@@ -3,6 +3,7 @@ package mpi
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"testing"
 	"testing/quick"
 
@@ -12,9 +13,13 @@ import (
 	"mv2sim/internal/sim"
 )
 
-// testWorld assembles n host-only ranks on one fabric.
+// testWorld assembles n host-only ranks on one fabric, on the engine
+// MV2SIM_ENGINE names (serial by default).
 func testWorld(n int) (sim.Engine, *World) {
-	e := sim.New()
+	e, err := sim.NewByName(os.Getenv("MV2SIM_ENGINE"))
+	if err != nil {
+		panic(err)
+	}
 	fabric := ib.NewFabric(e, ib.Model{})
 	w := NewWorld(e, Config{})
 	for i := 0; i < n; i++ {
@@ -696,5 +701,43 @@ func TestZeroCopyMatchesSegments(t *testing.T) {
 				t.Errorf("%s count=%d: zeroCopy = %v, want %v (segments %v)", dt, count, got, want, segs)
 			}
 		}
+	}
+}
+
+// TestEagerBuffersNotAliased: a recycled eager buffer never serves two
+// live messages. Message 2 arrives unexpected and its pooled copy waits
+// while messages 1 and 3, of the same size, pass through the pool; the
+// sender rewrites its buffers as soon as each send completes. All three
+// arrive byte-exact.
+func TestEagerBuffersNotAliased(t *testing.T) {
+	const n = 4096
+	w := run(t, 2, func(r *Rank) {
+		bufs := [4]mem.Ptr{}
+		for i := 1; i <= 3; i++ {
+			bufs[i] = r.AllocHost(n)
+		}
+		switch r.Rank() {
+		case 0:
+			fillPattern(bufs[2], n, 2)
+			fillPattern(bufs[1], n, 1)
+			q2 := r.Isend(bufs[2], n, datatype.Byte, 1, 2)
+			q1 := r.Isend(bufs[1], n, datatype.Byte, 1, 1)
+			r.Waitall(q1, q2)
+			fillPattern(bufs[1], n, 9)
+			fillPattern(bufs[2], n, 9)
+			fillPattern(bufs[3], n, 3)
+			r.Send(bufs[3], n, datatype.Byte, 1, 3)
+			fillPattern(bufs[3], n, 9)
+		case 1:
+			r.Recv(bufs[1], n, datatype.Byte, 0, 1)
+			r.Recv(bufs[3], n, datatype.Byte, 0, 3)
+			r.Recv(bufs[2], n, datatype.Byte, 0, 2) // long since arrived
+			for i := 1; i <= 3; i++ {
+				checkPattern(t, bufs[i], n, byte(i), fmt.Sprintf("message %d", i))
+			}
+		}
+	})
+	if st := w.Rank(1).Stats(); st.Unexpected == 0 {
+		t.Error("no message took the unexpected path")
 	}
 }

@@ -45,7 +45,7 @@ type finMsg struct {
 // inbound is an arrived-but-unmatched message.
 type inbound struct {
 	from, tag, ctx, size int
-	payload              []byte // eager data (copied); nil for rendezvous
+	payload              []byte // eager data (a pooled copy); nil for rendezvous
 	sendID               int    // rendezvous only
 	isRts                bool
 	isGet                bool   // rendezvous RTS advertises an rkey to read
@@ -60,11 +60,14 @@ type inbound struct {
 type GPUTransport interface {
 	// StageToHost packs the request's device buffer into host bytes and
 	// invokes deliver when the packed data is ready. Used for eager-size
-	// sends and for self-sends.
+	// sends and for self-sends. deliver copies what it keeps, so the
+	// packed bytes may be recycled once it returns.
 	StageToHost(req *Request, deliver func(packed []byte))
 	// DeliverFromHost unpacks packed bytes into the request's device
 	// buffer and calls req.CompleteRecv when done. Used for eager-size
-	// receives and self-receives.
+	// receives and self-receives. packed comes from the rank's payload
+	// pool (Rank.Buffers) and the transport owns it: it must return it
+	// there once it has read the bytes.
 	DeliverFromHost(req *Request, packed []byte)
 	// StartRendezvousSend drives the sender side of a large transfer from
 	// device memory: it must send the RTS via req.Rank().SendRTS, produce
@@ -140,6 +143,7 @@ func (r *Rank) isend(buf mem.Ptr, count int, dt *datatype.Datatype, dest, tag, c
 	case buf.IsDevice():
 		t := r.transport()
 		if q.size <= r.w.cfg.EagerLimit {
+			// PostSend snapshots packed, which the transport then recycles.
 			t.StageToHost(q, func(packed []byte) {
 				ev := r.hca.PostSend(dest, eagerMsg{r.rank, tag, ctx, q.size}, packed)
 				ev.OnTrigger(q.CompleteSend)
@@ -151,9 +155,10 @@ func (r *Rank) isend(buf mem.Ptr, count int, dt *datatype.Datatype, dest, tag, c
 		}
 	case q.size <= r.w.cfg.EagerLimit:
 		r.Proc().Sleep(r.hostPackCost(dt, count))
-		payload := make([]byte, q.size)
+		payload := r.Buffers().Get(q.size)
 		dt.PackBytes(payload, buf, count)
 		ev := r.hca.PostSend(dest, eagerMsg{r.rank, tag, ctx, q.size}, payload)
+		r.Buffers().Put(payload) // PostSend took its snapshot
 		ev.OnTrigger(q.CompleteSend)
 		r.stats.EagerSent++
 	default:
@@ -189,7 +194,8 @@ func (r *Rank) startHostRendezvous(q *Request) {
 }
 
 // selfSend delivers a message to this same rank without touching the
-// fabric: the packed bytes are matched through the normal queues.
+// fabric: the packed bytes are matched through the normal queues, which
+// copy them, so the packed buffer is free again once deliver returns.
 func (r *Rank) selfSend(q *Request) {
 	deliver := func(packed []byte) {
 		r.dispatchEager(r.rank, q.tag, q.ctx, q.size, packed)
@@ -204,9 +210,10 @@ func (r *Rank) selfSend(q *Request) {
 		return
 	}
 	r.Proc().Sleep(r.hostPackCost(q.dt, q.count))
-	payload := make([]byte, q.size)
+	payload := r.Buffers().Get(q.size)
 	q.dt.PackBytes(payload, q.buf, q.count)
 	deliver(payload)
+	r.Buffers().Put(payload)
 }
 
 // SendRTS posts the rendezvous request-to-send for a send request. GPU
@@ -358,6 +365,7 @@ func (r *Rank) irecv(buf mem.Ptr, count int, dt *datatype.Datatype, source, tag,
 			r.startRecvData(q, in.from, in.tag, in.size, in.sendID)
 		default:
 			r.deliverEager(q, in.from, in.tag, in.size, in.payload)
+			r.Buffers().Put(in.payload)
 		}
 		return q
 	}
@@ -432,9 +440,13 @@ func (r *Rank) dispatchEager(from, tag, ctx, size int, payload []byte) {
 		return
 	}
 	r.stats.Unexpected++
+	// The arrival's payload is recycled when this call returns; the
+	// unexpected copy lives until a receive matches it.
+	data := r.Buffers().Get(len(payload))
+	copy(data, payload)
 	r.unexpected = append(r.unexpected, &inbound{
 		from: from, tag: tag, ctx: ctx, size: size,
-		payload: append([]byte(nil), payload...),
+		payload: data,
 	})
 	r.notifyArrival()
 }
@@ -474,22 +486,27 @@ func (q *Request) checkTruncation(size int) {
 	}
 }
 
-// deliverEager completes a matched eager receive. Runs in engine or
-// process context.
+// setMatched records the matched message's envelope in the status.
 func (q *Request) setMatched(from, tag, size int) {
 	q.status = Status{Source: from, Tag: tag, Bytes: size}
 	q.matchedSize = size
 	q.checkTruncation(size)
 }
 
+// deliverEager completes a matched eager receive. Runs in engine or
+// process context. payload is only read during the call: the bytes the
+// delivery needs later are copied into a pooled buffer, which goes back
+// to the pool once it has been unpacked.
 func (r *Rank) deliverEager(q *Request, from, tag, size int, payload []byte) {
 	q.setMatched(from, tag, size)
 	if size == 0 {
 		q.CompleteRecv()
 		return
 	}
+	data := r.Buffers().Get(len(payload))
+	copy(data, payload)
 	if q.buf.IsDevice() {
-		r.transport().DeliverFromHost(q, append([]byte(nil), payload...))
+		r.transport().DeliverFromHost(q, data)
 		return
 	}
 	if size%q.dt.Size() != 0 {
@@ -497,10 +514,10 @@ func (r *Rank) deliverEager(q *Request, from, tag, size int, payload []byte) {
 			r.rank, size, q.dt.Size()))
 	}
 	elems := size / q.dt.Size()
-	data := append([]byte(nil), payload...)
 	// The scatter costs host copy time; completion is deferred by it.
 	r.w.e.CallAfter(r.hostPackCost(q.dt, elems), func() {
 		q.dt.UnpackBytes(q.buf, data, elems)
+		r.Buffers().Put(data)
 		q.CompleteRecv()
 	})
 }

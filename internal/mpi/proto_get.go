@@ -118,7 +118,8 @@ func (r *Rank) recvDeviceGet(p *sim.Proc, q *Request) {
 	}
 	p.WaitAll(reads...)
 	r.hca.PostSend(q.peer, doneMsg{q.peerID}, nil)
-	packed := append([]byte(nil), staging.Bytes(size)...)
+	packed := r.Buffers().Get(size)
+	copy(packed, staging.Bytes(size))
 	r.FreeHost(staging)
 	r.transport().DeliverFromHost(q, packed)
 }

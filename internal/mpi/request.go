@@ -1,8 +1,6 @@
 package mpi
 
 import (
-	"fmt"
-
 	"mv2sim/internal/datatype"
 	"mv2sim/internal/mem"
 	"mv2sim/internal/obs"
@@ -110,7 +108,7 @@ func (r *Rank) newRequest(kind ReqKind, buf mem.Ptr, dt *datatype.Datatype, coun
 		r: r, kind: kind, buf: buf, dt: dt, count: count,
 		peer: peer, tag: tag, ctx: ctx, size: dtSize,
 		id:   r.nextID,
-		done: r.w.e.NewEvent(fmt.Sprintf("rank%d.req%d", r.rank, r.nextID)),
+		done: r.w.e.NewEventNumbered(r.reqName, r.nextID),
 	}
 	r.reqs[q.id] = q
 	r.w.hub.Counter(r.inflightCtr, float64(len(r.reqs)))

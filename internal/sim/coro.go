@@ -61,7 +61,7 @@ func (c *carrier) run() bool {
 	e := p.e
 	e.trace("proc", p.name, "start")
 	if e.hook != nil {
-		e.hook.ProcStart(e.now, p.name)
+		e.hook.ProcStart(e.now, p.name.String())
 	}
 	c.body(p)
 	if c.stopped {
@@ -69,7 +69,7 @@ func (c *carrier) run() bool {
 	}
 	e.trace("proc", p.name, "done")
 	if e.hook != nil {
-		e.hook.ProcEnd(e.now, p.name)
+		e.hook.ProcEnd(e.now, p.name.String())
 	}
 	p.done = true
 	c.p = nil
@@ -91,7 +91,7 @@ func (c *carrier) body(p *Proc) {
 
 // block hands control back to the engine until it resumes this process.
 // why and on are kept for deadlock diagnostics.
-func (p *Proc) block(why string, on *Event) {
+func (p *Proc) block(why string, on waitable) {
 	p.why, p.on = why, on
 	if !p.c.yield(struct{}{}) {
 		p.c.stopped = true

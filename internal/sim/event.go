@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Event is a one-shot condition that processes can wait on and that any
 // execution context (a process or an engine callback) can trigger.
@@ -11,20 +14,45 @@ import "fmt"
 // fired event returns immediately without blocking.
 type Event struct {
 	e       *engineCore
-	name    string
+	name    label
 	fired   bool
 	firedAt Time
-	waiters []*Proc
+	first   *Proc   // first waiter, kept inline so a lone Wait allocates nothing
+	waiters []*Proc // later waiters, in arrival order
 	cbs     []func()
+}
+
+// label is a process or event name kept as a prefix and an optional
+// decimal suffix, so a per-message name costs nothing until a tracer, a
+// hook or a deadlock report reads it.
+type label struct {
+	prefix string
+	n      int
+	num    bool // append n in decimal
+}
+
+func (l label) String() string {
+	if !l.num {
+		return l.prefix
+	}
+	return l.prefix + strconv.Itoa(l.n)
 }
 
 // NewEvent creates a named, unfired event.
 func (e *engineCore) NewEvent(name string) *Event {
-	return &Event{e: e, name: name}
+	return &Event{e: e, name: label{prefix: name}}
+}
+
+// NewEventNumbered creates an unfired event named prefix followed by n in
+// decimal. The name is formatted only when something reads it.
+func (e *engineCore) NewEventNumbered(prefix string, n int) *Event {
+	return &Event{e: e, name: label{prefix: prefix, n: n, num: true}}
 }
 
 // Name returns the event name given at creation.
-func (ev *Event) Name() string { return ev.name }
+func (ev *Event) Name() string { return ev.name.String() }
+
+func (ev *Event) waitName() string { return ev.name.String() }
 
 // Fired reports whether the event has been triggered.
 func (ev *Event) Fired() bool { return ev.fired }
@@ -33,7 +61,7 @@ func (ev *Event) Fired() bool { return ev.fired }
 // has not fired; check Fired first.
 func (ev *Event) FiredAt() Time {
 	if !ev.fired {
-		panic("sim: FiredAt on unfired event " + ev.name)
+		panic("sim: FiredAt on unfired event " + ev.name.String())
 	}
 	return ev.firedAt
 }
@@ -48,9 +76,10 @@ func (ev *Event) Trigger() {
 	}
 	ev.fired = true
 	ev.firedAt = ev.e.now
-	ev.e.trace("event", ev.name, "fired")
-	if ev.e.hook != nil {
-		ev.e.hook.EventFired(ev.e.now, ev.name)
+	ev.e.fired(ev.name)
+	if ev.first != nil {
+		ev.first.scheduleResume(ev.e.now)
+		ev.first = nil
 	}
 	for _, p := range ev.waiters {
 		p.scheduleResume(ev.e.now)
@@ -79,7 +108,11 @@ func (p *Proc) Wait(ev *Event) {
 	if ev.fired {
 		return
 	}
-	ev.waiters = append(ev.waiters, p)
+	if ev.first == nil {
+		ev.first = p
+	} else {
+		ev.waiters = append(ev.waiters, p)
+	}
 	p.block("wait", ev)
 }
 
@@ -147,5 +180,9 @@ func (ev *Event) String() string {
 	if ev.fired {
 		return fmt.Sprintf("event(%s fired@%v)", ev.name, ev.firedAt)
 	}
-	return fmt.Sprintf("event(%s pending, %d waiters)", ev.name, len(ev.waiters))
+	n := len(ev.waiters)
+	if ev.first != nil {
+		n++
+	}
+	return fmt.Sprintf("event(%s pending, %d waiters)", ev.name, n)
 }

@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"errors"
+	"strings"
+	"testing"
+)
 
 // TestEngineSteadyStateAllocs pins the item freelist: once an engine has
 // run a warmup batch, further event scheduling must recycle items rather
@@ -67,5 +71,77 @@ func TestFreelistRecyclesAcrossKinds(t *testing.T) {
 	}
 	if got := len(e.engineCore.free); got == 0 || got > 8 {
 		t.Errorf("freelist holds %d items after run; want the handful that were ever outstanding at once", got)
+	}
+}
+
+// TestQueueLockstepAllocs pins the queue's storage reuse: a queue that is
+// put to and drained in lockstep keeps its backing array, so once warm a
+// Put/TryGet pair allocates nothing.
+func TestQueueLockstepAllocs(t *testing.T) {
+	e := New()
+	defer e.Shutdown()
+	q := NewQueue[int](e, "q")
+	q.Put(1)
+	q.TryGet()
+	if avg := testing.AllocsPerRun(100, func() {
+		q.Put(1)
+		q.TryGet()
+	}); avg != 0 {
+		t.Errorf("%.2f allocs per lockstep Put/TryGet, want 0", avg)
+	}
+}
+
+// TestBlockingWaitsAllocateNothing pins the event-free waits: a process
+// blocking in Queue.Get is queued on the queue itself, and a lone waiter on
+// an event is kept inline, so once the engine is warm neither wait
+// allocates. Only the fresh event itself is counted.
+func TestBlockingWaitsAllocateNothing(t *testing.T) {
+	e := New()
+	defer e.Shutdown()
+	q := NewQueue[int](e, "q")
+	var ev *Event
+	e.SpawnDaemon("consumer", func(p *Proc) {
+		for {
+			q.Get(p)
+			p.Wait(ev)
+		}
+	})
+	round := func() {
+		ev = e.NewEvent("ev")
+		e.CallAfter(Nanosecond, func() { q.Put(1) })
+		e.CallAfter(2*Nanosecond, ev.Trigger)
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round() // warm the item freelist and the queue's storage
+	if avg := testing.AllocsPerRun(50, round); avg > 3 {
+		t.Errorf("%.1f allocs per blocking Get+Wait round, want only the round's event and closures", avg)
+	}
+}
+
+// TestQueueWaitTraceText pins that a blocking Get, though it allocates no
+// event, still reports its wakeup as the firing of "<queue>.get" to the
+// tracer and the hook, and a deadlock as "wait <queue>.get".
+func TestQueueWaitTraceText(t *testing.T) {
+	e := New()
+	defer e.Shutdown()
+	q := NewQueue[int](e, "mbox")
+	var lines []string
+	e.SetTracer(func(_ Time, msg string) { lines = append(lines, msg) })
+	e.Spawn("consumer", func(p *Proc) {
+		q.Get(p)
+		q.Get(p)
+	})
+	e.CallAfter(Nanosecond, func() { q.Put(1) })
+	var de *DeadlockError
+	if err := e.Run(); !errors.As(err, &de) {
+		t.Fatalf("Run = %v, want DeadlockError", err)
+	}
+	if got, want := strings.Join(de.Blocked, "|"), "consumer: wait mbox.get"; got != want {
+		t.Errorf("Blocked = %q, want %q", got, want)
+	}
+	if got, want := strings.Join(lines, "|"), "proc consumer: start|event mbox.get: fired"; got != want {
+		t.Errorf("trace = %q, want %q", got, want)
 	}
 }

@@ -11,8 +11,8 @@ package sim
 type Queue[T any] struct {
 	e       *engineCore
 	name    string
-	items   []T
-	waiters []*Event
+	items   fifo[T]
+	waiters fifo[*Proc] // processes blocked in Get, in arrival order
 
 	puts, gets uint64
 	maxLen     int
@@ -28,20 +28,26 @@ func NewQueue[T any](e Engine, name string) *Queue[T] {
 func (q *Queue[T]) Name() string { return q.name }
 
 // Len returns the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return q.items.len() }
 
 // Put appends v and wakes the oldest waiter, if any. It may be called from
 // any context.
+//
+// A wakeup is reported to the tracer and hook as the firing of an event
+// named "<queue>.get", and is scheduled exactly as that event's Trigger
+// would schedule it.
 func (q *Queue[T]) Put(v T) {
-	q.items = append(q.items, v)
+	q.items.push(v)
 	q.puts++
-	if len(q.items) > q.maxLen {
-		q.maxLen = len(q.items)
+	if n := q.items.len(); n > q.maxLen {
+		q.maxLen = n
 	}
-	if len(q.waiters) > 0 {
-		head := q.waiters[0]
-		q.waiters = q.waiters[1:]
-		head.Trigger()
+	if q.waiters.len() > 0 {
+		p := q.waiters.pop()
+		if q.e.tracer != nil || q.e.hook != nil {
+			q.e.fired(label{prefix: q.waitName()})
+		}
+		p.scheduleResume(q.e.now)
 	}
 }
 
@@ -51,29 +57,55 @@ func (q *Queue[T]) Put(v T) {
 // (if a non-waiting Get at the same instant took it first) re-registers and
 // blocks again, so no wakeup is ever lost.
 func (q *Queue[T]) Get(p *Proc) T {
-	for len(q.items) == 0 {
-		ev := q.e.NewEvent(q.name + ".get")
-		q.waiters = append(q.waiters, ev)
-		p.Wait(ev)
+	for q.items.len() == 0 {
+		q.waiters.push(p)
+		p.block("wait", q)
 	}
-	v := q.items[0]
-	var zero T
-	q.items[0] = zero // release reference for GC
-	q.items = q.items[1:]
 	q.gets++
-	return v
+	return q.items.pop()
 }
 
 // TryGet removes and returns the head item without blocking.
 func (q *Queue[T]) TryGet() (T, bool) {
-	if len(q.items) == 0 {
+	if q.items.len() == 0 {
 		var zero T
 		return zero, false
 	}
-	v := q.items[0]
-	var zero T
-	q.items[0] = zero
-	q.items = q.items[1:]
 	q.gets++
-	return v, true
+	return q.items.pop(), true
+}
+
+func (q *Queue[T]) waitName() string { return q.name + ".get" }
+
+// fifo is a slice-backed FIFO that keeps its storage: pop advances a head
+// index and rewinds to the start of the array whenever the FIFO drains,
+// so a queue used in lockstep never reallocates.
+type fifo[T any] struct {
+	buf  []T
+	head int
+}
+
+func (f *fifo[T]) len() int { return len(f.buf) - f.head }
+
+func (f *fifo[T]) push(v T) {
+	if len(f.buf) == cap(f.buf) && f.head >= len(f.buf)/2 {
+		// Slide the live items down rather than grow past a dead prefix
+		// that is at least as long as they are.
+		n := copy(f.buf, f.buf[f.head:])
+		clear(f.buf[n:])
+		f.buf, f.head = f.buf[:n], 0
+	}
+	f.buf = append(f.buf, v)
+}
+
+// pop removes the head item; the FIFO must not be empty.
+func (f *fifo[T]) pop() T {
+	v := f.buf[f.head]
+	var zero T
+	f.buf[f.head] = zero // release the reference for GC
+	f.head++
+	if f.head == len(f.buf) {
+		f.buf, f.head = f.buf[:0], 0
+	}
+	return v
 }

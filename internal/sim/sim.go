@@ -147,10 +147,16 @@ type Engine interface {
 	Spawn(name string, fn func(p *Proc)) *Proc
 	// SpawnAt creates a process starting at absolute time t.
 	SpawnAt(t Time, name string, fn func(p *Proc)) *Proc
+	// SpawnNumbered is Spawn with the name prefix followed by n in
+	// decimal, formatted only when read.
+	SpawnNumbered(prefix string, n int, fn func(p *Proc)) *Proc
 	// SpawnDaemon creates a server process exempt from deadlock detection.
 	SpawnDaemon(name string, fn func(p *Proc)) *Proc
 	// NewEvent creates a named, unfired event.
 	NewEvent(name string) *Event
+	// NewEventNumbered is NewEvent with the name prefix followed by n in
+	// decimal, formatted only when read.
+	NewEventNumbered(prefix string, n int) *Event
 	// NewResource creates a resource with the given capacity.
 	NewResource(name string, capacity int) *Resource
 	// AllOf returns an event that fires once all inputs have fired.
@@ -273,11 +279,19 @@ func (e *engineCore) SetTracer(fn func(t Time, msg string)) { e.tracer = fn }
 // SetHook installs a structured lifecycle observer. Pass nil to disable.
 func (e *engineCore) SetHook(h Hook) { e.hook = h }
 
-// trace emits "<kind> <name>: <what>". Plain string arguments keep the
-// untraced path free of allocations.
-func (e *engineCore) trace(kind, name, what string) {
+// trace emits "<kind> <name>: <what>". The name is formatted only when a
+// tracer is installed, so the untraced path allocates nothing.
+func (e *engineCore) trace(kind string, name label, what string) {
 	if e.tracer != nil {
-		e.tracer(e.now, kind+" "+name+": "+what)
+		e.tracer(e.now, kind+" "+name.String()+": "+what)
+	}
+}
+
+// fired reports an event firing to the tracer and the hook.
+func (e *engineCore) fired(name label) {
+	e.trace("event", name, "fired")
+	if e.hook != nil {
+		e.hook.EventFired(e.now, name.String())
 	}
 }
 
@@ -411,9 +425,9 @@ func (e *engineCore) run(limit Time) error {
 	var msgs []string
 	for _, c := range e.carriers {
 		if p := c.p; p != nil && !p.daemon && p.why != "" {
-			msg := p.name + ": " + p.why
+			msg := p.name.String() + ": " + p.why
 			if p.on != nil {
-				msg += " " + p.on.name
+				msg += " " + p.on.waitName()
 			}
 			msgs = append(msgs, msg)
 		}
@@ -430,7 +444,7 @@ func (e *engineCore) run(limit Time) error {
 // goroutine, so it is observable and recoverable like any ordinary panic.
 func (e *engineCore) runProc(p *Proc) {
 	if p.done {
-		panic("sim: resuming finished process " + p.name)
+		panic("sim: resuming finished process " + p.name.String())
 	}
 	p.c.next()
 	if p.panicked != nil {
@@ -445,7 +459,7 @@ func (e *engineCore) runProc(p *Proc) {
 // from their own body while it is running.
 type Proc struct {
 	e        *engineCore
-	name     string
+	name     label
 	fn       func(p *Proc)
 	c        *carrier // the coroutine running fn
 	done     bool
@@ -453,13 +467,17 @@ type Proc struct {
 	panicked interface{} // panic value captured from the process body
 
 	// Deadlock diagnostics, written by every block: a static reason and,
-	// for "wait", the awaited event. Formatted only when Run reports.
+	// for "wait", what is awaited. Formatted only when Run reports.
 	why string
-	on  *Event
+	on  waitable
 }
 
+// waitable is what a blocked process can wait on: an Event, or a Queue's
+// Get. Its name is built only for a deadlock report.
+type waitable interface{ waitName() string }
+
 // Name returns the process name given at Spawn.
-func (p *Proc) Name() string { return p.name }
+func (p *Proc) Name() string { return p.name.String() }
 
 // Engine returns the engine the process runs on.
 func (p *Proc) Engine() Engine { return p.e.self }
@@ -471,6 +489,13 @@ func (p *Proc) Now() Time { return p.e.now }
 // current time (after already-queued items at this instant).
 func (e *engineCore) Spawn(name string, fn func(p *Proc)) *Proc {
 	return e.SpawnAt(e.now, name, fn)
+}
+
+// SpawnNumbered is Spawn for a process named prefix followed by n in
+// decimal. The name is formatted only when a tracer, a hook or a deadlock
+// report reads it, so per-message processes cost no string.
+func (e *engineCore) SpawnNumbered(prefix string, n int, fn func(p *Proc)) *Proc {
+	return e.spawn(e.now, label{prefix: prefix, n: n, num: true}, fn)
 }
 
 // SpawnDaemon creates a server process that is allowed to remain blocked
@@ -486,6 +511,10 @@ func (e *engineCore) SpawnDaemon(name string, fn func(p *Proc)) *Proc {
 // SpawnAt creates a process starting at absolute time t. The process
 // runs on an idle carrier if one exists.
 func (e *engineCore) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
+	return e.spawn(t, label{prefix: name}, fn)
+}
+
+func (e *engineCore) spawn(t Time, name label, fn func(p *Proc)) *Proc {
 	p := &Proc{e: e, name: name, fn: fn, c: e.carrier()}
 	p.c.p = p
 	it := e.newItem()
