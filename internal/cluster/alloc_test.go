@@ -22,8 +22,9 @@ func hostAllocs(fn func()) (bytes, mallocs uint64) {
 
 // eagerPingPong runs trips round trips of one 4 KB device vector (1024
 // rows of 4 B at pitch 64, below the eager limit) between two ranks on a
-// fresh serial-engine cluster, and checks the echo arrives byte-exact.
-func eagerPingPong(t *testing.T, trips int) {
+// fresh serial-engine cluster, checks the echo arrives byte-exact, and
+// returns the cluster.
+func eagerPingPong(t *testing.T, trips int) *Cluster {
 	t.Helper()
 	vec, err := datatype.Vector(1024, 4, 64, datatype.Byte)
 	if err != nil {
@@ -59,6 +60,7 @@ func eagerPingPong(t *testing.T, trips int) {
 	if string(sent) != string(echoed) {
 		t.Fatal("echoed 4 KB vector differs from the one sent")
 	}
+	return cl
 }
 
 // TestEagerSteadyStateAllocs pins the heap-free eager path. The host cost
@@ -76,9 +78,24 @@ func TestEagerSteadyStateAllocs(t *testing.T) {
 	if bytesPerTrip > 12<<10 {
 		t.Errorf("%.0f heap bytes per 4 KB round trip, want under 12 KiB: a payload buffer is allocated per message", bytesPerTrip)
 	}
-	const maxMallocs = 100
+	const maxMallocs = 90
 	if mallocsPerTrip > maxMallocs {
 		t.Errorf("%.1f mallocs per 4 KB round trip, want at most %d", mallocsPerTrip, maxMallocs)
+	}
+}
+
+// TestEagerSwitchesPerTrip pins the process handoffs of the eager path,
+// long minus short ping-pong as above: a process whose wake-up is the
+// next item keeps running instead of switching out and back, and each
+// switch that remains is needed for a call or another process to run.
+func TestEagerSwitchesPerTrip(t *testing.T) {
+	const short, long = 50, 250
+	s, l := eagerPingPong(t, short).Engine, eagerPingPong(t, long).Engine
+	perTrip := float64(l.Switches()-s.Switches()) / (long - short)
+	t.Logf("per round trip: %.2f switches, %.2f events",
+		perTrip, float64(l.Events()-s.Events())/(long-short))
+	if perTrip != 28 {
+		t.Errorf("%.2f process switches per 4 KB round trip, want exactly 28", perTrip)
 	}
 }
 

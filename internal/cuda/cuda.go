@@ -93,6 +93,10 @@ type Stream struct {
 	pending int
 	drained *sim.Event // recreated whenever pending drops to 0 with waiters
 	lastOp  obs.Task   // previous traced op, for FIFO-serialization edges
+
+	// Event names, built on first use instead of per op, so creating a
+	// stream costs no string.
+	opName, drainedName string
 }
 
 // NewStream creates a stream with its own worker (cudaStreamCreate).
@@ -163,7 +167,10 @@ func (s *Stream) run(p *sim.Proc) {
 }
 
 func (s *Stream) enqueue(o *op) *sim.Event {
-	o.done = s.ctx.e.NewEvent(s.name + ".op")
+	if s.opName == "" {
+		s.opName = s.name + ".op"
+	}
+	o.done = s.ctx.e.NewEvent(s.opName)
 	s.pending++
 	s.q.Put(o)
 	return o.done
@@ -179,7 +186,10 @@ func (s *Stream) Query() bool { return s.pending == 0 }
 func (s *Stream) Synchronize(p *sim.Proc) {
 	if s.pending > 0 {
 		if s.drained == nil {
-			s.drained = s.ctx.e.NewEvent(s.name + ".drained")
+			if s.drainedName == "" {
+				s.drainedName = s.name + ".drained"
+			}
+			s.drained = s.ctx.e.NewEvent(s.drainedName)
 		}
 		p.Wait(s.drained)
 	}

@@ -93,6 +93,12 @@ func FuzzRunForm(f *testing.F) {
 	f.Add([]byte{1, 5, 1, 2, 4, 3, 1, 1, 3}, uint8(3), uint16(64))
 	f.Add([]byte{1, 4, 1, 3, 0, 1, 1, 0, 1}, uint8(4), uint16(5))
 	f.Add([]byte{1, 6, 1, 1, 4, 2, 1, 0, 9}, uint8(3), uint16(12))
+	// Runs on the unrolled word path: Contiguous(3) of a Vector(6,1,2)
+	// resized to its row grid is one run of 18 rows (Float64, then
+	// Int32), and Hvector(6,1,-4,Int32) runs backwards.
+	f.Add([]byte{1, 1, 1, 2, 1, 0, 5, 2, 6, 4, 96, 0, 3}, uint8(2), uint16(100))
+	f.Add([]byte{1, 1, 1, 1, 1, 0, 5, 2, 6, 4, 48, 0, 3}, uint8(3), uint16(36))
+	f.Add([]byte{1, 0, 1, 2, 0, 5, 0}, uint8(4), uint16(20))
 	f.Fuzz(func(t *testing.T, prog []byte, countRaw uint8, chunkRaw uint16) {
 		p := &typeProgram{data: prog}
 		dt, err := p.build(3)

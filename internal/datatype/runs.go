@@ -5,7 +5,11 @@
 // TEMPI (arXiv:2012.14363).
 package datatype
 
-import "sort"
+import (
+	"fmt"
+	"sort"
+	"unsafe"
+)
 
 // run is n pieces of len bytes: piece i sits at typed displacement
 // off+i*stride and at packed offset pack+i*len. For n == 1 the stride is
@@ -278,40 +282,54 @@ func (t *Datatype) clip(packOff, n int, emit func(off, l, stride, k int)) {
 // moveRun copies k pieces of l bytes between the packed view pv, where
 // they lie back to back from pv[0], and the typed view tv, where piece i
 // starts at tv[t0+i*stride]. packing gathers into pv; otherwise it
-// scatters from pv. Row widths of 4 and 8 bytes — one float or double —
-// move as fixed-size arrays, without a memmove call per piece.
+// scatters from pv. The run's hull is checked against both views once,
+// then its pieces are walked by pointer: rows of 4 and 8 bytes — one
+// float or double — move as fixed-size words, four rows per iteration,
+// and other widths with one copy per piece.
 func moveRun(pv, tv []byte, t0, l, stride, k int, packing bool) {
-	p := 0
-	switch {
-	case l == 4 && packing:
-		for ; k > 0; k-- {
-			*(*[4]byte)(pv[p:]) = *(*[4]byte)(tv[t0:])
-			p, t0 = p+4, t0+stride
-		}
-	case l == 4:
-		for ; k > 0; k-- {
-			*(*[4]byte)(tv[t0:]) = *(*[4]byte)(pv[p:])
-			p, t0 = p+4, t0+stride
-		}
-	case l == 8 && packing:
-		for ; k > 0; k-- {
-			*(*[8]byte)(pv[p:]) = *(*[8]byte)(tv[t0:])
-			p, t0 = p+8, t0+stride
-		}
-	case l == 8:
-		for ; k > 0; k-- {
-			*(*[8]byte)(tv[t0:]) = *(*[8]byte)(pv[p:])
-			p, t0 = p+8, t0+stride
-		}
-	case packing:
-		for ; k > 0; k-- {
-			copy(pv[p:p+l], tv[t0:t0+l])
-			p, t0 = p+l, t0+stride
-		}
+	if k <= 0 || l == 0 {
+		return
+	}
+	lo, hi := t0, t0+(k-1)*stride
+	if hi < lo {
+		lo, hi = hi, lo
+	}
+	if lo < 0 || hi+l > len(tv) || k*l > len(pv) {
+		panic(fmt.Sprintf("datatype: run of %d pieces of %d B at %d, stride %d, outside its views (typed %d B, packed %d B)",
+			k, l, t0, stride, len(tv), len(pv)))
+	}
+	d, s := unsafe.Pointer(unsafe.SliceData(tv)), unsafe.Pointer(unsafe.SliceData(pv))
+	di, si, ds, ss := t0, 0, stride, l
+	if packing {
+		d, s = s, d
+		di, si, ds, ss = si, di, ss, ds
+	}
+	switch l {
+	case 4:
+		moveRows[[4]byte](d, s, di, si, ds, ss, k)
+	case 8:
+		moveRows[[8]byte](d, s, di, si, ds, ss, k)
 	default:
 		for ; k > 0; k-- {
-			copy(tv[t0:t0+l], pv[p:p+l])
-			p, t0 = p+l, t0+stride
+			copy(unsafe.Slice((*byte)(unsafe.Add(d, di)), l), unsafe.Slice((*byte)(unsafe.Add(s, si)), l))
+			di, si = di+ds, si+ss
 		}
+	}
+}
+
+// moveRows copies k rows of type W from s+si+i*ss to d+di+i*ds, four
+// per iteration. Offsets advance as integers, so no pointer past either
+// view is ever formed; moveRun has checked every row against its view.
+func moveRows[W [4]byte | [8]byte](d, s unsafe.Pointer, di, si, ds, ss, k int) {
+	for ; k >= 4; k -= 4 {
+		*(*W)(unsafe.Add(d, di)) = *(*W)(unsafe.Add(s, si))
+		*(*W)(unsafe.Add(d, di+ds)) = *(*W)(unsafe.Add(s, si+ss))
+		*(*W)(unsafe.Add(d, di+2*ds)) = *(*W)(unsafe.Add(s, si+2*ss))
+		*(*W)(unsafe.Add(d, di+3*ds)) = *(*W)(unsafe.Add(s, si+3*ss))
+		di, si = di+4*ds, si+4*ss
+	}
+	for ; k > 0; k-- {
+		*(*W)(unsafe.Add(d, di)) = *(*W)(unsafe.Add(s, si))
+		di, si = di+ds, si+ss
 	}
 }

@@ -1,7 +1,10 @@
 package datatype
 
 import (
+	"bytes"
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -132,5 +135,92 @@ func TestRunFormAllocationGate(t *testing.T) {
 	if plan.Chunks() != 64 || plan.SegmentCount(0) != 16384 {
 		t.Errorf("plan has %d chunks, chunk 0 has %d segments; want 64 and 16384",
 			plan.Chunks(), plan.SegmentCount(0))
+	}
+}
+
+// TestMoveRunMatchesByteWalk checks the pointer walk against a byte-by-
+// byte reference over row widths on and off the word paths, row counts
+// that leave every tail of the four-row unroll, forward and backward
+// strides, and both directions. Both views carry sentinel margins, so a
+// write outside the run shows.
+func TestMoveRunMatchesByteWalk(t *testing.T) {
+	const margin, sentinel = 16, 0xEE
+	for _, l := range []int{1, 3, 4, 8, 12} {
+		for k := 0; k <= 9; k++ {
+			for _, stride := range []int{-64, -2 * l, 2 * l, 64} {
+				for _, packing := range []bool{true, false} {
+					span := l
+					if k > 0 {
+						span += (k - 1) * max(stride, -stride)
+					}
+					t0 := margin
+					if stride < 0 && k > 0 {
+						t0 += (k - 1) * -stride
+					}
+					tv := make([]byte, span+2*margin)
+					pv := make([]byte, k*l+margin)
+					src, dst := tv, pv
+					if !packing {
+						src, dst = pv, tv
+					}
+					for i := range src {
+						src[i] = byte(i*7 + 1)
+					}
+					for i := range dst {
+						dst[i] = sentinel
+					}
+					want := append([]byte(nil), dst...)
+					for i := 0; i < k; i++ {
+						for b := 0; b < l; b++ {
+							if packing {
+								want[i*l+b] = tv[t0+i*stride+b]
+							} else {
+								want[t0+i*stride+b] = pv[i*l+b]
+							}
+						}
+					}
+					moveRun(pv, tv, t0, l, stride, k, packing)
+					if !bytes.Equal(dst, want) {
+						t.Fatalf("l=%d k=%d stride=%d packing=%v:\n got %v\nwant %v", l, k, stride, packing, dst, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMoveRunRejectsOutOfViewRuns checks the once-per-run bounds check:
+// a run reaching past either end of the typed view, or longer than the
+// packed view, panics before it moves a byte.
+func TestMoveRunRejectsOutOfViewRuns(t *testing.T) {
+	cases := []struct {
+		t0, l, stride, k int
+	}{
+		{0, 4, 16, 5},  // last row ends at 68 of 64 typed bytes
+		{60, 8, 8, 1},  // one row straddling the typed end
+		{8, 4, -16, 2}, // backward stride below typed byte 0
+		{0, 8, 8, 5},   // 40 packed bytes into a 32-byte packed view
+		{-1, 1, 0, 1},  // negative start
+		{0, 12, 13, 3}, // word-free width, 36 packed bytes
+		{48, 4, 4, 9},  // unrolled path, past the typed end
+		{32, 8, -8, 9}, // unrolled path, below typed byte 0
+	}
+	for _, c := range cases {
+		for _, packing := range []bool{true, false} {
+			name := fmt.Sprintf("%+v packing=%v", c, packing)
+			tv, pv := bytes.Repeat([]byte{1}, 64), bytes.Repeat([]byte{2}, 32)
+			func() {
+				defer func() {
+					r := recover()
+					if msg, _ := r.(string); !strings.Contains(msg, "outside its views") {
+						t.Errorf("%s: recovered %v, want an outside-its-views panic", name, r)
+					}
+					if bytes.Count(tv, []byte{1}) != len(tv) || bytes.Count(pv, []byte{2}) != len(pv) {
+						t.Errorf("%s: bytes moved before the bounds check", name)
+					}
+				}()
+				moveRun(pv, tv, c.t0, c.l, c.stride, c.k, packing)
+			}()
+		}
 	}
 }

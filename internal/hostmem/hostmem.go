@@ -76,6 +76,7 @@ type Pool struct {
 	freeCtr   string // occupancy gauge name
 	waitsCtr  string // cumulative exhaustion-wait gauge name
 	waitTrack string // track for pool-exhaustion wait tasks
+	vbufEvent string // name of the event a blocked Get waits on; set on first wait
 }
 
 // NewPool carves count chunks of chunkSize bytes out of the host space at
@@ -148,7 +149,10 @@ func (p *Pool) GetRail(proc *sim.Proc, rail int) *Vbuf {
 		if !waitSp.Active() {
 			waitSp = p.hub.Start(obs.KindVbufWait, p.waitTrack, -1, p.chunkSize)
 		}
-		ev := p.e.NewEvent(p.name + ".vbuf")
+		if p.vbufEvent == "" {
+			p.vbufEvent = p.name + ".vbuf"
+		}
+		ev := p.e.NewEvent(p.vbufEvent)
 		p.waiters = append(p.waiters, ev)
 		proc.Wait(ev)
 	}

@@ -80,10 +80,19 @@ func (e *ParallelEngine) worker() {
 		e.pending[0] = nil
 		e.pending = e.pending[1:]
 		e.mu.Unlock()
-		it.fn()
+		e.exec(it)
+	}
+}
+
+// exec runs a task body on a pool worker. A panic is kept on the item
+// for the join at its slot to re-raise on the dispatch side.
+func (e *ParallelEngine) exec(it *item) {
+	defer func() {
+		it.panicked = recover()
 		it.wg.Done()
 		e.inflight.Done()
-	}
+	}()
+	it.fn()
 }
 
 // Shutdown stops the pool workers and then ends blocked processes

@@ -15,6 +15,7 @@ type Resource struct {
 	cap   int
 	inUse int
 	queue []*Event // one wakeup event per waiter, FIFO
+	grant string   // name of the wakeup events, built on first wait
 
 	// Stats.
 	acquires   uint64
@@ -56,7 +57,10 @@ func (r *Resource) Acquire(p *Proc) {
 		r.acquires++
 		return
 	}
-	ev := r.e.NewEvent(r.name + ".grant")
+	if r.grant == "" {
+		r.grant = r.name + ".grant"
+	}
+	ev := r.e.NewEvent(r.grant)
 	r.queue = append(r.queue, ev)
 	if len(r.queue) > r.maxQueue {
 		r.maxQueue = len(r.queue)

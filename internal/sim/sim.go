@@ -12,7 +12,11 @@
 // (an iter.Pull coroutine, see coro.go) that the engine resumes directly.
 // Exactly one process (or the engine itself) executes at any instant;
 // control is transferred explicitly when a process blocks in Sleep, Wait,
-// or a resource/queue operation. This cooperative single-executor
+// or a resource/queue operation. Sleep and Yield block only when they
+// must: when the process's own wake-up is the next item due — nothing
+// but tasks queued before it — they run those tasks on the process's
+// stack and keep running, in the exact (time, seq) order the dispatch
+// loop would have used. This cooperative single-executor
 // discipline makes the whole simulation race-free and fully
 // deterministic: the same program produces the same event trace on every
 // run.
@@ -100,6 +104,8 @@ type item struct {
 	fn   func()
 	proc *Proc
 	wg   sync.WaitGroup // joins an off-goroutine task at its slot
+
+	panicked interface{} // panic value of an off-goroutine task
 }
 
 type itemHeap []*item
@@ -133,6 +139,9 @@ type Engine interface {
 	Now() Time
 	// Events returns the number of scheduled items dispatched so far.
 	Events() uint64
+	// Switches returns the number of process resumes the dispatch loop
+	// has performed, each a coroutine switch out and back.
+	Switches() uint64
 	// Run dispatches items until the queue is empty.
 	Run() error
 	// RunUntil dispatches items with time ≤ limit, leaving later items queued.
@@ -197,6 +206,8 @@ type engineCore struct {
 	carriers []*carrier // every carrier created, in creation order
 	idle     []*carrier // carriers with no process, reused LIFO by SpawnAt
 	nevents  uint64     // dispatched item count, for stats and runaway guards
+	switches uint64     // process resumes performed by the dispatch loop
+	limit    Time       // the running loop's RunUntil limit; -1 for Run
 
 	tracer func(t Time, msg string)
 	hook   Hook
@@ -271,6 +282,11 @@ func (e *engineCore) Now() Time { return e.now }
 
 // Events returns the number of scheduled items dispatched so far.
 func (e *engineCore) Events() uint64 { return e.nevents }
+
+// Switches returns the number of process resumes the dispatch loop has
+// performed. A process that keeps running through a Sleep or Yield
+// (see Proc.Sleep) costs no switch.
+func (e *engineCore) Switches() uint64 { return e.switches }
 
 // SetTracer installs a trace sink invoked for process lifecycle events.
 // Pass nil to disable tracing.
@@ -397,6 +413,7 @@ func (e *engineCore) run(limit Time) error {
 	// scheduled past a RunUntil limit: the caller is free to inspect any
 	// simulated memory once the dispatch loop has stopped.
 	defer e.inflight.Wait()
+	e.limit = limit
 	for len(e.heap) > 0 {
 		if limit >= 0 && e.heap[0].t > limit {
 			return nil
@@ -412,14 +429,10 @@ func (e *engineCore) run(limit Time) error {
 		case kindResume:
 			p := it.proc
 			e.recycle(it)
+			e.switches++
 			e.runProc(p)
 		case kindTask:
-			if e.launch != nil {
-				it.wg.Wait()
-			} else {
-				it.fn()
-			}
-			e.recycle(it)
+			e.runTask(it)
 		}
 	}
 	var msgs []string
@@ -437,6 +450,22 @@ func (e *engineCore) run(limit Time) error {
 		return &DeadlockError{At: e.now, Blocked: msgs}
 	}
 	return nil
+}
+
+// runTask completes a dispatched task at its slot and recycles it: the
+// serial engine runs the body here, the parallel engine joins the pool
+// worker that ran it and re-raises the body's panic, if any.
+func (e *engineCore) runTask(it *item) {
+	if e.launch != nil {
+		it.wg.Wait()
+		if pv := it.panicked; pv != nil {
+			it.panicked = nil
+			panic(pv)
+		}
+	} else {
+		it.fn()
+	}
+	e.recycle(it)
 }
 
 // runProc switches to p's carrier and returns when p blocks or finishes.
@@ -532,18 +561,71 @@ func (p *Proc) scheduleResume(t Time) {
 	p.e.schedule(t, it)
 }
 
-// Sleep blocks the process for duration d of virtual time.
+// Sleep blocks the process for duration d of virtual time. When the
+// wake-up would be the next item dispatched, the process does not block:
+// see runAhead.
 func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		panic("sim: negative sleep")
 	}
-	p.scheduleResume(p.e.now + d)
-	p.block("sleep", nil)
+	p.advance(p.e.now+d, "sleep")
 }
 
 // Yield reschedules the process at the current instant, letting other items
-// queued for the same time run first.
+// queued for the same time run first. Like Sleep, it returns without a
+// switch when only tasks are queued that early.
 func (p *Proc) Yield() {
-	p.scheduleResume(p.e.now)
-	p.block("yield", nil)
+	p.advance(p.e.now, "yield")
+}
+
+// advance resumes p at absolute time t: in place if runAhead can, by a
+// wake-up item and a switch to the dispatch loop otherwise. t is fixed
+// on entry; runAhead moves the clock only when it succeeds.
+func (p *Proc) advance(t Time, why string) {
+	if !p.runAhead(t) {
+		p.scheduleResume(t)
+		p.block(why, nil)
+	}
+}
+
+// runAhead dispatches, on p's stack, what the loop would dispatch between
+// now and p's wake-up at t, and reports whether p may go on running.
+//
+// A wake-up scheduled now takes the highest seq in the heap, so the loop
+// would run every item due at or before t first. While those are tasks —
+// host work that schedules nothing — runAhead pops and runs them exactly
+// as the loop does. If that leaves the wake-up next, and t is within the
+// running loop's limit, it consumes the wake-up's seq and event count,
+// advances the clock to t and returns true. Any other item in the way
+// (a call or a resume) returns false and p blocks as usual; the tasks
+// already run were due before it either way. Resumes are neither traced
+// nor hooked, so no output can tell the two paths apart.
+//
+// A task that panics leaves the clock at its slot and returns false, with
+// the panic stored for runProc to raise from Run once p has blocked on
+// its wake-up: the state the loop would have panicked in.
+func (p *Proc) runAhead(t Time) (ahead bool) {
+	e := p.e
+	if e.limit >= 0 && t > e.limit {
+		return false
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			p.panicked = r
+			ahead = false
+		}
+	}()
+	for len(e.heap) > 0 && e.heap[0].t <= t {
+		if e.heap[0].kind != kindTask {
+			return false
+		}
+		it := heap.Pop(&e.heap).(*item)
+		e.now = it.t
+		e.nevents++
+		e.runTask(it)
+	}
+	e.now = t
+	e.seq++
+	e.nevents++
+	return true
 }

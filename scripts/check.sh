@@ -83,10 +83,11 @@ echo "== parallel-engine race tests"
 # The cluster-heavy packages again, now with every task body dispatched
 # on the worker pool and the race detector watching the joins. ib and mpi
 # take and return pooled payload buffers around task bodies that run on
-# the workers.
+# the workers; cluster and load cover the joins a sleeping process makes
+# itself when it runs tasks ahead of its wake-up.
 MV2SIM_ENGINE=parallel go test -race -count=1 \
     ./internal/core ./internal/halo3d ./internal/transpose ./internal/shoc \
-    ./internal/ib ./internal/mpi
+    ./internal/ib ./internal/mpi ./internal/cluster ./internal/load
 
 echo "== pack-mode gate"
 # -packmode memcpy2d must reproduce the pre-PackMode pipeline byte for
