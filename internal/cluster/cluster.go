@@ -78,7 +78,8 @@ type Config struct {
 	// automatically so the two options compose.
 	Tracers []obs.Tracer
 	// TraceEngine additionally records every simulation process's lifetime
-	// and counts fired events via an obs.EngineTracer hook. Verbose; only
+	// (ranks and protocol stages; hardware models are not processes) and
+	// counts fired events via an obs.EngineTracer hook. Verbose; only
 	// meaningful when Tracers is non-empty.
 	TraceEngine bool
 }
@@ -202,10 +203,10 @@ func New(cfg Config) *Cluster {
 }
 
 // Run launches fn on every rank and executes the simulation to completion.
-// When the simulation finishes, the engine is shut down: daemon processes
-// (CUDA stream workers, service loops) are terminated so a discarded
-// cluster, with the device buffers and vbufs it still maps, becomes
-// collectable. The cluster's state (memories, statistics) remains
+// When the simulation finishes, the engine is shut down: processes still
+// blocked (a deadlocked rank, a server waiting for work) are terminated
+// so a discarded cluster, with the device buffers and vbufs it still
+// maps, becomes collectable. The cluster's state (memories, statistics) remains
 // readable, but no further simulation can run on it.
 func (cl *Cluster) Run(fn func(n *Node)) error {
 	byRank := map[*mpi.Rank]*Node{}

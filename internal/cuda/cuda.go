@@ -19,6 +19,11 @@
 // internal copy path, and the compute engine). A blocking call costs the
 // caller the async-issue time plus a synchronization overhead on top of
 // the transfer itself.
+//
+// A stream is a hardware queue, not a process: it advances by calls the
+// engine schedules (see package sim), exactly where a worker process
+// serving the queue would have resumed. Only the calling side blocks — the
+// blocking API (Memcpy, Synchronize, ...) waits in the caller's process.
 package cuda
 
 import (
@@ -67,7 +72,8 @@ func (c *Ctx) MustMalloc(n int) mem.Ptr { return c.dev.MustMalloc(n) }
 // Free releases device memory (cudaFree).
 func (c *Ctx) Free(p mem.Ptr) error { return c.dev.Free(p) }
 
-// op is one stream-ordered operation.
+// op is one stream-ordered operation. Ops are recycled through their
+// stream's free list, linked by next there and in the stream's FIFO.
 type op struct {
 	shape       gpu.CopyShape
 	dst, src    mem.Ptr
@@ -82,29 +88,42 @@ type op struct {
 	memsetBytes int        // >0: a fill; costed as a device-bandwidth write
 	memsetDst   mem.Ptr
 	done        *sim.Event
+	next        *op
 }
 
-// Stream is a CUDA stream: a FIFO of operations executed by a dedicated
-// worker process that contends for the device's engines.
+// Stream is a CUDA stream: a FIFO of operations that contend for the
+// device's engines. Like the hardware queue it models, a stream is not a
+// process but a state machine driven by scheduled calls: run starts ops
+// in order until one has to wait — for its engine and duration, or for
+// the event of a StreamWaitEvent — and that op's completion call resumes
+// it. One op is in flight at a time, so its state lives on the stream.
 type Stream struct {
-	ctx     *Ctx
-	name    string
-	q       *sim.Queue[*op]
-	pending int
-	drained *sim.Event // recreated whenever pending drops to 0 with waiters
-	lastOp  obs.Task   // previous traced op, for FIFO-serialization edges
+	ctx        *Ctx
+	name       string
+	head, tail *op  // queued ops
+	free       *op  // recycled ops
+	cur        *op  // op in flight
+	active     bool // run is scheduled or an op is in flight
+	pending    int
+	drained    *sim.Event // recreated whenever pending drops to 0 with waiters
+	lastOp     obs.Task   // previous traced op, for FIFO-serialization edges
+	sp         obs.Span   // span of the op in flight
+	job        gpu.Job    // device work of the op in flight
+
+	// Method values bound once, so scheduling a step allocates nothing.
+	runFn, completeFn func()
 
 	// Event names, built on first use instead of per op, so creating a
 	// stream costs no string.
 	opName, drainedName string
 }
 
-// NewStream creates a stream with its own worker (cudaStreamCreate).
+// NewStream creates a stream (cudaStreamCreate).
 func (c *Ctx) NewStream() *Stream {
 	s := &Stream{ctx: c, name: fmt.Sprintf("gpu%d.stream%d", c.dev.ID(), c.nstream)}
 	c.nstream++
-	s.q = sim.NewQueue[*op](c.e, s.name+".ops")
-	c.e.SpawnDaemon(s.name, s.run)
+	s.runFn, s.completeFn = s.run, s.complete
+	s.job.Done = s.completeFn
 	return s
 }
 
@@ -125,54 +144,113 @@ func (s *Stream) opSpan(o *op) obs.Span {
 	}
 }
 
-func (s *Stream) run(p *sim.Proc) {
+// run starts queued ops in FIFO order until one must wait, or the queue
+// drains and the stream goes idle until the next enqueue.
+func (s *Stream) run() {
 	for {
-		o := s.q.Get(p)
-		sp := s.opSpan(o)
-		if sp.Active() {
-			// FIFO order: this op could not dequeue before the previous
+		o := s.head
+		if o == nil {
+			s.active = false
+			return
+		}
+		if s.head = o.next; s.head == nil {
+			s.tail = nil
+		}
+		s.cur = o
+		s.sp = s.opSpan(o)
+		if s.sp.Active() {
+			// FIFO order: this op could not start before the previous
 			// traced op on the stream completed.
-			sp.DependsOnTask(s.lastOp, obs.DepSerial)
-			s.lastOp = sp.Task()
+			s.sp.DependsOnTask(s.lastOp, obs.DepSerial)
+			s.lastOp = s.sp.Task()
 		}
 		switch {
 		case o.waitOn != nil:
 			// cudaStreamWaitEvent: the stream stalls here until the event
 			// completes; later ops in this stream wait behind it.
-			p.Wait(o.waitOn)
+			if !o.waitOn.Fired() {
+				o.waitOn.Then(s.completeFn)
+				return
+			}
 		case o.isMarker:
 			// No device work; completes in stream order.
-		case o.memsetBytes > 0:
-			// A fill occupies the device like a half-bandwidth internal
-			// copy (one write stream, no read): model as a kernel of
-			// memsetBytes cells at the copy engine's per-byte write rate.
-			ns := 1e9 / s.ctx.Model().DevBandwidth
-			if !o.memsetDst.IsDevice() {
-				ns = 1e9 / s.ctx.Model().HostBandwidth
-			}
-			s.ctx.dev.ExecKernelTask(p, sp, -1, o.memsetBytes, ns, o.kernBody)
-		case o.isKernel:
-			s.ctx.dev.ExecKernelTask(p, sp, o.chunk, o.kernCells, o.kernNsCell, o.kernBody)
 		default:
-			s.ctx.dev.ExecCopyTask(p, sp, o.chunk, o.dst, o.shape.DPitch, o.src, o.shape.SPitch, o.shape.Width, o.shape.Height)
+			s.exec(o)
+			return
 		}
-		sp.End()
-		o.done.Trigger()
-		s.pending--
-		if s.pending == 0 && s.drained != nil {
-			s.drained.Trigger()
-			s.drained = nil
-		}
+		s.finish()
 	}
 }
 
-func (s *Stream) enqueue(o *op) *sim.Event {
+// exec hands the op's device work to the device; the job's completion
+// call resumes the stream.
+func (s *Stream) exec(o *op) {
+	j := &s.job
+	j.Dst, j.Src, j.Shape = o.dst, o.src, o.shape
+	j.Kernel, j.Cells, j.NsPerCell, j.Body = o.isKernel, o.kernCells, o.kernNsCell, o.kernBody
+	j.Parent, j.Chunk = s.sp, o.chunk
+	if o.memsetBytes > 0 {
+		// A fill occupies the device like a half-bandwidth internal copy
+		// (one write stream, no read): model as a kernel of memsetBytes
+		// cells at the copy engine's per-byte write rate.
+		j.Cells, j.NsPerCell = o.memsetBytes, 1e9/s.ctx.Model().DevBandwidth
+		if !o.memsetDst.IsDevice() {
+			j.NsPerCell = 1e9 / s.ctx.Model().HostBandwidth
+		}
+	}
+	s.ctx.dev.Exec(j)
+}
+
+// complete is the completion call of the op in flight: finish it and go
+// on with the queue.
+func (s *Stream) complete() {
+	s.finish()
+	s.run()
+}
+
+// finish completes the op in flight and recycles it. It runs after the
+// slot of the op's memory task, so no pool worker still reads the op.
+func (s *Stream) finish() {
+	o := s.cur
+	s.cur = nil
+	s.sp.End()
+	s.job.Body, s.job.Parent = nil, obs.Span{}
+	o.done.Trigger()
+	s.pending--
+	if s.pending == 0 && s.drained != nil {
+		s.drained.Trigger()
+		s.drained = nil
+	}
+	*o = op{next: s.free}
+	s.free = o
+}
+
+// enqueue appends an op to the stream. An idle stream starts it at the
+// current instant, in the slot where the wake-up of a worker process
+// blocked on an empty queue would have been.
+func (s *Stream) enqueue(v op) *sim.Event {
 	if s.opName == "" {
 		s.opName = s.name + ".op"
 	}
+	o := s.free
+	if o != nil {
+		s.free = o.next
+	} else {
+		o = new(op)
+	}
+	*o = v
 	o.done = s.ctx.e.NewEvent(s.opName)
+	if s.tail == nil {
+		s.head = o
+	} else {
+		s.tail.next = o
+	}
+	s.tail = o
 	s.pending++
-	s.q.Put(o)
+	if !s.active {
+		s.active = true
+		s.ctx.e.CallAt(s.ctx.e.Now(), s.runFn)
+	}
 	return o.done
 }
 
@@ -219,7 +297,7 @@ func (c *Ctx) MemcpyAsync(p *sim.Proc, dst, src mem.Ptr, n int, s *Stream) *sim.
 // in the trace. An inert parent and chunk -1 degrade to plain tracing.
 func (c *Ctx) MemcpyAsyncTask(p *sim.Proc, dst, src mem.Ptr, n int, s *Stream, parent obs.Span, chunk int) *sim.Event {
 	c.issue(p)
-	return s.enqueue(&op{dst: dst, src: src, shape: gpu.Shape1D(n), parent: parent, chunk: chunk})
+	return s.enqueue(op{dst: dst, src: src, shape: gpu.Shape1D(n), parent: parent, chunk: chunk})
 }
 
 // Memcpy2DAsync enqueues a 2D strided copy: height rows of width bytes,
@@ -232,7 +310,7 @@ func (c *Ctx) Memcpy2DAsync(p *sim.Proc, dst mem.Ptr, dpitch int, src mem.Ptr, s
 // tag, like MemcpyAsyncTask.
 func (c *Ctx) Memcpy2DAsyncTask(p *sim.Proc, dst mem.Ptr, dpitch int, src mem.Ptr, spitch, width, height int, s *Stream, parent obs.Span, chunk int) *sim.Event {
 	c.issue(p)
-	return s.enqueue(&op{dst: dst, src: src, shape: gpu.CopyShape{Width: width, Height: height, DPitch: dpitch, SPitch: spitch}, parent: parent, chunk: chunk})
+	return s.enqueue(op{dst: dst, src: src, shape: gpu.CopyShape{Width: width, Height: height, DPitch: dpitch, SPitch: spitch}, parent: parent, chunk: chunk})
 }
 
 // Memcpy performs a blocking contiguous copy (cudaMemcpy): issue on the
@@ -263,7 +341,7 @@ func (c *Ctx) LaunchKernel(p *sim.Proc, s *Stream, cells int, nsPerCell float64,
 // An inert parent and chunk -1 degrade to LaunchKernel's plain tracing.
 func (c *Ctx) LaunchKernelTask(p *sim.Proc, s *Stream, parent obs.Span, chunk, cells int, nsPerCell float64, body func()) *sim.Event {
 	c.issue(p)
-	return s.enqueue(&op{isKernel: true, kernCells: cells, kernNsCell: nsPerCell, kernBody: body, parent: parent, chunk: chunk})
+	return s.enqueue(op{isKernel: true, kernCells: cells, kernNsCell: nsPerCell, kernBody: body, parent: parent, chunk: chunk})
 }
 
 // Event is a CUDA event: a marker recorded into a stream.
@@ -280,7 +358,7 @@ func (c *Ctx) NewEvent() *Event { return &Event{c: c} }
 // Re-recording resets the event to the new position.
 func (ev *Event) Record(p *sim.Proc, s *Stream) {
 	ev.c.issue(p)
-	ev.ev = s.enqueue(&op{isMarker: true, chunk: -1})
+	ev.ev = s.enqueue(op{isMarker: true, chunk: -1})
 }
 
 // Query reports whether the recorded marker has completed
@@ -312,7 +390,7 @@ func (ev *Event) CompletedAt() sim.Time {
 // bandwidth; host fills cost host memcpy time.
 func (c *Ctx) MemsetAsync(p *sim.Proc, dst mem.Ptr, b byte, n int, s *Stream) *sim.Event {
 	c.issue(p)
-	return s.enqueue(&op{isKernel: true, kernCells: 0, kernNsCell: 0, kernBody: func() {
+	return s.enqueue(op{isKernel: true, kernCells: 0, kernNsCell: 0, kernBody: func() {
 		buf := dst.Bytes(n)
 		for i := range buf {
 			buf[i] = b
@@ -336,5 +414,5 @@ func (c *Ctx) StreamWaitEvent(p *sim.Proc, s *Stream, ev *Event) {
 		panic("cuda: StreamWaitEvent on unrecorded event")
 	}
 	c.issue(p)
-	s.enqueue(&op{waitOn: ev.ev, chunk: -1})
+	s.enqueue(op{waitOn: ev.ev, chunk: -1})
 }

@@ -1,6 +1,7 @@
 package cuda
 
 import (
+	"os"
 	"testing"
 	"testing/quick"
 
@@ -17,8 +18,13 @@ type fixture struct {
 	host *mem.Space
 }
 
+// newFixture builds a one-GPU context on the engine MV2SIM_ENGINE names
+// (serial by default).
 func newFixture() *fixture {
-	e := sim.New()
+	e, err := sim.NewByName(os.Getenv("MV2SIM_ENGINE"))
+	if err != nil {
+		panic(err)
+	}
 	dev := gpu.New(e, 0, gpu.Config{MemBytes: 8 << 20})
 	return &fixture{e: e, dev: dev, ctx: NewCtx(e, dev), host: mem.NewHostSpace("host", 8<<20)}
 }

@@ -77,8 +77,17 @@ type Device struct {
 	model       CostModel
 	engines     [numEngines]*sim.Resource
 	engineTrack [numEngines]string // precomputed obs track names
-	stats       Stats
+	stats       counters
 	hub         *obs.Hub
+}
+
+// counters accumulates what Stats reports, indexed by direction so that
+// a copy costs no map update.
+type counters struct {
+	copies     [H2H + 1]int
+	bytes      [H2H + 1]int64
+	kernels    int
+	kernelTime sim.Time
 }
 
 // New creates a device with the given ordinal and configuration.
@@ -96,7 +105,6 @@ func New(e sim.Engine, id int, cfg Config) *Device {
 		space: mem.Reserve(mem.Device, fmt.Sprintf("gpu%d", id), id, cfg.MemBytes),
 		alloc: newAllocator(cfg.MemBytes),
 		model: model,
-		stats: Stats{Copies: map[CopyDir]int{}, Bytes: map[CopyDir]int64{}},
 	}
 	for k := EngineKind(0); k < numEngines; k++ {
 		name := fmt.Sprintf("gpu%d.%s", id, k)
@@ -137,14 +145,15 @@ func (d *Device) Model() *CostModel { return &d.model }
 // Engine returns the resource serializing work on one engine.
 func (d *Device) Engine(k EngineKind) *sim.Resource { return d.engines[k] }
 
-// Stats returns a copy of the accumulated counters.
+// Stats returns a copy of the accumulated counters. The maps hold the
+// directions that have seen at least one copy.
 func (d *Device) Stats() Stats {
-	cp := Stats{Copies: map[CopyDir]int{}, Bytes: map[CopyDir]int64{}, Kernels: d.stats.Kernels, KernelTime: d.stats.KernelTime}
-	for k, v := range d.stats.Copies {
-		cp.Copies[k] = v
-	}
-	for k, v := range d.stats.Bytes {
-		cp.Bytes[k] = v
+	cp := Stats{Copies: map[CopyDir]int{}, Bytes: map[CopyDir]int64{}, Kernels: d.stats.kernels, KernelTime: d.stats.kernelTime}
+	for dir, n := range d.stats.copies {
+		if n > 0 {
+			cp.Copies[CopyDir(dir)] = n
+			cp.Bytes[CopyDir(dir)] = d.stats.bytes[dir]
+		}
 	}
 	return cp
 }
@@ -190,78 +199,118 @@ func (d *Device) MemInUse() int { return d.alloc.InUse() }
 // CheckAllocator validates allocator invariants (tests only).
 func (d *Device) CheckAllocator() error { return d.alloc.CheckInvariants() }
 
-// ExecCopy occupies the engine for dir, sleeps the modeled duration, then
-// moves the actual bytes. It must be called from a simulation process; the
-// bytes become visible at the completion instant, which is also when any
-// completion event should be triggered by the caller.
+// Job is one unit of device work: a (possibly 2D) copy of Shape from Src
+// to Dst, or, with Kernel set, a kernel of Cells cells at NsPerCell
+// nanoseconds each whose effect on memory is Body. The caller fills the
+// exported fields and hands the job to Device.Exec; the device owns it
+// until Done runs, and the caller may refill and resubmit it from Done on.
+type Job struct {
+	Dst, Src  mem.Ptr
+	Shape     CopyShape
+	Kernel    bool
+	Cells     int
+	NsPerCell float64
+	Body      func()
+
+	// Parent and Chunk tag the engine-occupancy task: it is traced as a
+	// child of Parent (typically the cuda stream op) with the pipeline
+	// chunk index, so the critical-path analyzer can split a stage's
+	// elapsed time into engine queueing (before the engine task starts)
+	// and pure transfer work (the engine task itself).
+	Parent obs.Span
+	Chunk  int
+
+	// Done runs in engine context at the completion instant, after the
+	// bytes have landed and the engine has been released.
+	Done func()
+
+	d                   *Device
+	dir                 CopyDir
+	eng                 EngineKind
+	cost                sim.Time
+	sp                  obs.Span
+	start, finish, move func() // bound on the job's first Exec
+}
+
+// noEngine marks a host-to-host copy, which occupies no device engine.
+const noEngine = numEngines
+
+// Exec runs j as the device's hardware would, advancing by scheduled
+// calls rather than in a process: it waits for j's engine, schedules the
+// memory effect as a task due at the completion instant, and calls
+// j.Done at that instant once the engine is released. Nothing may read
+// j's destination before Done.
 //
-// ExecCopy validates that device pointers belong to this device: a
+// Exec validates that device pointers belong to this device: a
 // cross-device copy (GPU peer-to-peer) is not part of the simulated
 // cluster, matching the paper's one-GPU-per-node setup.
-func (d *Device) ExecCopy(p *sim.Proc, dst mem.Ptr, dpitch int, src mem.Ptr, spitch, width, height int) {
-	d.ExecCopyTask(p, obs.Span{}, -1, dst, dpitch, src, spitch, width, height)
-}
-
-// ExecCopyTask is ExecCopy with the engine-occupancy task parented to an
-// enclosing span (typically the cuda stream op) and tagged with a pipeline
-// chunk index, so the critical-path analyzer can split a stage's elapsed
-// time into engine-queueing (before the engine task starts) and pure
-// transfer work (the engine task itself).
-func (d *Device) ExecCopyTask(p *sim.Proc, parent obs.Span, chunk int, dst mem.Ptr, dpitch int, src mem.Ptr, spitch, width, height int) {
-	d.checkOwned(dst)
-	d.checkOwned(src)
-	dir := DirOf(dst, src)
-	shape := CopyShape{Width: width, Height: height, DPitch: dpitch, SPitch: spitch}
-	cost := d.model.CopyCost(dir, shape)
-	if dir == H2H {
-		// Host copies do not occupy a device engine. The byte movement is a
-		// task due at the copy's completion instant: the destination is not
-		// readable before then, so the parallel engine may overlap it with
-		// dispatch while the serial engine runs it at the same slot.
-		d.e.TaskAt(d.e.Now()+cost, func() {
-			mem.Copy2D(dst, dpitch, src, spitch, width, height)
-		})
-		p.Sleep(cost)
+func (d *Device) Exec(j *Job) {
+	if j.start == nil {
+		j.start, j.finish, j.move = j.begin, j.end, j.copyBytes
+	}
+	j.d = d
+	if j.Kernel {
+		j.eng = EngineKernel
+		j.cost = d.model.KernelCost(j.Cells, j.NsPerCell)
 	} else {
-		k := EngineFor(dir)
-		eng := d.engines[k]
-		eng.Acquire(p)
-		sp := d.hub.StartChild(parent, CopyKind(dir), d.engineTrack[k], chunk, shape.Bytes())
-		d.e.TaskAt(d.e.Now()+cost, func() {
-			mem.Copy2D(dst, dpitch, src, spitch, width, height)
-		})
-		p.Sleep(cost)
-		sp.End()
-		eng.Release()
+		d.checkOwned(j.Dst)
+		d.checkOwned(j.Src)
+		j.dir = DirOf(j.Dst, j.Src)
+		j.cost = d.model.CopyCost(j.dir, j.Shape)
+		if j.dir == H2H {
+			// Host copies do not occupy a device engine.
+			j.eng = noEngine
+			j.begin()
+			return
+		}
+		j.eng = EngineFor(j.dir)
 	}
-	d.stats.Copies[dir]++
-	d.stats.Bytes[dir] += int64(shape.Bytes())
+	d.engines[j.eng].AcquireThen(j.start)
 }
 
-// ExecKernel occupies the compute engine for the kernel's modeled duration
-// and then runs body, which performs the kernel's real effect on memory.
-func (d *Device) ExecKernel(p *sim.Proc, cells int, nsPerCell float64, body func()) {
-	d.ExecKernelTask(p, obs.Span{}, -1, cells, nsPerCell, body)
+// begin starts the job on its engine: the memory effect is a task due at
+// the completion instant — the destination is not readable before then,
+// so the parallel engine may overlap it with dispatch while the serial
+// engine runs it at the same slot — and the completion call takes the
+// next slot after it.
+func (j *Job) begin() {
+	d := j.d
+	at := d.e.Now() + j.cost
+	if j.Kernel {
+		j.sp = d.hub.StartChild(j.Parent, obs.KindKernel, d.engineTrack[EngineKernel], j.Chunk, j.Cells)
+		if j.Body != nil {
+			d.e.TaskAt(at, j.Body)
+		}
+	} else {
+		if j.eng != noEngine {
+			j.sp = d.hub.StartChild(j.Parent, CopyKind(j.dir), d.engineTrack[j.eng], j.Chunk, j.Shape.Bytes())
+		}
+		d.e.TaskAt(at, j.move)
+	}
+	d.e.CallAt(at, j.finish)
 }
 
-// ExecKernelTask is ExecKernel with the engine-occupancy task parented and
-// chunk-tagged like ExecCopyTask.
-func (d *Device) ExecKernelTask(p *sim.Proc, parent obs.Span, chunk, cells int, nsPerCell float64, body func()) {
-	cost := d.model.KernelCost(cells, nsPerCell)
-	eng := d.engines[EngineKernel]
-	eng.Acquire(p)
-	sp := d.hub.StartChild(parent, obs.KindKernel, d.engineTrack[EngineKernel], chunk, cells)
-	if body != nil {
-		// The kernel's memory effect is due at the kernel's completion
-		// instant; nothing may read its output before the stream op's done
-		// event, which fires after this slot.
-		d.e.TaskAt(d.e.Now()+cost, body)
+// copyBytes is a copy job's memory effect.
+func (j *Job) copyBytes() {
+	mem.Copy2D(j.Dst, j.Shape.DPitch, j.Src, j.Shape.SPitch, j.Shape.Width, j.Shape.Height)
+}
+
+// end completes the job at its completion instant.
+func (j *Job) end() {
+	d := j.d
+	j.sp.End()
+	j.sp = obs.Span{}
+	if j.eng != noEngine {
+		d.engines[j.eng].Release()
 	}
-	p.Sleep(cost)
-	sp.End()
-	eng.Release()
-	d.stats.Kernels++
-	d.stats.KernelTime += cost
+	if j.Kernel {
+		d.stats.kernels++
+		d.stats.kernelTime += j.cost
+	} else {
+		d.stats.copies[j.dir]++
+		d.stats.bytes[j.dir] += int64(j.Shape.Bytes())
+	}
+	j.Done()
 }
 
 func (d *Device) checkOwned(p mem.Ptr) {

@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"math/rand"
+	"os"
 
 	"mv2sim/internal/alloc"
 	"strings"
@@ -295,17 +296,32 @@ func TestPropAllocatorInvariants(t *testing.T) {
 	}
 }
 
+// newEngine returns the engine MV2SIM_ENGINE names (serial by default),
+// shut down when the test ends.
+func newEngine(t *testing.T) sim.Engine {
+	e, err := sim.NewByName(os.Getenv("MV2SIM_ENGINE"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e.Shutdown)
+	return e
+}
+
+// copyJob is a job copying width x height bytes from src to dst that
+// records its completion time in *at.
+func copyJob(e sim.Engine, dst mem.Ptr, dpitch int, src mem.Ptr, spitch, width, height int, at *sim.Time) *Job {
+	return &Job{Dst: dst, Src: src, Shape: CopyShape{Width: width, Height: height, DPitch: dpitch, SPitch: spitch},
+		Chunk: -1, Done: func() { *at = e.Now() }}
+}
+
 func TestExecCopyMovesBytesAtCompletion(t *testing.T) {
-	e := sim.New()
+	e := newEngine(t)
 	d := newTestDevice(e)
 	h := mem.NewHostSpace("h", 4096)
 	dp := d.MustMalloc(4096)
 	mem.Fill(h.Base(), 4096, func(i int) byte { return byte(i ^ 0x5a) })
 	var doneAt sim.Time
-	e.Spawn("copier", func(p *sim.Proc) {
-		d.ExecCopy(p, dp, 4096, h.Base(), 4096, 4096, 1)
-		doneAt = p.Now()
-	})
+	d.Exec(copyJob(e, dp, 4096, h.Base(), 4096, 4096, 1, &doneAt))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -320,33 +336,28 @@ func TestExecCopyMovesBytesAtCompletion(t *testing.T) {
 	if st.Copies[H2D] != 1 || st.Bytes[H2D] != 4096 {
 		t.Errorf("stats = %+v", st)
 	}
+	if len(st.Copies) != 1 || len(st.Bytes) != 1 {
+		t.Errorf("stats list unused directions: %+v", st)
+	}
 }
 
 func TestEngineSerialization(t *testing.T) {
 	// Two D2H copies serialize on the D2H engine; an H2D copy overlaps.
-	e := sim.New()
+	e := newEngine(t)
 	d := newTestDevice(e)
 	h := mem.NewHostSpace("h", 1<<16)
 	dp := d.MustMalloc(1 << 16)
 	const n = 1 << 14
 	cost := d.Model().CopyCost(D2H, Shape1D(n))
-	var d2hDone, h2dDone sim.Time
-	e.Spawn("d2h-a", func(p *sim.Proc) {
-		d.ExecCopy(p, h.Base(), n, dp, n, n, 1)
-	})
-	e.Spawn("d2h-b", func(p *sim.Proc) {
-		d.ExecCopy(p, h.Base().Add(n), n, dp.Add(n), n, n, 1)
-		d2hDone = p.Now()
-	})
-	e.Spawn("h2d", func(p *sim.Proc) {
-		d.ExecCopy(p, dp.Add(2*n), n, h.Base().Add(2*n), n, n, 1)
-		h2dDone = p.Now()
-	})
+	var d2hA, d2hDone, h2dDone sim.Time
+	d.Exec(copyJob(e, h.Base(), n, dp, n, n, 1, &d2hA))
+	d.Exec(copyJob(e, h.Base().Add(n), n, dp.Add(n), n, n, 1, &d2hDone))
+	d.Exec(copyJob(e, dp.Add(2*n), n, h.Base().Add(2*n), n, n, 1, &h2dDone))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if d2hDone != 2*cost {
-		t.Errorf("second D2H done at %v, want %v (serialized)", d2hDone, 2*cost)
+	if d2hA != cost || d2hDone != 2*cost {
+		t.Errorf("D2H copies done at %v and %v, want %v and %v (serialized)", d2hA, d2hDone, cost, 2*cost)
 	}
 	h2dCost := d.Model().CopyCost(H2D, Shape1D(n))
 	if h2dDone != h2dCost {
@@ -355,14 +366,12 @@ func TestEngineSerialization(t *testing.T) {
 }
 
 func TestExecKernel(t *testing.T) {
-	e := sim.New()
+	e := newEngine(t)
 	d := newTestDevice(e)
 	ran := false
 	var at sim.Time
-	e.Spawn("k", func(p *sim.Proc) {
-		d.ExecKernel(p, 1000, 1.0, func() { ran = true })
-		at = p.Now()
-	})
+	d.Exec(&Job{Kernel: true, Cells: 1000, NsPerCell: 1.0, Body: func() { ran = true }, Chunk: -1,
+		Done: func() { at = e.Now() }})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -383,17 +392,13 @@ func TestCrossDeviceCopyPanics(t *testing.T) {
 	d1 := New(e, 1, Config{MemBytes: 4096})
 	p0 := d0.MustMalloc(64)
 	p1 := d1.MustMalloc(64)
-	e.Spawn("bad", func(p *sim.Proc) {
-		defer func() {
-			if recover() == nil {
-				t.Error("cross-device copy did not panic")
-			}
-		}()
-		d0.ExecCopy(p, p0, 64, p1, 64, 64, 1)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("cross-device copy did not panic")
+		}
+	}()
+	var at sim.Time
+	d0.Exec(copyJob(e, p0, 64, p1, 64, 64, 1, &at))
 }
 
 func TestEngineKindString(t *testing.T) {

@@ -96,6 +96,7 @@ type Fabric struct {
 	hcas  map[int]*HCA
 	hub   *obs.Hub
 	bufs  BufPool
+	free  *transfer // recycled transfer records
 }
 
 // BufPool recycles host payload buffers by exact length: RDMA write
@@ -269,14 +270,11 @@ type HCA struct {
 	regions  map[uint32]Region
 	nextRkey uint32
 	stats    Stats
-	seq      int
 
 	// precomputed obs counter names
 	txCtr, rxCtr string
-	// precomputed transfer names: the local-completion event, and the
-	// per-destination prefix "hcaN->D." of each transfer's process
-	txDone     string
-	sendPrefix []string
+	// precomputed name of every transfer's local-completion event
+	txDone string
 }
 
 // Node returns the node ID this HCA serves.
@@ -284,18 +282,6 @@ func (h *HCA) Node() int { return h.node }
 
 // Buffers returns the fabric's payload buffer pool.
 func (h *HCA) Buffers() *BufPool { return &h.f.bufs }
-
-// sendName returns the prefix "hcaN->dst." that transmit numbers its
-// processes with, built once per destination.
-func (h *HCA) sendName(dst int) string {
-	for len(h.sendPrefix) <= dst {
-		h.sendPrefix = append(h.sendPrefix, "")
-	}
-	if h.sendPrefix[dst] == "" {
-		h.sendPrefix[dst] = fmt.Sprintf("hca%d->%d.", h.node, dst)
-	}
-	return h.sendPrefix[dst]
-}
 
 // Model returns the fabric cost model this HCA operates under.
 func (h *HCA) Model() Model { return h.f.model }
@@ -347,11 +333,12 @@ func (h *HCA) wireTime(n int) sim.Time {
 	return h.f.model.PostOverhead + sim.DurationOf(n, h.f.model.Bandwidth)
 }
 
-// transmit implements the shared egress/ingress path: snapshot is the
-// payload already captured at post time; deliver runs in engine context at
-// the remote side once the bytes have fully arrived. kind classifies the
-// operation for tracing. railIdx selects which of the sender's (and,
-// symmetrically, the receiver's) rails the transfer serializes on.
+// transmit implements the shared egress/ingress path: n bytes go from h
+// to node dst on rail railIdx of both HCAs, and the returned event fires
+// at local completion (the last byte has left the sender). kind
+// classifies the operation for tracing. The caller fills in the
+// returned record's delivery fields (see transfer) before
+// control returns to the engine.
 //
 // parent/chunk thread pipeline identity into the trace: the tx task is a
 // child of parent (typically the sender's rdma stage span) tagged with the
@@ -359,7 +346,7 @@ func (h *HCA) wireTime(n int) sim.Time {
 // span because it outlives local completion — carries the same chunk tag
 // plus an explicit wire dependency edge back to the tx task, which is how
 // the critical-path analyzer crosses ranks.
-func (h *HCA) transmit(dst int, nbytes int, kind string, railIdx int, parent obs.Span, chunk int, deliver func(rx *HCA, wire obs.Task)) *sim.Event {
+func (h *HCA) transmit(dst int, n int, kind string, railIdx int, parent obs.Span, chunk int) *transfer {
 	rx := h.f.hcas[dst]
 	if rx == nil {
 		panic(fmt.Sprintf("ib: no HCA for destination node %d", dst))
@@ -367,37 +354,116 @@ func (h *HCA) transmit(dst int, nbytes int, kind string, railIdx int, parent obs
 	if rx == h {
 		panic("ib: loopback transfer; same-node communication does not use the fabric")
 	}
-	txRail, rxRail := h.railAt(railIdx), rx.railAt(railIdx)
-	localDone := h.f.e.NewEvent(h.txDone)
-	h.seq++
-	txRail.queued++
-	h.f.hub.Counter(txRail.qCtr, float64(txRail.queued))
-	h.f.e.SpawnNumbered(h.sendName(dst), h.seq, func(p *sim.Proc) {
-		txRail.sendLink.Acquire(p)
-		tx := h.f.hub.StartChild(parent, kind, txRail.txTrack, chunk, nbytes)
-		p.Sleep(h.wireTime(nbytes))
-		tx.End()
-		txRail.sendLink.Release()
-		txRail.queued--
-		h.f.hub.Counter(txRail.qCtr, float64(txRail.queued))
-		localDone.Trigger() // last byte has left the sender
-		h.stats.BytesTx += int64(nbytes)
-		h.f.hub.Counter(h.txCtr, float64(h.stats.BytesTx))
-		p.Sleep(h.f.model.Latency)
-		rxRail.recvLink.Acquire(p)
-		// Ingress serialization: the receive link is occupied while the
-		// payload streams in. Short control messages cost only their
-		// header-size time.
-		in := h.f.hub.Start(kind, rxRail.rxTrack, chunk, nbytes)
-		in.DependsOnTask(tx.Task(), obs.DepWire)
-		p.Sleep(sim.DurationOf(nbytes, h.f.model.Bandwidth) / 8)
-		in.End()
-		rxRail.recvLink.Release()
-		rx.stats.BytesRx += int64(nbytes)
-		h.f.hub.Counter(rx.rxCtr, float64(rx.stats.BytesRx))
-		deliver(rx, in.Task())
-	})
-	return localDone
+	t := h.f.newTransfer()
+	t.h, t.rx = h, rx
+	t.txRail, t.rxRail = h.railAt(railIdx), rx.railAt(railIdx)
+	t.n, t.kind, t.railIdx, t.parent, t.chunk = n, kind, railIdx, parent, chunk
+	t.localDone = h.f.e.NewEvent(h.txDone)
+	t.txRail.queued++
+	h.f.hub.Counter(t.txRail.qCtr, float64(t.txRail.queued))
+	h.f.e.CallAt(h.f.e.Now(), t.startFn)
+	return t
+}
+
+// transfer is one wire transfer in flight. The HCA hardware is modeled
+// as a state machine, not a process: each step below is a scheduled call
+// in the (time, seq) slot where a transfer process would have resumed —
+// start where it would have started, wire after the send link is
+// granted, sent after the wire time, arrive after the latency, ingress
+// after the receive link is granted, and landed after the ingress time.
+// Records are pooled per fabric, with their step method values bound once.
+type transfer struct {
+	h, rx          *HCA
+	txRail, rxRail *rail
+	n              int
+	kind           string
+	railIdx        int
+	parent         obs.Span
+	chunk          int
+	localDone      *sim.Event
+	tx, in         obs.Span
+
+	// Delivery: a two-sided send (send set) hands msg and snap to the
+	// receiver's handler; an RDMA write deposits snap at rkey+roff.
+	send bool
+	msg  Message
+	snap []byte
+	rkey uint32
+	roff int
+
+	startFn, wireFn, sentFn, arriveFn, ingressFn, landedFn func()
+	next                                                   *transfer
+}
+
+// newTransfer takes a record from the fabric's pool.
+func (f *Fabric) newTransfer() *transfer {
+	t := f.free
+	if t == nil {
+		t = &transfer{}
+		t.startFn, t.wireFn, t.sentFn = t.start, t.wire, t.sent
+		t.arriveFn, t.ingressFn, t.landedFn = t.arrive, t.ingress, t.landed
+		return t
+	}
+	f.free = t.next
+	t.next = nil
+	return t
+}
+
+func (t *transfer) start() { t.txRail.sendLink.AcquireThen(t.wireFn) }
+
+func (t *transfer) wire() {
+	t.tx = t.h.f.hub.StartChild(t.parent, t.kind, t.txRail.txTrack, t.chunk, t.n)
+	t.h.f.e.CallAt(t.h.f.e.Now()+t.h.wireTime(t.n), t.sentFn)
+}
+
+func (t *transfer) sent() {
+	h := t.h
+	t.tx.End()
+	t.txRail.sendLink.Release()
+	t.txRail.queued--
+	h.f.hub.Counter(t.txRail.qCtr, float64(t.txRail.queued))
+	t.localDone.Trigger() // last byte has left the sender
+	h.stats.BytesTx += int64(t.n)
+	h.f.hub.Counter(h.txCtr, float64(h.stats.BytesTx))
+	h.f.e.CallAt(h.f.e.Now()+h.f.model.Latency, t.arriveFn)
+}
+
+func (t *transfer) arrive() { t.rxRail.recvLink.AcquireThen(t.ingressFn) }
+
+// ingress occupies the receive link while the payload streams in. Short
+// control messages cost only their header-size time.
+func (t *transfer) ingress() {
+	t.in = t.h.f.hub.Start(t.kind, t.rxRail.rxTrack, t.chunk, t.n)
+	t.in.DependsOnTask(t.tx.Task(), obs.DepWire)
+	t.h.f.e.CallAt(t.h.f.e.Now()+sim.DurationOf(t.n, t.h.f.model.Bandwidth)/8, t.landedFn)
+}
+
+// landed completes the transfer at the receiver: the record goes back to
+// the pool, then the payload is delivered, so a handler that posts a
+// reply can reuse it.
+func (t *transfer) landed() {
+	f, rx := t.h.f, t.rx
+	t.in.End()
+	t.rxRail.recvLink.Release()
+	rx.stats.BytesRx += int64(t.n)
+	f.hub.Counter(rx.rxCtr, float64(rx.stats.BytesRx))
+	from, wire := t.h.node, t.in.Task()
+	send, msg, snap, rkey, roff, railIdx := t.send, t.msg, t.snap, t.rkey, t.roff, t.railIdx
+	*t = transfer{
+		startFn: t.startFn, wireFn: t.wireFn, sentFn: t.sentFn,
+		arriveFn: t.arriveFn, ingressFn: t.ingressFn, landedFn: t.landedFn,
+		next: f.free,
+	}
+	f.free = t
+	if !send {
+		rx.deposit(rkey, roff, snap, railIdx, wire)
+		return
+	}
+	if rx.handler == nil {
+		panic(fmt.Sprintf("ib: message for node %d dropped: no handler", rx.node))
+	}
+	rx.handler(from, msg, snap)
+	f.bufs.Put(snap)
 }
 
 // headerBytes approximates the wire size of a header-only message.
@@ -418,13 +484,9 @@ func (h *HCA) PostSendRail(dst int, msg Message, payload []byte, railIdx int) *s
 	snap := h.f.bufs.Get(len(payload))
 	copy(snap, payload)
 	h.stats.SendsPosted++
-	return h.transmit(dst, headerBytes+len(snap), obs.KindSend, railIdx, obs.Span{}, -1, func(rx *HCA, _ obs.Task) {
-		if rx.handler == nil {
-			panic(fmt.Sprintf("ib: message for node %d dropped: no handler", rx.node))
-		}
-		rx.handler(h.node, msg, snap)
-		h.f.bufs.Put(snap)
-	})
+	t := h.transmit(dst, headerBytes+len(snap), obs.KindSend, railIdx, obs.Span{}, -1)
+	t.send, t.msg, t.snap = true, msg, snap
+	return t.localDone
 }
 
 // RDMAWrite transfers n bytes from local memory src into the remote region
@@ -454,9 +516,15 @@ func (h *HCA) RDMAWriteRailTask(dst int, src mem.Ptr, n int, rkey uint32, roff, 
 	snap := h.f.bufs.Get(n)
 	h.f.e.TaskAt(h.f.e.Now(), func() { copy(snap, src.Bytes(n)) })
 	h.stats.RDMAWrites++
-	return h.transmit(dst, n, obs.KindRDMA, railIdx, parent, chunk, func(rx *HCA, wire obs.Task) {
-		rx.deposit(rkey, roff, snap, railIdx, wire)
-	})
+	return h.writeSnapshot(dst, snap, rkey, roff, railIdx, parent, chunk)
+}
+
+// writeSnapshot transmits an RDMA write whose payload snap has been
+// captured, to be deposited at rkey+roff on delivery.
+func (h *HCA) writeSnapshot(dst int, snap []byte, rkey uint32, roff, railIdx int, parent obs.Span, chunk int) *sim.Event {
+	t := h.transmit(dst, len(snap), obs.KindRDMA, railIdx, parent, chunk)
+	t.snap, t.rkey, t.roff = snap, rkey, roff
+	return t.localDone
 }
 
 // deposit lands an arrived RDMA write payload in the target region: a
@@ -500,44 +568,88 @@ func (h *HCA) RDMARead(dst mem.Ptr, from int, rkey uint32, roff, n int) *sim.Eve
 	if tx == h {
 		panic("ib: loopback read; same-node communication does not use the fabric")
 	}
-	done := h.f.e.NewEvent(fmt.Sprintf("hca%d.read.done", h.node))
-	h.seq++
+	r := &rdmaRead{
+		h: h, tx: tx, reqRail: h.railAt(0), respRail: tx.railAt(0),
+		dst: dst, rkey: rkey, roff: roff, n: n,
+		done: h.f.e.NewEvent(fmt.Sprintf("hca%d.read.done", h.node)),
+	}
 	h.stats.RDMAReads++
-	reqRail, respRail := h.railAt(0), tx.railAt(0)
-	h.f.e.Spawn(fmt.Sprintf("hca%d<-%d.%d", h.node, from, h.seq), func(p *sim.Proc) {
-		// Request: a header-sized message out on our send link.
-		reqRail.sendLink.Acquire(p)
-		reqSp := h.f.hub.Start(obs.KindRDMARead, reqRail.txTrack, -1, headerBytes)
-		p.Sleep(h.wireTime(headerBytes))
-		reqSp.End()
-		reqRail.sendLink.Release()
-		p.Sleep(h.f.model.Latency)
-		// Response: the target streams the payload from its link.
-		reg, ok := tx.regions[rkey]
-		if !ok {
-			panic(fmt.Sprintf("ib: RDMA read of unknown rkey %d on node %d", rkey, tx.node))
-		}
-		if roff < 0 || roff+n > reg.len {
-			panic(fmt.Sprintf("ib: RDMA read [%d,%d) outside region of %d bytes", roff, roff+n, reg.len))
-		}
-		respRail.sendLink.Acquire(p)
-		respSp := h.f.hub.Start(obs.KindRDMARead, respRail.txTrack, -1, n)
-		snap := append([]byte(nil), reg.ptr.Add(roff).Bytes(n)...)
-		p.Sleep(tx.wireTime(n))
-		respSp.End()
-		respRail.sendLink.Release()
-		tx.stats.BytesTx += int64(n)
-		h.f.hub.Counter(tx.txCtr, float64(tx.stats.BytesTx))
-		p.Sleep(h.f.model.Latency)
-		reqRail.recvLink.Acquire(p)
-		inSp := h.f.hub.Start(obs.KindRDMARead, reqRail.rxTrack, -1, n)
-		p.Sleep(sim.DurationOf(n, h.f.model.Bandwidth) / 8)
-		inSp.End()
-		reqRail.recvLink.Release()
-		h.stats.BytesRx += int64(n)
-		h.f.hub.Counter(h.rxCtr, float64(h.stats.BytesRx))
-		copy(dst.Bytes(n), snap)
-		done.Trigger()
-	})
-	return done
+	h.f.e.CallAt(h.f.e.Now(), r.start)
+	return r.done
+}
+
+// rdmaRead is one RDMA read in flight: like a transfer, a chain of
+// scheduled calls, each where a process performing the read would have
+// resumed.
+type rdmaRead struct {
+	h, tx               *HCA // reader and target
+	reqRail, respRail   *rail
+	dst                 mem.Ptr
+	rkey                uint32
+	roff, n             int
+	done                *sim.Event
+	reg                 Region
+	snap                []byte
+	reqSp, respSp, inSp obs.Span
+}
+
+func (r *rdmaRead) after(d sim.Time, fn func()) { r.h.f.e.CallAt(r.h.f.e.Now()+d, fn) }
+
+func (r *rdmaRead) start() { r.reqRail.sendLink.AcquireThen(r.request) }
+
+// request sends a header-sized message out on the reader's send link.
+func (r *rdmaRead) request() {
+	r.reqSp = r.h.f.hub.Start(obs.KindRDMARead, r.reqRail.txTrack, -1, headerBytes)
+	r.after(r.h.wireTime(headerBytes), r.requested)
+}
+
+func (r *rdmaRead) requested() {
+	r.reqSp.End()
+	r.reqRail.sendLink.Release()
+	r.after(r.h.f.model.Latency, r.arrived)
+}
+
+func (r *rdmaRead) arrived() {
+	reg, ok := r.tx.regions[r.rkey]
+	if !ok {
+		panic(fmt.Sprintf("ib: RDMA read of unknown rkey %d on node %d", r.rkey, r.tx.node))
+	}
+	if r.roff < 0 || r.roff+r.n > reg.len {
+		panic(fmt.Sprintf("ib: RDMA read [%d,%d) outside region of %d bytes", r.roff, r.roff+r.n, reg.len))
+	}
+	r.reg = reg
+	r.respRail.sendLink.AcquireThen(r.respond)
+}
+
+// respond streams the payload from the target's send link.
+func (r *rdmaRead) respond() {
+	r.respSp = r.h.f.hub.Start(obs.KindRDMARead, r.respRail.txTrack, -1, r.n)
+	r.snap = append([]byte(nil), r.reg.ptr.Add(r.roff).Bytes(r.n)...)
+	r.after(r.tx.wireTime(r.n), r.responded)
+}
+
+func (r *rdmaRead) responded() {
+	tx := r.tx
+	r.respSp.End()
+	r.respRail.sendLink.Release()
+	tx.stats.BytesTx += int64(r.n)
+	r.h.f.hub.Counter(tx.txCtr, float64(tx.stats.BytesTx))
+	r.after(r.h.f.model.Latency, r.arrive)
+}
+
+func (r *rdmaRead) arrive() { r.reqRail.recvLink.AcquireThen(r.ingress) }
+
+func (r *rdmaRead) ingress() {
+	r.inSp = r.h.f.hub.Start(obs.KindRDMARead, r.reqRail.rxTrack, -1, r.n)
+	r.after(sim.DurationOf(r.n, r.h.f.model.Bandwidth)/8, r.landed)
+}
+
+func (r *rdmaRead) landed() {
+	h := r.h
+	r.inSp.End()
+	r.reqRail.recvLink.Release()
+	h.stats.BytesRx += int64(r.n)
+	h.f.hub.Counter(h.rxCtr, float64(h.stats.BytesRx))
+	copy(r.dst.Bytes(r.n), r.snap)
+	r.done.Trigger()
 }

@@ -185,6 +185,29 @@ func (h *HCA) RegisterScatterRegion(sg SGDesc, chunkBytes int, done func(chunk i
 	return r
 }
 
+// walk runs one descriptor on rl's SGE unit. The unit is modeled as a
+// chain of scheduled calls, not a process: it starts at the current
+// instant, waits for the engine, then begin opens the walk's span and
+// returns its memory work, which is a task due when the walk completes.
+// At completion the span ends, the engine is released and then runs.
+func (h *HCA) walk(rl *rail, sg SGDesc, begin func() (obs.Span, func()), then func()) {
+	e := h.f.e
+	var sp obs.Span
+	finish := func() {
+		sp.End()
+		rl.sgEngine.Release()
+		then()
+	}
+	granted := func() {
+		at := e.Now() + h.f.model.GatherCost(sg.N, sg.Segments())
+		var work func()
+		sp, work = begin()
+		e.TaskAt(at, work)
+		e.CallAt(at, finish)
+	}
+	e.CallAt(e.Now(), func() { rl.sgEngine.AcquireThen(granted) })
+}
+
 // scatterDeposit routes an arrived write through the receiving rail's SGE
 // unit: acquire the engine, walk the chunk's descriptor for its modeled
 // cost, land the bytes in the typed buffer, release, and report the chunk
@@ -194,23 +217,18 @@ func (h *HCA) RegisterScatterRegion(sg SGDesc, chunkBytes int, done func(chunk i
 func (h *HCA) scatterDeposit(reg Region, roff int, snap []byte, railIdx int, wire obs.Task) {
 	sc := reg.sc
 	chunk := roff / sc.chunkBytes
+	sub := sc.sg.sub(roff, len(snap))
 	rl := h.railAt(railIdx)
-	h.seq++
-	h.f.e.Spawn(fmt.Sprintf("hca%d.scatter.%d", h.node, h.seq), func(p *sim.Proc) {
-		rl.sgEngine.Acquire(p)
-		sub := sc.sg.sub(roff, len(snap))
-		cost := h.f.model.GatherCost(sub.N, sub.Segments())
+	h.walk(rl, sub, func() (obs.Span, func()) {
 		sp := h.f.hub.Start(obs.KindNicScatter, rl.sgeTrack, chunk, sub.N)
 		sp.DependsOnTask(wire, obs.DepStage)
 		// The typed bytes are due when the scatter completes; snap is the
 		// wire payload, recycled once the scatter has read it.
-		h.f.e.TaskAt(h.f.e.Now()+cost, func() {
+		return sp, func() {
 			sub.scatter(snap)
 			h.f.bufs.Put(snap)
-		})
-		p.Sleep(cost)
-		sp.End()
-		rl.sgEngine.Release()
+		}
+	}, func() {
 		if sc.done != nil {
 			sc.done(chunk)
 		}
@@ -230,21 +248,15 @@ func (h *HCA) RDMAWriteGatherRailTask(dst int, sg SGDesc, rkey uint32, roff, rai
 	rl := h.railAt(railIdx)
 	done := h.f.e.NewEvent(fmt.Sprintf("hca%d.gather.done", h.node))
 	h.stats.RDMAWrites++
-	h.seq++
-	h.f.e.Spawn(fmt.Sprintf("hca%d.gather.%d", h.node, h.seq), func(p *sim.Proc) {
-		rl.sgEngine.Acquire(p)
-		cost := h.f.model.GatherCost(sg.N, sg.Segments())
+	var snap []byte
+	h.walk(rl, sg, func() (obs.Span, func()) {
 		g := h.f.hub.StartChild(parent, obs.KindNicGather, rl.sgeTrack, chunk, sg.N)
-		snap := h.f.bufs.Get(sg.N)
+		snap = h.f.bufs.Get(sg.N)
 		// The unit's DMA read of the segments is due at gather completion;
 		// the poster owns the typed buffer until the transfer completes.
-		h.f.e.TaskAt(h.f.e.Now()+cost, func() { sg.gather(snap) })
-		p.Sleep(cost)
-		g.End()
-		rl.sgEngine.Release()
-		ev := h.transmit(dst, sg.N, obs.KindRDMA, railIdx, parent, chunk, func(rx *HCA, wire obs.Task) {
-			rx.deposit(rkey, roff, snap, railIdx, wire)
-		})
+		return g, func() { sg.gather(snap) }
+	}, func() {
+		ev := h.writeSnapshot(dst, snap, rkey, roff, railIdx, parent, chunk)
 		if onWirePosted != nil {
 			onWirePosted()
 		}
@@ -261,16 +273,9 @@ func (h *HCA) RDMAWriteGatherRailTask(dst int, sg SGDesc, rkey uint32, roff, rai
 func (h *HCA) ExecuteGather(sg SGDesc, dst []byte) *sim.Event {
 	rl := h.railAt(0)
 	done := h.f.e.NewEvent(fmt.Sprintf("hca%d.gather.done", h.node))
-	h.seq++
-	h.f.e.Spawn(fmt.Sprintf("hca%d.gather.%d", h.node, h.seq), func(p *sim.Proc) {
-		rl.sgEngine.Acquire(p)
-		cost := h.f.model.GatherCost(sg.N, sg.Segments())
+	h.walk(rl, sg, func() (obs.Span, func()) {
 		sp := h.f.hub.Start(obs.KindNicGather, rl.sgeTrack, -1, sg.N)
-		h.f.e.TaskAt(h.f.e.Now()+cost, func() { sg.gather(dst) })
-		p.Sleep(cost)
-		sp.End()
-		rl.sgEngine.Release()
-		done.Trigger()
-	})
+		return sp, func() { sg.gather(dst) }
+	}, done.Trigger)
 	return done
 }

@@ -478,7 +478,6 @@ var simVisibleMethods = map[[3]string]bool{
 	{simPath, "Engine", "Spawn"}:            true,
 	{simPath, "Engine", "SpawnAt"}:          true,
 	{simPath, "Engine", "SpawnNumbered"}:    true,
-	{simPath, "Engine", "SpawnDaemon"}:      true,
 	{simPath, "Engine", "Run"}:              true,
 	{simPath, "Engine", "RunUntil"}:         true,
 	{simPath, "Engine", "Shutdown"}:         true,
@@ -495,7 +494,6 @@ var simVisibleMethods = map[[3]string]bool{
 	{simPath, "engineCore", "Spawn"}:            true,
 	{simPath, "engineCore", "SpawnAt"}:          true,
 	{simPath, "engineCore", "SpawnNumbered"}:    true,
-	{simPath, "engineCore", "SpawnDaemon"}:      true,
 	{simPath, "engineCore", "Run"}:              true,
 	{simPath, "engineCore", "RunUntil"}:         true,
 	{simPath, "engineCore", "Shutdown"}:         true,
@@ -506,12 +504,14 @@ var simVisibleMethods = map[[3]string]bool{
 	{simPath, "ParallelEngine", "Shutdown"}:     true,
 	{simPath, "Event", "Trigger"}:               true,
 	{simPath, "Event", "OnTrigger"}:             true,
+	{simPath, "Event", "Then"}:                  true,
 	{simPath, "Proc", "Wait"}:                   true,
 	{simPath, "Proc", "WaitAll"}:                true,
 	{simPath, "Proc", "WaitAny"}:                true,
 	{simPath, "Proc", "Sleep"}:                  true,
 	{simPath, "Proc", "Yield"}:                  true,
 	{simPath, "Resource", "Acquire"}:            true,
+	{simPath, "Resource", "AcquireThen"}:        true,
 	{simPath, "Resource", "TryAcquire"}:         true,
 	{simPath, "Resource", "Release"}:            true,
 	{simPath, "Resource", "Use"}:                true,

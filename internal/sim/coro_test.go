@@ -26,7 +26,7 @@ func withinDeadline(t *testing.T, what string, fn func()) {
 }
 
 // TestShutdownReleasesCarriers leaves every kind of carrier behind — a
-// daemon blocked on an empty queue, a deadlocked process and idle
+// server blocked on an empty queue, a deadlocked process and idle
 // carriers whose processes finished — in 50 engines, and checks that
 // Shutdown ends every carrier goroutine before it returns.
 func TestShutdownReleasesCarriers(t *testing.T) {
@@ -34,7 +34,7 @@ func TestShutdownReleasesCarriers(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		e := New()
 		q := NewQueue[int](e, "work")
-		e.SpawnDaemon("server", func(p *Proc) {
+		e.Spawn("server", func(p *Proc) {
 			for {
 				q.Get(p)
 			}
@@ -68,13 +68,14 @@ func TestShutdownRunsBlockedDefers(t *testing.T) {
 	e := New()
 	never := e.NewEvent("never")
 	deferred, resumed := false, false
-	e.SpawnDaemon("waiter", func(p *Proc) {
+	e.Spawn("waiter", func(p *Proc) {
 		defer func() { deferred = true }()
 		p.Wait(never)
 		resumed = true
 	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
+	var de *DeadlockError
+	if err := e.Run(); !errors.As(err, &de) {
+		t.Fatalf("Run = %v, want DeadlockError", err)
 	}
 	if deferred {
 		t.Fatal("deferred call ran before Shutdown")
@@ -94,19 +95,20 @@ func TestShutdownEndsRecoveringBody(t *testing.T) {
 	var lines []string
 	e.SetTracer(func(_ Time, msg string) { lines = append(lines, msg) })
 	never := e.NewEvent("never")
-	e.SpawnDaemon("swallow", func(p *Proc) {
+	e.Spawn("swallow", func(p *Proc) {
 		defer func() { recover() }()
 		p.Wait(never)
 	})
-	e.SpawnDaemon("reblock", func(p *Proc) {
+	e.Spawn("reblock", func(p *Proc) {
 		defer func() {
 			recover()
 			p.Sleep(Nanosecond)
 		}()
 		p.Wait(never)
 	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
+	var de *DeadlockError
+	if err := e.Run(); !errors.As(err, &de) {
+		t.Fatalf("Run = %v, want DeadlockError", err)
 	}
 	before := len(lines)
 	withinDeadline(t, "Shutdown", e.Shutdown)
@@ -156,7 +158,7 @@ func TestCarrierReuse(t *testing.T) {
 func TestShutdownAfterProcPanic(t *testing.T) {
 	e := New()
 	never := e.NewEvent("never")
-	e.SpawnDaemon("blocked", func(p *Proc) { p.Wait(never) })
+	e.Spawn("blocked", func(p *Proc) { p.Wait(never) })
 	e.Spawn("boom", func(p *Proc) {
 		p.Sleep(5)
 		panic("kaboom")
@@ -172,8 +174,9 @@ func TestShutdownAfterProcPanic(t *testing.T) {
 	carriers := len(e.carriers)
 	ran := false
 	e.Spawn("after", func(p *Proc) { ran = true })
-	if err := e.Run(); err != nil || !ran {
-		t.Fatalf("Run after panic = %v, ran=%v", err, ran)
+	var de *DeadlockError
+	if err := e.Run(); !errors.As(err, &de) || !ran {
+		t.Fatalf("Run after panic = %v, ran=%v; want the blocked process's DeadlockError", err, ran)
 	}
 	if len(e.carriers) != carriers {
 		t.Errorf("spawn after panic created a carrier: %d -> %d", carriers, len(e.carriers))
@@ -182,14 +185,13 @@ func TestShutdownAfterProcPanic(t *testing.T) {
 }
 
 // TestDeadlockReportFormatsReasons pins the deadlock text built from each
-// process's reason and awaited event: sorted, daemons excluded.
+// process's reason and awaited event, sorted.
 func TestDeadlockReportFormatsReasons(t *testing.T) {
 	e := New()
 	defer e.Shutdown()
 	a, b := e.NewEvent("a"), e.NewEvent("b")
 	e.Spawn("y", func(p *Proc) { p.Wait(b) })
 	e.Spawn("x", func(p *Proc) { p.Wait(a) })
-	e.SpawnDaemon("d", func(p *Proc) { p.Wait(a) })
 	var de *DeadlockError
 	if err := e.Run(); !errors.As(err, &de) {
 		t.Fatalf("Run = %v, want DeadlockError", err)

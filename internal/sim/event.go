@@ -12,14 +12,34 @@ import (
 // current waiters at the current virtual time and running registered
 // callbacks inline; later Trigger calls are no-ops. Waiting on an already
 // fired event returns immediately without blocking.
+//
+// A waiter is either a process blocked in Wait or a continuation queued
+// with Then; the two share one arrival order.
 type Event struct {
 	e       *engineCore
 	name    label
 	fired   bool
 	firedAt Time
-	first   *Proc   // first waiter, kept inline so a lone Wait allocates nothing
-	waiters []*Proc // later waiters, in arrival order
+	first   waiter   // first waiter, kept inline so a lone Wait or Then allocates nothing
+	waiters []waiter // later waiters, in arrival order
 	cbs     []func()
+}
+
+// waiter is one party an event wakes when it fires: a process to resume,
+// or a continuation to call.
+type waiter struct {
+	p  *Proc
+	fn func()
+}
+
+// wake schedules the waiter at the current instant. A continuation takes
+// the slot — the next seq — that resuming a process would take.
+func (w waiter) wake(e *engineCore) {
+	if w.p != nil {
+		w.p.scheduleResume(e.now)
+	} else {
+		e.CallAt(e.now, w.fn)
+	}
 }
 
 // label is a process or event name kept as a prefix and an optional
@@ -66,10 +86,10 @@ func (ev *Event) FiredAt() Time {
 	return ev.firedAt
 }
 
-// Trigger fires the event. Waiters are resumed at the current instant in
-// the order they began waiting; callbacks run inline, in registration
-// order, before Trigger returns. Triggering an already-fired event is a
-// no-op.
+// Trigger fires the event. Waiters are resumed (processes) or scheduled
+// (continuations) at the current instant in the order they began waiting;
+// callbacks run inline, in registration order, before Trigger returns.
+// Triggering an already-fired event is a no-op.
 func (ev *Event) Trigger() {
 	if ev.fired {
 		return
@@ -77,12 +97,12 @@ func (ev *Event) Trigger() {
 	ev.fired = true
 	ev.firedAt = ev.e.now
 	ev.e.fired(ev.name)
-	if ev.first != nil {
-		ev.first.scheduleResume(ev.e.now)
-		ev.first = nil
+	if ev.hasWaiter() {
+		ev.first.wake(ev.e)
+		ev.first = waiter{}
 	}
-	for _, p := range ev.waiters {
-		p.scheduleResume(ev.e.now)
+	for _, w := range ev.waiters {
+		w.wake(ev.e)
 	}
 	ev.waiters = nil
 	cbs := ev.cbs
@@ -102,19 +122,45 @@ func (ev *Event) OnTrigger(fn func()) {
 	ev.cbs = append(ev.cbs, fn)
 }
 
+// Then queues fn to run in engine context when the event fires, as its
+// own scheduled item: at the trigger instant, in arrival order with
+// processes waiting on the event, so fn runs in exactly the (time, seq)
+// slot where a process that called Wait instead would resume. OnTrigger
+// callbacks, by contrast, run inline inside Trigger. If the event has
+// already fired, fn runs at once, just as Wait returns at once.
+//
+// Hardware models use Then in place of a process blocked in Wait: the
+// continuation replaces the process's resume item one for one, so the
+// event order is the same and no coroutine switch is needed.
+func (ev *Event) Then(fn func()) {
+	if ev.fired {
+		fn()
+		return
+	}
+	ev.add(waiter{fn: fn})
+}
+
 // Wait blocks the process until the event fires. It returns immediately if
 // the event has already fired.
 func (p *Proc) Wait(ev *Event) {
 	if ev.fired {
 		return
 	}
-	if ev.first == nil {
-		ev.first = p
-	} else {
-		ev.waiters = append(ev.waiters, p)
-	}
+	ev.add(waiter{p: p})
 	p.block("wait", ev)
 }
+
+// add appends a waiter in arrival order.
+func (ev *Event) add(w waiter) {
+	if !ev.hasWaiter() {
+		ev.first = w
+	} else {
+		ev.waiters = append(ev.waiters, w)
+	}
+}
+
+// hasWaiter reports whether anything waits on the event.
+func (ev *Event) hasWaiter() bool { return ev.first.p != nil || ev.first.fn != nil }
 
 // WaitAll blocks until every listed event has fired.
 func (p *Proc) WaitAll(evs ...*Event) {
@@ -181,7 +227,7 @@ func (ev *Event) String() string {
 		return fmt.Sprintf("event(%s fired@%v)", ev.name, ev.firedAt)
 	}
 	n := len(ev.waiters)
-	if ev.first != nil {
+	if ev.hasWaiter() {
 		n++
 	}
 	return fmt.Sprintf("event(%s pending, %d waiters)", ev.name, n)

@@ -100,17 +100,21 @@ func TestBlockingWaitsAllocateNothing(t *testing.T) {
 	defer e.Shutdown()
 	q := NewQueue[int](e, "q")
 	var ev *Event
-	e.SpawnDaemon("consumer", func(p *Proc) {
+	e.Spawn("consumer", func(p *Proc) {
 		for {
 			q.Get(p)
 			p.Wait(ev)
 		}
 	})
+	// The consumer ends every round blocked in Get. A far-future item
+	// keeps each round's RunUntil from draining the queue, so no round
+	// builds a deadlock report for it.
+	e.CallAt(Time(1)<<62, func() {})
 	round := func() {
 		ev = e.NewEvent("ev")
 		e.CallAfter(Nanosecond, func() { q.Put(1) })
 		e.CallAfter(2*Nanosecond, ev.Trigger)
-		if err := e.Run(); err != nil {
+		if err := e.RunUntil(e.Now() + 2*Nanosecond); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -5,9 +5,8 @@ package sim
 // until an item is available. Items are delivered in insertion order and
 // waiters are served in arrival order.
 //
-// Queues are the message-passing primitive between simulated components,
-// e.g. a NIC delivering packets to an MPI progress handler, or a stream
-// worker consuming queued copy operations.
+// Queues are the message-passing primitive between simulated processes,
+// e.g. a NIC delivering packets to an MPI progress handler.
 type Queue[T any] struct {
 	e       *engineCore
 	name    string

@@ -1,11 +1,12 @@
 package sim
 
 import (
+	"errors"
 	"sync"
 	"testing"
 )
 
-// workload is a representative simulation: a daemon service loop fed by a
+// workload is a representative simulation: a service loop fed by a
 // queue, a contended resource, event fan-in, and processes spawning
 // processes. It returns the finish time and dispatched-event count so
 // concurrent runs can be checked for determinism.
@@ -22,7 +23,7 @@ func workload(t *testing.T) (Time, uint64) {
 	res := e.NewResource("worker", 2)
 	done := make([]*Event, 8)
 
-	e.SpawnDaemon("service", func(p *Proc) {
+	e.Spawn("service", func(p *Proc) {
 		for {
 			j := q.Get(p)
 			p.Sleep(Time(j.id+1) * Microsecond)
@@ -58,11 +59,13 @@ func workload(t *testing.T) (Time, uint64) {
 		e.Spawn("callback-spawned", func(p *Proc) { p.Sleep(Nanosecond) })
 	})
 
-	if err := e.Run(); err != nil {
-		t.Errorf("workload: %v", err)
+	// The service loop ends blocked on its empty queue.
+	var de *DeadlockError
+	if err := e.Run(); !errors.As(err, &de) || len(de.Blocked) != 1 {
+		t.Errorf("workload: Run = %v, want the service loop's DeadlockError", err)
 	}
 	now, events := e.Now(), e.Events()
-	e.Shutdown() // ends the still-blocked daemon and releases its carrier
+	e.Shutdown() // ends the still-blocked service loop and releases its carrier
 	return now, events
 }
 

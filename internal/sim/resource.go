@@ -8,7 +8,9 @@ import "fmt"
 // of DMA channels (capacity n).
 //
 // Ownership is handed off directly from Release to the head waiter, so a
-// releasing process cannot barge back in front of queued waiters.
+// releasing process cannot barge back in front of queued waiters. A
+// waiter is a process blocked in Acquire or a continuation queued by
+// AcquireThen; both wait on a grant event, in one FIFO.
 type Resource struct {
 	e     *engineCore
 	name  string
@@ -18,7 +20,7 @@ type Resource struct {
 	grant string   // name of the wakeup events, built on first wait
 
 	// Stats.
-	acquires   uint64
+	acquires   uint64 // slots granted, counted when a slot is taken or handed over
 	maxQueue   int
 	busyTime   Time // total slot-occupied time (integrated over slots)
 	lastChange Time
@@ -41,7 +43,8 @@ func (r *Resource) Capacity() int { return r.cap }
 // InUse returns the number of currently occupied slots.
 func (r *Resource) InUse() int { return r.inUse }
 
-// QueueLen returns the number of processes waiting to acquire.
+// QueueLen returns the number of waiters (processes and continuations)
+// queued to acquire.
 func (r *Resource) QueueLen() int { return len(r.queue) }
 
 func (r *Resource) accountChange() {
@@ -51,12 +54,25 @@ func (r *Resource) accountChange() {
 
 // Acquire blocks until a slot is free and takes it.
 func (r *Resource) Acquire(p *Proc) {
-	if r.inUse < r.cap && len(r.queue) == 0 {
-		r.accountChange()
-		r.inUse++
-		r.acquires++
+	if !r.TryAcquire() {
+		p.Wait(r.enqueue())
+	}
+}
+
+// AcquireThen takes a slot for a continuation. If a slot is free, fn runs
+// inline, just as Acquire returns without blocking. Otherwise fn queues
+// behind the other waiters and, once Release hands it the slot, runs in
+// the slot where a process blocked in Acquire at this point would resume.
+func (r *Resource) AcquireThen(fn func()) {
+	if r.TryAcquire() {
+		fn()
 		return
 	}
+	r.enqueue().Then(fn)
+}
+
+// enqueue appends one waiter's grant event to the FIFO.
+func (r *Resource) enqueue() *Event {
 	if r.grant == "" {
 		r.grant = r.name + ".grant"
 	}
@@ -65,9 +81,7 @@ func (r *Resource) Acquire(p *Proc) {
 	if len(r.queue) > r.maxQueue {
 		r.maxQueue = len(r.queue)
 	}
-	p.Wait(ev)
-	// Slot was transferred to us by Release; accounting already done there.
-	r.acquires++
+	return ev
 }
 
 // TryAcquire takes a slot if one is immediately free and reports success.
@@ -92,6 +106,7 @@ func (r *Resource) Release() {
 		head := r.queue[0]
 		r.queue = r.queue[1:]
 		// inUse is unchanged: the slot moves from releaser to waiter.
+		r.acquires++
 		head.Trigger()
 		return
 	}

@@ -27,9 +27,20 @@
 // worker pool and joins each task at its committed slot, which keeps the
 // event order — and therefore every trace byte — identical to serial.
 //
-// All simulated components in this repository (GPU DMA engines, the
-// InfiniBand fabric, the MPI progress engine) are built from the three
-// primitives in this package: Proc, Event and Resource.
+// Software — MPI ranks and the protocol and pipeline stages that act for
+// them — is written as processes. Hardware models (GPU engines, CUDA
+// streams, HCA transfers and scatter/gather units) are state machines
+// that advance by continuations instead: CallAt in place of Sleep,
+// Event.Then in place of Wait, Resource.AcquireThen in place of Acquire.
+// Each continuation is scheduled at exactly the (time, seq) slot where
+// the wake-up of the equivalent process would have been — the next seq at
+// the moment the process would have blocked — so replacing a process by
+// continuations changes neither the event order nor virtual time: only
+// the coroutine switches go, along with the start-up item of a server
+// process that existed just to wait for work.
+//
+// All simulated components in this repository are built from the
+// primitives in this package: Proc, Event, Resource and Queue.
 package sim
 
 import (
@@ -159,8 +170,6 @@ type Engine interface {
 	// SpawnNumbered is Spawn with the name prefix followed by n in
 	// decimal, formatted only when read.
 	SpawnNumbered(prefix string, n int, fn func(p *Proc)) *Proc
-	// SpawnDaemon creates a server process exempt from deadlock detection.
-	SpawnDaemon(name string, fn func(p *Proc)) *Proc
 	// NewEvent creates a named, unfired event.
 	NewEvent(name string) *Event
 	// NewEventNumbered is NewEvent with the name prefix followed by n in
@@ -254,7 +263,7 @@ func (e *engineCore) init(self Engine) {
 // core seals the Engine interface to this package's implementations.
 func (e *engineCore) core() *engineCore { return e }
 
-// Shutdown ends every process still blocked in the engine (daemons
+// Shutdown ends every process still blocked in the engine (servers
 // waiting for work, processes stuck on unfired events) and releases every
 // carrier. A blocked carrier otherwise lives for the lifetime of the Go
 // program and keeps everything it references — entire simulated memories
@@ -437,7 +446,7 @@ func (e *engineCore) run(limit Time) error {
 	}
 	var msgs []string
 	for _, c := range e.carriers {
-		if p := c.p; p != nil && !p.daemon && p.why != "" {
+		if p := c.p; p != nil && p.why != "" {
 			msg := p.name.String() + ": " + p.why
 			if p.on != nil {
 				msg += " " + p.on.waitName()
@@ -492,7 +501,6 @@ type Proc struct {
 	fn       func(p *Proc)
 	c        *carrier // the coroutine running fn
 	done     bool
-	daemon   bool
 	panicked interface{} // panic value captured from the process body
 
 	// Deadlock diagnostics, written by every block: a static reason and,
@@ -525,16 +533,6 @@ func (e *engineCore) Spawn(name string, fn func(p *Proc)) *Proc {
 // report reads it, so per-message processes cost no string.
 func (e *engineCore) SpawnNumbered(prefix string, n int, fn func(p *Proc)) *Proc {
 	return e.spawn(e.now, label{prefix: prefix, n: n, num: true}, fn)
-}
-
-// SpawnDaemon creates a server process that is allowed to remain blocked
-// forever: it is excluded from deadlock detection, so a simulation whose
-// ordinary processes all finish terminates cleanly even while daemons
-// (e.g. CUDA stream workers, NIC service loops) still wait for work.
-func (e *engineCore) SpawnDaemon(name string, fn func(p *Proc)) *Proc {
-	p := e.SpawnAt(e.now, name, fn)
-	p.daemon = true
-	return p
 }
 
 // SpawnAt creates a process starting at absolute time t. The process

@@ -681,41 +681,24 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	}
 }
 
-func TestDaemonExcludedFromDeadlock(t *testing.T) {
-	e := New()
-	q := NewQueue[int](e, "work")
-	served := 0
-	e.SpawnDaemon("server", func(p *Proc) {
-		for {
-			q.Get(p)
-			served++
-		}
-	})
-	e.Spawn("client", func(p *Proc) {
-		p.Sleep(5)
-		q.Put(1)
-		q.Put(2)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("daemon caused deadlock report: %v", err)
-	}
-	if served != 2 {
-		t.Errorf("served = %d, want 2", served)
-	}
-}
-
+// TestNonDaemonStillDeadlocks: a process stuck on an event that can no
+// longer fire is reported even beside a server blocked on its queue.
 func TestNonDaemonStillDeadlocks(t *testing.T) {
 	e := New()
 	q := NewQueue[int](e, "work")
-	e.SpawnDaemon("server", func(p *Proc) {
+	e.Spawn("server", func(p *Proc) {
 		for {
 			q.Get(p)
 		}
 	})
 	ev := e.NewEvent("never")
 	e.Spawn("stuck", func(p *Proc) { p.Wait(ev) })
-	if _, ok := e.Run().(*DeadlockError); !ok {
-		t.Error("expected DeadlockError for non-daemon process")
+	de, ok := e.Run().(*DeadlockError)
+	if !ok {
+		t.Fatal("expected DeadlockError for the stuck process")
+	}
+	if got, want := strings.Join(de.Blocked, "|"), "server: wait work.get|stuck: wait never"; got != want {
+		t.Errorf("Blocked = %q, want %q", got, want)
 	}
 }
 

@@ -1,0 +1,198 @@
+package sim
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+)
+
+// waitersScenario queues four waiters on one event — processes and
+// continuations alternating when mixed is set, processes only otherwise —
+// fires it from a call that also schedules a probe and registers an
+// inline callback, and returns the order everything ran in.
+func waitersScenario(mixed bool) []string {
+	e := New()
+	defer e.Shutdown()
+	ev := e.NewEvent("ev")
+	var log []string
+	note := func(s string) { log = append(log, fmt.Sprintf("%v %s", e.Now(), s)) }
+	for i := 0; i < 4; i++ {
+		name := fmt.Sprintf("w%d", i)
+		at := Time(i)
+		if mixed && i%2 == 1 {
+			e.CallAt(at, func() { ev.Then(func() { note(name) }) })
+			continue
+		}
+		e.SpawnAt(at, name, func(p *Proc) {
+			p.Wait(ev)
+			note(name)
+		})
+	}
+	e.CallAt(10, func() {
+		ev.OnTrigger(func() { note("inline") })
+		ev.Trigger()
+		e.CallAt(e.Now(), func() { note("probe") })
+	})
+	if err := e.Run(); err != nil {
+		panic(err)
+	}
+	return log
+}
+
+// TestThenInterleavesWithWaiters: continuations queued with Then run in the
+// slots processes waiting on the same event would have resumed in — after
+// the trigger's inline callbacks, in arrival order, before anything the
+// triggering call schedules next.
+func TestThenInterleavesWithWaiters(t *testing.T) {
+	procs, mixed := waitersScenario(false), waitersScenario(true)
+	want := "10ns inline|10ns w0|10ns w1|10ns w2|10ns w3|10ns probe"
+	if got := strings.Join(procs, "|"); got != want {
+		t.Fatalf("processes only: %q, want %q", got, want)
+	}
+	if got := strings.Join(mixed, "|"); got != want {
+		t.Errorf("processes and continuations: %q, want %q", got, want)
+	}
+}
+
+// resourceScenario contends four holders for a capacity-1 resource — as
+// processes only, or with every other holder a continuation — and returns
+// the grant order, the final clock and the resource statistics.
+func resourceScenario(mixed bool) (string, uint64) {
+	e := New()
+	defer e.Shutdown()
+	r := e.NewResource("r", 1)
+	var log []string
+	for i := 0; i < 4; i++ {
+		name := fmt.Sprintf("h%d", i)
+		hold := Time(3 + i)
+		if mixed && i%2 == 1 {
+			var got func()
+			got = func() {
+				log = append(log, fmt.Sprintf("%v %s", e.Now(), name))
+				e.CallAt(e.Now()+hold, r.Release)
+			}
+			e.CallAt(Time(i), func() { r.AcquireThen(got) })
+			continue
+		}
+		e.SpawnAt(Time(i), name, func(p *Proc) {
+			r.Acquire(p)
+			log = append(log, fmt.Sprintf("%v %s", e.Now(), name))
+			p.Sleep(hold)
+			r.Release()
+		})
+	}
+	if err := e.Run(); err != nil {
+		panic(err)
+	}
+	return strings.Join(log, "|") + " | " + r.Stats(), e.Events()
+}
+
+// TestAcquireThenMatchesAcquire: continuations queued with AcquireThen
+// take the slot in FIFO order with blocked processes, at the same
+// instants, and leave acquires, maxQueue and utilization unchanged.
+func TestAcquireThenMatchesAcquire(t *testing.T) {
+	procs, pe := resourceScenario(false)
+	mixed, me := resourceScenario(true)
+	if procs != mixed {
+		t.Errorf("grants differ:\nprocesses: %s\nmixed:     %s", procs, mixed)
+	}
+	if !strings.Contains(procs, "acquires=4 maxQueue=3") {
+		t.Errorf("unexpected reference statistics: %s", procs)
+	}
+	// A process costs one start-up resume the continuation's CallAt
+	// replaces, so the counts agree item for item.
+	if pe != me {
+		t.Errorf("events: processes %d, mixed %d", pe, me)
+	}
+}
+
+// TestThenOnFiredEventRunsInline: like Wait on a fired event, Then runs
+// its continuation at once and schedules nothing.
+func TestThenOnFiredEventRunsInline(t *testing.T) {
+	e := New()
+	ev := e.NewEvent("ev")
+	ev.Trigger()
+	ran := false
+	ev.Then(func() { ran = true })
+	if !ran {
+		t.Fatal("Then on a fired event did not run inline")
+	}
+	if err := e.Run(); err != nil || e.Events() != 0 {
+		t.Errorf("Run = %v after %d events, want nothing scheduled", err, e.Events())
+	}
+}
+
+// TestAcquireThenGrantTraceText: a continuation waiting for a resource is
+// granted through the same "<resource>.grant" event a process is, so the
+// tracer sees the same firings; only the process lines differ.
+func TestAcquireThenGrantTraceText(t *testing.T) {
+	trace := func(cont bool) string {
+		e := New()
+		defer e.Shutdown()
+		var lines []string
+		e.SetTracer(func(at Time, msg string) {
+			if !strings.HasPrefix(msg, "proc ") {
+				lines = append(lines, fmt.Sprintf("%v %s", at, msg))
+			}
+		})
+		r := e.NewResource("link", 1)
+		r.TryAcquire()
+		if cont {
+			r.AcquireThen(func() { lines = append(lines, "granted") })
+		} else {
+			e.Spawn("w", func(p *Proc) {
+				r.Acquire(p)
+				lines = append(lines, "granted")
+			})
+		}
+		e.CallAt(5, r.Release)
+		if err := e.Run(); err != nil {
+			panic(err)
+		}
+		return strings.Join(lines, "|")
+	}
+	want := "5ns event link.grant: fired|granted"
+	if got := trace(false); got != want {
+		t.Fatalf("process waiter trace %q, want %q", got, want)
+	}
+	if got := trace(true); got != want {
+		t.Errorf("continuation waiter trace %q, want %q", got, want)
+	}
+}
+
+type thenCounter struct {
+	n    int
+	step func()
+}
+
+func (c *thenCounter) inc() { c.n++ }
+
+// TestThenBoundMethodAllocatesNothing: a lone continuation is kept inline
+// in the event and its call item comes from the freelist, so queuing a
+// method value bound once costs no allocation.
+func TestThenBoundMethodAllocatesNothing(t *testing.T) {
+	e := New()
+	c := &thenCounter{}
+	c.step = c.inc
+	const runs = 50
+	evs := make([]*Event, runs+1)
+	for i := range evs {
+		evs[i] = e.NewEvent("ev")
+	}
+	i := 0
+	round := func() {
+		ev := evs[i]
+		i++
+		ev.Then(c.step)
+		ev.Trigger()
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if avg := testing.AllocsPerRun(runs, round); avg != 0 {
+		t.Errorf("%.1f allocs per Then+Trigger, want 0", avg)
+	}
+	if c.n != runs+1 {
+		t.Errorf("continuation ran %d times, want %d", c.n, runs+1)
+	}
+}

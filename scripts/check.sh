@@ -84,10 +84,13 @@ echo "== parallel-engine race tests"
 # on the worker pool and the race detector watching the joins. ib and mpi
 # take and return pooled payload buffers around task bodies that run on
 # the workers; cluster and load cover the joins a sleeping process makes
-# itself when it runs tasks ahead of its wake-up.
+# itself when it runs tasks ahead of its wake-up. cuda and gpu cover
+# stream and engine completions, which join launched tasks from engine
+# context and recycle the ops those tasks read.
 MV2SIM_ENGINE=parallel go test -race -count=1 \
     ./internal/core ./internal/halo3d ./internal/transpose ./internal/shoc \
-    ./internal/ib ./internal/mpi ./internal/cluster ./internal/load
+    ./internal/ib ./internal/mpi ./internal/cluster ./internal/load \
+    ./internal/cuda ./internal/gpu
 
 echo "== pack-mode gate"
 # -packmode memcpy2d must reproduce the pre-PackMode pipeline byte for
