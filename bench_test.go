@@ -376,31 +376,23 @@ func BenchmarkPackPlanCache(b *testing.B) {
 }
 
 // BenchmarkEngineEventLoop measures raw event-loop throughput of the
-// discrete-event engine: one process sleeping through b.N timer events,
-// once per engine implementation. Each event is one heap pop and a
-// coroutine switch into the process and back. This is the denominator of
-// every other wall-clock number in this file; the parallel engine adds
-// nothing to it for workloads with no launchable tasks, so the pair
-// should read the same.
+// discrete-event engine: one process sleeping through b.N timer events.
+// The process is alone, so every Sleep runs ahead on its own stack and
+// each event costs the clock advance and counters without a coroutine
+// switch. This is the denominator of every other wall-clock number in
+// this file.
 func BenchmarkEngineEventLoop(b *testing.B) {
-	for _, name := range []string{"serial", "parallel"} {
-		b.Run(name, func(b *testing.B) {
-			e, err := sim.NewByName(name)
-			if err != nil {
-				b.Fatal(err)
-			}
-			e.Spawn("bench", func(p *sim.Proc) {
-				for i := 0; i < b.N; i++ {
-					p.Sleep(sim.Nanosecond)
-				}
-			})
-			b.ResetTimer()
-			if err := e.Run(); err != nil {
-				b.Fatal(err)
-			}
-			e.Shutdown()
-		})
+	e := sim.New()
+	e.Spawn("bench", func(p *sim.Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Sleep(sim.Nanosecond)
+		}
+	})
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
 	}
+	e.Shutdown()
 }
 
 // BenchmarkEngineSpawn measures one process spawn-and-finish: a chain of
@@ -409,28 +401,21 @@ func BenchmarkEngineEventLoop(b *testing.B) {
 // about three processes per message, so spawn cost is a share of
 // small-message host time of its own.
 func BenchmarkEngineSpawn(b *testing.B) {
-	for _, name := range []string{"serial", "parallel"} {
-		b.Run(name, func(b *testing.B) {
-			e, err := sim.NewByName(name)
-			if err != nil {
-				b.Fatal(err)
-			}
-			n := 0
-			var body func(p *sim.Proc)
-			body = func(p *sim.Proc) {
-				if n++; n < b.N {
-					e.Spawn("bench", body)
-				}
-			}
+	e := sim.New()
+	n := 0
+	var body func(p *sim.Proc)
+	body = func(p *sim.Proc) {
+		if n++; n < b.N {
 			e.Spawn("bench", body)
-			b.ReportAllocs()
-			b.ResetTimer()
-			if err := e.Run(); err != nil {
-				b.Fatal(err)
-			}
-			e.Shutdown()
-		})
+		}
 	}
+	e.Spawn("bench", body)
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+	e.Shutdown()
 }
 
 // BenchmarkRailsSweep measures streaming bandwidth of a wire-bound

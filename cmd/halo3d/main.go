@@ -21,7 +21,6 @@ func main() {
 	n := flag.Int("n", 128, "local brick edge length")
 	iters := flag.Int("iters", 3, "iterations")
 	validate := flag.Bool("validate", false, "check against the sequential reference (small sizes only)")
-	engine := flag.String("engine", "", "simulation engine: serial or parallel (default: MV2SIM_ENGINE, then serial)")
 	flag.Parse()
 
 	params := halo3d.Params{
@@ -29,7 +28,6 @@ func main() {
 		NZ: *n, NY: *n, NX: *n,
 		Iters: *iters, Validate: *validate,
 	}
-	params.Cluster.Engine = *engine
 	res, err := halo3d.Run(params)
 	if err != nil {
 		log.Fatal(err)

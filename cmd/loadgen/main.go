@@ -13,7 +13,7 @@
 //	loadgen -bench BENCH_load.json -store perf/store.jsonl -commit $SHA
 //
 // The defaults are the committed-baseline configuration: identical seeds
-// produce byte-identical BENCH_load.json under both engines.
+// produce byte-identical BENCH_load.json.
 package main
 
 import (
@@ -38,7 +38,6 @@ func main() {
 	offered := flag.String("offered", "2000,4000,8000,12000,16000,24000",
 		"comma-separated aggregate offered-load levels (MB/s), ascending")
 	process := flag.String("process", "all", "arrival process: poisson, deterministic, bursty or all")
-	engineName := flag.String("engine", "", "simulation engine (serial, parallel; default MV2SIM_ENGINE or serial)")
 	rails := flag.Int("rails", 0, "HCA rails per node (default 1)")
 	packmode := flag.String("packmode", "auto", "pack engine: auto, memcpy2d, kernel or nic")
 	maxPosted := flag.Int("maxposted", 0, "receiver posting window (default 32)")
@@ -69,7 +68,6 @@ func main() {
 		Schema:    load.LoadSchema,
 		Seed:      *seed,
 		Pairs:     *pairs,
-		Engine:    engineLabel(*engineName),
 		Rails:     railsLabel(*rails),
 		PackMode:  pm.String(),
 		HorizonMs: *horizonMs,
@@ -84,7 +82,6 @@ func main() {
 				OfferedMBs: mbs,
 				Horizon:    sim.Time(*horizonMs * float64(sim.Millisecond)),
 				MaxPosted:  *maxPosted,
-				Engine:     *engineName,
 				Rails:      *rails,
 				PackMode:   pm,
 				VbufCount:  *vbufs,
@@ -157,19 +154,6 @@ func parseLevels(s string) ([]float64, error) {
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-// engineLabel resolves the engine name recorded in the document the same
-// way the cluster will resolve it, so the committed baseline says which
-// engine produced it (they are byte-identical anyway).
-func engineLabel(name string) string {
-	if name == "" {
-		name = os.Getenv("MV2SIM_ENGINE")
-	}
-	if name == "" {
-		name = "serial"
-	}
-	return name
 }
 
 func railsLabel(r int) int {

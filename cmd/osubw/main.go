@@ -23,7 +23,6 @@ func main() {
 	rails := flag.Int("rails", mpi.DefaultRails, "HCA rails to stripe rendezvous chunks across (MV2_NUM_RAILS)")
 	railSweep := flag.Bool("railsweep", false, "additionally sweep rail counts 1/2/4 at the largest message size")
 	packMode := flag.String("packmode", "auto", "pack/unpack engine: auto, memcpy2d, kernel or nic")
-	engine := flag.String("engine", "", "simulation engine: serial or parallel (default: MV2SIM_ENGINE, then serial)")
 	flag.Parse()
 
 	mode, err := core.ParsePackMode(*packMode)
@@ -32,7 +31,6 @@ func main() {
 	}
 	sizes := []int{16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20}
 	cfg := osu.VectorConfig{}
-	cfg.Cluster.Engine = *engine
 	cfg.Cluster.Rails = *rails
 	cfg.Cluster.Core.PackMode = mode
 	cfg.Cluster.Core.UnpackMode = mode
@@ -46,7 +44,6 @@ func main() {
 		// bottleneck — the regime where rail striping pays. The wide-row
 		// shape stays on the copy engine at every PackMode.
 		sweep := osu.VectorConfig{ElemBytes: 8 << 10, PitchBytes: 16 << 10}
-		sweep.Cluster.Engine = *engine
 		big := sizes[len(sizes)-1]
 		rt, err := osu.RailsSweep(big, *window, []int{1, 2, 4}, sweep)
 		if err != nil {
@@ -62,7 +59,6 @@ func main() {
 		// auto the kernel pack leaves the wire as the bottleneck, so rails
 		// pay here too.
 		narrow := osu.VectorConfig{}
-		narrow.Cluster.Engine = *engine
 		narrow.Cluster.Core.PackMode = mode
 		narrow.Cluster.Core.UnpackMode = mode
 		nt, err := osu.RailsSweep(big, *window, []int{1, 2, 4}, narrow)

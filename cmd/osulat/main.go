@@ -33,7 +33,6 @@ func main() {
 	traceOut := flag.String("trace", "", "also run one traced 4 MB MV2-GPU-NC transfer and write Chrome trace JSON")
 	doctor := flag.Bool("doctor", false, "also run one 4 MB MV2-GPU-NC transfer with the critical-path doctor attached and print the stall report")
 	packMode := flag.String("packmode", "auto", "MV2-GPU-NC pack/unpack engine: auto, memcpy2d, kernel or nic")
-	engine := flag.String("engine", "", "simulation engine: serial or parallel (default: MV2SIM_ENGINE, then serial)")
 	flag.Parse()
 
 	mode, err := core.ParsePackMode(*packMode)
@@ -41,7 +40,6 @@ func main() {
 		log.Fatal(err)
 	}
 	cfg := osu.VectorConfig{Iters: *iters, PitchBytes: *pitch}
-	cfg.Cluster.Engine = *engine
 	cfg.Cluster.Core.PackMode = mode
 	cfg.Cluster.Core.UnpackMode = mode
 	smallSizes := []int{16, 64, 256, 1 << 10, 4 << 10}

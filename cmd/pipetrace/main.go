@@ -26,7 +26,6 @@ func main() {
 	chromeOut := flag.String("chrome", "", "write a Chrome trace_event JSON file (open in Perfetto)")
 	packMode := flag.String("packmode", "auto", "pack engine: auto, memcpy2d, kernel or nic")
 	unpackMode := flag.String("unpackmode", "", "unpack engine (default: same as -packmode)")
-	engine := flag.String("engine", "", "simulation engine: serial or parallel (default: MV2SIM_ENGINE, then serial)")
 	flag.Parse()
 
 	mode, err := core.ParsePackMode(*packMode)
@@ -49,7 +48,7 @@ func main() {
 
 	trace := &core.PipelineTrace{}
 	var chrome *obs.ChromeTracer
-	cfg := cluster.Config{GPUMemBytes: 2*rows**pitch + (64 << 20), Rails: *rails, Engine: *engine}
+	cfg := cluster.Config{GPUMemBytes: 2*rows**pitch + (64 << 20), Rails: *rails}
 	cfg.Core.Trace = trace
 	cfg.Core.PackMode = mode
 	cfg.Core.UnpackMode = umode

@@ -69,15 +69,6 @@ type wallclockResults struct {
 	RailsBandwidthMBs       map[string]float64 `json:"rails_bandwidth_mbs"`
 	RailsBandwidthWallMs    float64            `json:"rails_bandwidth_wall_ms"`
 	PipetraceTransferWallMs float64            `json:"pipetrace_transfer_wall_ms"`
-
-	// Filled by -pairs N: host wall time of the N-pair disjoint exchange
-	// under each engine. Speedup is serial/parallel; on a GOMAXPROCS=1
-	// host the worker pool degenerates to ~1x, so these are informational
-	// (never gated) in the perf store.
-	EnginePairs         int     `json:"engine_pairs,omitempty"`
-	SerialPairsWallMs   float64 `json:"engine_serial_pairs_wall_ms,omitempty"`
-	ParallelPairsWallMs float64 `json:"engine_parallel_pairs_wall_ms,omitempty"`
-	ParallelSpeedup     float64 `json:"engine_parallel_speedup,omitempty"`
 }
 
 func main() {
@@ -88,20 +79,12 @@ func main() {
 	wallOnly := flag.Bool("wallclockonly", false, "run only the -wallclock microbenchmarks and exit")
 	storePath := flag.String("store", "", "append extracted bench metrics to this perf store (JSON lines)")
 	commit := flag.String("commit", "", "commit id to stamp on appended store records")
-	engine := flag.String("engine", "", "simulation engine: serial or parallel (default: MV2SIM_ENGINE, then serial)")
-	pairs := flag.Int("pairs", 0, "with -wallclock: sweep a disjoint-pair workload up to this many pairs under both engines and record the wall-clock speedup")
 	flag.Parse()
-	if *engine != "" {
-		// The report harnesses build their clusters deep inside the osu and
-		// shoc packages; the environment fallback reaches them all. The
-		// -pairs sweep overrides it per run to compare both engines.
-		os.Setenv("MV2SIM_ENGINE", *engine)
-	}
 	if *wallOnly && *wallOut == "" {
 		log.Fatal("repro: -wallclockonly requires -wallclock FILE")
 	}
 	if *wallOnly {
-		writeWallclock(*wallOut, *pairs)
+		writeWallclock(*wallOut)
 		appendStoreFiles(*storePath, *commit, *wallOut)
 		return
 	}
@@ -247,7 +230,7 @@ func main() {
 	}
 
 	if *wallOut != "" {
-		writeWallclock(*wallOut, *pairs)
+		writeWallclock(*wallOut)
 	}
 	appendStoreFiles(*storePath, *commit, *benchOut, *wallOut)
 
@@ -289,9 +272,7 @@ func appendStoreFiles(storePath, commit string, files ...string) {
 
 // writeWallclock measures the simulator's own wall-clock hot paths and
 // writes them as JSON. Fast (a few seconds) so CI can run it on every push.
-// With pairs > 0 it additionally sweeps the disjoint-pair workload under
-// both engines and records the serial/parallel wall-clock ratio.
-func writeWallclock(path string, pairs int) {
+func writeWallclock(path string) {
 	res := wallclockResults{
 		GoMaxProcs:        runtime.GOMAXPROCS(0),
 		RailsBandwidthMBs: map[string]float64{},
@@ -365,49 +346,6 @@ func writeWallclock(path string, pairs int) {
 		t0 := time.Now()
 		_ = pipelineTrace()
 		res.PipetraceTransferWallMs = float64(time.Since(t0).Microseconds()) / 1e3
-	}
-
-	// Engine speedup on a many-pair workload: N disjoint sender/receiver
-	// pairs each exchanging a 256 KB narrow-row vector, so every pair's
-	// pack/unpack task bodies are independent host-memory work the parallel
-	// engine can spread across its pool. Virtual time must agree between
-	// engines (the byte-identity guarantee); wall time is where they differ.
-	if pairs > 0 {
-		run := func(engineName string, n int) (sim.Time, float64) {
-			cfg := osu.VectorConfig{PitchBytes: 16}
-			cfg.Cluster.Engine = engineName
-			runtime.GC() // don't charge one engine for the other's garbage
-			t0 := time.Now()
-			lat := must(osu.MultiPairLatency(256<<10, n, cfg))
-			return lat, float64(time.Since(t0).Microseconds()) / 1e3
-		}
-		t := report.NewTable(
-			fmt.Sprintf("Engine wall-clock, disjoint-pair exchange (256 KB vectors, GOMAXPROCS=%d)", res.GoMaxProcs),
-			"pairs", "serial (ms)", "parallel (ms)", "speedup")
-		counts := []int{}
-		for n := 1; n < pairs; n *= 4 {
-			counts = append(counts, n)
-		}
-		counts = append(counts, pairs)
-		for _, n := range counts {
-			run("serial", n) // warm the allocator at this node count
-			run("parallel", n)
-			slat, swall := run("serial", n)
-			plat, pwall := run("parallel", n)
-			if slat != plat {
-				log.Fatalf("repro: %d-pair virtual latency diverged: serial %v, parallel %v", n, slat, plat)
-			}
-			speedup := swall / pwall
-			t.Add(fmt.Sprintf("%d", n), fmt.Sprintf("%.1f", swall),
-				fmt.Sprintf("%.1f", pwall), fmt.Sprintf("%.2fx", speedup))
-			if n == pairs {
-				res.EnginePairs = n
-				res.SerialPairsWallMs = swall
-				res.ParallelPairsWallMs = pwall
-				res.ParallelSpeedup = speedup
-			}
-		}
-		fmt.Println(t)
 	}
 
 	data, err := json.MarshalIndent(res, "", "  ")

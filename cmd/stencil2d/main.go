@@ -37,14 +37,7 @@ func main() {
 	breakdown := flag.Bool("breakdown", false, "run the Figure 6 communication breakdown instead")
 	traceOut := flag.String("trace", "", "run one traced NC iteration on the 2x4 grid and write Chrome trace JSON")
 	doctor := flag.Bool("doctor", false, "run one NC iteration on the 2x4 grid with the critical-path doctor attached and print the stall report for the slowest halo transfer")
-	engine := flag.String("engine", "", "simulation engine: serial or parallel (default: MV2SIM_ENGINE, then serial)")
 	flag.Parse()
-
-	if *engine != "" {
-		// The table and breakdown harnesses build their clusters deep inside
-		// internal/shoc; the environment fallback reaches them all.
-		os.Setenv("MV2SIM_ENGINE", *engine)
-	}
 
 	if *doctor {
 		col := critpath.NewCollector()

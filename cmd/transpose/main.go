@@ -18,11 +18,9 @@ func main() {
 	ranks := flag.Int("ranks", 8, "number of GPUs (must divide n)")
 	n := flag.Int("n", 2048, "global matrix dimension (float32)")
 	validate := flag.Bool("validate", true, "verify B = A^T element-for-element")
-	engine := flag.String("engine", "", "simulation engine: serial or parallel (default: MV2SIM_ENGINE, then serial)")
 	flag.Parse()
 
 	params := transpose.Params{Ranks: *ranks, N: *n, Validate: *validate}
-	params.Cluster.Engine = *engine
 	res, err := transpose.Run(params)
 	if err != nil {
 		log.Fatal(err)

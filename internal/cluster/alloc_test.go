@@ -22,8 +22,8 @@ func hostAllocs(fn func()) (bytes, mallocs uint64) {
 
 // eagerPingPong runs trips round trips of one 4 KB device vector (1024
 // rows of 4 B at pitch 64, below the eager limit) between two ranks on a
-// fresh serial-engine cluster, checks the echo arrives byte-exact, and
-// returns the cluster.
+// fresh cluster, checks the echo arrives byte-exact, and returns the
+// cluster.
 func eagerPingPong(t *testing.T, trips int) *Cluster {
 	t.Helper()
 	vec, err := datatype.Vector(1024, 4, 64, datatype.Byte)
@@ -31,7 +31,7 @@ func eagerPingPong(t *testing.T, trips int) *Cluster {
 		t.Fatal(err)
 	}
 	vec.MustCommit()
-	cl := New(Config{Nodes: 2, Engine: "serial"})
+	cl := New(Config{Nodes: 2})
 	span := vec.Span(1)
 	var a, c mem.Ptr
 	err = cl.Run(func(n *Node) {
@@ -106,7 +106,7 @@ func TestEagerSwitchesPerTrip(t *testing.T) {
 // 2 x 64 vbufs x 64 KiB a fully mapped range would cost per node.
 func TestSetupAllocs(t *testing.T) {
 	var cl *Cluster
-	b, _ := hostAllocs(func() { cl = New(Config{Engine: "serial"}) })
+	b, _ := hostAllocs(func() { cl = New(Config{}) })
 	if b >= 1<<20 {
 		t.Errorf("cluster.New allocated %d bytes, want under 1 MiB", b)
 	}

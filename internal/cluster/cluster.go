@@ -7,7 +7,6 @@ package cluster
 
 import (
 	"fmt"
-	"os"
 
 	"mv2sim/internal/core"
 	"mv2sim/internal/cuda"
@@ -34,12 +33,6 @@ type Config struct {
 	// library allocations (AllocHost); like GPUMemBytes, only allocated
 	// bytes cost host memory. Default 64 MiB.
 	HostHeapBytes int
-	// Engine selects the discrete-event scheduler: "serial" (default) for
-	// the cooperative single-executor engine, "parallel" for the
-	// worker-pool engine with byte-identical traces. Empty falls back to
-	// the MV2SIM_ENGINE environment variable, then to serial — so one env
-	// toggle runs the whole test suite under either engine.
-	Engine string
 	// Rails is the number of independently-serialized HCA rails per node
 	// (MV2_NUM_RAILS): the fabric model and the MPI/transport layers are
 	// configured together so rendezvous chunks stripe round-robin over R
@@ -127,7 +120,7 @@ type Node struct {
 
 // Cluster is the assembled testbed.
 type Cluster struct {
-	Engine    sim.Engine
+	Engine    *sim.Engine
 	Fabric    *ib.Fabric
 	World     *mpi.World
 	Transport *core.Transport
@@ -140,14 +133,7 @@ type Cluster struct {
 // New builds a cluster per cfg.
 func New(cfg Config) *Cluster {
 	cfg = cfg.withDefaults()
-	name := cfg.Engine
-	if name == "" {
-		name = os.Getenv("MV2SIM_ENGINE")
-	}
-	e, err := sim.NewByName(name)
-	if err != nil {
-		panic("cluster: " + err.Error())
-	}
+	e := sim.New()
 	if cfg.GPUDirect {
 		cfg.IBModel.AllowDeviceRegistration = true
 		cfg.Core.GPUDirect = true

@@ -152,7 +152,7 @@ func (t *Transport) SetHub(h *obs.Hub) { t.hub = h }
 // hub was installed but the legacy Config.Trace sink is set, a private
 // hub wrapping it is created on first use so PipelineTrace keeps working
 // for direct Transport users.
-func (t *Transport) obsHub(e sim.Engine) *obs.Hub {
+func (t *Transport) obsHub(e *sim.Engine) *obs.Hub {
 	if t.hub == nil && t.cfg.Trace != nil {
 		t.hub = obs.NewHub(e, t.cfg.Trace)
 	}

@@ -37,7 +37,7 @@ import (
 
 // Ctx binds a simulated device to the CUDA API for one node.
 type Ctx struct {
-	e       sim.Engine
+	e       *sim.Engine
 	dev     *gpu.Device
 	nstream int
 	def     *Stream
@@ -51,7 +51,7 @@ func (c *Ctx) SetHub(h *obs.Hub) { c.hub = h }
 
 // NewCtx creates a context on the given device. The context owns the
 // default (NULL) stream used by the blocking API.
-func NewCtx(e sim.Engine, dev *gpu.Device) *Ctx {
+func NewCtx(e *sim.Engine, dev *gpu.Device) *Ctx {
 	c := &Ctx{e: e, dev: dev}
 	c.def = c.NewStream()
 	return c
@@ -209,7 +209,7 @@ func (s *Stream) complete() {
 }
 
 // finish completes the op in flight and recycles it. It runs after the
-// slot of the op's memory task, so no pool worker still reads the op.
+// slot of the op's memory task, so that task is done reading the op.
 func (s *Stream) finish() {
 	o := s.cur
 	s.cur = nil

@@ -1,7 +1,6 @@
 package cuda
 
 import (
-	"os"
 	"testing"
 	"testing/quick"
 
@@ -12,19 +11,15 @@ import (
 )
 
 type fixture struct {
-	e    sim.Engine
+	e    *sim.Engine
 	dev  *gpu.Device
 	ctx  *Ctx
 	host *mem.Space
 }
 
-// newFixture builds a one-GPU context on the engine MV2SIM_ENGINE names
-// (serial by default).
+// newFixture builds a one-GPU context on a fresh engine.
 func newFixture() *fixture {
-	e, err := sim.NewByName(os.Getenv("MV2SIM_ENGINE"))
-	if err != nil {
-		panic(err)
-	}
+	e := sim.New()
 	dev := gpu.New(e, 0, gpu.Config{MemBytes: 8 << 20})
 	return &fixture{e: e, dev: dev, ctx: NewCtx(e, dev), host: mem.NewHostSpace("host", 8<<20)}
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -179,7 +178,7 @@ const (
 
 // step is one op of a random stream program. Each step writes only its
 // own destination slot and reads only the read-only source halves, so
-// every program is free of data races under the parallel engine.
+// no two steps of a program touch the same bytes.
 type step struct {
 	kind   stepKind
 	stream int
@@ -281,10 +280,7 @@ type programResult struct {
 
 // runProgram runs prog on real streams or on reference streams.
 func runProgram(t *testing.T, nstreams int, prog []step, ref bool) programResult {
-	e, err := sim.NewByName(os.Getenv("MV2SIM_ENGINE"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := sim.New()
 	defer e.Shutdown()
 	var fired firedLog
 	e.SetHook(&fired)
@@ -372,7 +368,7 @@ func runProgram(t *testing.T, nstreams int, prog []step, ref bool) programResult
 		}
 	}
 
-	err = e.Run()
+	err := e.Run()
 	var de *sim.DeadlockError
 	if ref {
 		// The reference workers end blocked on their empty queues.

@@ -71,7 +71,7 @@ type Config struct {
 // Device is one simulated GPU.
 type Device struct {
 	id          int
-	e           sim.Engine
+	e           *sim.Engine
 	space       *mem.Space
 	alloc       *alloc.Allocator
 	model       CostModel
@@ -91,7 +91,7 @@ type counters struct {
 }
 
 // New creates a device with the given ordinal and configuration.
-func New(e sim.Engine, id int, cfg Config) *Device {
+func New(e *sim.Engine, id int, cfg Config) *Device {
 	if cfg.MemBytes <= 0 {
 		panic("gpu: MemBytes must be positive")
 	}
@@ -269,10 +269,8 @@ func (d *Device) Exec(j *Job) {
 }
 
 // begin starts the job on its engine: the memory effect is a task due at
-// the completion instant — the destination is not readable before then,
-// so the parallel engine may overlap it with dispatch while the serial
-// engine runs it at the same slot — and the completion call takes the
-// next slot after it.
+// the completion instant — the destination is not readable before then —
+// and the completion call takes the next slot after it.
 func (j *Job) begin() {
 	d := j.d
 	at := d.e.Now() + j.cost

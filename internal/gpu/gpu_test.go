@@ -2,7 +2,6 @@ package gpu
 
 import (
 	"math/rand"
-	"os"
 
 	"mv2sim/internal/alloc"
 	"strings"
@@ -13,7 +12,7 @@ import (
 	"mv2sim/internal/sim"
 )
 
-func newTestDevice(e sim.Engine) *Device {
+func newTestDevice(e *sim.Engine) *Device {
 	return New(e, 0, Config{MemBytes: 1 << 20})
 }
 
@@ -296,20 +295,16 @@ func TestPropAllocatorInvariants(t *testing.T) {
 	}
 }
 
-// newEngine returns the engine MV2SIM_ENGINE names (serial by default),
-// shut down when the test ends.
-func newEngine(t *testing.T) sim.Engine {
-	e, err := sim.NewByName(os.Getenv("MV2SIM_ENGINE"))
-	if err != nil {
-		t.Fatal(err)
-	}
+// newEngine returns a fresh engine, shut down when the test ends.
+func newEngine(t *testing.T) *sim.Engine {
+	e := sim.New()
 	t.Cleanup(e.Shutdown)
 	return e
 }
 
 // copyJob is a job copying width x height bytes from src to dst that
 // records its completion time in *at.
-func copyJob(e sim.Engine, dst mem.Ptr, dpitch int, src mem.Ptr, spitch, width, height int, at *sim.Time) *Job {
+func copyJob(e *sim.Engine, dst mem.Ptr, dpitch int, src mem.Ptr, spitch, width, height int, at *sim.Time) *Job {
 	return &Job{Dst: dst, Src: src, Shape: CopyShape{Width: width, Height: height, DPitch: dpitch, SPitch: spitch},
 		Chunk: -1, Done: func() { *at = e.Now() }}
 }

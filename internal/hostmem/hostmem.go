@@ -44,7 +44,7 @@ type Vbuf struct {
 
 // Pool is a fixed set of vbufs carved from one reserved pinned host range.
 type Pool struct {
-	e         sim.Engine
+	e         *sim.Engine
 	hca       *ib.HCA
 	name      string
 	chunkSize int
@@ -83,7 +83,7 @@ type Pool struct {
 // base. The range base..base+count*chunkSize must be reserved and
 // unmapped (mem.Reserve): each chunk is mapped and registered with hca
 // the first time the pool hands it out.
-func NewPool(e sim.Engine, name string, hca *ib.HCA, base mem.Ptr, chunkSize, count int) *Pool {
+func NewPool(e *sim.Engine, name string, hca *ib.HCA, base mem.Ptr, chunkSize, count int) *Pool {
 	if chunkSize <= 0 || count <= 0 {
 		panic("hostmem: pool dimensions must be positive")
 	}

@@ -12,7 +12,7 @@ import (
 )
 
 type fixture struct {
-	e    sim.Engine
+	e    *sim.Engine
 	hca  *ib.HCA
 	host *mem.Space
 }

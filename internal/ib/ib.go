@@ -91,7 +91,7 @@ type Handler func(from int, msg Message, payload []byte)
 
 // Fabric is the switch connecting all HCAs.
 type Fabric struct {
-	e     sim.Engine
+	e     *sim.Engine
 	model Model
 	hcas  map[int]*HCA
 	hub   *obs.Hub
@@ -104,8 +104,8 @@ type Fabric struct {
 // all draw from the one pool of their fabric, so a steady stream of
 // equal-size messages allocates nothing. Get returns a buffer with stale
 // contents; every user overwrites all of it before reading. Reuse is LIFO
-// and deterministic. A buffer may be returned by an engine task body,
-// which the parallel engine runs on a worker, hence the mutex.
+// and deterministic. Get and Put hold a mutex; a buffer may be returned
+// from an engine task body.
 type BufPool struct {
 	mu   sync.Mutex
 	free map[int][][]byte
@@ -147,7 +147,7 @@ func (bp *BufPool) Put(b []byte) {
 func (f *Fabric) SetHub(h *obs.Hub) { f.hub = h }
 
 // NewFabric creates an empty fabric.
-func NewFabric(e sim.Engine, model Model) *Fabric {
+func NewFabric(e *sim.Engine, model Model) *Fabric {
 	if model.Bandwidth <= 0 {
 		allow, rails := model.AllowDeviceRegistration, model.Rails
 		model = DefaultModel()

@@ -2,7 +2,6 @@ package ib
 
 import (
 	"fmt"
-	"os"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -12,19 +11,15 @@ import (
 )
 
 type net struct {
-	e    sim.Engine
+	e    *sim.Engine
 	f    *Fabric
 	hcas []*HCA
 	host []*mem.Space
 }
 
-// newNet wires n HCAs to one fabric, on the engine MV2SIM_ENGINE names
-// (serial by default).
+// newNet wires n HCAs to one fabric on a fresh engine.
 func newNet(n int) *net {
-	e, err := sim.NewByName(os.Getenv("MV2SIM_ENGINE"))
-	if err != nil {
-		panic(err)
-	}
+	e := sim.New()
 	f := NewFabric(e, Model{})
 	nw := &net{e: e, f: f}
 	for i := 0; i < n; i++ {

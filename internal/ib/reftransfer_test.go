@@ -3,7 +3,6 @@ package ib
 import (
 	"fmt"
 	"math/rand"
-	"os"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -78,7 +77,7 @@ func post(h *HCA, ref bool, dst int, msg Message, payload []byte, write bool, sr
 // fabricLog records, in simulation order, every trace record, event
 // firing and delivery of a run.
 type fabricLog struct {
-	e     sim.Engine
+	e     *sim.Engine
 	lines []string
 }
 
@@ -118,10 +117,7 @@ type fabricOp struct {
 // handler. It returns the log, the dispatched item count and node 1's
 // landing area.
 func runFabric(t *testing.T, ops []fabricOp, ref bool) ([]string, uint64, []byte) {
-	e, err := sim.NewByName(os.Getenv("MV2SIM_ENGINE"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := sim.New()
 	defer e.Shutdown()
 	log := &fabricLog{e: e}
 	e.SetHook(log)

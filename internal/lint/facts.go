@@ -485,42 +485,25 @@ var simVisibleMethods = map[[3]string]bool{
 	{simPath, "Engine", "NewEventNumbered"}: true,
 	{simPath, "Engine", "NewResource"}:      true,
 	{simPath, "Engine", "AllOf"}:            true,
-	// Concrete-receiver spellings: Engine is an interface over the shared
-	// engineCore, so calls through *SerialEngine / *ParallelEngine resolve
-	// to methods promoted from engineCore (or overridden on the engine).
-	{simPath, "engineCore", "CallAt"}:           true,
-	{simPath, "engineCore", "CallAfter"}:        true,
-	{simPath, "engineCore", "TaskAt"}:           true,
-	{simPath, "engineCore", "Spawn"}:            true,
-	{simPath, "engineCore", "SpawnAt"}:          true,
-	{simPath, "engineCore", "SpawnNumbered"}:    true,
-	{simPath, "engineCore", "Run"}:              true,
-	{simPath, "engineCore", "RunUntil"}:         true,
-	{simPath, "engineCore", "Shutdown"}:         true,
-	{simPath, "engineCore", "NewEvent"}:         true,
-	{simPath, "engineCore", "NewEventNumbered"}: true,
-	{simPath, "engineCore", "NewResource"}:      true,
-	{simPath, "engineCore", "AllOf"}:            true,
-	{simPath, "ParallelEngine", "Shutdown"}:     true,
-	{simPath, "Event", "Trigger"}:               true,
-	{simPath, "Event", "OnTrigger"}:             true,
-	{simPath, "Event", "Then"}:                  true,
-	{simPath, "Proc", "Wait"}:                   true,
-	{simPath, "Proc", "WaitAll"}:                true,
-	{simPath, "Proc", "WaitAny"}:                true,
-	{simPath, "Proc", "Sleep"}:                  true,
-	{simPath, "Proc", "Yield"}:                  true,
-	{simPath, "Resource", "Acquire"}:            true,
-	{simPath, "Resource", "AcquireThen"}:        true,
-	{simPath, "Resource", "TryAcquire"}:         true,
-	{simPath, "Resource", "Release"}:            true,
-	{simPath, "Resource", "Use"}:                true,
-	{simPath, "Queue", "Put"}:                   true,
-	{simPath, "Queue", "Get"}:                   true,
-	{simPath, "Queue", "TryGet"}:                true,
-	{simPath, "Hook", "ProcStart"}:              true,
-	{simPath, "Hook", "ProcEnd"}:                true,
-	{simPath, "Hook", "EventFired"}:             true,
+	{simPath, "Event", "Trigger"}:           true,
+	{simPath, "Event", "OnTrigger"}:         true,
+	{simPath, "Event", "Then"}:              true,
+	{simPath, "Proc", "Wait"}:               true,
+	{simPath, "Proc", "WaitAll"}:            true,
+	{simPath, "Proc", "WaitAny"}:            true,
+	{simPath, "Proc", "Sleep"}:              true,
+	{simPath, "Proc", "Yield"}:              true,
+	{simPath, "Resource", "Acquire"}:        true,
+	{simPath, "Resource", "AcquireThen"}:    true,
+	{simPath, "Resource", "TryAcquire"}:     true,
+	{simPath, "Resource", "Release"}:        true,
+	{simPath, "Resource", "Use"}:            true,
+	{simPath, "Queue", "Put"}:               true,
+	{simPath, "Queue", "Get"}:               true,
+	{simPath, "Queue", "TryGet"}:            true,
+	{simPath, "Hook", "ProcStart"}:          true,
+	{simPath, "Hook", "ProcEnd"}:            true,
+	{simPath, "Hook", "EventFired"}:         true,
 
 	// Task stream: record order is byte-visible in Chrome traces.
 	{obsPath, "Hub", "Start"}:             true,

@@ -56,7 +56,7 @@ func MustAlloc(dev *gpu.Device) mem.Ptr {
 
 // Negative: inside a spawned simulation process, panicking is the
 // designed error channel and MustMalloc is idiomatic.
-func RunBench(e sim.Engine, dev *gpu.Device) {
+func RunBench(e *sim.Engine, dev *gpu.Device) {
 	e.Spawn("bench", func(p *sim.Proc) {
 		buf := dev.MustMalloc(64)
 		if err := dev.Free(buf); err != nil {

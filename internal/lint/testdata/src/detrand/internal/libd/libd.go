@@ -130,24 +130,14 @@ func drainPool(work chan func()) {
 }
 
 // Negative: engine-scheduled concurrency.
-func spawnSim(e sim.Engine) {
+func spawnSim(e *sim.Engine) {
 	e.Spawn("worker", func(p *sim.Proc) {
 		p.Sleep(1)
 	})
 }
 
-// Positive (rule 1): TaskAt through the Engine interface is sim-visible
-// scheduling like CallAt.
-func flushTasks(e sim.Engine, sizes map[string]int) {
-	for _, n := range sizes { // want `map iteration order is randomized per run but this loop drives sim-visible work`
-		n := n
-		e.TaskAt(sim.Time(n), func() {})
-	}
-}
-
-// Positive (rule 1): the same call through a concrete engine resolves to
-// the method promoted from engineCore and must classify identically.
-func flushTasksConcrete(e *sim.ParallelEngine, sizes map[string]int) {
+// Positive (rule 1): TaskAt is sim-visible scheduling like CallAt.
+func flushTasks(e *sim.Engine, sizes map[string]int) {
 	for _, n := range sizes { // want `map iteration order is randomized per run but this loop drives sim-visible work`
 		n := n
 		e.TaskAt(sim.Time(n), func() {})

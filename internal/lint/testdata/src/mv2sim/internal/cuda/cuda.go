@@ -17,7 +17,7 @@ type Stream struct{}
 type Event struct{}
 
 // NewCtx creates a context on dev.
-func NewCtx(e sim.Engine, dev *gpu.Device) *Ctx { return &Ctx{} }
+func NewCtx(e *sim.Engine, dev *gpu.Device) *Ctx { return &Ctx{} }
 
 // Malloc allocates device memory.
 func (c *Ctx) Malloc(n int) (mem.Ptr, error) { return mem.Ptr{}, nil }

@@ -15,7 +15,7 @@ type Config struct {
 }
 
 // New creates a device.
-func New(e sim.Engine, id int, cfg Config) *Device { return &Device{} }
+func New(e *sim.Engine, id int, cfg Config) *Device { return &Device{} }
 
 // Malloc allocates device memory.
 func (d *Device) Malloc(n int) (mem.Ptr, error) { return mem.Ptr{}, nil }

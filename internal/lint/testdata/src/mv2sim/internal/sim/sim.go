@@ -4,22 +4,8 @@ package sim
 // Time is simulated time.
 type Time int64
 
-// Engine is the simulation scheduler interface; SerialEngine and
-// ParallelEngine implement it over the shared engineCore.
-type Engine interface {
-	NewEvent(name string) *Event
-	CallAt(t Time, fn func())
-	CallAfter(d Time, fn func())
-	TaskAt(t Time, fn func())
-	Spawn(name string, fn func(p *Proc))
-	Run() error
-	Shutdown()
-	NewResource(name string, n int) *Resource
-	NewQueue(name string) *Queue
-}
-
-// engineCore is the shared implementation both engines embed.
-type engineCore struct{}
+// Engine is the simulation scheduler.
+type Engine struct{}
 
 // Proc is a simulated process.
 type Proc struct{}
@@ -33,47 +19,35 @@ type Resource struct{}
 // Queue is a blocking queue.
 type Queue struct{}
 
-// SerialEngine is the cooperative single-executor engine.
-type SerialEngine struct{ engineCore }
-
-// ParallelEngine is the worker-pool engine.
-type ParallelEngine struct{ engineCore }
-
-// New creates a serial engine.
-func New() *SerialEngine { return &SerialEngine{} }
-
-// NewParallel creates a parallel engine.
-func NewParallel() *ParallelEngine { return &ParallelEngine{} }
-
-// Shutdown stops the pool, then the core.
-func (e *ParallelEngine) Shutdown() {}
+// New creates an engine.
+func New() *Engine { return &Engine{} }
 
 // NewEvent creates an event.
-func (e *engineCore) NewEvent(name string) *Event { return &Event{} }
+func (e *Engine) NewEvent(name string) *Event { return &Event{} }
 
 // CallAt schedules fn at time t in engine context.
-func (e *engineCore) CallAt(t Time, fn func()) {}
+func (e *Engine) CallAt(t Time, fn func()) {}
 
 // CallAfter schedules fn after d in engine context.
-func (e *engineCore) CallAfter(d Time, fn func()) {}
+func (e *Engine) CallAfter(d Time, fn func()) {}
 
-// TaskAt schedules a pure host-memory task joined at its (time, seq) slot.
-func (e *engineCore) TaskAt(t Time, fn func()) {}
+// TaskAt schedules host work that schedules nothing at time t.
+func (e *Engine) TaskAt(t Time, fn func()) {}
 
 // Spawn starts a process.
-func (e *engineCore) Spawn(name string, fn func(p *Proc)) {}
+func (e *Engine) Spawn(name string, fn func(p *Proc)) {}
 
 // Run runs the simulation.
-func (e *engineCore) Run() error { return nil }
+func (e *Engine) Run() error { return nil }
 
 // Shutdown stops the engine.
-func (e *engineCore) Shutdown() {}
+func (e *Engine) Shutdown() {}
 
 // NewResource creates a resource.
-func (e *engineCore) NewResource(name string, n int) *Resource { return &Resource{} }
+func (e *Engine) NewResource(name string, n int) *Resource { return &Resource{} }
 
 // NewQueue creates a queue.
-func (e *engineCore) NewQueue(name string) *Queue { return &Queue{} }
+func (e *Engine) NewQueue(name string) *Queue { return &Queue{} }
 
 // Wait blocks on an event.
 func (p *Proc) Wait(ev *Event) {}

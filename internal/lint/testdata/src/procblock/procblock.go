@@ -27,7 +27,7 @@ func badWait(ev *sim.Event) {
 
 // Positive: engine-context callbacks run on the engine goroutine and must
 // never block, even when the registering function owns a process.
-func engineCallback(e sim.Engine, s *cuda.Stream, p *sim.Proc) {
+func engineCallback(e *sim.Engine, s *cuda.Stream, p *sim.Proc) {
 	e.CallAfter(10, func() {
 		s.Synchronize(p) // want `blocking call Stream.Synchronize inside an engine-context callback`
 	})
@@ -58,7 +58,7 @@ func viaLocal(r *mpi.Rank, s *cuda.Stream) {
 }
 
 // Negative: a spawned process body receives its own *sim.Proc.
-func spawned(e sim.Engine, s *cuda.Stream) {
+func spawned(e *sim.Engine, s *cuda.Stream) {
 	e.Spawn("worker", func(p *sim.Proc) {
 		s.Synchronize(p)
 		p.Yield()

@@ -34,7 +34,6 @@ type Doc struct {
 	Schema    int     `json:"load_schema"`
 	Seed      int64   `json:"seed"`
 	Pairs     int     `json:"pairs"`
-	Engine    string  `json:"engine"`
 	Rails     int     `json:"rails"`
 	PackMode  string  `json:"packmode"`
 	HorizonMs float64 `json:"horizon_ms"`

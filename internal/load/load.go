@@ -48,8 +48,7 @@ type Config struct {
 	// reuses the device buffer of receive i-MaxPosted and is posted only
 	// after that one delivers. Default 32.
 	MaxPosted int
-	// Engine, Rails, PackMode, VbufCount pass through to the cluster.
-	Engine    string
+	// Rails, PackMode, VbufCount pass through to the cluster.
 	Rails     int
 	PackMode  core.PackMode
 	VbufCount int
@@ -113,9 +112,8 @@ type Result struct {
 }
 
 // recorder accumulates delivery observations. Completion callbacks run
-// inside the engine, which serializes tracer-visible state transitions
-// identically under both engines, so no locking is needed and the
-// resulting histogram is byte-deterministic.
+// inside the engine, one at a time in simulation order, so no locking is
+// needed and the resulting histogram is byte-deterministic.
 type recorder struct {
 	mt        *obs.MetricsTracer
 	delivered int64
@@ -188,7 +186,6 @@ func Run(cfg Config) (Result, error) {
 	// host memory.
 	ccfg := cluster.Config{
 		Nodes:     2 * cfg.Pairs,
-		Engine:    cfg.Engine,
 		Rails:     cfg.Rails,
 		VbufCount: cfg.VbufCount,
 		Core:      core.Config{PackMode: cfg.PackMode, UnpackMode: cfg.PackMode},

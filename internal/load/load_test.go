@@ -115,7 +115,7 @@ func TestDetectKnee(t *testing.T) {
 }
 
 // smallConfig is a fast single-point configuration for harness tests.
-func smallConfig(proc Process, engine string) Config {
+func smallConfig(proc Process) Config {
 	return Config{
 		Seed:       11,
 		Process:    proc,
@@ -123,12 +123,11 @@ func smallConfig(proc Process, engine string) Config {
 		OfferedMBs: 4000,
 		Horizon:    300 * sim.Microsecond,
 		MaxPosted:  8,
-		Engine:     engine,
 	}
 }
 
 func TestRunSmoke(t *testing.T) {
-	res, err := Run(smallConfig(Poisson, ""))
+	res, err := Run(smallConfig(Poisson))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,28 +145,27 @@ func TestRunSmoke(t *testing.T) {
 	}
 }
 
-// TestRunDeterministicAcrossEngines is the identical-seed property the
-// issue demands: for every arrival process, the same seed produces a
-// byte-identical event trace AND a byte-identical bench document under
-// the serial and parallel engines.
-func TestRunDeterministicAcrossEngines(t *testing.T) {
+// TestRunDeterministicPerSeed is the identical-seed property: for every
+// arrival process, two runs with the same seed produce a byte-identical
+// event trace AND a byte-identical bench document.
+func TestRunDeterministicPerSeed(t *testing.T) {
 	if testing.Short() {
-		t.Skip("multi-engine sweep")
+		t.Skip("repeated sweep")
 	}
 	type run struct {
 		trace []byte
 		doc   []byte
 	}
-	once := func(proc Process, engine string, seed int64) run {
+	once := func(proc Process, seed int64) run {
 		chrome := obs.NewChromeTracer()
-		cfg := smallConfig(proc, engine)
+		cfg := smallConfig(proc)
 		cfg.Seed = seed
 		cfg.Tracers = []obs.Tracer{chrome}
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		doc, err := Doc{Schema: LoadSchema, Seed: seed, Pairs: cfg.Pairs, Engine: "x", Rails: 1,
+		doc, err := Doc{Schema: LoadSchema, Seed: seed, Pairs: cfg.Pairs, Rails: 1,
 			PackMode: "auto", HorizonMs: cfg.Horizon.Millis(),
 			Curves: []Curve{NewCurve(proc, []Result{res})}}.Marshal()
 		if err != nil {
@@ -180,19 +178,14 @@ func TestRunDeterministicAcrossEngines(t *testing.T) {
 		seed++ // quick's generator is arbitrary; a small rotating seed is enough
 		_ = rawSeed
 		for _, proc := range Processes {
-			serial := once(proc, "serial", seed)
-			parallel := once(proc, "parallel", seed)
-			if !bytes.Equal(serial.trace, parallel.trace) {
-				t.Logf("%s seed %d: traces differ (%d vs %d bytes)", proc, seed, len(serial.trace), len(parallel.trace))
+			first := once(proc, seed)
+			again := once(proc, seed)
+			if !bytes.Equal(first.trace, again.trace) {
+				t.Logf("%s seed %d: traces differ (%d vs %d bytes)", proc, seed, len(first.trace), len(again.trace))
 				return false
 			}
-			if !bytes.Equal(serial.doc, parallel.doc) {
-				t.Logf("%s seed %d: docs differ:\n%s\n%s", proc, seed, serial.doc, parallel.doc)
-				return false
-			}
-			again := once(proc, "serial", seed)
-			if !bytes.Equal(serial.trace, again.trace) || !bytes.Equal(serial.doc, again.doc) {
-				t.Logf("%s seed %d: serial rerun differs", proc, seed)
+			if !bytes.Equal(first.doc, again.doc) {
+				t.Logf("%s seed %d: docs differ:\n%s\n%s", proc, seed, first.doc, again.doc)
 				return false
 			}
 		}

@@ -128,7 +128,7 @@ func (c Config) withDefaults() Config {
 
 // World is the set of communicating ranks (MPI_COMM_WORLD).
 type World struct {
-	e         sim.Engine
+	e         *sim.Engine
 	cfg       Config
 	ranks     []*Rank
 	transport GPUTransport
@@ -148,12 +148,12 @@ func (w *World) SetHub(h *obs.Hub) { w.hub = h }
 func (w *World) Hub() *obs.Hub { return w.hub }
 
 // NewWorld creates an empty world; attach ranks with AddRank.
-func NewWorld(e sim.Engine, cfg Config) *World {
+func NewWorld(e *sim.Engine, cfg Config) *World {
 	return &World{e: e, cfg: cfg.withDefaults()}
 }
 
 // Engine returns the simulation engine.
-func (w *World) Engine() sim.Engine { return w.e }
+func (w *World) Engine() *sim.Engine { return w.e }
 
 // Config returns the library configuration.
 func (w *World) Config() Config { return w.cfg }

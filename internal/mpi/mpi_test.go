@@ -3,7 +3,6 @@ package mpi
 import (
 	"fmt"
 	"math/rand"
-	"os"
 	"testing"
 	"testing/quick"
 
@@ -13,13 +12,9 @@ import (
 	"mv2sim/internal/sim"
 )
 
-// testWorld assembles n host-only ranks on one fabric, on the engine
-// MV2SIM_ENGINE names (serial by default).
-func testWorld(n int) (sim.Engine, *World) {
-	e, err := sim.NewByName(os.Getenv("MV2SIM_ENGINE"))
-	if err != nil {
-		panic(err)
-	}
+// testWorld assembles n host-only ranks on one fabric.
+func testWorld(n int) (*sim.Engine, *World) {
+	e := sim.New()
 	fabric := ib.NewFabric(e, ib.Model{})
 	w := NewWorld(e, Config{})
 	for i := 0; i < n; i++ {

@@ -241,7 +241,7 @@ func TestHandler(t *testing.T) {
 	}
 
 	// Attaching a load sweep flips /api/load from a stub to the document.
-	doc := &load.Doc{Schema: load.LoadSchema, Seed: 1, Pairs: 4, Engine: "serial",
+	doc := &load.Doc{Schema: load.LoadSchema, Seed: 1, Pairs: 4,
 		Rails: 1, PackMode: "auto", HorizonMs: 2,
 		Curves: []load.Curve{load.NewCurve(load.Poisson, []load.Result{
 			{OfferedMBs: 1000, GoodputMBs: 990, Transfers: 10, P50Us: 50, P99Us: 90, MaxUs: 120, MakespanMs: 1.5},

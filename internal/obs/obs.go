@@ -92,7 +92,7 @@ const (
 	DepVbufWait = "vbuf_wait"
 )
 
-// Clock reports the current virtual time; sim.Engine satisfies it.
+// Clock reports the current virtual time; *sim.Engine satisfies it.
 type Clock interface {
 	Now() sim.Time
 }

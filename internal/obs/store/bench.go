@@ -200,10 +200,6 @@ type wallclockBench struct {
 	PackPlanCachedNsChunk   float64            `json:"packplan_cached_ns_per_chunk"`
 	PackPlanUncachedNsChunk float64            `json:"packplan_uncached_ns_per_chunk"`
 	RailsBandwidthMBs       map[string]float64 `json:"rails_bandwidth_mbs"`
-	EnginePairs             int                `json:"engine_pairs"`
-	SerialPairsWallMs       float64            `json:"engine_serial_pairs_wall_ms"`
-	ParallelPairsWallMs     float64            `json:"engine_parallel_pairs_wall_ms"`
-	ParallelSpeedup         float64            `json:"engine_parallel_speedup"`
 }
 
 // ExtractWallclock flattens BENCH_wallclock.json. The rails bandwidth
@@ -226,17 +222,6 @@ func ExtractWallclock(data []byte) ([]Record, error) {
 			Metric: fmt.Sprintf("wallclock.rails_bandwidth_mbs.%s", k),
 			Unit:   "MB/s", Better: BetterHigher, Value: b.RailsBandwidthMBs[k],
 		})
-	}
-	if b.EnginePairs > 0 {
-		// Host wall clock of the -pairs engine comparison: informational,
-		// like every other host-time metric — and on a GOMAXPROCS=1 runner
-		// the parallel engine legitimately sits at ~1x.
-		p := fmt.Sprintf("wallclock.engine_pairs%d", b.EnginePairs)
-		recs = append(recs,
-			Record{Source: "wallclock", Metric: p + ".serial_wall_ms", Unit: "ms", Value: b.SerialPairsWallMs},
-			Record{Source: "wallclock", Metric: p + ".parallel_wall_ms", Unit: "ms", Value: b.ParallelPairsWallMs},
-			Record{Source: "wallclock", Metric: p + ".parallel_speedup", Unit: "x", Value: b.ParallelSpeedup},
-		)
 	}
 	return recs, nil
 }

@@ -33,7 +33,7 @@ type carrier struct {
 type shutdownPanic struct{}
 
 // carrier takes an idle carrier, or creates one the first time.
-func (e *engineCore) carrier() *carrier {
+func (e *Engine) carrier() *carrier {
 	if n := len(e.idle); n > 0 {
 		c := e.idle[n-1]
 		e.idle[n-1] = nil

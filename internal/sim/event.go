@@ -16,7 +16,7 @@ import (
 // A waiter is either a process blocked in Wait or a continuation queued
 // with Then; the two share one arrival order.
 type Event struct {
-	e       *engineCore
+	e       *Engine
 	name    label
 	fired   bool
 	firedAt Time
@@ -34,7 +34,7 @@ type waiter struct {
 
 // wake schedules the waiter at the current instant. A continuation takes
 // the slot — the next seq — that resuming a process would take.
-func (w waiter) wake(e *engineCore) {
+func (w waiter) wake(e *Engine) {
 	if w.p != nil {
 		w.p.scheduleResume(e.now)
 	} else {
@@ -59,13 +59,13 @@ func (l label) String() string {
 }
 
 // NewEvent creates a named, unfired event.
-func (e *engineCore) NewEvent(name string) *Event {
+func (e *Engine) NewEvent(name string) *Event {
 	return &Event{e: e, name: label{prefix: name}}
 }
 
 // NewEventNumbered creates an unfired event named prefix followed by n in
 // decimal. The name is formatted only when something reads it.
-func (e *engineCore) NewEventNumbered(prefix string, n int) *Event {
+func (e *Engine) NewEventNumbered(prefix string, n int) *Event {
 	return &Event{e: e, name: label{prefix: prefix, n: n, num: true}}
 }
 
@@ -203,7 +203,7 @@ func (p *Proc) WaitAny(evs ...*Event) int {
 
 // AllOf returns a new event that fires once all inputs have fired. With no
 // inputs the returned event is already fired.
-func (e *engineCore) AllOf(name string, evs ...*Event) *Event {
+func (e *Engine) AllOf(name string, evs ...*Event) *Event {
 	out := e.NewEvent(name)
 	n := len(evs)
 	if n == 0 {

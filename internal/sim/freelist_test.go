@@ -12,32 +12,26 @@ import (
 // thousand events through a freelist-less heap would show up as a
 // thousand allocations.
 func TestEngineSteadyStateAllocs(t *testing.T) {
-	for _, name := range []string{"serial", "parallel"} {
-		t.Run(name, func(t *testing.T) {
-			e, err := NewByName(name)
-			if err != nil {
+	serial(t, func(t *testing.T, e *Engine) {
+		defer e.Shutdown()
+		run := func() {
+			n := 0
+			var tick func()
+			tick = func() {
+				if n++; n < 1000 {
+					e.CallAfter(Nanosecond, tick)
+				}
+			}
+			e.CallAfter(Nanosecond, tick)
+			if err := e.Run(); err != nil {
 				t.Fatal(err)
 			}
-			defer e.Shutdown()
-			run := func() {
-				n := 0
-				var tick func()
-				tick = func() {
-					if n++; n < 1000 {
-						e.CallAfter(Nanosecond, tick)
-					}
-				}
-				e.CallAfter(Nanosecond, tick)
-				if err := e.Run(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			run() // warmup: populate the freelist
-			if avg := testing.AllocsPerRun(5, run); avg > 8 {
-				t.Errorf("%.1f allocs per 1000-event run after warmup, want the freelist to hold it near 0", avg)
-			}
-		})
-	}
+		}
+		run() // warmup: populate the freelist
+		if avg := testing.AllocsPerRun(5, run); avg > 8 {
+			t.Errorf("%.1f allocs per 1000-event run after warmup, want the freelist to hold it near 0", avg)
+		}
+	})
 }
 
 // TestFreelistRecyclesAcrossKinds drives calls, process resumptions and
@@ -69,7 +63,7 @@ func TestFreelistRecyclesAcrossKinds(t *testing.T) {
 	if total != 300 {
 		t.Fatalf("ran %d chained callbacks, want 300", total)
 	}
-	if got := len(e.engineCore.free); got == 0 || got > 8 {
+	if got := len(e.free); got == 0 || got > 8 {
 		t.Errorf("freelist holds %d items after run; want the handful that were ever outstanding at once", got)
 	}
 }

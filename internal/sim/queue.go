@@ -8,7 +8,7 @@ package sim
 // Queues are the message-passing primitive between simulated processes,
 // e.g. a NIC delivering packets to an MPI progress handler.
 type Queue[T any] struct {
-	e       *engineCore
+	e       *Engine
 	name    string
 	items   fifo[T]
 	waiters fifo[*Proc] // processes blocked in Get, in arrival order
@@ -19,8 +19,8 @@ type Queue[T any] struct {
 
 // NewQueue creates an empty queue. The type parameter is chosen by the
 // caller: sim.NewQueue[*packet](e, "nic0.rx").
-func NewQueue[T any](e Engine, name string) *Queue[T] {
-	return &Queue[T]{e: e.core(), name: name}
+func NewQueue[T any](e *Engine, name string) *Queue[T] {
+	return &Queue[T]{e: e, name: name}
 }
 
 // Name returns the queue name.

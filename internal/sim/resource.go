@@ -12,7 +12,7 @@ import "fmt"
 // waiter is a process blocked in Acquire or a continuation queued by
 // AcquireThen; both wait on a grant event, in one FIFO.
 type Resource struct {
-	e     *engineCore
+	e     *Engine
 	name  string
 	cap   int
 	inUse int
@@ -27,7 +27,7 @@ type Resource struct {
 }
 
 // NewResource creates a resource with the given capacity (>0).
-func (e *engineCore) NewResource(name string, capacity int) *Resource {
+func (e *Engine) NewResource(name string, capacity int) *Resource {
 	if capacity <= 0 {
 		panic("sim: resource capacity must be positive: " + name)
 	}

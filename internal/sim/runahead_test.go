@@ -8,17 +8,10 @@ import (
 	"time"
 )
 
-// bothEngines runs fn once on a serial and once on a parallel engine.
-func bothEngines(t *testing.T, fn func(t *testing.T, e Engine)) {
-	for _, name := range []string{"serial", "parallel"} {
-		t.Run(name, func(t *testing.T) {
-			e, err := NewByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fn(t, e)
-		})
-	}
+// serial runs fn on a new engine as the subtest "serial", the name
+// these cases are reported under.
+func serial(t *testing.T, fn func(t *testing.T, e *Engine)) {
+	t.Run("serial", func(t *testing.T) { fn(t, New()) })
 }
 
 // TestLoneSleepTaskChainOneSwitch: a process alone in the engine that
@@ -26,7 +19,7 @@ func bothEngines(t *testing.T, fn func(t *testing.T, e Engine)) {
 // to start — yet every task slot and every wake-up is still counted as
 // a dispatched event.
 func TestLoneSleepTaskChainOneSwitch(t *testing.T) {
-	bothEngines(t, func(t *testing.T, e Engine) {
+	serial(t, func(t *testing.T, e *Engine) {
 		defer e.Shutdown()
 		const n = 100
 		done := make([]bool, n)
@@ -60,7 +53,7 @@ func TestLoneSleepTaskChainOneSwitch(t *testing.T) {
 // process's wake-up already queued for the same instant takes the later
 // seq, so the sleeper must block and run after them.
 func TestRunAheadTieBlocks(t *testing.T) {
-	bothEngines(t, func(t *testing.T, e Engine) {
+	serial(t, func(t *testing.T, e *Engine) {
 		defer e.Shutdown()
 		var log []string
 		e.Spawn("other", func(p *Proc) {
@@ -89,7 +82,7 @@ func TestRunAheadTieBlocks(t *testing.T) {
 // a call stands in the way, the sleeper blocks with its wake-up at the
 // time computed on entry, not at the advanced clock plus the duration.
 func TestRunAheadBlockedWakeUpKeepsEntryTime(t *testing.T) {
-	bothEngines(t, func(t *testing.T, e Engine) {
+	serial(t, func(t *testing.T, e *Engine) {
 		defer e.Shutdown()
 		var woke Time
 		e.Spawn("sleeper", func(p *Proc) {
@@ -112,7 +105,7 @@ func TestRunAheadBlockedWakeUpKeepsEntryTime(t *testing.T) {
 // the process at its own time. A Sleep ending exactly at the limit still
 // runs ahead: the loop would have dispatched that wake-up too.
 func TestRunAheadStopsAtLimit(t *testing.T) {
-	bothEngines(t, func(t *testing.T, e Engine) {
+	serial(t, func(t *testing.T, e *Engine) {
 		defer e.Shutdown()
 		var woke []Time
 		ran := false
@@ -147,13 +140,10 @@ func TestRunAheadStopsAtLimit(t *testing.T) {
 
 // TestRunAheadRunsDueTasksOnly (c): tasks due at or before the wake-up
 // are complete when Sleep returns, including one tied with it; a task
-// due after the wake-up is not. (The parallel engine starts every task
-// on its pool at once, so only the serial engine can show the latter,
-// and only it may read the flag before the task's slot.)
+// due after the wake-up is not.
 func TestRunAheadRunsDueTasksOnly(t *testing.T) {
-	bothEngines(t, func(t *testing.T, e Engine) {
+	serial(t, func(t *testing.T, e *Engine) {
 		defer e.Shutdown()
-		_, serial := e.(*SerialEngine)
 		var before, tied, after bool
 		e.Spawn("sleeper", func(p *Proc) {
 			e.TaskAt(15, func() { after = true })
@@ -163,7 +153,7 @@ func TestRunAheadRunsDueTasksOnly(t *testing.T) {
 			if !before || !tied {
 				t.Errorf("at wake-up: before %v, tied %v; want both done", before, tied)
 			}
-			if serial && after {
+			if after {
 				t.Error("task due at 15 already run at 10")
 			}
 			if p.Now() != 10 {
@@ -188,13 +178,8 @@ func TestRunAheadRunsDueTasksOnly(t *testing.T) {
 // blocked in its Sleep as it would under the loop, and Shutdown then
 // unwinds it and leaves no goroutine behind.
 func TestRunAheadTaskPanic(t *testing.T) {
-	bothEngines(t, func(t *testing.T, e Engine) {
-		// The parallel engine's workers already run; they must be gone
-		// after Shutdown too.
+	serial(t, func(t *testing.T, e *Engine) {
 		base := runtime.NumGoroutine()
-		if pe, ok := e.(*ParallelEngine); ok {
-			base -= pe.Workers()
-		}
 		unwound, resumed := false, false
 		e.Spawn("sleeper", func(p *Proc) {
 			defer func() { unwound = true }()
@@ -233,19 +218,16 @@ func TestRunAheadTaskPanic(t *testing.T) {
 
 // TestPropRunAheadOrder: for random mixes of sleeping processes that
 // schedule tasks, and call chains, every call and wake-up observes the
-// clock in time order, every task due earlier is complete by then (and,
-// on the serial engine, none due later has run), and Events counts every
-// item a loop-only engine would dispatch.
+// clock in time order, every task due earlier is complete by then and
+// none due later has run, and Events counts every item a loop-only engine
+// would dispatch.
 func TestPropRunAheadOrder(t *testing.T) {
 	type task struct {
 		due  Time
 		done bool
 	}
-	f := func(seed uint32, serial bool) bool {
-		var e Engine = New()
-		if !serial {
-			e = NewParallel()
-		}
+	f := func(seed uint32) bool {
+		e := New()
 		defer e.Shutdown()
 		r := seed
 		next := func(n int) Time {
@@ -260,7 +242,7 @@ func TestPropRunAheadOrder(t *testing.T) {
 			ok = ok && now >= last
 			last = now
 			for _, tk := range tasks {
-				if tk.due < now && !tk.done || serial && tk.due > now && tk.done {
+				if tk.due < now && !tk.done || tk.due > now && tk.done {
 					ok = false
 				}
 			}

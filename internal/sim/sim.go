@@ -3,10 +3,10 @@
 // The engine advances a virtual clock by executing scheduled items in
 // non-decreasing time order. Three kinds of items exist: callbacks, which
 // run to completion inside the engine's goroutine, process resumptions,
-// which hand control to a cooperative process, and tasks — pure host-memory
-// work (no engine calls, no observable emissions) that an engine is free to
-// execute off the dispatch goroutine as long as the bytes are in place when
-// the task's slot in (time, seq) order is reached.
+// which hand control to a cooperative process, and tasks — host work that
+// schedules nothing (no engine calls, no observable emissions). A task runs
+// at its slot like a callback; the distinction lets a sleeping process run
+// the tasks ahead of its own wake-up on its stack (see Proc.runAhead).
 //
 // Processes are coroutines wrapped by Proc: each runs on a pooled carrier
 // (an iter.Pull coroutine, see coro.go) that the engine resumes directly.
@@ -21,11 +21,8 @@
 // deterministic: the same program produces the same event trace on every
 // run.
 //
-// Two engines implement the Engine interface: the default SerialEngine
-// (New) runs everything, tasks included, on the dispatch goroutine; the
-// ParallelEngine (NewParallel) farms tasks out to a GOMAXPROCS-sized
-// worker pool and joins each task at its committed slot, which keeps the
-// event order — and therefore every trace byte — identical to serial.
+// There is one engine, Engine (created by New). It runs every item, tasks
+// included, on the goroutine that calls Run.
 //
 // Software — MPI ranks and the protocol and pipeline stages that act for
 // them — is written as processes. Hardware models (GPU engines, CUDA
@@ -47,7 +44,6 @@ import (
 	"container/heap"
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // Time is a point in virtual time, measured in nanoseconds from the start
@@ -107,16 +103,13 @@ const (
 )
 
 // item is one entry in the event heap. Items are recycled through the
-// engine's freelist, so the wg field must return to zero before recycle.
+// engine's freelist.
 type item struct {
 	t    Time
 	seq  uint64 // tie-breaker: FIFO among items at the same instant
 	kind itemKind
 	fn   func()
 	proc *Proc
-	wg   sync.WaitGroup // joins an off-goroutine task at its slot
-
-	panicked interface{} // panic value of an off-goroutine task
 }
 
 type itemHeap []*item
@@ -139,75 +132,10 @@ func (h *itemHeap) Pop() interface{} {
 	return it
 }
 
-// Engine is the simulation scheduler interface. Two implementations exist:
-// SerialEngine (New), the default cooperative engine, and ParallelEngine
-// (NewParallel), which executes tasks on a worker pool while preserving
-// byte-identical event order. The interface is sealed: the unexported core
-// accessor keeps outside packages from substituting schedulers the
-// determinism argument has not been made for.
-type Engine interface {
-	// Now returns the current virtual time.
-	Now() Time
-	// Events returns the number of scheduled items dispatched so far.
-	Events() uint64
-	// Switches returns the number of process resumes the dispatch loop
-	// has performed, each a coroutine switch out and back.
-	Switches() uint64
-	// Run dispatches items until the queue is empty.
-	Run() error
-	// RunUntil dispatches items with time ≤ limit, leaving later items queued.
-	RunUntil(limit Time) error
-	// CallAt schedules fn to run in engine context at absolute time t.
-	CallAt(t Time, fn func())
-	// CallAfter schedules fn to run d after the current time.
-	CallAfter(d Time, fn func())
-	// TaskAt schedules pure host-memory work to be complete at time t.
-	TaskAt(t Time, fn func())
-	// Spawn creates a process starting at the current time.
-	Spawn(name string, fn func(p *Proc)) *Proc
-	// SpawnAt creates a process starting at absolute time t.
-	SpawnAt(t Time, name string, fn func(p *Proc)) *Proc
-	// SpawnNumbered is Spawn with the name prefix followed by n in
-	// decimal, formatted only when read.
-	SpawnNumbered(prefix string, n int, fn func(p *Proc)) *Proc
-	// NewEvent creates a named, unfired event.
-	NewEvent(name string) *Event
-	// NewEventNumbered is NewEvent with the name prefix followed by n in
-	// decimal, formatted only when read.
-	NewEventNumbered(prefix string, n int) *Event
-	// NewResource creates a resource with the given capacity.
-	NewResource(name string, capacity int) *Resource
-	// AllOf returns an event that fires once all inputs have fired.
-	AllOf(name string, evs ...*Event) *Event
-	// SetTracer installs a trace sink for process lifecycle events.
-	SetTracer(fn func(t Time, msg string))
-	// SetHook installs a structured lifecycle observer.
-	SetHook(h Hook)
-	// Shutdown ends every blocked process; see engineCore.Shutdown.
-	Shutdown()
-
-	core() *engineCore
-}
-
-// NewByName resolves an engine-selection knob ("" or "serial" for the
-// default cooperative engine, "parallel" for the worker-pool engine) to a
-// fresh engine. It is the single parse point for -engine flags and the
-// MV2SIM_ENGINE environment toggle.
-func NewByName(name string) (Engine, error) {
-	switch name {
-	case "", "serial":
-		return New(), nil
-	case "parallel":
-		return NewParallel(), nil
-	}
-	return nil, fmt.Errorf("sim: unknown engine %q (want serial or parallel)", name)
-}
-
-// engineCore is the scheduler state shared by both engines. All methods of
-// the Engine interface except Shutdown are implemented here once; the
-// launch hook is the only seam the ParallelEngine overrides (nil means
-// "run tasks inline at their slot").
-type engineCore struct {
+// Engine is the simulation scheduler: a virtual clock, a heap of items
+// ordered by (time, seq), and the carriers that run processes. The zero
+// value is not usable; create engines with New.
+type Engine struct {
 	now      Time
 	seq      uint64
 	heap     itemHeap
@@ -220,12 +148,10 @@ type engineCore struct {
 
 	tracer func(t Time, msg string)
 	hook   Hook
-
-	self     Engine         // the concrete engine embedding this core
-	launch   func(it *item) // set by ParallelEngine: start a task off-goroutine
-	inflight sync.WaitGroup // launched tasks not yet finished
-	goros    sync.WaitGroup // ParallelEngine pool workers not yet exited
 }
+
+// New creates an empty engine at virtual time zero.
+func New() *Engine { return &Engine{} }
 
 // Hook observes engine lifecycle events with structured callbacks, the
 // machine-readable counterpart of SetTracer's formatted strings. All
@@ -240,28 +166,6 @@ type Hook interface {
 	// EventFired fires on the first Trigger of every event.
 	EventFired(t Time, name string)
 }
-
-// SerialEngine is the default cooperative engine: every item, tasks
-// included, executes on the dispatch goroutine. The zero value is not
-// usable; create engines with New.
-type SerialEngine struct {
-	engineCore
-}
-
-// New creates an empty serial engine at virtual time zero.
-func New() *SerialEngine {
-	e := &SerialEngine{}
-	e.engineCore.init(e)
-	return e
-}
-
-// init wires the core's back-reference to the concrete engine.
-func (e *engineCore) init(self Engine) {
-	e.self = self
-}
-
-// core seals the Engine interface to this package's implementations.
-func (e *engineCore) core() *engineCore { return e }
 
 // Shutdown ends every process still blocked in the engine (servers
 // waiting for work, processes stuck on unfired events) and releases every
@@ -278,42 +182,41 @@ func (e *engineCore) core() *engineCore { return e }
 // Shutdown must only be called while the engine is not executing (i.e.
 // after Run/RunUntil has returned). It is idempotent. The engine must not
 // be used afterwards.
-func (e *engineCore) Shutdown() {
+func (e *Engine) Shutdown() {
 	for _, c := range e.carriers {
 		c.stop()
 	}
 	e.carriers, e.idle = nil, nil
-	e.goros.Wait()
 }
 
 // Now returns the current virtual time.
-func (e *engineCore) Now() Time { return e.now }
+func (e *Engine) Now() Time { return e.now }
 
 // Events returns the number of scheduled items dispatched so far.
-func (e *engineCore) Events() uint64 { return e.nevents }
+func (e *Engine) Events() uint64 { return e.nevents }
 
 // Switches returns the number of process resumes the dispatch loop has
 // performed. A process that keeps running through a Sleep or Yield
 // (see Proc.Sleep) costs no switch.
-func (e *engineCore) Switches() uint64 { return e.switches }
+func (e *Engine) Switches() uint64 { return e.switches }
 
 // SetTracer installs a trace sink invoked for process lifecycle events.
 // Pass nil to disable tracing.
-func (e *engineCore) SetTracer(fn func(t Time, msg string)) { e.tracer = fn }
+func (e *Engine) SetTracer(fn func(t Time, msg string)) { e.tracer = fn }
 
 // SetHook installs a structured lifecycle observer. Pass nil to disable.
-func (e *engineCore) SetHook(h Hook) { e.hook = h }
+func (e *Engine) SetHook(h Hook) { e.hook = h }
 
 // trace emits "<kind> <name>: <what>". The name is formatted only when a
 // tracer is installed, so the untraced path allocates nothing.
-func (e *engineCore) trace(kind string, name label, what string) {
+func (e *Engine) trace(kind string, name label, what string) {
 	if e.tracer != nil {
 		e.tracer(e.now, kind+" "+name.String()+": "+what)
 	}
 }
 
 // fired reports an event firing to the tracer and the hook.
-func (e *engineCore) fired(name label) {
+func (e *Engine) fired(name label) {
 	e.trace("event", name, "fired")
 	if e.hook != nil {
 		e.hook.EventFired(e.now, name.String())
@@ -323,7 +226,7 @@ func (e *engineCore) fired(name label) {
 // newItem takes an item from the freelist, or allocates the first time.
 // Only the engine goroutine (dispatch loop, or a process holding the
 // baton) touches the freelist, so no locking is needed.
-func (e *engineCore) newItem() *item {
+func (e *Engine) newItem() *item {
 	if n := len(e.free); n > 0 {
 		it := e.free[n-1]
 		e.free[n-1] = nil
@@ -334,15 +237,15 @@ func (e *engineCore) newItem() *item {
 }
 
 // recycle returns a dispatched item to the freelist. Callers must be done
-// with every field; tasks are recycled only after their WaitGroup drained.
-func (e *engineCore) recycle(it *item) {
+// with every field.
+func (e *Engine) recycle(it *item) {
 	it.fn = nil
 	it.proc = nil
 	e.free = append(e.free, it)
 }
 
 // schedule inserts an item at absolute time t.
-func (e *engineCore) schedule(t Time, it *item) {
+func (e *Engine) schedule(t Time, it *item) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling into the past (%v < %v)", t, e.now))
 	}
@@ -355,7 +258,7 @@ func (e *engineCore) schedule(t Time, it *item) {
 // CallAt schedules fn to run in engine context at absolute time t.
 // fn must not block; it may schedule further items, trigger events and
 // spawn processes.
-func (e *engineCore) CallAt(t Time, fn func()) {
+func (e *Engine) CallAt(t Time, fn func()) {
 	it := e.newItem()
 	it.kind = kindCall
 	it.fn = fn
@@ -363,30 +266,22 @@ func (e *engineCore) CallAt(t Time, fn func()) {
 }
 
 // CallAfter schedules fn to run d after the current time.
-func (e *engineCore) CallAfter(d Time, fn func()) {
+func (e *Engine) CallAfter(d Time, fn func()) {
 	if d < 0 {
 		panic("sim: negative delay")
 	}
 	e.CallAt(e.now+d, fn)
 }
 
-// TaskAt schedules fn — pure host-memory work that makes no engine calls
-// and emits nothing observable — to be complete at absolute time t. The
-// serial engine runs fn at the item's slot exactly like CallAt; the
-// parallel engine starts fn on a pool worker immediately and joins it at
-// the slot. Because fn only writes memory that nothing scheduled before
-// the slot reads (the caller's obligation, checked by the race detector),
-// both engines produce identical simulations.
-func (e *engineCore) TaskAt(t Time, fn func()) {
+// TaskAt schedules fn — host work that makes no engine calls and emits
+// nothing observable — to run at absolute time t. The dispatch loop runs
+// it at its slot exactly like CallAt; because a task schedules nothing, a
+// sleeping process may also run it on its own stack (see Proc.runAhead).
+func (e *Engine) TaskAt(t Time, fn func()) {
 	it := e.newItem()
 	it.kind = kindTask
 	it.fn = fn
 	e.schedule(t, it)
-	if e.launch != nil {
-		it.wg.Add(1)
-		e.inflight.Add(1)
-		e.launch(it)
-	}
 }
 
 // DeadlockError reports that the event queue drained while processes were
@@ -403,13 +298,13 @@ func (d *DeadlockError) Error() string {
 // Run dispatches items until the queue is empty. It returns nil when the
 // simulation drained cleanly (every spawned process finished), and a
 // *DeadlockError when processes remain blocked with no pending items.
-func (e *engineCore) Run() error {
+func (e *Engine) Run() error {
 	return e.run(-1)
 }
 
 // RunUntil dispatches items with time ≤ limit, leaving later items queued.
 // The clock is advanced to limit even if the queue drains earlier.
-func (e *engineCore) RunUntil(limit Time) error {
+func (e *Engine) RunUntil(limit Time) error {
 	err := e.run(limit)
 	if err == nil && e.now < limit {
 		e.now = limit
@@ -417,11 +312,7 @@ func (e *engineCore) RunUntil(limit Time) error {
 	return err
 }
 
-func (e *engineCore) run(limit Time) error {
-	// Every launched task must be joined before Run returns, even tasks
-	// scheduled past a RunUntil limit: the caller is free to inspect any
-	// simulated memory once the dispatch loop has stopped.
-	defer e.inflight.Wait()
+func (e *Engine) run(limit Time) error {
 	e.limit = limit
 	for len(e.heap) > 0 {
 		if limit >= 0 && e.heap[0].t > limit {
@@ -461,26 +352,16 @@ func (e *engineCore) run(limit Time) error {
 	return nil
 }
 
-// runTask completes a dispatched task at its slot and recycles it: the
-// serial engine runs the body here, the parallel engine joins the pool
-// worker that ran it and re-raises the body's panic, if any.
-func (e *engineCore) runTask(it *item) {
-	if e.launch != nil {
-		it.wg.Wait()
-		if pv := it.panicked; pv != nil {
-			it.panicked = nil
-			panic(pv)
-		}
-	} else {
-		it.fn()
-	}
+// runTask runs a dispatched task at its slot and recycles it.
+func (e *Engine) runTask(it *item) {
+	it.fn()
 	e.recycle(it)
 }
 
 // runProc switches to p's carrier and returns when p blocks or finishes.
 // A panic inside the process is re-raised here, in the Run caller's
 // goroutine, so it is observable and recoverable like any ordinary panic.
-func (e *engineCore) runProc(p *Proc) {
+func (e *Engine) runProc(p *Proc) {
 	if p.done {
 		panic("sim: resuming finished process " + p.name.String())
 	}
@@ -496,7 +377,7 @@ func (e *engineCore) runProc(p *Proc) {
 // must only call blocking operations (Sleep, Wait, Resource.Acquire, ...)
 // from their own body while it is running.
 type Proc struct {
-	e        *engineCore
+	e        *Engine
 	name     label
 	fn       func(p *Proc)
 	c        *carrier // the coroutine running fn
@@ -517,31 +398,31 @@ type waitable interface{ waitName() string }
 func (p *Proc) Name() string { return p.name.String() }
 
 // Engine returns the engine the process runs on.
-func (p *Proc) Engine() Engine { return p.e.self }
+func (p *Proc) Engine() *Engine { return p.e }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.e.now }
 
 // Spawn creates a process executing fn and schedules it to start at the
 // current time (after already-queued items at this instant).
-func (e *engineCore) Spawn(name string, fn func(p *Proc)) *Proc {
+func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	return e.SpawnAt(e.now, name, fn)
 }
 
 // SpawnNumbered is Spawn for a process named prefix followed by n in
 // decimal. The name is formatted only when a tracer, a hook or a deadlock
 // report reads it, so per-message processes cost no string.
-func (e *engineCore) SpawnNumbered(prefix string, n int, fn func(p *Proc)) *Proc {
+func (e *Engine) SpawnNumbered(prefix string, n int, fn func(p *Proc)) *Proc {
 	return e.spawn(e.now, label{prefix: prefix, n: n, num: true}, fn)
 }
 
 // SpawnAt creates a process starting at absolute time t. The process
 // runs on an idle carrier if one exists.
-func (e *engineCore) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
+func (e *Engine) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 	return e.spawn(t, label{prefix: name}, fn)
 }
 
-func (e *engineCore) spawn(t Time, name label, fn func(p *Proc)) *Proc {
+func (e *Engine) spawn(t Time, name label, fn func(p *Proc)) *Proc {
 	p := &Proc{e: e, name: name, fn: fn, c: e.carrier()}
 	p.c.p = p
 	it := e.newItem()

@@ -12,7 +12,7 @@ import (
 )
 
 // Clock is anything that can report the current virtual time; both
-// sim.Engine and mpi.Rank satisfy it.
+// *sim.Engine and mpi.Rank satisfy it.
 type Clock interface {
 	Now() sim.Time
 }

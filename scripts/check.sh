@@ -59,39 +59,6 @@ if [ -z "${TRACE_OUT:-}" ]; then
     rm -f "$tracefile"
 fi
 
-echo "== engine parity gate"
-# The parallel engine must be byte-identical to the serial one: same
-# Chrome trace, event for event and timestamp for timestamp, across the
-# pack modes and rail counts that exercise every pipeline stage. This is
-# the contract that lets -engine parallel be a pure wall-clock knob.
-pt=$(mktemp /tmp/mv2sim-pipetrace.XXXXXX.bin)
-go build -o "$pt" ./cmd/pipetrace
-for mode in memcpy2d auto kernel nic; do
-    for rails in 1 2; do
-        es=$(mktemp /tmp/mv2sim-engser.XXXXXX.json)
-        ep=$(mktemp /tmp/mv2sim-engpar.XXXXXX.json)
-        "$pt" -packmode "$mode" -rails "$rails" -engine serial -chrome "$es" > /dev/null
-        "$pt" -packmode "$mode" -rails "$rails" -engine parallel -chrome "$ep" > /dev/null
-        cmp "$es" "$ep" || {
-            echo "parallel engine trace diverged from serial (packmode=$mode rails=$rails)"; exit 1; }
-        rm -f "$es" "$ep"
-    done
-done
-rm -f "$pt"
-
-echo "== parallel-engine race tests"
-# The cluster-heavy packages again, now with every task body dispatched
-# on the worker pool and the race detector watching the joins. ib and mpi
-# take and return pooled payload buffers around task bodies that run on
-# the workers; cluster and load cover the joins a sleeping process makes
-# itself when it runs tasks ahead of its wake-up. cuda and gpu cover
-# stream and engine completions, which join launched tasks from engine
-# context and recycle the ops those tasks read.
-MV2SIM_ENGINE=parallel go test -race -count=1 \
-    ./internal/core ./internal/halo3d ./internal/transpose ./internal/shoc \
-    ./internal/ib ./internal/mpi ./internal/cluster ./internal/load \
-    ./internal/cuda ./internal/gpu
-
 echo "== pack-mode gate"
 # -packmode memcpy2d must reproduce the pre-PackMode pipeline byte for
 # byte (the committed golden), and the auto/kernel modes must emit valid,
