@@ -75,10 +75,10 @@ func TestEagerSteadyStateAllocs(t *testing.T) {
 	bytesPerTrip := float64(int64(b1)-int64(b0)) / (long - short)
 	mallocsPerTrip := float64(int64(m1)-int64(m0)) / (long - short)
 	t.Logf("per round trip: %.0f heap bytes, %.1f mallocs", bytesPerTrip, mallocsPerTrip)
-	if bytesPerTrip > 7<<10 {
-		t.Errorf("%.0f heap bytes per 4 KB round trip, want under 7 KiB: a payload buffer is allocated per message", bytesPerTrip)
+	if bytesPerTrip > 6<<10 {
+		t.Errorf("%.0f heap bytes per 4 KB round trip, want under 6 KiB: a payload buffer is allocated per message", bytesPerTrip)
 	}
-	const maxMallocs = 70
+	const maxMallocs = 54
 	if mallocsPerTrip > maxMallocs {
 		t.Errorf("%.1f mallocs per 4 KB round trip, want at most %d", mallocsPerTrip, maxMallocs)
 	}

@@ -3,8 +3,6 @@ package gpu
 import (
 	"fmt"
 
-	"mv2sim/internal/alloc"
-
 	"mv2sim/internal/mem"
 	"mv2sim/internal/obs"
 	"mv2sim/internal/sim"
@@ -73,7 +71,6 @@ type Device struct {
 	id          int
 	e           *sim.Engine
 	space       *mem.Space
-	alloc       *alloc.Allocator
 	model       CostModel
 	engines     [numEngines]*sim.Resource
 	engineTrack [numEngines]string // precomputed obs track names
@@ -103,7 +100,6 @@ func New(e *sim.Engine, id int, cfg Config) *Device {
 		id:    id,
 		e:     e,
 		space: mem.Reserve(mem.Device, fmt.Sprintf("gpu%d", id), id, cfg.MemBytes),
-		alloc: newAllocator(cfg.MemBytes),
 		model: model,
 	}
 	for k := EngineKind(0); k < numEngines; k++ {
@@ -158,15 +154,16 @@ func (d *Device) Stats() Stats {
 	return cp
 }
 
+// Alignment is the allocation granularity of device memory. CUDA guarantees
+// at least 256-byte alignment from cudaMalloc; we match it so that pitch
+// and coalescing behaviour of real code carries over.
+const Alignment = 256
+
 // Malloc allocates device memory, like cudaMalloc. Only the n bytes
 // handed out are mapped: touching the alignment padding past them, or the
 // buffer after Free, panics.
 func (d *Device) Malloc(n int) (mem.Ptr, error) {
-	off, err := d.alloc.Alloc(n)
-	if err != nil {
-		return mem.Ptr{}, err
-	}
-	return d.space.Map(off, n), nil
+	return d.space.Alloc(n, Alignment)
 }
 
 // MustMalloc allocates or panics; for setup code whose sizes are static.
@@ -179,25 +176,18 @@ func (d *Device) MustMalloc(n int) mem.Ptr {
 }
 
 // Free releases memory returned by Malloc.
-func (d *Device) Free(p mem.Ptr) error {
-	if p.Space() != d.space {
-		return fmt.Errorf("gpu%d: free of foreign pointer %v", d.id, p)
-	}
-	if err := d.alloc.Free(p.Offset()); err != nil {
-		return err
-	}
-	d.space.Unmap(p.Offset())
-	return nil
-}
+func (d *Device) Free(p mem.Ptr) error { return d.space.Free(p) }
 
 // LiveAllocs returns the number of outstanding device allocations.
-func (d *Device) LiveAllocs() int { return d.alloc.LiveCount() }
+func (d *Device) LiveAllocs() int { return d.space.Mappings() }
 
 // MemInUse returns the number of allocated device bytes.
-func (d *Device) MemInUse() int { return d.alloc.InUse() }
+func (d *Device) MemInUse() int { return d.space.InUse() }
 
-// CheckAllocator validates allocator invariants (tests only).
-func (d *Device) CheckAllocator() error { return d.alloc.CheckInvariants() }
+// CheckAllocator validates the device memory table: it reports the
+// corruption that would otherwise surface as a wrong byte far from its
+// cause.
+func (d *Device) CheckAllocator() error { return d.space.Check() }
 
 // Job is one unit of device work: a (possibly 2D) copy of Shape from Src
 // to Dst, or, with Kernel set, a kernel of Cells cells at NsPerCell

@@ -3,7 +3,6 @@ package gpu
 import (
 	"math/rand"
 
-	"mv2sim/internal/alloc"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -231,12 +230,12 @@ func TestFreeCoalescing(t *testing.T) {
 	if err := d.CheckAllocator(); err != nil {
 		t.Fatal(err)
 	}
-	if spans := d.alloc.FreeSpans(); len(spans) != 1 || spans[0] != (alloc.Span{Off: 0, Len: 4096}) {
-		t.Errorf("free list = %v, want single full span", spans)
+	if d.LiveAllocs() != 0 || d.MemInUse() != 0 {
+		t.Errorf("%d allocations, %d bytes live after freeing all", d.LiveAllocs(), d.MemInUse())
 	}
-	// The whole arena must be allocatable again.
-	if _, err := d.Malloc(4096); err != nil {
-		t.Errorf("full-arena alloc after coalescing failed: %v", err)
+	// The whole arena must be allocatable again, from its start.
+	if p, err := d.Malloc(4096); err != nil || p.Offset() != 0 {
+		t.Errorf("full-arena alloc after coalescing: %v, %v", p, err)
 	}
 }
 
@@ -252,43 +251,43 @@ func TestDoubleFree(t *testing.T) {
 	}
 }
 
-// Property: arbitrary alloc/free sequences keep the allocator consistent:
-// no live allocation overlaps another or a free span, and accounting sums
-// to the arena size.
+// Property: arbitrary Malloc/Free sequences keep device memory
+// consistent: no live allocation overlaps another, the accounting matches
+// the live allocations, and once everything is freed the whole arena is
+// one allocation again.
 func TestPropAllocatorInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		a := newAllocator(1 << 16)
-		var live []int
+		d := New(sim.New(), 0, Config{MemBytes: 1 << 16})
+		var live []mem.Ptr
 		for step := 0; step < 200; step++ {
 			if rng.Intn(2) == 0 || len(live) == 0 {
-				n := 1 + rng.Intn(4096)
-				off, err := a.Alloc(n)
+				p, err := d.Malloc(1 + rng.Intn(4096))
 				if err == nil {
-					live = append(live, off)
+					live = append(live, p)
 				}
 			} else {
 				i := rng.Intn(len(live))
-				if err := a.Free(live[i]); err != nil {
+				if err := d.Free(live[i]); err != nil {
 					return false
 				}
 				live = append(live[:i], live[i+1:]...)
 			}
-			if err := a.CheckInvariants(); err != nil {
-				t.Logf("seed %d step %d: %v", seed, step, err)
+			if err := d.CheckAllocator(); err != nil || d.LiveAllocs() != len(live) {
+				t.Logf("seed %d step %d: %v, %d live allocations, want %d", seed, step, err, d.LiveAllocs(), len(live))
 				return false
 			}
 		}
-		for _, off := range live {
-			if err := a.Free(off); err != nil {
+		for _, p := range live {
+			if err := d.Free(p); err != nil {
 				return false
 			}
 		}
-		if err := a.CheckInvariants(); err != nil {
+		if d.CheckAllocator() != nil || d.MemInUse() != 0 {
 			return false
 		}
-		spans := a.FreeSpans()
-		return len(spans) == 1 && spans[0] == alloc.Span{Off: 0, Len: 1 << 16}
+		p, err := d.Malloc(1 << 16)
+		return err == nil && p.Offset() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

@@ -24,7 +24,6 @@ package ib
 
 import (
 	"fmt"
-	"sync"
 
 	"mv2sim/internal/mem"
 	"mv2sim/internal/obs"
@@ -104,10 +103,8 @@ type Fabric struct {
 // all draw from the one pool of their fabric, so a steady stream of
 // equal-size messages allocates nothing. Get returns a buffer with stale
 // contents; every user overwrites all of it before reading. Reuse is LIFO
-// and deterministic. Get and Put hold a mutex; a buffer may be returned
-// from an engine task body.
+// and deterministic.
 type BufPool struct {
-	mu   sync.Mutex
 	free map[int][][]byte
 }
 
@@ -117,8 +114,6 @@ func (bp *BufPool) Get(n int) []byte {
 	if n == 0 {
 		return nil
 	}
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
 	l := bp.free[n]
 	if len(l) == 0 {
 		return make([]byte, n)
@@ -133,8 +128,6 @@ func (bp *BufPool) Put(b []byte) {
 	if len(b) == 0 {
 		return
 	}
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
 	if bp.free == nil {
 		bp.free = map[int][][]byte{}
 	}

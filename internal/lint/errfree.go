@@ -4,8 +4,8 @@ import (
 	"go/ast"
 )
 
-// ErrFree flags discarded error results from Device.Free, Ctx.Free and
-// Device.CheckAllocator.
+// ErrFree flags discarded error results from Device.Free, Ctx.Free,
+// Space.Free and Device.CheckAllocator.
 //
 // Free reports double-frees and frees of foreign pointers — the exact
 // corruption modes a growing allocator-sharing codebase introduces — and
@@ -14,7 +14,7 @@ import (
 // silently converts allocator corruption into downstream mystery.
 var ErrFree = &Analyzer{
 	Name: "errfree",
-	Doc:  "flags discarded error results of Device.Free, Ctx.Free and CheckAllocator",
+	Doc:  "flags discarded error results of Device.Free, Ctx.Free, Space.Free and CheckAllocator",
 	Run:  runErrFree,
 }
 
@@ -23,6 +23,7 @@ var errCriticalMethods = map[[3]string]bool{
 	{gpuPath, "Device", "Free"}:           true,
 	{gpuPath, "Device", "CheckAllocator"}: true,
 	{cudaPath, "Ctx", "Free"}:             true,
+	{memPath, "Space", "Free"}:            true,
 }
 
 func runErrFree(pass *Pass) error {

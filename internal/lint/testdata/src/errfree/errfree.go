@@ -24,6 +24,11 @@ func Deferred(dev *gpu.Device, p mem.Ptr) {
 	defer dev.Free(p) // want `error result of Device.Free is discarded`
 }
 
+// Positive: a space's own Free reports the same corruption.
+func SpaceDiscards(s *mem.Space, p mem.Ptr) {
+	s.Free(p) // want `error result of Space.Free is discarded`
+}
+
 // Positive: CheckAllocator exists only for its error.
 func Check(dev *gpu.Device) {
 	dev.CheckAllocator() // want `error result of Device.CheckAllocator is discarded`
@@ -35,6 +40,11 @@ func Consumed(dev *gpu.Device, p mem.Ptr) error {
 		return fmt.Errorf("free: %w", err)
 	}
 	return dev.CheckAllocator()
+}
+
+// Negative: a space's Free error returned to the caller.
+func SpaceConsumed(s *mem.Space, p mem.Ptr) error {
+	return s.Free(p)
 }
 
 // Negative: a deferred closure that inspects the error is fine.

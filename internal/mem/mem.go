@@ -2,8 +2,11 @@
 // simulated host and GPU devices.
 //
 // A Space is one physical address space: a reserved range of addresses
-// whose bytes exist only where an allocator has mapped them, the
-// simulated analogue of CUDA's reserve-then-map virtual memory calls. A
+// whose bytes exist only where they have been allocated, the simulated
+// analogue of CUDA's reserve-then-map virtual memory calls. The Space is
+// also the allocator: its sorted extent table is the one record of live
+// memory, and Alloc places each buffer first-fit in the table's gaps,
+// the way cudaMalloc and the MPI library's host heap hand out memory. A
 // Ptr is an (space, offset) pair, the simulation's analogue of a raw
 // pointer under CUDA Unified Virtual Addressing: any component can inspect
 // a Ptr and tell whether it points into host or device memory and into
@@ -19,8 +22,6 @@ package mem
 import (
 	"fmt"
 	"slices"
-	"sync"
-	"sync/atomic"
 )
 
 // Kind classifies an address space.
@@ -44,37 +45,41 @@ func (k Kind) String() string {
 	}
 }
 
-// Space is one simulated physical address space of a fixed size. Only
-// mapped extents have backing bytes; an access outside every extent
-// panics, which is how use-after-free and out-of-allocation accesses
-// surface.
+// Space is one simulated physical address space of a fixed size, and
+// the only record of what is live in it. Each extent reserves a range
+// and backs its leading bytes; Alloc hands out aligned reservations
+// first-fit from the gaps between extents, Map places one at a fixed
+// offset, and Free releases either. Only backed bytes are accessible: an
+// access outside every backing panics, which is how use-after-free and
+// out-of-allocation accesses surface.
 //
-// The extent table is copy-on-write behind an atomic pointer: Bytes takes
-// one atomic load and a binary search and never locks, so engine task
-// bodies may read memory while a process maps or unmaps other buffers.
+// A Space is plain single-threaded data. It belongs to one cluster, one
+// engine drives that cluster, and no simulator code starts a goroutine.
 type Space struct {
 	kind Kind
 	dev  int // device ordinal; -1 for host
 	name string
 	size int
 
-	table atomic.Pointer[[]extent] // sorted by offset, disjoint
-
-	mu         sync.Mutex // serialises Map and Unmap
-	spares     [][]byte   // unmapped backings, reused LIFO by exact length
-	mapped     int        // bytes in the table
-	spareBytes int        // bytes in spares
+	table      []extent // sorted by offset, disjoint by reservation
+	spares     [][]byte // freed backings, reused LIFO by exact length
+	mapped     int      // bytes backed by the table
+	spareBytes int      // bytes in spares
+	inUse      int      // bytes reserved by the table
+	peakInUse  int      // high-water mark of inUse
 }
 
-// extent is one mapped range [off, off+len(b)).
+// extent is one reservation [off, off+res), of which [off, off+len(b))
+// is backed; the rest is alignment padding.
 type extent struct {
 	off int
+	res int
 	b   []byte
 }
 
 // Reserve creates an address space of the given size with nothing
-// mapped; Map materialises the ranges an allocator hands out. dev is the
-// device ordinal of a Device space and is ignored for Host.
+// mapped; Alloc and Map materialise ranges in it. dev is the device
+// ordinal of a Device space and is ignored for Host.
 func Reserve(kind Kind, name string, dev, size int) *Space {
 	if size < 0 {
 		panic(fmt.Sprintf("mem: negative size %d for space %s", size, name))
@@ -82,9 +87,7 @@ func Reserve(kind Kind, name string, dev, size int) *Space {
 	if kind == Host {
 		dev = -1
 	}
-	s := &Space{kind: kind, dev: dev, name: name, size: size}
-	s.table.Store(&[]extent{})
-	return s
+	return &Space{kind: kind, dev: dev, name: name, size: size}
 }
 
 // NewHostSpace creates a host address space of the given size, mapped in
@@ -122,37 +125,76 @@ func (s *Space) Size() int { return s.size }
 // Base returns a pointer to offset 0 of the space.
 func (s *Space) Base() Ptr { return Ptr{sp: s} }
 
-// Mappings returns the number of mapped extents.
-func (s *Space) Mappings() int { return len(*s.table.Load()) }
+// Mappings returns the number of live extents: allocations plus fixed
+// mappings.
+func (s *Space) Mappings() int { return len(s.table) }
 
-// Map gives the n bytes at off a backing and returns a pointer to them.
-// The range must lie inside the space and overlap no mapping; both are
-// allocator invariants, so a violation panics. A backing unmapped earlier
-// with the same length is reused as is, stale bytes included, the way
-// freed memory keeps its contents; otherwise the bytes are zero.
+// InUse returns the number of reserved bytes, alignment padding included.
+func (s *Space) InUse() int { return s.inUse }
+
+// PeakInUse returns the high-water mark of InUse.
+func (s *Space) PeakInUse() int { return s.peakInUse }
+
+// Alloc reserves n bytes rounded up to align, a power of two, in the
+// lowest gap between extents that holds them, and maps exactly the n
+// bytes it returns a pointer to: the padding past them is not
+// accessible. Freed gaps merge with their neighbours by construction, so
+// this is first-fit with eager coalescing.
+func (s *Space) Alloc(n, align int) (Ptr, error) {
+	if align <= 0 || align&(align-1) != 0 {
+		panic(fmt.Sprintf("mem: alignment %d of %s is not a power of two", align, s.name))
+	}
+	if n <= 0 {
+		return Ptr{}, fmt.Errorf("mem: allocation size %d must be positive", n)
+	}
+	need := (n + align - 1) &^ (align - 1)
+	at := 0 // end of the previous reservation
+	for i := 0; i <= len(s.table); i++ {
+		end := s.size
+		if i < len(s.table) {
+			end = s.table[i].off
+		}
+		if off := (at + align - 1) &^ (align - 1); end-off >= need {
+			return s.insert(i, off, need, n), nil
+		}
+		if i < len(s.table) {
+			at = s.table[i].off + s.table[i].res
+		}
+	}
+	return Ptr{}, fmt.Errorf("mem: %s out of memory (want %d bytes, %d free of %d, in %d extents)",
+		s.name, need, s.size-s.inUse, s.size, len(s.table))
+}
+
+// Map gives the n bytes at off a backing and returns a pointer to them,
+// for users that place buffers at fixed offsets. The range must lie
+// inside the space and overlap no extent; a violation panics.
 func (s *Space) Map(off, n int) Ptr {
 	if n <= 0 || off < 0 || off+n > s.size {
 		panic(fmt.Sprintf("mem: map [0x%x,0x%x) outside %s [0,0x%x)", off, off+n, s.name, s.size))
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	old := *s.table.Load()
-	i := search(old, off+n-1) + 1 // insertion point: first extent past the range's last byte
-	if i > 0 && old[i-1].off+len(old[i-1].b) > off {
+	i := search(s.table, off+n-1) + 1 // insertion point: first extent past the range's last byte
+	if i > 0 && s.table[i-1].off+s.table[i-1].res > off {
 		panic(fmt.Sprintf("mem: map [0x%x,0x%x) of %s overlaps mapping %v len %d",
-			off, off+n, s.name, Ptr{sp: s, off: old[i-1].off}, len(old[i-1].b)))
+			off, off+n, s.name, Ptr{sp: s, off: s.table[i-1].off}, s.table[i-1].res))
 	}
-	t := make([]extent, 0, len(old)+1)
-	t = append(append(append(t, old[:i]...), extent{off, s.backing(n)}), old[i:]...)
+	return s.insert(i, off, n, n)
+}
+
+// insert adds an extent reserving res bytes at off, n of them backed, at
+// table index i.
+func (s *Space) insert(i, off, res, n int) Ptr {
+	s.table = slices.Insert(s.table, i, extent{off, res, s.backing(n)})
 	s.mapped += n
-	s.table.Store(&t)
+	s.inUse += res
+	s.peakInUse = max(s.peakInUse, s.inUse)
 	return Ptr{sp: s, off: off}
 }
 
 // backing returns an n-byte slice for a new mapping: the most recently
-// unmapped spare of exactly that length, or a fresh zeroed slice after
+// freed spare of exactly that length, stale bytes included, the way freed
+// memory keeps its contents; otherwise a fresh zeroed slice, after
 // releasing the oldest spares to keep mapped plus spare bytes within the
-// space's size. The caller holds s.mu.
+// space's size.
 func (s *Space) backing(n int) []byte {
 	for i := len(s.spares) - 1; i >= 0; i-- {
 		if b := s.spares[i]; len(b) == n {
@@ -170,24 +212,51 @@ func (s *Space) backing(n int) []byte {
 	return make([]byte, n)
 }
 
-// Unmap removes the mapping that starts at off. Its bytes become
-// unreachable through the space; the backing is kept as a spare for the
-// next mapping of the same length.
-func (s *Space) Unmap(off int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	old := *s.table.Load()
-	i := search(old, off)
-	if i < 0 || old[i].off != off {
-		panic(fmt.Sprintf("mem: unmap of %v, which starts no mapping", Ptr{sp: s, off: off}))
+// Free releases the extent that starts at p, allocated or mapped. Its
+// bytes become unreachable through the space; the backing is kept as a
+// spare for the next extent of the same length. A pointer into another
+// space, or one that starts no extent, is an error.
+func (s *Space) Free(p Ptr) error {
+	if p.sp != s {
+		return fmt.Errorf("mem: free of %v, which is not in %s", p, s.name)
 	}
-	b := old[i].b
-	t := make([]extent, 0, len(old)-1)
-	t = append(append(t, old[:i]...), old[i+1:]...)
-	s.table.Store(&t)
-	s.mapped -= len(b)
-	s.spares = append(s.spares, b)
-	s.spareBytes += len(b)
+	i := search(s.table, p.off)
+	if i < 0 || s.table[i].off != p.off {
+		return fmt.Errorf("mem: free of %v, which starts no allocation", p)
+	}
+	x := s.table[i]
+	s.table = slices.Delete(s.table, i, i+1)
+	s.mapped -= len(x.b)
+	s.inUse -= x.res
+	s.spares = append(s.spares, x.b)
+	s.spareBytes += len(x.b)
+	return nil
+}
+
+// Check validates the table: extents sorted and disjoint by reservation
+// and inside the space, each backing non-empty and no longer than its
+// reservation, and the byte counts equal to the table's sums.
+func (s *Space) Check() error {
+	end, res, mapped := 0, 0, 0
+	for _, x := range s.table {
+		at := Ptr{sp: s, off: x.off}
+		switch {
+		case x.off < end:
+			return fmt.Errorf("mem: extent %v overlaps its predecessor or is out of order", at)
+		case x.off+x.res > s.size:
+			return fmt.Errorf("mem: extent %v len %d runs past the end of %s", at, x.res, s.name)
+		case len(x.b) == 0 || len(x.b) > x.res:
+			return fmt.Errorf("mem: extent %v backs %d of its %d reserved bytes", at, len(x.b), x.res)
+		}
+		end = x.off + x.res
+		res += x.res
+		mapped += len(x.b)
+	}
+	if res != s.inUse || mapped != s.mapped {
+		return fmt.Errorf("mem: %s accounts %d reserved and %d backed bytes, its extents hold %d and %d",
+			s.name, s.inUse, s.mapped, res, mapped)
+	}
+	return nil
 }
 
 // search returns the index of the last extent in t starting at or before
@@ -256,7 +325,7 @@ func (p Ptr) Bytes(n int) []byte {
 	if n == 0 {
 		return nil
 	}
-	t := *s.table.Load()
+	t := s.table
 	i := search(t, p.off)
 	if i < 0 || p.off+n > t[i].off+len(t[i].b) {
 		panic(fmt.Sprintf("mem: access %v len %d is not inside one mapping (unallocated or freed memory)", p, n))

@@ -541,7 +541,7 @@ func TestGetRendezvousSenderHeapClean(t *testing.T) {
 		}
 	})
 	// Only the application buffer remains on the sender heap.
-	if live := w.Rank(0).heap.LiveCount(); live != 1 {
+	if live := w.Rank(0).host.Mappings(); live != 1 {
 		t.Errorf("sender heap live allocations = %d, want 1", live)
 	}
 }

@@ -23,7 +23,6 @@ package mpi
 import (
 	"fmt"
 
-	"mv2sim/internal/alloc"
 	"mv2sim/internal/datatype"
 	"mv2sim/internal/ib"
 	"mv2sim/internal/mem"
@@ -184,7 +183,6 @@ func (w *World) AddRank(hca *ib.HCA, host *mem.Space) *Rank {
 		rank:        len(w.ranks),
 		hca:         hca,
 		host:        host,
-		heap:        alloc.New(host.Size(), 64),
 		reqs:        map[int]*Request{},
 		stats:       &RankStats{},
 		obsTrack:    fmt.Sprintf("rank%d.mpi", len(w.ranks)),
@@ -227,7 +225,6 @@ type Rank struct {
 	rank  int
 	hca   *ib.HCA
 	host  *mem.Space
-	heap  *alloc.Allocator
 	proc  *sim.Proc
 	stats *RankStats
 
@@ -276,22 +273,22 @@ func (r *Rank) Wtime() float64 { return r.w.e.Now().Seconds() }
 // Now returns the current virtual time.
 func (r *Rank) Now() sim.Time { return r.w.e.Now() }
 
-// AllocHost carves n bytes from the rank's host heap. It panics on
-// exhaustion: host memory sizing is a configuration decision.
+// AllocHost carves n bytes, 64-byte aligned, from the rank's host heap.
+// It panics on exhaustion: host memory sizing is a configuration
+// decision.
 func (r *Rank) AllocHost(n int) mem.Ptr {
-	off, err := r.heap.Alloc(n)
+	p, err := r.host.Alloc(n, 64)
 	if err != nil {
 		panic(fmt.Sprintf("mpi rank %d: %v", r.rank, err))
 	}
-	return r.host.Map(off, n)
+	return p
 }
 
 // FreeHost returns memory obtained from AllocHost.
 func (r *Rank) FreeHost(p mem.Ptr) {
-	if err := r.heap.Free(p.Offset()); err != nil {
+	if err := r.host.Free(p); err != nil {
 		panic(fmt.Sprintf("mpi rank %d: %v", r.rank, err))
 	}
-	r.host.Unmap(p.Offset())
 }
 
 // callOverhead charges the fixed MPI call entry cost.

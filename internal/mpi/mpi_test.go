@@ -555,9 +555,9 @@ func TestZeroCopyContiguousRendezvous(t *testing.T) {
 			fillPattern(buf, n, 1)
 			r.Send(buf, n, datatype.Byte, 1, 0)
 		case 1:
-			before := r.heap.PeakInUse()
+			before := r.host.PeakInUse()
 			r.Recv(buf, n, datatype.Byte, 0, 0)
-			if after := r.heap.PeakInUse(); after != before {
+			if after := r.host.PeakInUse(); after != before {
 				t.Errorf("contiguous recv allocated temp memory (%d -> %d)", before, after)
 			}
 		}
