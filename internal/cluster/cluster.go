@@ -192,7 +192,9 @@ func New(cfg Config) *Cluster {
 // When the simulation finishes, the engine is shut down: processes still
 // blocked (a deadlocked rank, a server waiting for work) are terminated
 // so a discarded cluster, with the device buffers and vbufs it still
-// maps, becomes collectable. The cluster's state (memories, statistics) remains
+// maps, becomes collectable. What it freed already sits in mem's
+// process-wide recycler, where the next cluster's mappings and payload
+// buffers find it. The cluster's state (memories, statistics) remains
 // readable, but no further simulation can run on it.
 func (cl *Cluster) Run(fn func(n *Node)) error {
 	byRank := map[*mpi.Rank]*Node{}

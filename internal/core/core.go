@@ -398,7 +398,7 @@ func (t *Transport) StageToHost(req *mpi.Request, deliver func(packed []byte)) {
 	e := r.World().Engine()
 	e.Spawn(n1.stageName, func(p *sim.Proc) {
 		size := pl.size
-		packed := r.Buffers().Get(size)
+		packed := mem.GetBytes(size)
 		var tbuf mem.Ptr
 		if !pl.contig {
 			tbuf = n1.Ctx.MustMalloc(size)
@@ -452,7 +452,7 @@ func (t *Transport) StageToHost(req *mpi.Request, deliver func(packed []byte)) {
 			mustFree(n1.Ctx, tbuf)
 		}
 		deliver(packed)
-		r.Buffers().Put(packed)
+		mem.PutBytes(packed)
 	})
 }
 
@@ -460,7 +460,7 @@ func (t *Transport) StageToHost(req *mpi.Request, deliver func(packed []byte)) {
 // host copy into a vbuf, H2D into tbuf, D2D unpack, complete. The host
 // copies and H2D transfers are double-buffered across two vbufs (when the
 // pool allows): the H2D of chunk i runs while the host fills chunk i+1.
-// packed goes back to the rank's payload pool once the fills have read it.
+// packed goes back to the recycler (mem.PutBytes) once the fills have read it.
 func (t *Transport) DeliverFromHost(req *mpi.Request, packed []byte) {
 	r := req.Rank()
 	n1 := t.Node(r)
@@ -505,7 +505,7 @@ func (t *Transport) DeliverFromHost(req *mpi.Request, packed []byte) {
 			}
 		}
 		// Every fill task's slot has passed, so nothing reads packed now.
-		r.Buffers().Put(packed)
+		mem.PutBytes(packed)
 		for i := 0; i < nbuf; i++ {
 			if evs[i] != nil {
 				p.Wait(evs[i])

@@ -604,11 +604,13 @@ func TestGetProtocolIntoDeviceBuffer(t *testing.T) {
 // TestDeviceEagerBuffersNotAliased is the device-buffer form of the
 // eager aliasing check: two same-size eager vectors are in flight at once,
 // one of them arriving unexpected, and a third passes through the
-// payload pool while the unexpected copy waits. The sender rewrites its
-// buffers as soon as each send completes; all three arrive byte-exact.
+// recycler while the unexpected copy waits. The sender rewrites its
+// buffers as soon as each send completes; all three arrive byte-exact,
+// and the recycler's counters show buffers were reused during the run.
 func TestDeviceEagerBuffersNotAliased(t *testing.T) {
 	v, _ := datatype.Vector(512, 4, 16, datatype.Byte) // 2 KB packed
 	v.MustCommit()
+	before := mem.Recycled()
 	cl := runPair(t, cluster.Config{}, func(n *cluster.Node) {
 		r := n.Rank
 		var bufs [4]mem.Ptr
@@ -639,5 +641,8 @@ func TestDeviceEagerBuffersNotAliased(t *testing.T) {
 	})
 	if st := cl.Nodes[1].Rank.Stats(); st.Unexpected == 0 {
 		t.Error("no message took the unexpected path")
+	}
+	if mem.Recycled().Reused() == before.Reused() {
+		t.Error("no buffer was reused during the run")
 	}
 }

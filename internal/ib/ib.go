@@ -94,44 +94,7 @@ type Fabric struct {
 	model Model
 	hcas  map[int]*HCA
 	hub   *obs.Hub
-	bufs  BufPool
 	free  *transfer // recycled transfer records
-}
-
-// BufPool recycles host payload buffers by exact length: RDMA write
-// snapshots, two-sided send snapshots, and the MPI layer's eager buffers
-// all draw from the one pool of their fabric, so a steady stream of
-// equal-size messages allocates nothing. Get returns a buffer with stale
-// contents; every user overwrites all of it before reading. Reuse is LIFO
-// and deterministic.
-type BufPool struct {
-	free map[int][][]byte
-}
-
-// Get returns an n-byte buffer, reusing the most recently returned one of
-// that length. Get(0) returns nil.
-func (bp *BufPool) Get(n int) []byte {
-	if n == 0 {
-		return nil
-	}
-	l := bp.free[n]
-	if len(l) == 0 {
-		return make([]byte, n)
-	}
-	bp.free[n] = l[:len(l)-1]
-	return l[len(l)-1]
-}
-
-// Put returns b to the pool. The caller must hold no other reference to
-// it: the next Get of its length hands it to another message.
-func (bp *BufPool) Put(b []byte) {
-	if len(b) == 0 {
-		return
-	}
-	if bp.free == nil {
-		bp.free = map[int][][]byte{}
-	}
-	bp.free[len(b)] = append(bp.free[len(b)], b)
 }
 
 // SetHub attaches an observability hub: every wire operation becomes a
@@ -272,9 +235,6 @@ type HCA struct {
 
 // Node returns the node ID this HCA serves.
 func (h *HCA) Node() int { return h.node }
-
-// Buffers returns the fabric's payload buffer pool.
-func (h *HCA) Buffers() *BufPool { return &h.f.bufs }
 
 // Model returns the fabric cost model this HCA operates under.
 func (h *HCA) Model() Model { return h.f.model }
@@ -456,7 +416,7 @@ func (t *transfer) landed() {
 		panic(fmt.Sprintf("ib: message for node %d dropped: no handler", rx.node))
 	}
 	rx.handler(from, msg, snap)
-	f.bufs.Put(snap)
+	mem.PutBytes(snap)
 }
 
 // headerBytes approximates the wire size of a header-only message.
@@ -466,7 +426,7 @@ const headerBytes = 64
 // payload snapshot taken from payload at post time, on rail 0. The
 // returned event fires at local completion (send buffer reusable). The
 // remote handler is invoked when the message fully arrives; the snapshot
-// goes back to the fabric's buffer pool when the handler returns.
+// goes back to the recycler (mem.PutBytes) when the handler returns.
 func (h *HCA) PostSend(dst int, msg Message, payload []byte) *sim.Event {
 	return h.PostSendRail(dst, msg, payload, 0)
 }
@@ -474,7 +434,7 @@ func (h *HCA) PostSend(dst int, msg Message, payload []byte) *sim.Event {
 // PostSendRail is PostSend on an explicit rail. Delivery order is
 // guaranteed only relative to other operations on the same rail.
 func (h *HCA) PostSendRail(dst int, msg Message, payload []byte, railIdx int) *sim.Event {
-	snap := h.f.bufs.Get(len(payload))
+	snap := mem.GetBytes(len(payload))
 	copy(snap, payload)
 	h.stats.SendsPosted++
 	t := h.transmit(dst, headerBytes+len(snap), obs.KindSend, railIdx, obs.Span{}, -1)
@@ -506,7 +466,7 @@ func (h *HCA) RDMAWriteRailTask(dst int, src mem.Ptr, n int, rkey uint32, roff, 
 	// The HCA's DMA read of the source happens "at post time": the task is
 	// due at the post instant, and the poster owns src until the local
 	// completion event, so nothing rewrites it before the slot commits.
-	snap := h.f.bufs.Get(n)
+	snap := mem.GetBytes(n)
 	h.f.e.TaskAt(h.f.e.Now(), func() { copy(snap, src.Bytes(n)) })
 	h.stats.RDMAWrites++
 	return h.writeSnapshot(dst, snap, rkey, roff, railIdx, parent, chunk)
@@ -543,7 +503,7 @@ func (h *HCA) deposit(rkey uint32, roff int, snap []byte, railIdx int, wire obs.
 	dst := reg.ptr.Add(roff).Bytes(len(snap))
 	h.f.e.TaskAt(h.f.e.Now(), func() {
 		copy(dst, snap)
-		h.f.bufs.Put(snap)
+		mem.PutBytes(snap)
 	})
 }
 

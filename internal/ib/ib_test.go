@@ -419,8 +419,10 @@ func TestRegisterUnmappedDeviceRangePanics(t *testing.T) {
 }
 
 // TestRDMASnapshotsRecycled: each write's payload snapshot returns to the
-// fabric's pool once deposited, so back-to-back writes of one length
-// reuse one snapshot, and every write still lands its own bytes.
+// recycler once deposited, so back-to-back writes of one length reuse one
+// snapshot, and every write still lands its own bytes. The recycler is
+// shared by the whole process, so the test counts what changed during
+// the run.
 func TestRDMASnapshotsRecycled(t *testing.T) {
 	nw := newNet(2)
 	dst := nw.host[1].Base()
@@ -433,9 +435,11 @@ func TestRDMASnapshotsRecycled(t *testing.T) {
 			p.Sleep(sim.Microsecond * 10) // past delivery
 		}
 	})
+	before := mem.Recycled()
 	if err := nw.e.Run(); err != nil {
 		t.Fatal(err)
 	}
+	after := mem.Recycled()
 	for i := 0; i < 3; i++ {
 		got := dst.Add(i * 1024).Bytes(512)
 		for j, b := range got {
@@ -444,15 +448,55 @@ func TestRDMASnapshotsRecycled(t *testing.T) {
 			}
 		}
 	}
-	if n := len(nw.f.bufs.free[512]); n != 1 {
-		t.Errorf("pool holds %d snapshots of 512 bytes after three sequential writes, want 1", n)
+	takes, fresh, puts := after.Takes-before.Takes, after.Fresh-before.Fresh, after.Puts-before.Puts
+	if takes != 3 || puts != 3 || fresh > 1 {
+		t.Errorf("three sequential writes took %d snapshots (%d fresh) and returned %d; want 3, at most 1 and 3",
+			takes, fresh, puts)
 	}
 }
 
-// TestPostSendSnapshotsNotAliased: the payload pool never hands one
-// snapshot to two live messages. Two equal-length sends are posted back
-// to back from a warm pool, the sender rewrites both sources right after
-// posting, and each delivery still carries its own post-time bytes.
+// TestRDMAWriteSnapshotSurvivesLocalCompletion pins why an RDMA write
+// snapshots its source at post time. The local-completion event fires
+// when the last byte leaves the sender, and the staged pipeline hands the
+// source vbuf back to its pool right there; the deposit lands a link
+// latency later. A source overwritten at local completion must not
+// reach the remote region.
+func TestRDMAWriteSnapshotSurvivesLocalCompletion(t *testing.T) {
+	const n = 4096
+	nw := newNet(2)
+	dst := nw.host[1].Base()
+	reg := nw.hcas[1].Register(dst, n)
+	src := nw.host[0].Base()
+	posted := func(j int) byte { return byte(j*5 + 3) }
+	mem.Fill(src, n, posted)
+	pending := false
+	nw.e.Spawn("sender", func(p *sim.Proc) {
+		ev := nw.hcas[0].RDMAWrite(1, src, n, reg.Rkey, 0)
+		ev.OnTrigger(func() {
+			pending = dst.Bytes(1)[0] != posted(0)
+			mem.Fill(src, n, func(int) byte { return 0xee })
+		})
+		p.Wait(ev)
+	})
+	if err := nw.e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !pending {
+		t.Error("the write was deposited by local completion: the source hold would cover it")
+	}
+	for j, b := range dst.Bytes(n) {
+		if b != posted(j) {
+			t.Fatalf("remote byte %d = %#x, want the posted %#x", j, b, posted(j))
+		}
+	}
+}
+
+// TestPostSendSnapshotsNotAliased: the recycler never hands one snapshot
+// to two live messages. Two equal-length sends are posted back to back
+// once message 0's snapshot is parked, the sender rewrites both sources
+// right after posting, and each delivery still carries its own post-time
+// bytes. The recycler's counters must show the reuse happened and every
+// snapshot came back.
 func TestPostSendSnapshotsNotAliased(t *testing.T) {
 	nw := newNet(2)
 	got := map[int][]byte{}
@@ -468,7 +512,7 @@ func TestPostSendSnapshotsNotAliased(t *testing.T) {
 	nw.e.Spawn("sender", func(p *sim.Proc) {
 		fill(a, 0)
 		p.Wait(nw.hcas[0].PostSend(1, 0, a))
-		p.Sleep(10 * sim.Microsecond) // delivered: its snapshot is back in the pool
+		p.Sleep(10 * sim.Microsecond) // delivered: its snapshot is parked
 		fill(a, 1)
 		fill(b, 2)
 		nw.hcas[0].PostSend(1, 1, a)
@@ -476,8 +520,13 @@ func TestPostSendSnapshotsNotAliased(t *testing.T) {
 		fill(a, 3)
 		fill(b, 4)
 	})
+	before := mem.Recycled()
 	if err := nw.e.Run(); err != nil {
 		t.Fatal(err)
+	}
+	after := mem.Recycled()
+	if r, puts := after.Reused()-before.Reused(), after.Puts-before.Puts; r == 0 || puts != 3 {
+		t.Errorf("run reused %d snapshots and returned %d, want at least 1 and 3", r, puts)
 	}
 	for msg := 0; msg < 3; msg++ {
 		want := make([]byte, 256)

@@ -58,19 +58,19 @@ func post(h *HCA, ref bool, dst int, msg Message, payload []byte, write bool, sr
 	}
 	if write {
 		n := len(payload)
-		snap := h.f.bufs.Get(n)
+		snap := mem.GetBytes(n)
 		h.f.e.TaskAt(h.f.e.Now(), func() { copy(snap, src.Bytes(n)) })
 		h.stats.RDMAWrites++
 		return h.refTransmit(dst, n, obs.KindRDMA, func(rx *HCA, wire obs.Task) {
 			rx.deposit(rkey, roff, snap, 0, wire)
 		})
 	}
-	snap := h.f.bufs.Get(len(payload))
+	snap := mem.GetBytes(len(payload))
 	copy(snap, payload)
 	h.stats.SendsPosted++
 	return h.refTransmit(dst, headerBytes+len(snap), obs.KindSend, func(rx *HCA, _ obs.Task) {
 		rx.handler(h.node, msg, snap)
-		h.f.bufs.Put(snap)
+		mem.PutBytes(snap)
 	})
 }
 

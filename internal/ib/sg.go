@@ -226,7 +226,7 @@ func (h *HCA) scatterDeposit(reg Region, roff int, snap []byte, railIdx int, wir
 		// wire payload, recycled once the scatter has read it.
 		return sp, func() {
 			sub.scatter(snap)
-			h.f.bufs.Put(snap)
+			mem.PutBytes(snap)
 		}
 	}, func() {
 		if sc.done != nil {
@@ -251,7 +251,7 @@ func (h *HCA) RDMAWriteGatherRailTask(dst int, sg SGDesc, rkey uint32, roff, rai
 	var snap []byte
 	h.walk(rl, sg, func() (obs.Span, func()) {
 		g := h.f.hub.StartChild(parent, obs.KindNicGather, rl.sgeTrack, chunk, sg.N)
-		snap = h.f.bufs.Get(sg.N)
+		snap = mem.GetBytes(sg.N)
 		// The unit's DMA read of the segments is due at gather completion;
 		// the poster owns the typed buffer until the transfer completes.
 		return g, func() { sg.gather(snap) }

@@ -137,33 +137,7 @@ func TestSpareReuseLIFO(t *testing.T) {
 	if got := s.Map(16384, 256).Bytes(1)[0]; got != 0 {
 		t.Errorf("spares exhausted, but the mapping is not fresh (byte %q)", got)
 	}
-	if len(s.spares) != 0 || s.spareBytes != 0 {
-		t.Errorf("spares=%d spareBytes=%d after reusing both", len(s.spares), s.spareBytes)
-	}
-}
-
-// TestSpareBound: spares are released, oldest first, before mapped plus
-// spare bytes would exceed the space's size.
-func TestSpareBound(t *testing.T) {
-	s := Reserve(Host, "h", -1, 1000)
-	for off := 0; off < 600; off += 100 {
-		Fill(s.Map(off, 100), 100, func(int) byte { return byte(off/100 + 1) })
-	}
-	for off := 0; off < 400; off += 100 {
-		mustFree(t, s, off) // spares, oldest first: bytes 1, 2, 3, 4
-	}
-	s.Map(600, 400) // mapped 600 + spare 400: exactly the size, nothing dropped
-	if s.mapped != 600 || s.spareBytes != 400 || len(s.spares) != 4 {
-		t.Fatalf("mapped=%d spareBytes=%d spares=%d", s.mapped, s.spareBytes, len(s.spares))
-	}
-	s.Map(0, 300) // a fresh 300 bytes leaves room for one spare
-	if s.mapped+s.spareBytes > s.Size() {
-		t.Errorf("mapped %d + spare %d exceed size %d", s.mapped, s.spareBytes, s.Size())
-	}
-	if len(s.spares) != 1 || s.spares[0][0] != 4 {
-		t.Fatalf("kept %d spares, want only the newest", len(s.spares))
-	}
-	if got := s.Map(300, 100).Bytes(1)[0]; got != 4 {
-		t.Errorf("reused spare holds %d, want 4", got)
+	if n := parkedBy(s, 256); n != 0 {
+		t.Errorf("recycler still holds %d of the space's backings after reusing both", n)
 	}
 }

@@ -17,6 +17,13 @@
 // move real bytes between Spaces through this package and end-to-end data
 // integrity is directly testable. Host cost is paid only for mapped
 // bytes: a 3 GB device costs nothing until cudaMalloc hands memory out.
+//
+// Freed bytes go to one process-wide recycler, keyed by exact length and
+// bounded in size, which also serves the message path's payload buffers
+// (GetBytes, PutBytes). It outlives every cluster, so a process that
+// builds cluster after cluster, as the benchmarks and sweeps do, reuses
+// the bytes each one frees instead of allocating them again. A mapping
+// sees its own space's stale bytes or zeroes, never another owner's.
 package mem
 
 import (
@@ -55,18 +62,18 @@ func (k Kind) String() string {
 //
 // A Space is plain single-threaded data. It belongs to one cluster, one
 // engine drives that cluster, and no simulator code starts a goroutine.
+// Only the bytes it frees leave it, to the process-wide recycler.
 type Space struct {
 	kind Kind
 	dev  int // device ordinal; -1 for host
 	name string
 	size int
+	id   int // owner tag of the backings it frees
 
-	table      []extent // sorted by offset, disjoint by reservation
-	spares     [][]byte // freed backings, reused LIFO by exact length
-	mapped     int      // bytes backed by the table
-	spareBytes int      // bytes in spares
-	inUse      int      // bytes reserved by the table
-	peakInUse  int      // high-water mark of inUse
+	table     []extent // sorted by offset, disjoint by reservation
+	mapped    int      // bytes backed by the table
+	inUse     int      // bytes reserved by the table
+	peakInUse int      // high-water mark of inUse
 }
 
 // extent is one reservation [off, off+res), of which [off, off+len(b))
@@ -87,7 +94,7 @@ func Reserve(kind Kind, name string, dev, size int) *Space {
 	if kind == Host {
 		dev = -1
 	}
-	return &Space{kind: kind, dev: dev, name: name, size: size}
+	return &Space{kind: kind, dev: dev, name: name, size: size, id: recycled.newOwner()}
 }
 
 // NewHostSpace creates a host address space of the given size, mapped in
@@ -190,32 +197,26 @@ func (s *Space) insert(i, off, res, n int) Ptr {
 	return Ptr{sp: s, off: off}
 }
 
-// backing returns an n-byte slice for a new mapping: the most recently
-// freed spare of exactly that length, stale bytes included, the way freed
-// memory keeps its contents; otherwise a fresh zeroed slice, after
-// releasing the oldest spares to keep mapped plus spare bytes within the
-// space's size.
+// backing returns an n-byte slice for a new mapping: the recycler's most
+// recently parked slice of exactly that length, or a fresh zeroed one. A
+// slice this space freed keeps its stale bytes, the way freed memory
+// keeps its contents; one freed by any other owner is cleared first, so
+// it reads as fresh memory and nothing leaks from one cluster to another.
 func (s *Space) backing(n int) []byte {
-	for i := len(s.spares) - 1; i >= 0; i-- {
-		if b := s.spares[i]; len(b) == n {
-			s.spares = slices.Delete(s.spares, i, i+1)
-			s.spareBytes -= n
-			return b
-		}
+	p, ok := recycled.take(n)
+	if !ok {
+		return make([]byte, n)
 	}
-	drop := 0
-	for ; s.mapped+s.spareBytes+n > s.size; drop++ {
-		s.spareBytes -= len(s.spares[drop])
-		s.spares[drop] = nil
+	if p.owner != s.id {
+		clear(p.b)
 	}
-	s.spares = s.spares[drop:]
-	return make([]byte, n)
+	return p.b
 }
 
 // Free releases the extent that starts at p, allocated or mapped. Its
-// bytes become unreachable through the space; the backing is kept as a
-// spare for the next extent of the same length. A pointer into another
-// space, or one that starts no extent, is an error.
+// bytes become unreachable through the space and its backing goes to the
+// recycler, for the next mapping or payload buffer of the same length. A
+// pointer into another space, or one that starts no extent, is an error.
 func (s *Space) Free(p Ptr) error {
 	if p.sp != s {
 		return fmt.Errorf("mem: free of %v, which is not in %s", p, s.name)
@@ -228,8 +229,7 @@ func (s *Space) Free(p Ptr) error {
 	s.table = slices.Delete(s.table, i, i+1)
 	s.mapped -= len(x.b)
 	s.inUse -= x.res
-	s.spares = append(s.spares, x.b)
-	s.spareBytes += len(x.b)
+	recycled.put(x.b, s.id)
 	return nil
 }
 

@@ -251,10 +251,6 @@ func (r *Rank) World() *World { return r.w }
 // HCA returns the rank's adapter (used by GPU transports).
 func (r *Rank) HCA() *ib.HCA { return r.hca }
 
-// Buffers returns the payload buffer pool eager messages draw their host
-// buffers from: the fabric's pool, shared by every rank of the world.
-func (r *Rank) Buffers() *ib.BufPool { return r.hca.Buffers() }
-
 // Proc returns the rank's main simulation process. MPI is used
 // single-threaded: all blocking calls must come from this process.
 func (r *Rank) Proc() *sim.Proc {

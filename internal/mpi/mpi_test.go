@@ -700,12 +700,14 @@ func TestZeroCopyMatchesSegments(t *testing.T) {
 }
 
 // TestEagerBuffersNotAliased: a recycled eager buffer never serves two
-// live messages. Message 2 arrives unexpected and its pooled copy waits
-// while messages 1 and 3, of the same size, pass through the pool; the
-// sender rewrites its buffers as soon as each send completes. All three
-// arrive byte-exact.
+// live messages. Message 2 arrives unexpected and its recycled copy waits
+// while messages 1 and 3, of the same size, pass through the recycler;
+// the sender rewrites its buffers as soon as each send completes. All
+// three arrive byte-exact, and the recycler's counters show buffers were
+// reused during the run.
 func TestEagerBuffersNotAliased(t *testing.T) {
 	const n = 4096
+	before := mem.Recycled()
 	w := run(t, 2, func(r *Rank) {
 		bufs := [4]mem.Ptr{}
 		for i := 1; i <= 3; i++ {
@@ -734,5 +736,8 @@ func TestEagerBuffersNotAliased(t *testing.T) {
 	})
 	if st := w.Rank(1).Stats(); st.Unexpected == 0 {
 		t.Error("no message took the unexpected path")
+	}
+	if mem.Recycled().Reused() == before.Reused() {
+		t.Error("no buffer was reused during the run")
 	}
 }

@@ -65,9 +65,9 @@ type GPUTransport interface {
 	StageToHost(req *Request, deliver func(packed []byte))
 	// DeliverFromHost unpacks packed bytes into the request's device
 	// buffer and calls req.CompleteRecv when done. Used for eager-size
-	// receives and self-receives. packed comes from the rank's payload
-	// pool (Rank.Buffers) and the transport owns it: it must return it
-	// there once it has read the bytes.
+	// receives and self-receives. packed comes from mem.GetBytes and
+	// the transport owns it: it must hand it back with mem.PutBytes once
+	// it has read the bytes.
 	DeliverFromHost(req *Request, packed []byte)
 	// StartRendezvousSend drives the sender side of a large transfer from
 	// device memory: it must send the RTS via req.Rank().SendRTS, produce
@@ -155,10 +155,10 @@ func (r *Rank) isend(buf mem.Ptr, count int, dt *datatype.Datatype, dest, tag, c
 		}
 	case q.size <= r.w.cfg.EagerLimit:
 		r.Proc().Sleep(r.hostPackCost(dt, count))
-		payload := r.Buffers().Get(q.size)
+		payload := mem.GetBytes(q.size)
 		dt.PackBytes(payload, buf, count)
 		ev := r.hca.PostSend(dest, eagerMsg{r.rank, tag, ctx, q.size}, payload)
-		r.Buffers().Put(payload) // PostSend took its snapshot
+		mem.PutBytes(payload) // PostSend took its snapshot
 		ev.OnTrigger(q.CompleteSend)
 		r.stats.EagerSent++
 	default:
@@ -210,10 +210,10 @@ func (r *Rank) selfSend(q *Request) {
 		return
 	}
 	r.Proc().Sleep(r.hostPackCost(q.dt, q.count))
-	payload := r.Buffers().Get(q.size)
+	payload := mem.GetBytes(q.size)
 	q.dt.PackBytes(payload, q.buf, q.count)
 	deliver(payload)
-	r.Buffers().Put(payload)
+	mem.PutBytes(payload)
 }
 
 // SendRTS posts the rendezvous request-to-send for a send request. GPU
@@ -365,7 +365,7 @@ func (r *Rank) irecv(buf mem.Ptr, count int, dt *datatype.Datatype, source, tag,
 			r.startRecvData(q, in.from, in.tag, in.size, in.sendID)
 		default:
 			r.deliverEager(q, in.from, in.tag, in.size, in.payload)
-			r.Buffers().Put(in.payload)
+			mem.PutBytes(in.payload)
 		}
 		return q
 	}
@@ -442,7 +442,7 @@ func (r *Rank) dispatchEager(from, tag, ctx, size int, payload []byte) {
 	r.stats.Unexpected++
 	// The arrival's payload is recycled when this call returns; the
 	// unexpected copy lives until a receive matches it.
-	data := r.Buffers().Get(len(payload))
+	data := mem.GetBytes(len(payload))
 	copy(data, payload)
 	r.unexpected = append(r.unexpected, &inbound{
 		from: from, tag: tag, ctx: ctx, size: size,
@@ -495,15 +495,15 @@ func (q *Request) setMatched(from, tag, size int) {
 
 // deliverEager completes a matched eager receive. Runs in engine or
 // process context. payload is only read during the call: the bytes the
-// delivery needs later are copied into a pooled buffer, which goes back
-// to the pool once it has been unpacked.
+// delivery needs later are copied into a recycled buffer (mem.GetBytes),
+// which goes back once it has been unpacked.
 func (r *Rank) deliverEager(q *Request, from, tag, size int, payload []byte) {
 	q.setMatched(from, tag, size)
 	if size == 0 {
 		q.CompleteRecv()
 		return
 	}
-	data := r.Buffers().Get(len(payload))
+	data := mem.GetBytes(len(payload))
 	copy(data, payload)
 	if q.buf.IsDevice() {
 		r.transport().DeliverFromHost(q, data)
@@ -517,7 +517,7 @@ func (r *Rank) deliverEager(q *Request, from, tag, size int, payload []byte) {
 	// The scatter costs host copy time; completion is deferred by it.
 	r.w.e.CallAfter(r.hostPackCost(q.dt, elems), func() {
 		q.dt.UnpackBytes(q.buf, data, elems)
-		r.Buffers().Put(data)
+		mem.PutBytes(data)
 		q.CompleteRecv()
 	})
 }

@@ -118,7 +118,7 @@ func (r *Rank) recvDeviceGet(p *sim.Proc, q *Request) {
 	}
 	p.WaitAll(reads...)
 	r.hca.PostSend(q.peer, doneMsg{q.peerID}, nil)
-	packed := r.Buffers().Get(size)
+	packed := mem.GetBytes(size)
 	copy(packed, staging.Bytes(size))
 	r.FreeHost(staging)
 	r.transport().DeliverFromHost(q, packed)

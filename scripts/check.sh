@@ -40,6 +40,12 @@ fi
 echo "== go test -race"
 go test -race ./...
 
+echo "== recycler race gate"
+# Freed simulated bytes go to one process-wide recycler (internal/mem),
+# the only state clusters in one process share. Exercise it from several
+# goroutines at once, repeatedly, under the race detector.
+go test -race -count=10 -run 'Concurrent' ./internal/mem ./internal/cluster > /dev/null
+
 echo "== benchmark module tests"
 # benchmark/ is a Go module of its own, so ./... above does not reach it.
 (cd benchmark && go test -race -short .)
@@ -123,6 +129,15 @@ echo "== pipedoctor gate"
 pd="${PIPEDOCTOR_OUT:-$(mktemp /tmp/mv2sim-critpath.XXXXXX.json)}"
 go run ./cmd/pipedoctor -msg $((4<<20)) -packmode memcpy2d -strict -bench "$pd" > /dev/null
 
+echo "== critpath matrix gate"
+# BENCH_critpath.json must be exactly what pipedoctor -matrix writes: the
+# same records, values and order.
+cm=$(mktemp /tmp/mv2sim-critmatrix.XXXXXX.json)
+go run ./cmd/pipedoctor -matrix -bench "$cm" > /dev/null
+cmp "$cm" BENCH_critpath.json || {
+    echo "BENCH_critpath.json drifted: pipedoctor -matrix no longer reproduces it"; exit 1; }
+rm -f "$cm"
+
 echo "== load harness gate"
 # The open-loop load sweep must be byte-reproducible: regenerating
 # BENCH_load.json with the committed default configuration (same seed →
@@ -181,6 +196,8 @@ out=$(go run ./cmd/perfstore gate -store perf/store.jsonl -self -tol 5) || {
     echo "stored trajectory tail regressed >5% against its own best"; exit 1; }
 pc=$(mktemp /tmp/mv2sim-packcand.XXXXXX.json)
 go run ./cmd/packbench -crossover -bench "$pc" > /dev/null
+cmp "$pc" BENCH_pack.json || {
+    echo "BENCH_pack.json drifted: packbench -crossover no longer reproduces it"; exit 1; }
 out=$(go run ./cmd/perfstore gate -store perf/store.jsonl -tol 5 "$pd" "$pc" "$lb") || {
     echo "$out" | grep '^FAIL' || true
     echo "candidate bench metrics regressed >5% against the recorded trajectory"; exit 1; }
