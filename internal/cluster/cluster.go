@@ -70,11 +70,6 @@ type Config struct {
 	// zero-allocation fast path. Core.Trace, when set, is appended
 	// automatically so the two options compose.
 	Tracers []obs.Tracer
-	// TraceEngine additionally records every simulation process's lifetime
-	// (ranks and protocol stages; hardware models are not processes) and
-	// counts fired events via an obs.EngineTracer hook. Verbose; only
-	// meaningful when Tracers is non-empty.
-	TraceEngine bool
 }
 
 func (c Config) withDefaults() Config {
@@ -114,7 +109,8 @@ type Node struct {
 	Pool     *hostmem.Pool
 	RecvPool *hostmem.Pool
 	// Pinned is the reserved host range both pools carve their vbufs
-	// from; it maps one extent per vbuf ever used.
+	// from; while the simulation runs it maps one extent per vbuf ever
+	// used, and after Run none.
 	Pinned *mem.Space
 }
 
@@ -150,9 +146,6 @@ func New(cfg Config) *Cluster {
 		cl.Obs = obs.NewHub(e, tracers...)
 		fabric.SetHub(cl.Obs)
 		world.SetHub(cl.Obs)
-		if cfg.TraceEngine {
-			e.SetHook(obs.NewEngineTracer(cl.Obs))
-		}
 	}
 
 	if !cfg.NoGPU {
@@ -191,11 +184,12 @@ func New(cfg Config) *Cluster {
 // Run launches fn on every rank and executes the simulation to completion.
 // When the simulation finishes, the engine is shut down: processes still
 // blocked (a deadlocked rank, a server waiting for work) are terminated
-// so a discarded cluster, with the device buffers and vbufs it still
-// maps, becomes collectable. What it freed already sits in mem's
-// process-wide recycler, where the next cluster's mappings and payload
-// buffers find it. The cluster's state (memories, statistics) remains
-// readable, but no further simulation can run on it.
+// so a discarded cluster, with the device buffers it still maps, becomes
+// collectable. The staging pools unmap their vbufs, whose bytes join
+// what the run freed in mem's process-wide recycler, where the next
+// cluster's mappings and payload buffers find them. The cluster's state
+// (device and heap memories, statistics) remains readable, but no
+// further simulation can run on it.
 func (cl *Cluster) Run(fn func(n *Node)) error {
 	byRank := map[*mpi.Rank]*Node{}
 	for _, n := range cl.Nodes {
@@ -204,6 +198,16 @@ func (cl *Cluster) Run(fn func(n *Node)) error {
 	cl.World.Launch(func(r *mpi.Rank) { fn(byRank[r]) })
 	err := cl.Engine.Run()
 	cl.Engine.Shutdown()
+	for _, n := range cl.Nodes {
+		for _, p := range []*hostmem.Pool{n.Pool, n.RecvPool} {
+			if p == nil {
+				continue
+			}
+			if uerr := p.Unmap(); err == nil {
+				err = uerr
+			}
+		}
+	}
 	return err
 }
 

@@ -105,12 +105,16 @@ type NodeGPU struct {
 	// samples EngineKernel occupancy: only foreign work forces the
 	// copy-engine fallback. Updated in simulation order, so no locking.
 	kernOps int
+	// kernDoneFn is the kernOps decrement, bound once: a completion
+	// callback of every transport kernel.
+	kernDoneFn func()
 
 	tracks stageTracks
 
-	// eager-path process names, "rankN.gpustage" and "rankN.gpudeliver"
-	stageName, deliverName string
+	eagerFree *eager // recycled eager-path records
 }
+
+func (n1 *NodeGPU) kernDone() { n1.kernOps-- }
 
 // stageTracks holds the precomputed per-rank tracing track names — one per
 // pipeline stage, and one per rail for the striped middle stages — so the
@@ -187,9 +191,8 @@ func (t *Transport) Attach(r *mpi.Rank, ctx *cuda.Ctx, sendPool, recvPool *hostm
 			h2d:    railTracks(fmt.Sprintf("rank%d.h2d", r.Rank()), rails),
 			unpack: fmt.Sprintf("rank%d.unpack", r.Rank()),
 		},
-		stageName:   fmt.Sprintf("rank%d.gpustage", r.Rank()),
-		deliverName: fmt.Sprintf("rank%d.gpudeliver", r.Rank()),
 	}
+	n.kernDoneFn = n.kernDone
 	for i := 0; i < rails; i++ {
 		n.d2hStreams = append(n.d2hStreams, ctx.NewStream())
 	}
@@ -334,6 +337,29 @@ func kernelTailCut(m *gpu.CostModel, shape datatype.Shape2D, size, blockSize int
 	return size - tail
 }
 
+// packByCopy reports whether the pack of the packed range starting at off
+// is a row-aligned 2D copy on the copy engine rather than a kernel. A
+// kernel-mode transfer still copies its final short chunk when that tail
+// is below the kernel/memcpy2D crossover.
+func (pl plan) packByCopy(off int) bool {
+	return pl.uniform && (pl.packChunkEngine() != engineKernel || (pl.packTailCut > 0 && off >= pl.packTailCut))
+}
+
+func (pl plan) unpackByCopy(off int) bool {
+	return pl.uniform && (pl.unpackChunkEngine() != engineKernel || (pl.unpackTail > 0 && off >= pl.unpackTail))
+}
+
+// rows2D returns the 2D copy of the packed range [off, off+n) of a
+// uniform type: the user-buffer offset of its first row, the row width
+// and the row count. Callers align off and n to row boundaries.
+func (pl plan) rows2D(what string, off, n int) (userOff, w, rows int) {
+	w = pl.shape.Width
+	if off%w != 0 || n%w != 0 {
+		panic(fmt.Sprintf("core: %s range [%d,%d) not row-aligned (width %d)", what, off, off+n, w))
+	}
+	return pl.shape.Off + off/w*pl.shape.Pitch, w, n / w
+}
+
 // packChunk enqueues the device-side pack of packed-byte range
 // [off, off+n) from the user buffer into dst (contiguous device memory) and
 // returns the completion event. p may be nil in engine context. sp is the
@@ -341,15 +367,9 @@ func kernelTailCut(m *gpu.CostModel, shape datatype.Shape2D, size, blockSize int
 // are traced under them.
 func (t *Transport) packChunk(p *sim.Proc, n1 *NodeGPU, pl plan, req *mpi.Request, sp obs.Span, chunk int, dst mem.Ptr, off, n int) *sim.Event {
 	src := req.Buf()
-	if pl.uniform && (pl.packChunkEngine() != engineKernel || (pl.packTailCut > 0 && off >= pl.packTailCut)) {
-		// Row-aligned 2D copy: callers align off and n to row boundaries.
-		// A kernel-mode transfer still lands here for its final short
-		// chunk when that tail is below the kernel/memcpy2D crossover.
-		w := pl.shape.Width
-		if off%w != 0 || n%w != 0 {
-			panic(fmt.Sprintf("core: pack range [%d,%d) not row-aligned (width %d)", off, off+n, w))
-		}
-		return n1.Ctx.Memcpy2DAsyncTask(p, dst, w, src.Add(pl.shape.Off+off/w*pl.shape.Pitch), pl.shape.Pitch, w, n/w, n1.packStream, sp, chunk)
+	if pl.packByCopy(off) {
+		uo, w, rows := pl.rows2D("pack", off, n)
+		return n1.Ctx.Memcpy2DAsyncTask(p, dst, w, src.Add(uo), pl.shape.Pitch, w, rows, n1.packStream, sp, chunk)
 	}
 	// Kernel path: a gather kernel walks the cached chunk plan's segments
 	// on the compute engine (callers keep off/n chunk-aligned).
@@ -358,7 +378,7 @@ func (t *Transport) packChunk(p *sim.Proc, n1 *NodeGPU, pl plan, req *mpi.Reques
 	ev := n1.Ctx.LaunchKernelTask(p, n1.packStream, sp, chunk, d.Bytes(), n1.Ctx.Model().PackKernelRate(d.Bytes(), d.Segments()), func() {
 		d.Pack(dst, src)
 	})
-	ev.OnTrigger(func() { n1.kernOps-- })
+	ev.OnTrigger(n1.kernDoneFn)
 	return ev
 }
 
@@ -366,161 +386,17 @@ func (t *Transport) packChunk(p *sim.Proc, n1 *NodeGPU, pl plan, req *mpi.Reques
 // (contiguous device memory) into the user buffer.
 func (t *Transport) unpackChunk(p *sim.Proc, n1 *NodeGPU, pl plan, req *mpi.Request, sp obs.Span, chunk int, src mem.Ptr, off, n int) *sim.Event {
 	dst := req.Buf()
-	if pl.uniform && (pl.unpackChunkEngine() != engineKernel || (pl.unpackTail > 0 && off >= pl.unpackTail)) {
-		w := pl.shape.Width
-		if off%w != 0 || n%w != 0 {
-			panic(fmt.Sprintf("core: unpack range [%d,%d) not row-aligned (width %d)", off, off+n, w))
-		}
-		return n1.Ctx.Memcpy2DAsyncTask(p, dst.Add(pl.shape.Off+off/w*pl.shape.Pitch), pl.shape.Pitch, src, w, w, n/w, n1.unpackStream, sp, chunk)
+	if pl.unpackByCopy(off) {
+		uo, w, rows := pl.rows2D("unpack", off, n)
+		return n1.Ctx.Memcpy2DAsyncTask(p, dst.Add(uo), pl.shape.Pitch, src, w, w, rows, n1.unpackStream, sp, chunk)
 	}
 	d := pl.cp.Kernel(off, n)
 	n1.kernOps++
 	ev := n1.Ctx.LaunchKernelTask(p, n1.unpackStream, sp, chunk, d.Bytes(), n1.Ctx.Model().PackKernelRate(d.Bytes(), d.Segments()), func() {
 		d.Unpack(dst, src)
 	})
-	ev.OnTrigger(func() { n1.kernOps-- })
+	ev.OnTrigger(n1.kernDoneFn)
 	return ev
-}
-
-// ---------------------------------------------------------------------------
-// Eager path (and self-sends of any size)
-
-// StageToHost packs the device buffer and stages it into host bytes:
-// D2D pack into tbuf, then chunk-sized D2H copies double-buffered through
-// two vbufs, so the host memcpy draining chunk i overlaps chunk i+1's D2H.
-// The second vbuf is best-effort (TryGet): a drained pool degrades to the
-// serial single-vbuf path instead of risking deadlock. The packed bytes
-// live in a pooled buffer that is recycled once deliver returns.
-func (t *Transport) StageToHost(req *mpi.Request, deliver func(packed []byte)) {
-	r := req.Rank()
-	n1 := t.Node(r)
-	pl := t.planFor(req)
-	e := r.World().Engine()
-	e.Spawn(n1.stageName, func(p *sim.Proc) {
-		size := pl.size
-		packed := mem.GetBytes(size)
-		var tbuf mem.Ptr
-		if !pl.contig {
-			tbuf = n1.Ctx.MustMalloc(size)
-			p.Wait(t.packChunk(p, n1, pl, req, req.ObsSpan(), -1, tbuf, 0, size))
-		} else {
-			tbuf = req.Buf().Add(pl.shape.Off)
-		}
-		chunk := n1.Pool.ChunkSize()
-		var bufs [2]*hostmem.Vbuf
-		bufs[0] = n1.Pool.Get(p)
-		nbuf := 1
-		if size > chunk {
-			if v, ok := n1.Pool.TryGet(); ok {
-				bufs[1] = v
-				nbuf = 2
-			}
-		}
-		var evs [2]*sim.Event
-		issue := func(b, off int) {
-			n := min(chunk, size-off)
-			evs[b] = n1.Ctx.MemcpyAsyncTask(p, bufs[b].Ptr, tbuf.Add(off), n, n1.d2hStreams[0], req.ObsSpan(), -1)
-		}
-		issue(0, 0)
-		b := 0
-		for off := 0; off < size; off += chunk {
-			n := min(chunk, size-off)
-			p.Wait(evs[b])
-			next := off + chunk
-			if next < size && nbuf == 2 {
-				issue(1-b, next)
-			}
-			// The drain memcpy's bytes are due when the modeled host copy
-			// ends; the vbuf is not re-filled before then and packed is only
-			// read by deliver after the loop.
-			hc := r.HostCopyCost(n)
-			dst, src := packed[off:off+n], bufs[b].Ptr.Bytes(n)
-			e.TaskAt(p.Now()+hc, func() { copy(dst, src) })
-			p.Sleep(hc)
-			if next < size && nbuf == 1 {
-				issue(0, next)
-			}
-			if nbuf == 2 {
-				b = 1 - b
-			}
-		}
-		n1.Pool.Put(bufs[0])
-		if bufs[1] != nil {
-			n1.Pool.Put(bufs[1])
-		}
-		if !pl.contig {
-			mustFree(n1.Ctx, tbuf)
-		}
-		deliver(packed)
-		mem.PutBytes(packed)
-	})
-}
-
-// DeliverFromHost unpacks eager payload bytes into the device buffer:
-// host copy into a vbuf, H2D into tbuf, D2D unpack, complete. The host
-// copies and H2D transfers are double-buffered across two vbufs (when the
-// pool allows): the H2D of chunk i runs while the host fills chunk i+1.
-// packed goes back to the recycler (mem.PutBytes) once the fills have read it.
-func (t *Transport) DeliverFromHost(req *mpi.Request, packed []byte) {
-	r := req.Rank()
-	n1 := t.Node(r)
-	pl := t.planFor(req)
-	e := r.World().Engine()
-	e.Spawn(n1.deliverName, func(p *sim.Proc) {
-		size := len(packed)
-		var tbuf mem.Ptr
-		if pl.contig {
-			tbuf = req.Buf().Add(pl.shape.Off)
-		} else {
-			//lint:ignore allocfree freed below under the same !pl.contig guard that allocated it; the guard is immutable but the flow analysis is path-insensitive and cannot correlate the branches
-			tbuf = n1.Ctx.MustMalloc(size)
-		}
-		chunk := n1.Pool.ChunkSize()
-		var bufs [2]*hostmem.Vbuf
-		bufs[0] = n1.RecvPool.Get(p)
-		nbuf := 1
-		if size > chunk {
-			if v, ok := n1.RecvPool.TryGet(); ok {
-				bufs[1] = v
-				nbuf = 2
-			}
-		}
-		var evs [2]*sim.Event
-		b := 0
-		for off := 0; off < size; off += chunk {
-			n := min(chunk, size-off)
-			if evs[b] != nil {
-				p.Wait(evs[b]) // vbuf b's previous H2D must have drained it
-			}
-			// The fill memcpy's bytes are due when the modeled host copy
-			// ends; the H2D that reads the vbuf is issued after the sleep,
-			// i.e. after this task's slot commits.
-			hc := r.HostCopyCost(n)
-			dst, src := bufs[b].Ptr.Bytes(n), packed[off:off+n]
-			e.TaskAt(p.Now()+hc, func() { copy(dst, src) })
-			p.Sleep(hc)
-			evs[b] = n1.Ctx.MemcpyAsyncTask(p, tbuf.Add(off), bufs[b].Ptr, n, n1.h2dStreams[0], req.ObsSpan(), -1)
-			if nbuf == 2 {
-				b = 1 - b
-			}
-		}
-		// Every fill task's slot has passed, so nothing reads packed now.
-		mem.PutBytes(packed)
-		for i := 0; i < nbuf; i++ {
-			if evs[i] != nil {
-				p.Wait(evs[i])
-			}
-		}
-		n1.RecvPool.Put(bufs[0])
-		if bufs[1] != nil {
-			n1.RecvPool.Put(bufs[1])
-		}
-		if !pl.contig {
-			p.Wait(t.unpackChunk(p, n1, pl, req, req.ObsSpan(), -1, tbuf, 0, size))
-			mustFree(n1.Ctx, tbuf)
-		}
-		req.CompleteRecv()
-	})
 }
 
 // ---------------------------------------------------------------------------

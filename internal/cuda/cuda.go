@@ -225,10 +225,12 @@ func (s *Stream) finish() {
 	s.free = o
 }
 
-// enqueue appends an op to the stream. An idle stream starts it at the
-// current instant, in the slot where the wake-up of a worker process
-// blocked on an empty queue would have been.
-func (s *Stream) enqueue(v op) *sim.Event {
+// enqueue appends an op to the stream and returns the event its
+// completion fires: done, re-armed, when the caller holds one, or a new
+// event. An idle stream starts the op at the current instant, in the
+// slot where the wake-up of a worker process blocked on an empty queue
+// would have been.
+func (s *Stream) enqueue(v op, done *sim.Event) *sim.Event {
 	if s.opName == "" {
 		s.opName = s.name + ".op"
 	}
@@ -239,7 +241,12 @@ func (s *Stream) enqueue(v op) *sim.Event {
 		o = new(op)
 	}
 	*o = v
-	o.done = s.ctx.e.NewEvent(s.opName)
+	if done != nil {
+		done.Reset(s.ctx.e, s.opName)
+	} else {
+		done = s.ctx.e.NewEvent(s.opName)
+	}
+	o.done = done
 	if s.tail == nil {
 		s.head = o
 	} else {
@@ -297,7 +304,16 @@ func (c *Ctx) MemcpyAsync(p *sim.Proc, dst, src mem.Ptr, n int, s *Stream) *sim.
 // in the trace. An inert parent and chunk -1 degrade to plain tracing.
 func (c *Ctx) MemcpyAsyncTask(p *sim.Proc, dst, src mem.Ptr, n int, s *Stream, parent obs.Span, chunk int) *sim.Event {
 	c.issue(p)
-	return s.enqueue(op{dst: dst, src: src, shape: gpu.Shape1D(n), parent: parent, chunk: chunk})
+	return s.enqueue(op{dst: dst, src: src, shape: gpu.Shape1D(n), parent: parent, chunk: chunk}, nil)
+}
+
+// MemcpyAsyncInto is MemcpyAsyncTask for a continuation in engine
+// context: it charges no issue time (the caller has modeled the launch,
+// e.g. with CallAt(now+AsyncIssue, ...)) and completes done, an event the
+// caller holds by value, instead of a new event. done is re-armed here; the
+// caller must not reuse it before it has fired and its waiter has run.
+func (c *Ctx) MemcpyAsyncInto(done *sim.Event, dst, src mem.Ptr, n int, s *Stream, parent obs.Span, chunk int) {
+	s.enqueue(op{dst: dst, src: src, shape: gpu.Shape1D(n), parent: parent, chunk: chunk}, done)
 }
 
 // Memcpy2DAsync enqueues a 2D strided copy: height rows of width bytes,
@@ -310,7 +326,13 @@ func (c *Ctx) Memcpy2DAsync(p *sim.Proc, dst mem.Ptr, dpitch int, src mem.Ptr, s
 // tag, like MemcpyAsyncTask.
 func (c *Ctx) Memcpy2DAsyncTask(p *sim.Proc, dst mem.Ptr, dpitch int, src mem.Ptr, spitch, width, height int, s *Stream, parent obs.Span, chunk int) *sim.Event {
 	c.issue(p)
-	return s.enqueue(op{dst: dst, src: src, shape: gpu.CopyShape{Width: width, Height: height, DPitch: dpitch, SPitch: spitch}, parent: parent, chunk: chunk})
+	return s.enqueue(op{dst: dst, src: src, shape: gpu.CopyShape{Width: width, Height: height, DPitch: dpitch, SPitch: spitch}, parent: parent, chunk: chunk}, nil)
+}
+
+// Memcpy2DAsyncInto is Memcpy2DAsyncTask for a continuation, like
+// MemcpyAsyncInto.
+func (c *Ctx) Memcpy2DAsyncInto(done *sim.Event, dst mem.Ptr, dpitch int, src mem.Ptr, spitch, width, height int, s *Stream, parent obs.Span, chunk int) {
+	s.enqueue(op{dst: dst, src: src, shape: gpu.CopyShape{Width: width, Height: height, DPitch: dpitch, SPitch: spitch}, parent: parent, chunk: chunk}, done)
 }
 
 // Memcpy performs a blocking contiguous copy (cudaMemcpy): issue on the
@@ -341,7 +363,13 @@ func (c *Ctx) LaunchKernel(p *sim.Proc, s *Stream, cells int, nsPerCell float64,
 // An inert parent and chunk -1 degrade to LaunchKernel's plain tracing.
 func (c *Ctx) LaunchKernelTask(p *sim.Proc, s *Stream, parent obs.Span, chunk, cells int, nsPerCell float64, body func()) *sim.Event {
 	c.issue(p)
-	return s.enqueue(op{isKernel: true, kernCells: cells, kernNsCell: nsPerCell, kernBody: body, parent: parent, chunk: chunk})
+	return s.enqueue(op{isKernel: true, kernCells: cells, kernNsCell: nsPerCell, kernBody: body, parent: parent, chunk: chunk}, nil)
+}
+
+// LaunchKernelInto is LaunchKernelTask for a continuation, like
+// MemcpyAsyncInto.
+func (c *Ctx) LaunchKernelInto(done *sim.Event, s *Stream, parent obs.Span, chunk, cells int, nsPerCell float64, body func()) {
+	s.enqueue(op{isKernel: true, kernCells: cells, kernNsCell: nsPerCell, kernBody: body, parent: parent, chunk: chunk}, done)
 }
 
 // Event is a CUDA event: a marker recorded into a stream.
@@ -358,7 +386,7 @@ func (c *Ctx) NewEvent() *Event { return &Event{c: c} }
 // Re-recording resets the event to the new position.
 func (ev *Event) Record(p *sim.Proc, s *Stream) {
 	ev.c.issue(p)
-	ev.ev = s.enqueue(op{isMarker: true, chunk: -1})
+	ev.ev = s.enqueue(op{isMarker: true, chunk: -1}, nil)
 }
 
 // Query reports whether the recorded marker has completed
@@ -395,7 +423,7 @@ func (c *Ctx) MemsetAsync(p *sim.Proc, dst mem.Ptr, b byte, n int, s *Stream) *s
 		for i := range buf {
 			buf[i] = b
 		}
-	}, memsetBytes: n, memsetDst: dst, chunk: -1})
+	}, memsetBytes: n, memsetDst: dst, chunk: -1}, nil)
 }
 
 // Memset performs a blocking fill (cudaMemset).
@@ -414,5 +442,5 @@ func (c *Ctx) StreamWaitEvent(p *sim.Proc, s *Stream, ev *Event) {
 		panic("cuda: StreamWaitEvent on unrecorded event")
 	}
 	c.issue(p)
-	s.enqueue(op{waitOn: ev.ev, chunk: -1})
+	s.enqueue(op{waitOn: ev.ev, chunk: -1}, nil)
 }

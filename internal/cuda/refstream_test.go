@@ -262,12 +262,20 @@ func genProgram(seed int64) (int, []step) {
 // queue wake-ups, which a Stream has no counterpart of.
 type firedLog []string
 
-func (l *firedLog) ProcStart(sim.Time, string) {}
-func (l *firedLog) ProcEnd(sim.Time, string)   {}
-func (l *firedLog) EventFired(t sim.Time, name string) {
-	if !strings.HasSuffix(name, ".ops.get") {
+func (l *firedLog) trace(t sim.Time, msg string) {
+	if name, ok := firedName(msg); ok && !strings.HasSuffix(name, ".ops.get") {
 		*l = append(*l, fmt.Sprintf("%v %s", t, name))
 	}
+}
+
+// firedName returns the event named by an engine tracer line reporting a
+// firing, "event <name>: fired".
+func firedName(msg string) (string, bool) {
+	name, ok := strings.CutPrefix(msg, "event ")
+	if !ok {
+		return "", false
+	}
+	return strings.CutSuffix(name, ": fired")
 }
 
 type programResult struct {
@@ -283,7 +291,7 @@ func runProgram(t *testing.T, nstreams int, prog []step, ref bool) programResult
 	e := sim.New()
 	defer e.Shutdown()
 	var fired firedLog
-	e.SetHook(&fired)
+	e.SetTracer(fired.trace)
 	dev := gpu.New(e, 0, gpu.Config{MemBytes: 1 << 20})
 	c := NewCtx(e, dev)
 	half := len(prog) * slotBytes

@@ -13,7 +13,8 @@
 // per vbuf: a vbuf is mapped and registered the first time it is handed
 // out, the way MVAPICH2 grows its registered vbuf pool on demand
 // (MV2_VBUF_SECONDARY_POOL_SIZE). Since the free list is LIFO, a run maps
-// only as many vbufs as it ever held at once.
+// only as many vbufs as it ever held at once. When the simulation ends,
+// Unmap hands their bytes back to mem's recycler.
 package hostmem
 
 import (
@@ -120,8 +121,9 @@ func (p *Pool) Free() int { return len(p.freeList) }
 // i.e. how deep the pipeline actually dug into the pool.
 func (p *Pool) MinFree() int { return p.minFree }
 
-// Mapped returns the number of vbufs mapped and registered so far: the
-// distinct vbufs ever handed out.
+// Mapped returns the number of times a vbuf was mapped and registered:
+// the distinct vbufs ever handed out, counted again for each one mapped
+// afresh after Unmap.
 func (p *Pool) Mapped() int { return p.mapped }
 
 // Get blocks until a vbuf is available and returns it, accounted to
@@ -139,26 +141,73 @@ func (p *Pool) GetRail(proc *sim.Proc, rail int) *Vbuf {
 	var waitSp obs.Span
 	blocked := false
 	for len(p.freeList) == 0 {
-		if !blocked {
-			// One exhaustion event per blocked Get, however many times the
-			// pool drains again before this requester wins a vbuf.
-			blocked = true
-			p.waits++
-			p.hub.Counter(p.waitsCtr, float64(p.waits))
-		}
-		if !waitSp.Active() {
-			waitSp = p.hub.Start(obs.KindVbufWait, p.waitTrack, -1, p.chunkSize)
-		}
-		if p.vbufEvent == "" {
-			p.vbufEvent = p.name + ".vbuf"
-		}
-		ev := p.e.NewEvent(p.vbufEvent)
-		p.waiters = append(p.waiters, ev)
-		proc.Wait(ev)
+		proc.Wait(p.await(&waitSp, &blocked))
 	}
+	return p.granted(rail, waitSp)
+}
+
+// GetThen is Get for a continuation in engine context: fn receives a
+// vbuf accounted to rail 0 — at once when one is free, otherwise in the
+// slot where a process blocked in Get would resume. A blocked GetThen
+// waits on the same "<pool>.vbuf" events, counts the same exhaustion
+// wait and traces the same vbuf_wait span as Get.
+func (p *Pool) GetThen(fn func(*Vbuf)) {
+	if len(p.freeList) > 0 {
+		fn(p.granted(0, obs.Span{}))
+		return
+	}
+	g := &getter{p: p, fn: fn}
+	g.retryFn = g.retry
+	g.retry()
+}
+
+// getter is a blocked GetThen: the state GetRail keeps on its stack.
+type getter struct {
+	p       *Pool
+	fn      func(*Vbuf)
+	waitSp  obs.Span
+	blocked bool
+	retryFn func()
+}
+
+// retry runs when the vbuf event a getter waits on fires. Like GetRail's
+// loop, it waits again if another requester took the returned vbuf first.
+func (g *getter) retry() {
+	if len(g.p.freeList) == 0 {
+		g.p.await(&g.waitSp, &g.blocked).Then(g.retryFn)
+		return
+	}
+	g.fn(g.p.granted(0, g.waitSp))
+}
+
+// await registers one more wait of a Get that found the pool empty and
+// returns the event the next Put fires. The first wait of a Get counts
+// one exhaustion event and opens its wait span.
+func (p *Pool) await(waitSp *obs.Span, blocked *bool) *sim.Event {
+	if !*blocked {
+		// One exhaustion event per blocked Get, however many times the
+		// pool drains again before this requester wins a vbuf.
+		*blocked = true
+		p.waits++
+		p.hub.Counter(p.waitsCtr, float64(p.waits))
+	}
+	if !waitSp.Active() {
+		*waitSp = p.hub.Start(obs.KindVbufWait, p.waitTrack, -1, p.chunkSize)
+	}
+	if p.vbufEvent == "" {
+		p.vbufEvent = p.name + ".vbuf"
+	}
+	ev := p.e.NewEvent(p.vbufEvent)
+	p.waiters = append(p.waiters, ev)
+	return ev
+}
+
+// granted takes a vbuf for a Get whose waiting, if any, was traced as
+// waitSp.
+func (p *Pool) granted(rail int, waitSp obs.Span) *Vbuf {
 	v := p.take(rail)
 	// End unconditionally: End on a never-started span is a no-op, and
-	// this way the wait span closes on every path out of the loop.
+	// this way the wait span closes on every path out of the wait.
 	waitSp.End()
 	if waitSp.Active() {
 		v.span.DependsOn(waitSp, obs.DepVbufWait)
@@ -244,6 +293,24 @@ func (p *Pool) Put(v *Vbuf) {
 		p.waiters = p.waiters[:n]
 		head.Trigger()
 	}
+}
+
+// Unmap gives back the host memory of a pool whose simulation has
+// ended: every mapped vbuf is deregistered and its bytes go to mem's
+// recycler, for the next mapping or payload buffer of that length. A vbuf
+// taken afterwards is mapped and registered afresh.
+func (p *Pool) Unmap() error {
+	for _, v := range p.bufs {
+		if !v.mapped {
+			continue
+		}
+		p.hca.Deregister(v.Region)
+		if err := v.Ptr.Space().Free(v.Ptr); err != nil {
+			return fmt.Errorf("hostmem: unmap %s: %w", p.name, err)
+		}
+		v.Region, v.mapped = ib.Region{}, false
+	}
+	return nil
 }
 
 // MaxHeld returns the pool-wide concurrent-hold high-water mark: the most

@@ -96,9 +96,15 @@ func (l *fabricLog) TaskDepends(t obs.Task, on uint64, label string) {
 func (l *fabricLog) CounterSample(name string, at sim.Time, v float64) {
 	l.add("counter %s %v %g", name, at, v)
 }
-func (l *fabricLog) ProcStart(sim.Time, string)         {}
-func (l *fabricLog) ProcEnd(sim.Time, string)           {}
-func (l *fabricLog) EventFired(_ sim.Time, name string) { l.add("fired %s", name) }
+
+// trace logs the event firings among the engine tracer's lines.
+func (l *fabricLog) trace(_ sim.Time, msg string) {
+	if name, ok := strings.CutPrefix(msg, "event "); ok {
+		if name, ok := strings.CutSuffix(name, ": fired"); ok {
+			l.add("fired %s", name)
+		}
+	}
+}
 
 // fabricOp is one operation of a random fabric program: a send or an
 // RDMA write of n bytes from node src to node 1, issued by src's process
@@ -120,7 +126,7 @@ func runFabric(t *testing.T, ops []fabricOp, ref bool) ([]string, uint64, []byte
 	e := sim.New()
 	defer e.Shutdown()
 	log := &fabricLog{e: e}
-	e.SetHook(log)
+	e.SetTracer(log.trace)
 	f := NewFabric(e, Model{})
 	f.SetHub(obs.NewHub(e, log))
 	const slot = 8 << 10

@@ -501,9 +501,6 @@ var simVisibleMethods = map[[3]string]bool{
 	{simPath, "Queue", "Put"}:               true,
 	{simPath, "Queue", "Get"}:               true,
 	{simPath, "Queue", "TryGet"}:            true,
-	{simPath, "Hook", "ProcStart"}:          true,
-	{simPath, "Hook", "ProcEnd"}:            true,
-	{simPath, "Hook", "EventFired"}:         true,
 
 	// Task stream: record order is byte-visible in Chrome traces.
 	{obsPath, "Hub", "Start"}:             true,
@@ -525,6 +522,7 @@ var simVisibleMethods = map[[3]string]bool{
 	// Rail/vbuf accounting and fabric posts.
 	{hostmemPath, "Pool", "Get"}:         true,
 	{hostmemPath, "Pool", "GetRail"}:     true,
+	{hostmemPath, "Pool", "GetThen"}:     true,
 	{hostmemPath, "Pool", "TryGet"}:      true,
 	{hostmemPath, "Pool", "TryGetRail"}:  true,
 	{hostmemPath, "Pool", "Put"}:         true,

@@ -10,15 +10,17 @@ import (
 //
 // Blocking operations (Stream.Synchronize, Event.Synchronize, Ctx.Memcpy/
 // Memcpy2D/Memset, Proc.Wait/WaitAll/Sleep/Yield, Resource.Acquire,
-// Queue.Get) hand the cooperative baton back to the engine; they may only
-// run inside a *sim.Proc goroutine. The analyzer reports a call when
+// Queue.Get, Pool.Get/GetRail) hand the cooperative baton back to the
+// engine; they may only run inside a *sim.Proc goroutine. The analyzer
+// reports a call when
 //
 //   - the *sim.Proc argument is a nil literal (the async-issue convention
 //     permits nil only for non-blocking calls), or
 //   - the call sits inside an engine-context callback (a func literal
-//     passed to Engine.CallAt/CallAfter or Event.OnTrigger), which the
-//     engine runs to completion on its own goroutine and must never
-//     block, or
+//     passed to Engine.CallAt/CallAfter/TaskAt, Event.OnTrigger/Then,
+//     Resource.AcquireThen, Pool.GetThen or a kernel launch's body),
+//     which the engine runs to completion on its own goroutine and must
+//     never block, or
 //   - no enclosing function receives a *sim.Proc and the proc value is
 //     not obtained locally (e.g. from rank.Proc()).
 var ProcBlock = &Analyzer{
@@ -41,14 +43,25 @@ var blockingMethods = map[[3]string]int{
 	{simPath, "Proc", "Yield"}:          -1,
 	{simPath, "Resource", "Acquire"}:    0,
 	{simPath, "Queue", "Get"}:           0,
+	{hostmemPath, "Pool", "Get"}:        0,
+	{hostmemPath, "Pool", "GetRail"}:    0,
 }
 
 // engineCallbacks are the methods whose func-literal argument runs in
-// engine context and therefore must not block.
+// engine context and therefore must not block: scheduled calls and
+// tasks, event continuations and callbacks, grant continuations, and
+// kernel bodies, which run as tasks.
 var engineCallbacks = map[[3]string]bool{
-	{simPath, "Engine", "CallAt"}:    true,
-	{simPath, "Engine", "CallAfter"}: true,
-	{simPath, "Event", "OnTrigger"}:  true,
+	{simPath, "Engine", "CallAt"}:         true,
+	{simPath, "Engine", "CallAfter"}:      true,
+	{simPath, "Engine", "TaskAt"}:         true,
+	{simPath, "Event", "OnTrigger"}:       true,
+	{simPath, "Event", "Then"}:            true,
+	{simPath, "Resource", "AcquireThen"}:  true,
+	{hostmemPath, "Pool", "GetThen"}:      true,
+	{cudaPath, "Ctx", "LaunchKernel"}:     true,
+	{cudaPath, "Ctx", "LaunchKernelTask"}: true,
+	{cudaPath, "Ctx", "LaunchKernelInto"}: true,
 }
 
 func runProcBlock(pass *Pass) error {
@@ -94,7 +107,7 @@ func runProcBlock(pass *Pass) error {
 					}
 					if i > 0 && isEngineCallbackArg(pass.TypesInfo, path[i-1], fn) {
 						pass.Reportf(call.Pos(),
-							"blocking call %s inside an engine-context callback (CallAt/CallAfter/OnTrigger callbacks must not block)", label)
+							"blocking call %s inside an engine-context callback (callbacks the engine runs must not block)", label)
 						return true
 					}
 				case *ast.FuncDecl:

@@ -54,6 +54,10 @@ func (c *Ctx) Memcpy2DAsync(p *sim.Proc, dst mem.Ptr, dpitch int, src mem.Ptr, s
 	return &sim.Event{}
 }
 
+// LaunchKernelInto enqueues a kernel whose body runs in engine context
+// and completes done.
+func (c *Ctx) LaunchKernelInto(done *sim.Event, s *Stream, cells int, body func()) {}
+
 // StreamWaitEvent makes s wait for ev.
 func (c *Ctx) StreamWaitEvent(p *sim.Proc, s *Stream, ev *Event) {}
 

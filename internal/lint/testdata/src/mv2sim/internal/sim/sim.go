@@ -73,8 +73,14 @@ func (ev *Event) Fired() bool { return ev.fired }
 // OnTrigger registers an engine-context callback.
 func (ev *Event) OnTrigger(fn func()) {}
 
+// Then queues an engine-context continuation.
+func (ev *Event) Then(fn func()) {}
+
 // Acquire takes n units, blocking p.
 func (r *Resource) Acquire(p *Proc, n int) {}
+
+// AcquireThen runs fn in engine context once a unit is granted.
+func (r *Resource) AcquireThen(fn func()) {}
 
 // Release returns n units.
 func (r *Resource) Release(n int) {}

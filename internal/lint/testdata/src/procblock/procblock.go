@@ -3,6 +3,7 @@ package procblock
 
 import (
 	"mv2sim/internal/cuda"
+	"mv2sim/internal/hostmem"
 	"mv2sim/internal/mem"
 	"mv2sim/internal/mpi"
 	"mv2sim/internal/sim"
@@ -38,6 +39,53 @@ func triggerCallback(ev *sim.Event, s *cuda.Stream, p *sim.Proc) {
 	ev.OnTrigger(func() {
 		s.Synchronize(p) // want `blocking call Stream.Synchronize inside an engine-context callback`
 	})
+}
+
+// Positive: continuations (Then, AcquireThen, GetThen), tasks and kernel
+// bodies run in engine context as well.
+func continuations(e *sim.Engine, ev *sim.Event, res *sim.Resource, pool *hostmem.Pool, ctx *cuda.Ctx, s *cuda.Stream, p *sim.Proc) {
+	ev.Then(func() {
+		s.Synchronize(p) // want `blocking call Stream.Synchronize inside an engine-context callback`
+	})
+	res.AcquireThen(func() {
+		p.Sleep(1) // want `blocking call Proc.Sleep inside an engine-context callback`
+	})
+	e.TaskAt(5, func() {
+		p.Yield() // want `blocking call Proc.Yield inside an engine-context callback`
+	})
+	pool.GetThen(func(v *hostmem.Vbuf) {
+		pool.Get(p) // want `blocking call Pool.Get inside an engine-context callback`
+	})
+	ctx.LaunchKernelInto(ev, s, 8, func() {
+		p.Wait(ev) // want `blocking call Proc.Wait inside an engine-context callback`
+	})
+}
+
+// Positive: a vbuf pool's Get blocks its caller.
+func poolGets(pool *hostmem.Pool) {
+	pool.Get(nil)              // want `blocking call Pool.Get with nil \*sim\.Proc`
+	pool.GetRail(globalProc, 1) // want `blocking call Pool.GetRail in a function that does not receive a \*sim\.Proc`
+}
+
+// Negative: a continuation that only schedules, triggers and takes free
+// vbufs does not block.
+func nonBlockingContinuations(e *sim.Engine, ev *sim.Event, pool *hostmem.Pool) {
+	ev.Then(func() {
+		ev.Trigger()
+		e.CallAfter(3, func() {})
+	})
+	pool.GetThen(func(v *hostmem.Vbuf) {
+		if w, ok := pool.TryGet(); ok {
+			pool.Put(w)
+		}
+		pool.Put(v)
+	})
+}
+
+// Negative: a process that waits for a vbuf.
+func poolInProc(pool *hostmem.Pool, p *sim.Proc) {
+	v := pool.GetRail(p, 0)
+	pool.Put(v)
 }
 
 // Negative: the function receives the process it blocks.

@@ -36,8 +36,8 @@ func (c *Comm) Barrier() {
 		src := (c.Rank() - mask + n) % n
 		rq := c.r.irecv(empty, 0, datatype.Byte, c.WorldRank(src), collTagBase+round, c.ctxColl)
 		sq := c.r.isend(empty, 0, datatype.Byte, c.WorldRank(dst), collTagBase+round, c.ctxColl)
-		c.r.Proc().Wait(sq.done)
-		c.r.Proc().Wait(rq.done)
+		c.r.Proc().Wait(&sq.done)
+		c.r.Proc().Wait(&rq.done)
 		round++
 	}
 }
@@ -57,7 +57,7 @@ func (c *Comm) Bcast(buf mem.Ptr, count int, dt *datatype.Datatype, root int) {
 		if vrank&mask != 0 {
 			parent := (vrank - mask + root) % n
 			q := c.r.irecv(buf, count, dt, c.WorldRank(parent), collTagBase+20, c.ctxColl)
-			c.r.Proc().Wait(q.done)
+			c.r.Proc().Wait(&q.done)
 			break
 		}
 		mask <<= 1
@@ -74,7 +74,7 @@ func (c *Comm) Bcast(buf mem.Ptr, count int, dt *datatype.Datatype, root int) {
 // completion, so the caller may reuse buf immediately after.
 func (c *Comm) sendCollBlocking(buf mem.Ptr, count int, dt *datatype.Datatype, dest, tag int) {
 	q := c.r.isend(buf, count, dt, c.WorldRank(dest), tag, c.ctxColl)
-	c.r.Proc().Wait(q.done)
+	c.r.Proc().Wait(&q.done)
 }
 
 // Op is a reduction operator over float64.
@@ -114,7 +114,7 @@ func (c *Comm) Reduce(sendBuf, recvBuf mem.Ptr, count int, op Op, root int) {
 			continue
 		}
 		q := c.r.irecv(tmp, count, datatype.Float64, c.WorldRank((peer+root)%n), collTagBase+21, c.ctxColl)
-		c.r.Proc().Wait(q.done)
+		c.r.Proc().Wait(&q.done)
 		readF64(tmp, scratch)
 		for i := range acc {
 			acc[i] = op(acc[i], scratch[i])
@@ -145,7 +145,7 @@ func (c *Comm) Gather(sendBuf mem.Ptr, count int, dt *datatype.Datatype, recvBuf
 			continue
 		}
 		q := c.r.irecv(dst, count, dt, c.WorldRank(src), collTagBase+22, c.ctxColl)
-		c.r.Proc().Wait(q.done)
+		c.r.Proc().Wait(&q.done)
 	}
 }
 
@@ -154,7 +154,7 @@ func (c *Comm) Gather(sendBuf mem.Ptr, count int, dt *datatype.Datatype, recvBuf
 func (c *Comm) Scatter(sendBuf mem.Ptr, count int, dt *datatype.Datatype, recvBuf mem.Ptr, root int) {
 	if c.Rank() != root {
 		q := c.r.irecv(recvBuf, count, dt, c.WorldRank(root), collTagBase+23, c.ctxColl)
-		c.r.Proc().Wait(q.done)
+		c.r.Proc().Wait(&q.done)
 		return
 	}
 	for dst := 0; dst < c.Size(); dst++ {

@@ -63,13 +63,13 @@ func (c *Comm) commRankOf(world int) int {
 // Send is MPI_Send on this communicator; dest is a communicator rank.
 func (c *Comm) Send(buf mem.Ptr, count int, dt *datatype.Datatype, dest, tag int) {
 	q := c.Isend(buf, count, dt, dest, tag)
-	c.r.Proc().Wait(q.done)
+	c.r.Proc().Wait(&q.done)
 }
 
 // Recv is MPI_Recv on this communicator; source may be AnySource.
 func (c *Comm) Recv(buf mem.Ptr, count int, dt *datatype.Datatype, source, tag int) Status {
 	q := c.Irecv(buf, count, dt, source, tag)
-	c.r.Proc().Wait(q.done)
+	c.r.Proc().Wait(&q.done)
 	return q.status
 }
 
@@ -101,8 +101,8 @@ func (c *Comm) Sendrecv(
 ) Status {
 	rq := c.Irecv(recvBuf, recvCount, recvType, source, recvTag)
 	sq := c.Isend(sendBuf, sendCount, sendType, dest, sendTag)
-	c.r.Proc().Wait(sq.done)
-	c.r.Proc().Wait(rq.done)
+	c.r.Proc().Wait(&sq.done)
+	c.r.Proc().Wait(&rq.done)
 	return rq.status
 }
 
@@ -246,7 +246,7 @@ func (w *World) allocCtx() int {
 // communicator's collective context.
 func (r *Rank) sendColl(buf mem.Ptr, n int, c *Comm, dest, tag int) {
 	q := r.isend(buf, n, datatype.Byte, c.WorldRank(dest), tag, c.ctxColl)
-	r.Proc().Wait(q.done)
+	r.Proc().Wait(&q.done)
 }
 
 func (r *Rank) recvColl(buf mem.Ptr, n int, c *Comm, source, tag int) Status {
@@ -255,7 +255,7 @@ func (r *Rank) recvColl(buf mem.Ptr, n int, c *Comm, source, tag int) Status {
 		src = c.WorldRank(source)
 	}
 	q := r.irecv(buf, n, datatype.Byte, src, tag, c.ctxColl)
-	r.Proc().Wait(q.done)
+	r.Proc().Wait(&q.done)
 	return q.status
 }
 

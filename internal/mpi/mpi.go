@@ -234,6 +234,8 @@ type Rank struct {
 
 	nextID      int
 	reqs        map[int]*Request // in-flight rendezvous requests by ID
+	freeReqs    []*Request       // recycled blocking-call requests
+	allocReqs   int              // requests allocated, recycled ones not counted
 	obsTrack    string           // tracing track name, "rankN.mpi"
 	reqName     string           // request event name prefix, "rankN.req"
 	inflightCtr string           // in-flight request gauge, "rankN.inflight"

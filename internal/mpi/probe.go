@@ -54,7 +54,7 @@ func (r *Rank) notifyArrival() {
 // the same strategy MPICH-family libraries use.
 func (r *Rank) Ssend(buf mem.Ptr, count int, dt *datatype.Datatype, dest, tag int) {
 	q := r.Issend(buf, count, dt, dest, tag)
-	r.Proc().Wait(q.done)
+	r.Proc().Wait(&q.done)
 }
 
 // Issend is the non-blocking synchronous send (MPI_Issend).

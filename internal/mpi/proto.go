@@ -56,13 +56,15 @@ type inbound struct {
 // implementation (internal/core) owns all GPU-side staging; the matching,
 // wire protocol and completion plumbing stay in this package. All methods
 // are invoked in engine context or from a rank process and must not block
-// the caller: long-running work is done in processes the transport spawns.
+// the caller: long-running work goes on in the transport, as scheduled
+// continuations (eager staging) or processes it spawns (the rendezvous
+// pipeline).
 type GPUTransport interface {
 	// StageToHost packs the request's device buffer into host bytes and
-	// invokes deliver when the packed data is ready. Used for eager-size
-	// sends and for self-sends. deliver copies what it keeps, so the
-	// packed bytes may be recycled once it returns.
-	StageToHost(req *Request, deliver func(packed []byte))
+	// hands them to req.SendPacked when the packed data is ready. Used
+	// for eager-size sends and for self-sends. SendPacked copies what it
+	// keeps, so the packed bytes may be recycled once it returns.
+	StageToHost(req *Request)
 	// DeliverFromHost unpacks packed bytes into the request's device
 	// buffer and calls req.CompleteRecv when done. Used for eager-size
 	// receives and self-receives. packed comes from mem.GetBytes and
@@ -114,9 +116,12 @@ func (r *Rank) Isend(buf mem.Ptr, count int, dt *datatype.Datatype, dest, tag in
 
 // Send is the blocking form (MPI_Send): it returns when the send buffer is
 // reusable (eager: buffered on the wire; rendezvous: fully transferred).
+// Its request is never seen by the caller, so it goes back to the rank's
+// free list when it completed eagerly.
 func (r *Rank) Send(buf mem.Ptr, count int, dt *datatype.Datatype, dest, tag int) {
-	q := r.Isend(buf, count, dt, dest, tag)
-	r.Proc().Wait(q.done)
+	q := r.isend(buf, count, dt, dest, tag, ctxPt2pt)
+	r.Proc().Wait(&q.done)
+	r.recycle(q)
 }
 
 func (r *Rank) isend(buf mem.Ptr, count int, dt *datatype.Datatype, dest, tag, ctx int) *Request {
@@ -134,32 +139,30 @@ func (r *Rank) isend(buf mem.Ptr, count int, dt *datatype.Datatype, dest, tag, c
 
 	switch {
 	case dest == r.rank:
+		q.eager = true
 		r.selfSend(q)
 	case q.size == 0:
 		// Zero-byte messages always travel eagerly, device or host.
-		ev := r.hca.PostSend(dest, eagerMsg{r.rank, tag, ctx, 0}, nil)
-		ev.OnTrigger(q.CompleteSend)
+		q.eager = true
+		q.SendPacked(nil)
 		r.stats.EagerSent++
 	case buf.IsDevice():
 		t := r.transport()
 		if q.size <= r.w.cfg.EagerLimit {
-			// PostSend snapshots packed, which the transport then recycles.
-			t.StageToHost(q, func(packed []byte) {
-				ev := r.hca.PostSend(dest, eagerMsg{r.rank, tag, ctx, q.size}, packed)
-				ev.OnTrigger(q.CompleteSend)
-			})
+			q.eager = true
+			t.StageToHost(q)
 			r.stats.EagerSent++
 		} else {
 			t.StartRendezvousSend(q)
 			r.stats.RndvSent++
 		}
 	case q.size <= r.w.cfg.EagerLimit:
+		q.eager = true
 		r.Proc().Sleep(r.hostPackCost(dt, count))
 		payload := mem.GetBytes(q.size)
 		dt.PackBytes(payload, buf, count)
-		ev := r.hca.PostSend(dest, eagerMsg{r.rank, tag, ctx, q.size}, payload)
-		mem.PutBytes(payload) // PostSend took its snapshot
-		ev.OnTrigger(q.CompleteSend)
+		q.SendPacked(payload)
+		mem.PutBytes(payload) // SendPacked took its snapshot
 		r.stats.EagerSent++
 	default:
 		r.startHostRendezvous(q)
@@ -194,26 +197,41 @@ func (r *Rank) startHostRendezvous(q *Request) {
 }
 
 // selfSend delivers a message to this same rank without touching the
-// fabric: the packed bytes are matched through the normal queues, which
-// copy them, so the packed buffer is free again once deliver returns.
+// fabric: SendPacked matches the packed bytes through the normal queues,
+// which copy them, so the packed buffer is free again once it returns.
 func (r *Rank) selfSend(q *Request) {
-	deliver := func(packed []byte) {
-		r.dispatchEager(r.rank, q.tag, q.ctx, q.size, packed)
-		q.CompleteSend()
-	}
 	if q.size == 0 {
-		deliver(nil)
+		q.SendPacked(nil)
 		return
 	}
 	if q.buf.IsDevice() {
-		r.transport().StageToHost(q, deliver)
+		r.transport().StageToHost(q)
 		return
 	}
 	r.Proc().Sleep(r.hostPackCost(q.dt, q.count))
 	payload := mem.GetBytes(q.size)
 	q.dt.PackBytes(payload, q.buf, q.count)
-	deliver(payload)
+	q.SendPacked(payload)
 	mem.PutBytes(payload)
+}
+
+// SendPacked sends an eager request's packed bytes: a self-send is
+// matched at once and completes; any other send is posted to its
+// destination and completes when the HCA has read the bytes. packed is
+// only read during the call. GPU transports call it from StageToHost.
+func (q *Request) SendPacked(packed []byte) {
+	r := q.r
+	if q.peer == r.rank {
+		r.dispatchEager(r.rank, q.tag, q.ctx, q.size, packed)
+		q.CompleteSend()
+		return
+	}
+	// PostSend snapshots packed, which the caller then recycles.
+	ev := r.hca.PostSend(q.peer, eagerMsg{r.rank, q.tag, q.ctx, q.size}, packed)
+	if q.completeSendFn == nil {
+		q.completeSendFn = q.CompleteSend
+	}
+	ev.OnTrigger(q.completeSendFn)
 }
 
 // SendRTS posts the rendezvous request-to-send for a send request. GPU
@@ -337,10 +355,13 @@ func (r *Rank) Irecv(buf mem.Ptr, count int, dt *datatype.Datatype, source, tag 
 }
 
 // Recv is the blocking form (MPI_Recv).
+// Like Send, it recycles its request when it completed eagerly.
 func (r *Rank) Recv(buf mem.Ptr, count int, dt *datatype.Datatype, source, tag int) Status {
-	q := r.Irecv(buf, count, dt, source, tag)
-	r.Proc().Wait(q.done)
-	return q.status
+	q := r.irecv(buf, count, dt, source, tag, ctxPt2pt)
+	r.Proc().Wait(&q.done)
+	st := q.status
+	r.recycle(q)
+	return st
 }
 
 func (r *Rank) irecv(buf mem.Ptr, count int, dt *datatype.Datatype, source, tag, ctx int) *Request {
@@ -498,6 +519,7 @@ func (q *Request) setMatched(from, tag, size int) {
 // delivery needs later are copied into a recycled buffer (mem.GetBytes),
 // which goes back once it has been unpacked.
 func (r *Rank) deliverEager(q *Request, from, tag, size int, payload []byte) {
+	q.eager = true
 	q.setMatched(from, tag, size)
 	if size == 0 {
 		q.CompleteRecv()
@@ -624,7 +646,7 @@ func (r *Rank) Sendrecv(
 ) Status {
 	rq := r.Irecv(recvBuf, recvCount, recvType, source, recvTag)
 	sq := r.Isend(sendBuf, sendCount, sendType, dest, sendTag)
-	r.Proc().Wait(sq.done)
-	r.Proc().Wait(rq.done)
+	r.Proc().Wait(&sq.done)
+	r.Proc().Wait(&rq.done)
 	return rq.status
 }

@@ -35,8 +35,16 @@ type Request struct {
 	ctx   int
 	size  int // packed bytes: send size, or recv capacity until matched
 
-	done   *sim.Event
+	done   sim.Event
 	status Status
+
+	// eager marks a request that completes on an eager path (or a
+	// self-send's local delivery), whose completion is its last
+	// reference: a blocking call may recycle it once Wait returns.
+	eager bool
+	// completeSendFn is CompleteSend bound once, so eager sends register
+	// their completion without a closure.
+	completeSendFn func()
 
 	// rendezvous state
 	id          int             // sendID (sender) or recvID (receiver)
@@ -101,18 +109,42 @@ func (q *Request) OnComplete(fn func()) { q.done.OnTrigger(fn) }
 func (q *Request) ObsSpan() obs.Span { return q.span }
 
 // newRequest assigns an ID and registers the request for protocol lookup.
+// It reuses a request a blocking call recycled (see recycle) when there
+// is one.
 func (r *Rank) newRequest(kind ReqKind, buf mem.Ptr, dt *datatype.Datatype, count, peer, tag, ctx int) *Request {
 	dtSize := count * dt.Size()
 	r.nextID++
-	q := &Request{
+	var q *Request
+	if n := len(r.freeReqs); n > 0 {
+		q = r.freeReqs[n-1]
+		r.freeReqs = r.freeReqs[:n-1]
+	} else {
+		q = new(Request)
+		r.allocReqs++
+	}
+	*q = Request{
 		r: r, kind: kind, buf: buf, dt: dt, count: count,
 		peer: peer, tag: tag, ctx: ctx, size: dtSize,
-		id:   r.nextID,
-		done: r.w.e.NewEventNumbered(r.reqName, r.nextID),
+		id:             r.nextID,
+		completeSendFn: q.completeSendFn,
 	}
+	q.done.ResetNumbered(r.w.e, r.reqName, r.nextID)
 	r.reqs[q.id] = q
 	r.w.hub.Counter(r.inflightCtr, float64(len(r.reqs)))
 	return q
+}
+
+// recycle puts a completed request of a blocking call, which the caller
+// never saw, back on the rank's free list. Only an eager request is
+// recycled: its completion was its last reference. A rendezvous request
+// may still be named by protocol state after it completes, so it is left
+// to the collector, as is every request handed to the user.
+func (r *Rank) recycle(q *Request) {
+	if !q.eager {
+		return
+	}
+	q.done.Reset(r.w.e, "") // panics if anything still waits on it
+	r.freeReqs = append(r.freeReqs, q)
 }
 
 // nullRequest returns an already-completed request for communication with
@@ -122,9 +154,9 @@ func (r *Rank) nullRequest(kind ReqKind) *Request {
 	q := &Request{
 		r: r, kind: kind, peer: ProcNull, tag: AnyTag,
 		dt:     datatype.Byte,
-		done:   r.w.e.NewEvent("procnull"),
 		status: Status{Source: ProcNull, Tag: AnyTag, Bytes: 0},
 	}
+	q.done.Reset(r.w.e, "procnull")
 	q.done.Trigger()
 	return q
 }
@@ -158,7 +190,7 @@ func (q *Request) CompleteRecv() {
 // (MPI_Wait).
 func (r *Rank) Wait(q *Request) Status {
 	r.callOverhead()
-	r.Proc().Wait(q.done)
+	r.Proc().Wait(&q.done)
 	return q.status
 }
 
@@ -166,7 +198,7 @@ func (r *Rank) Wait(q *Request) Status {
 func (r *Rank) Waitall(qs ...*Request) {
 	r.callOverhead()
 	for _, q := range qs {
-		r.Proc().Wait(q.done)
+		r.Proc().Wait(&q.done)
 	}
 }
 
@@ -179,7 +211,7 @@ func (r *Rank) Waitany(qs ...*Request) (int, Status) {
 	}
 	events := make([]*sim.Event, len(qs))
 	for i, q := range qs {
-		events[i] = q.done
+		events[i] = &q.done
 	}
 	idx := r.Proc().WaitAny(events...)
 	return idx, qs[idx].status

@@ -68,9 +68,6 @@ const (
 	// task per interval a requester spent blocked on an empty pool.
 	KindVbuf     = "vbuf"
 	KindVbufWait = "vbuf_wait"
-
-	// Engine process lifetime (internal/sim hook).
-	KindProc = "proc"
 )
 
 // Dependency-edge labels recorded through Span.DependsOn. The critical-path

@@ -266,28 +266,3 @@ func TestStatsTracer(t *testing.T) {
 		t.Error("table missing kind row")
 	}
 }
-
-func TestEngineTracerTracksProcs(t *testing.T) {
-	e := sim.New()
-	s := NewStatsTracer()
-	h := NewHub(e, s)
-	et := NewEngineTracer(h)
-	e.SetHook(et)
-	e.Spawn("worker", func(p *sim.Proc) {
-		ev := e.NewEvent("tick")
-		e.CallAfter(5*sim.Microsecond, ev.Trigger)
-		p.Wait(ev)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Count(KindProc); got != 1 {
-		t.Errorf("proc tasks = %d, want 1", got)
-	}
-	if got := s.Total(KindProc); got != 5*sim.Microsecond {
-		t.Errorf("proc total = %v, want 5us", got)
-	}
-	if et.EventsFired() == 0 {
-		t.Error("no events counted")
-	}
-}

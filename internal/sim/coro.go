@@ -60,17 +60,11 @@ func (c *carrier) run() bool {
 	p := c.p
 	e := p.e
 	e.trace("proc", p.name, "start")
-	if e.hook != nil {
-		e.hook.ProcStart(e.now, p.name.String())
-	}
 	c.body(p)
 	if c.stopped {
 		return false
 	}
 	e.trace("proc", p.name, "done")
-	if e.hook != nil {
-		e.hook.ProcEnd(e.now, p.name.String())
-	}
 	p.done = true
 	c.p = nil
 	e.idle = append(e.idle, c)

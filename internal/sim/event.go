@@ -15,6 +15,11 @@ import (
 //
 // A waiter is either a process blocked in Wait or a continuation queued
 // with Then; the two share one arrival order.
+//
+// Events are usually made by NewEvent. A record that is reused message
+// after message — a recycled MPI request, a pooled staging record — can
+// hold its events by value instead and re-arm them with Reset, so reuse
+// allocates no event.
 type Event struct {
 	e       *Engine
 	name    label
@@ -22,7 +27,8 @@ type Event struct {
 	firedAt Time
 	first   waiter   // first waiter, kept inline so a lone Wait or Then allocates nothing
 	waiters []waiter // later waiters, in arrival order
-	cbs     []func()
+	cb      func()   // first callback, inline like first
+	cbs     []func() // later callbacks, in registration order
 }
 
 // waiter is one party an event wakes when it fires: a process to resume,
@@ -43,8 +49,8 @@ func (w waiter) wake(e *Engine) {
 }
 
 // label is a process or event name kept as a prefix and an optional
-// decimal suffix, so a per-message name costs nothing until a tracer, a
-// hook or a deadlock report reads it.
+// decimal suffix, so a per-message name costs nothing until a tracer or
+// a deadlock report reads it.
 type label struct {
 	prefix string
 	n      int
@@ -67,6 +73,25 @@ func (e *Engine) NewEvent(name string) *Event {
 // decimal. The name is formatted only when something reads it.
 func (e *Engine) NewEventNumbered(prefix string, n int) *Event {
 	return &Event{e: e, name: label{prefix: prefix, n: n, num: true}}
+}
+
+// Reset arms ev, an Event held by value, as an unfired event named name
+// on e: the first use of a zero Event and every reuse after it has
+// fired. Resetting an event that still has waiters or callbacks panics,
+// since they would never run.
+func (ev *Event) Reset(e *Engine, name string) { ev.reset(e, label{prefix: name}) }
+
+// ResetNumbered is Reset for an event named prefix followed by n in
+// decimal.
+func (ev *Event) ResetNumbered(e *Engine, prefix string, n int) {
+	ev.reset(e, label{prefix: prefix, n: n, num: true})
+}
+
+func (ev *Event) reset(e *Engine, name label) {
+	if ev.hasWaiter() || ev.cb != nil {
+		panic("sim: reset of event " + ev.name.String() + " with waiters or callbacks pending")
+	}
+	*ev = Event{e: e, name: name}
 }
 
 // Name returns the event name given at creation.
@@ -105,8 +130,11 @@ func (ev *Event) Trigger() {
 		w.wake(ev.e)
 	}
 	ev.waiters = nil
-	cbs := ev.cbs
-	ev.cbs = nil
+	cb, cbs := ev.cb, ev.cbs
+	ev.cb, ev.cbs = nil, nil
+	if cb != nil {
+		cb()
+	}
 	for _, fn := range cbs {
 		fn()
 	}
@@ -115,11 +143,14 @@ func (ev *Event) Trigger() {
 // OnTrigger registers fn to run when the event fires. If the event has
 // already fired, fn runs immediately.
 func (ev *Event) OnTrigger(fn func()) {
-	if ev.fired {
+	switch {
+	case ev.fired:
 		fn()
-		return
+	case ev.cb == nil:
+		ev.cb = fn
+	default:
+		ev.cbs = append(ev.cbs, fn)
 	}
-	ev.cbs = append(ev.cbs, fn)
 }
 
 // Then queues fn to run in engine context when the event fires, as its

@@ -120,7 +120,7 @@ func TestBlockingWaitsAllocateNothing(t *testing.T) {
 
 // TestQueueWaitTraceText pins that a blocking Get, though it allocates no
 // event, still reports its wakeup as the firing of "<queue>.get" to the
-// tracer and the hook, and a deadlock as "wait <queue>.get".
+// tracer, and a deadlock as "wait <queue>.get".
 func TestQueueWaitTraceText(t *testing.T) {
 	e := New()
 	defer e.Shutdown()

@@ -32,7 +32,7 @@ func (q *Queue[T]) Len() int { return q.items.len() }
 // Put appends v and wakes the oldest waiter, if any. It may be called from
 // any context.
 //
-// A wakeup is reported to the tracer and hook as the firing of an event
+// A wakeup is reported to the tracer as the firing of an event
 // named "<queue>.get", and is scheduled exactly as that event's Trigger
 // would schedule it.
 func (q *Queue[T]) Put(v T) {
@@ -43,7 +43,7 @@ func (q *Queue[T]) Put(v T) {
 	}
 	if q.waiters.len() > 0 {
 		p := q.waiters.pop()
-		if q.e.tracer != nil || q.e.hook != nil {
+		if q.e.tracer != nil {
 			q.e.fired(label{prefix: q.waitName()})
 		}
 		p.scheduleResume(q.e.now)

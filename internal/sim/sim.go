@@ -24,17 +24,20 @@
 // There is one engine, Engine (created by New). It runs every item, tasks
 // included, on the goroutine that calls Run.
 //
-// Software — MPI ranks and the protocol and pipeline stages that act for
-// them — is written as processes. Hardware models (GPU engines, CUDA
-// streams, HCA transfers and scatter/gather units) are state machines
-// that advance by continuations instead: CallAt in place of Sleep,
-// Event.Then in place of Wait, Resource.AcquireThen in place of Acquire.
+// Software — MPI ranks and the rendezvous protocol and pipeline stages
+// that act for them — is written as processes. Hardware models (GPU
+// engines, CUDA streams, HCA transfers and scatter/gather units) and the
+// GPU transport's per-message eager staging are state machines that
+// advance by continuations instead: CallAt in place of Sleep, Event.Then
+// in place of Wait, Resource.AcquireThen in place of Acquire.
 // Each continuation is scheduled at exactly the (time, seq) slot where
 // the wake-up of the equivalent process would have been — the next seq at
 // the moment the process would have blocked — so replacing a process by
 // continuations changes neither the event order nor virtual time: only
 // the coroutine switches go, along with the start-up item of a server
-// process that existed just to wait for work.
+// process that existed just to wait for work. A state machine reused
+// message after message holds its events by value and re-arms them with
+// Event.Reset.
 //
 // All simulated components in this repository are built from the
 // primitives in this package: Proc, Event, Resource and Queue.
@@ -147,25 +150,10 @@ type Engine struct {
 	limit    Time       // the running loop's RunUntil limit; -1 for Run
 
 	tracer func(t Time, msg string)
-	hook   Hook
 }
 
 // New creates an empty engine at virtual time zero.
 func New() *Engine { return &Engine{} }
-
-// Hook observes engine lifecycle events with structured callbacks, the
-// machine-readable counterpart of SetTracer's formatted strings. All
-// callbacks run in simulation order while the caller holds the baton, so
-// implementations need no locking. internal/obs provides an adapter that
-// turns these into trace tasks.
-type Hook interface {
-	// ProcStart fires when a spawned process begins executing.
-	ProcStart(t Time, name string)
-	// ProcEnd fires when a process function returns (or panics).
-	ProcEnd(t Time, name string)
-	// EventFired fires on the first Trigger of every event.
-	EventFired(t Time, name string)
-}
 
 // Shutdown ends every process still blocked in the engine (servers
 // waiting for work, processes stuck on unfired events) and releases every
@@ -177,7 +165,7 @@ type Hook interface {
 // Each carrier is stopped in creation order: the blocked operation in its
 // body panics with a private sentinel, the body's deferred calls run, and
 // the carrier's goroutine exits before stop returns. No lifecycle output
-// (tracer lines, hook calls) is emitted for the ended processes.
+// (tracer lines) is emitted for the ended processes.
 //
 // Shutdown must only be called while the engine is not executing (i.e.
 // after Run/RunUntil has returned). It is idempotent. The engine must not
@@ -204,9 +192,6 @@ func (e *Engine) Switches() uint64 { return e.switches }
 // Pass nil to disable tracing.
 func (e *Engine) SetTracer(fn func(t Time, msg string)) { e.tracer = fn }
 
-// SetHook installs a structured lifecycle observer. Pass nil to disable.
-func (e *Engine) SetHook(h Hook) { e.hook = h }
-
 // trace emits "<kind> <name>: <what>". The name is formatted only when a
 // tracer is installed, so the untraced path allocates nothing.
 func (e *Engine) trace(kind string, name label, what string) {
@@ -215,12 +200,9 @@ func (e *Engine) trace(kind string, name label, what string) {
 	}
 }
 
-// fired reports an event firing to the tracer and the hook.
+// fired reports an event firing to the tracer.
 func (e *Engine) fired(name label) {
 	e.trace("event", name, "fired")
-	if e.hook != nil {
-		e.hook.EventFired(e.now, name.String())
-	}
 }
 
 // newItem takes an item from the freelist, or allocates the first time.
@@ -410,7 +392,7 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 }
 
 // SpawnNumbered is Spawn for a process named prefix followed by n in
-// decimal. The name is formatted only when a tracer, a hook or a deadlock
+// decimal. The name is formatted only when a tracer or a deadlock
 // report reads it, so per-message processes cost no string.
 func (e *Engine) SpawnNumbered(prefix string, n int, fn func(p *Proc)) *Proc {
 	return e.spawn(e.now, label{prefix: prefix, n: n, num: true}, fn)
@@ -477,8 +459,8 @@ func (p *Proc) advance(t Time, why string) {
 // running loop's limit, it consumes the wake-up's seq and event count,
 // advances the clock to t and returns true. Any other item in the way
 // (a call or a resume) returns false and p blocks as usual; the tasks
-// already run were due before it either way. Resumes are neither traced
-// nor hooked, so no output can tell the two paths apart.
+// already run were due before it either way. Resumes are not traced,
+// so no output can tell the two paths apart.
 //
 // A task that panics leaves the clock at its slot and returns false, with
 // the panic stored for runProc to raise from Run once p has blocked on

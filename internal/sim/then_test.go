@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -194,5 +195,60 @@ func TestThenBoundMethodAllocatesNothing(t *testing.T) {
 	}
 	if c.n != runs+1 {
 		t.Errorf("continuation ran %d times, want %d", c.n, runs+1)
+	}
+}
+
+// TestEventReset: an Event held by value is re-armed by Reset once it has
+// fired and its waiters have run — unfired, renamed, waitable and
+// triggerable again — and Reset panics while a process, a continuation
+// or a callback still waits on it, since they would never run.
+func TestEventReset(t *testing.T) {
+	e := New()
+	defer e.Shutdown()
+	var ev Event
+	ev.Reset(e, "first")
+	var got []string
+	e.Spawn("waiter", func(p *Proc) {
+		p.Wait(&ev)
+		got = append(got, fmt.Sprintf("%v %s", p.Now(), ev.Name()))
+		ev.ResetNumbered(e, "again", 2)
+		if ev.Fired() {
+			t.Error("reset event still fired")
+		}
+		e.CallAfter(5, ev.Trigger)
+		p.Wait(&ev)
+		got = append(got, fmt.Sprintf("%v %s", p.Now(), ev.Name()))
+	})
+	e.CallAfter(3, ev.Trigger)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if s := strings.Join(got, "|"); s != "3ns first|8ns again2" {
+		t.Errorf("waits woke at %q", s)
+	}
+
+	pending := map[string]func(ev *Event){
+		"process": func(ev *Event) {
+			e.Spawn("blocked", func(p *Proc) { p.Wait(ev) })
+			var de *DeadlockError
+			if err := e.RunUntil(e.Now()); !errors.As(err, &de) {
+				t.Fatalf("RunUntil = %v, want the waiter blocked", err)
+			}
+		},
+		"continuation": func(ev *Event) { ev.Then(func() {}) },
+		"callback":     func(ev *Event) { ev.OnTrigger(func() {}) },
+	}
+	for what, wait := range pending {
+		var ev Event
+		ev.Reset(e, "pending")
+		wait(&ev)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Reset with a %s waiting did not panic", what)
+				}
+			}()
+			ev.Reset(e, "reused")
+		}()
 	}
 }
