@@ -49,13 +49,13 @@ func main() {
 	trace := &core.PipelineTrace{}
 	var chrome *obs.ChromeTracer
 	cfg := cluster.Config{GPUMemBytes: 2*rows**pitch + (64 << 20), Rails: *rails}
-	cfg.Core.Trace = trace
 	cfg.Core.PackMode = mode
 	cfg.Core.UnpackMode = umode
 	if *chromeOut != "" {
 		chrome = obs.NewChromeTracer()
 		cfg.Tracers = []obs.Tracer{chrome}
 	}
+	cfg.Tracers = append(cfg.Tracers, trace)
 	cl := cluster.New(cfg)
 	err = cl.Run(func(n *cluster.Node) {
 		r := n.Rank

@@ -493,9 +493,7 @@ func pipelineTrace() string {
 	}
 	vec.MustCommit()
 	trace := &core.PipelineTrace{}
-	ccfg := cluster.Config{GPUMemBytes: 2*rows*16 + (64 << 20)}
-	ccfg.Core.Trace = trace
-	cl := cluster.New(ccfg)
+	cl := cluster.New(cluster.Config{GPUMemBytes: 2*rows*16 + (64 << 20), Tracers: []obs.Tracer{trace}})
 	err = cl.Run(func(n *cluster.Node) {
 		r := n.Rank
 		buf := n.Ctx.MustMalloc(vec.Span(1))

@@ -67,8 +67,7 @@ type Config struct {
 	// Tracers receive task records from every instrumented layer (CUDA
 	// streams, IB links, vbuf pools, MPI protocol phases, pipeline stages).
 	// Empty means tracing is off and the hot paths take their
-	// zero-allocation fast path. Core.Trace, when set, is appended
-	// automatically so the two options compose.
+	// zero-allocation fast path. A core.PipelineTrace goes here too.
 	Tracers []obs.Tracer
 }
 
@@ -122,7 +121,7 @@ type Cluster struct {
 	Transport *core.Transport
 	Nodes     []*Node
 	// Obs is the tracing hub all layers publish to; nil when Config.Tracers
-	// is empty (and Core.Trace unset), i.e. when tracing is off.
+	// is empty, i.e. when tracing is off.
 	Obs *obs.Hub
 }
 
@@ -138,12 +137,8 @@ func New(cfg Config) *Cluster {
 	world := mpi.NewWorld(e, cfg.MPI)
 	cl := &Cluster{Engine: e, Fabric: fabric, World: world}
 
-	tracers := append([]obs.Tracer(nil), cfg.Tracers...)
-	if cfg.Core.Trace != nil {
-		tracers = append(tracers, cfg.Core.Trace)
-	}
-	if len(tracers) > 0 {
-		cl.Obs = obs.NewHub(e, tracers...)
+	if len(cfg.Tracers) > 0 {
+		cl.Obs = obs.NewHub(e, cfg.Tracers...)
 		fabric.SetHub(cl.Obs)
 		world.SetHub(cl.Obs)
 	}

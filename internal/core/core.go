@@ -58,13 +58,8 @@ type Config struct {
 	// transfers of uniform 2D types: data is gathered straight across
 	// PCIe with strided D2H copies ("D2H nc2c", the scheme section IV-A
 	// rejects) instead of being packed on the device first. An ablation
-	// knob; see internal/core/ablation.go.
+	// knob; see the route table on plan.
 	HostStagedPack bool
-
-	// Trace, when non-nil, records per-chunk stage completions of every
-	// rendezvous transfer routed through this transport — the executable
-	// Figure 3. Intended for single-transfer diagnostics.
-	Trace *PipelineTrace
 
 	// GPUDirect removes both host-staging stages: the HCA reads and
 	// writes registered device memory directly (GPUDirect RDMA, which the
@@ -148,20 +143,8 @@ type Transport struct {
 // SetHub attaches an observability hub: every pipeline stage of every
 // chunk becomes a task on its rank's per-stage track ("rank0.pack",
 // "rank0.d2h", ..., "rank1.unpack"), parented to the MPI request task.
-// cluster.New wires this; direct Transport users without a hub still get
-// Config.Trace served through a lazily created internal hub.
+// cluster.New wires this from its Config.Tracers.
 func (t *Transport) SetHub(h *obs.Hub) { t.hub = h }
-
-// obsHub returns the tracing hub for transfers. When no cluster-level
-// hub was installed but the legacy Config.Trace sink is set, a private
-// hub wrapping it is created on first use so PipelineTrace keeps working
-// for direct Transport users.
-func (t *Transport) obsHub(e *sim.Engine) *obs.Hub {
-	if t.hub == nil && t.cfg.Trace != nil {
-		t.hub = obs.NewHub(e, t.cfg.Trace)
-	}
-	return t.hub
-}
 
 // New creates an empty transport; attach per-rank GPU resources with
 // Attach, then install it with World.SetGPUTransport.
@@ -217,9 +200,52 @@ func (t *Transport) Node(r *mpi.Rank) *NodeGPU {
 // (answered analytically from the shape canonicalized at Commit) or the
 // generic kernel path, which fetches the datatype's cached chunk-aligned
 // plan so per-chunk packing re-derives nothing. For uniform shapes it also
-// resolves each side's PackMode into a concrete engine choice — made once
-// per transfer, before any stage is issued, so the whole pipeline sees one
-// consistent decision.
+// resolves each side's PackMode into a concrete engine choice, and for
+// every transfer each side's rendezvous route — made once per transfer,
+// before any stage is issued, so the whole pipeline sees one consistent
+// decision.
+//
+// Every rendezvous route is the paper's five-stage pipeline (section
+// IV-B), pack → D2H → RDMA → H2D → unpack, with stages dropped or
+// swapped. Each side takes the first route that applies:
+//
+//	route        sender                            receiver
+//	GPUDirect    pack; RDMA from the device tbuf   registered tbuf; unpack
+//	host-staged  2D D2H user → vbuf; RDMA          vbufs; 2D H2D vbuf → user
+//	nic          NIC gather over the user buffer   NIC scatter region
+//	staged       pack; D2H tbuf → vbuf; RDMA       vbufs; H2D vbuf → tbuf; unpack
+//
+// Staged is the paper's design. A contiguous type has no pack or unpack
+// stage: its tbuf is the user buffer itself.
+//
+// GPUDirect (cluster.Config.GPUDirect, which also lets the fabric
+// register device memory) removes both host-staging stages: the HCA reads
+// packed chunks out of the sender's tbuf and writes them into the
+// receiver's, announced in one CTS. The paper's 2011 testbed had no
+// GPUDirect RDMA, which is why its design stages through pinned vbufs;
+// the route measures what that staging costs (what MVAPICH2-GDR stood to
+// gain). A side whose engine is nic keeps the nic route: the SGE unit
+// already works in place.
+//
+// Host-staged is the HostStagedPack ablation, for uniform 2D types whose
+// rows tile the block: no GPU offload, each chunk is gathered across PCIe
+// by a strided D2H into its vbuf ("D2H nc2c", Figure 1(b)) and copied into
+// the user buffer by a strided H2D — the strategy section IV-A rejects,
+// kept as a library-level A/B of Figure 2's argument. Under a nic pack the
+// vbuf goes out as a one-entry NIC descriptor.
+//
+// Nic (PackMode/UnpackMode nic) has the HCA's scatter/gather unit walk the
+// datatype itself (internal/ib/sg.go), so that side runs no pack pass, no
+// tbuf and no staging copy: gather → wire → scatter, the shape of
+// "Network-Accelerated Non-Contiguous Memory Transfers" (Di Girolamo et
+// al.). The SGE unit has its own DMA path to device memory, so no
+// GPUDirect fabric is needed. A nic receiver registers the whole packed
+// stream as one scatter region, announced in one CTS; a FIN only drains
+// the protocol, and the scatter engine's per-chunk upcall completes the
+// data.
+//
+// The two sides pick independently: every sender route writes the same
+// packed chunk stream into whatever slots the receiver announced.
 type plan struct {
 	size        int
 	shape       datatype.Shape2D
@@ -232,6 +258,90 @@ type plan struct {
 	packTailCut int                 // packed offset where the pack side's tail falls back to memcpy2D (0: never)
 	unpackTail  int                 // same for the unpack side
 	cp          *datatype.ChunkPlan // set whenever either side leaves the copy engine
+	send        sendRoute
+	recv        recvRoute
+}
+
+// sendRoute is the sender's rendezvous route.
+type sendRoute struct {
+	pack bool     // stage 1 packs into a device tbuf
+	d2h  copyKind // stage 2, from the tbuf (1D) or the user buffer (2D)
+	wire wireSrc  // what stage 3 puts on the wire
+}
+
+// recvRoute is the receiver's rendezvous route.
+type recvRoute struct {
+	land   landing
+	h2d    copyKind // stage 4, into the tbuf (1D) or the user buffer (2D)
+	unpack bool     // stage 5 unpacks the tbuf progressively as bytes land
+}
+
+// copyKind is a route's host-staging copy between a vbuf and device memory.
+type copyKind uint8
+
+const (
+	copyNone copyKind = iota
+	copy1D            // contiguous, to or from the tbuf
+	copy2D            // strided, to or from the user buffer
+)
+
+// wireSrc is what a sender route's RDMA stage reads.
+type wireSrc uint8
+
+const (
+	wireVbuf   wireSrc = iota // RDMA write from the staged vbuf
+	wireTbuf                  // RDMA write from the device tbuf
+	wireGather                // NIC gather over the user buffer
+	wireVbufSG                // one-entry NIC descriptor over the staged vbuf
+)
+
+// landing is where a receiver route's chunks arrive.
+type landing uint8
+
+const (
+	landVbufs   landing = iota // receive vbufs, announced in CTS batches
+	landTbuf                   // the device tbuf, registered and announced in one CTS
+	landScatter                // a NIC scatter region, announced in one CTS
+)
+
+// sentName is the format of the route's per-chunk send-completion event.
+func (s sendRoute) sentName() string {
+	switch {
+	case s.wire == wireTbuf:
+		return "rank%d.gdrchunk%d"
+	case s.wire == wireGather:
+		return "rank%d.nicchunk%d"
+	case s.d2h == copy2D:
+		return "rank%d.hschunk%d"
+	}
+	return "rank%d.chunk%d.sent"
+}
+
+// route picks each side's rendezvous route from the table above.
+func (pl *plan) route(cfg Config, blockSize int) {
+	hostStaged := cfg.HostStagedPack && pl.uniform && !pl.contig && pl.size > 0 && blockSize%pl.shape.Width == 0
+	switch {
+	case cfg.GPUDirect && pl.packEng != engineNic:
+		pl.send = sendRoute{pack: !pl.contig, wire: wireTbuf}
+	case hostStaged && pl.packEng == engineNic:
+		pl.send = sendRoute{d2h: copy2D, wire: wireVbufSG}
+	case hostStaged:
+		pl.send = sendRoute{d2h: copy2D, wire: wireVbuf}
+	case pl.packEng == engineNic:
+		pl.send = sendRoute{wire: wireGather}
+	default:
+		pl.send = sendRoute{pack: !pl.contig, d2h: copy1D, wire: wireVbuf}
+	}
+	switch {
+	case cfg.GPUDirect && pl.unpackEng != engineNic:
+		pl.recv = recvRoute{land: landTbuf, unpack: !pl.contig}
+	case hostStaged:
+		pl.recv = recvRoute{land: landVbufs, h2d: copy2D}
+	case pl.unpackEng == engineNic:
+		pl.recv = recvRoute{land: landScatter}
+	default:
+		pl.recv = recvRoute{land: landVbufs, h2d: copy1D, unpack: !pl.contig}
+	}
 }
 
 // packChunkEngine is the device engine packChunk actually runs: the
@@ -261,6 +371,13 @@ func (pl plan) sgRange(req *mpi.Request, off, n int) ib.SGDesc {
 }
 
 func (t *Transport) planFor(req *mpi.Request) plan {
+	pl := t.engines(req)
+	pl.route(t.cfg, req.Rank().World().Config().BlockSize)
+	return pl
+}
+
+// engines resolves the datatype's shape and each side's engines.
+func (t *Transport) engines(req *mpi.Request) plan {
 	dt, count := req.Datatype(), req.Count()
 	shape, uniform := dt.Uniform2D(count)
 	pl := plan{
@@ -400,7 +517,7 @@ func (t *Transport) unpackChunk(p *sim.Proc, n1 *NodeGPU, pl plan, req *mpi.Requ
 }
 
 // ---------------------------------------------------------------------------
-// Rendezvous sender: the five-stage pipeline, stages 1-3.
+// Rendezvous: one sender and one receiver, driven by the plan's routes.
 
 // StartRendezvousSend sends the RTS immediately and starts packing before
 // the CTS arrives, overlapping the handshake with datatype processing.
@@ -409,281 +526,312 @@ func (t *Transport) StartRendezvousSend(req *mpi.Request) {
 	n1 := t.Node(r)
 	pl := t.planFor(req)
 	r.SendRTS(req)
-	e := r.World().Engine()
-	e.Spawn(fmt.Sprintf("rank%d.gpusend", r.Rank()), func(p *sim.Proc) {
-		h := t.obsHub(e)
-		parent := req.ObsSpan()
-		size := pl.size
-		blockSize := r.World().Config().BlockSize
-		// Dispatch: GPUDirect removes the staging stages unless the nic
-		// engine owns the pack (the SGE unit already reads device memory
-		// in place, staging-free); host-staged keeps its vbuf pipeline and
-		// lets the nic engine gather from the vbuf; a nic pack otherwise
-		// takes the shortened gather pipeline.
-		if t.cfg.GPUDirect && pl.packEng != engineNic {
-			t.sendGDR(p, n1, pl, req)
-			return
-		}
-		if hostStagedApplies(t, pl, blockSize) {
-			t.sendHostStaged(p, n1, pl, req)
-			return
-		}
-		if pl.packEng == engineNic {
-			t.sendNic(p, n1, pl, req)
-			return
-		}
-
-		// Stage 1: issue all device-side packs up front (row-aligned groups
-		// close to the block size for the copy engine, chunk-aligned blocks
-		// for the pack kernel), building a contiguous packed tbuf.
-		var tbuf mem.Ptr
-		var packDone []*sim.Event // packDone[i] covers packed bytes up to packCut[i]
-		var packCut []int
-		var packSpans []obs.Span // packSpans[i] is packDone[i]'s stage task, for dep edges
-		if pl.contig {
-			tbuf = req.Buf().Add(pl.shape.Off) // stage straight out of the user buffer
-		} else {
-			//lint:ignore allocfree freed at the end of this function under the same !pl.contig guard that allocated it; the flow analysis is path-insensitive and cannot correlate the branches
-			tbuf = n1.Ctx.MustMalloc(size)
-			step := size
-			if pl.uniform && pl.packChunkEngine() != engineKernel {
-				rows := max(1, blockSize/pl.shape.Width)
-				step = rows * pl.shape.Width
-			} else if size > blockSize {
-				step = blockSize
-			}
-			for off := 0; off < size; off += step {
-				n := min(step, size-off)
-				idx := len(packDone)
-				sp := h.StartChild(parent, obs.KindPack, n1.tracks.pack, idx, n)
-				ev := t.packChunk(p, n1, pl, req, sp, idx, tbuf.Add(off), off, n)
-				packDone = append(packDone, ev)
-				packCut = append(packCut, off+n)
-				packSpans = append(packSpans, sp)
-				if sp.Active() {
-					ev.OnTrigger(sp.End)
-				}
-			}
-		}
-		// packIdx returns the index of the pack whose completion covers all
-		// packed bytes below throughByte, or -1 when there is no pack stage.
-		packIdx := func(throughByte int) int {
-			if pl.contig {
-				return -1
-			}
-			for i, cut := range packCut {
-				if cut >= throughByte {
-					return i
-				}
-			}
-			return len(packDone) - 1
-		}
-
-		// Rendezvous handshake: by now the RTS is long gone; wait for the
-		// receiver's chunk geometry.
-		total, chunkBytes := req.AwaitCTS(p)
-		if chunkBytes != blockSize {
-			panic(fmt.Sprintf("core: receiver chunk size %d != configured block size %d", chunkBytes, blockSize))
-		}
-		if want := (size + chunkBytes - 1) / chunkBytes; total != want {
-			panic(fmt.Sprintf("core: receiver announced %d chunks, want %d", total, want))
-		}
-
-		// Stages 2-3 per chunk: D2H into a vbuf, RDMA write + FIN, recycle
-		// the vbuf at local completion. Chained via completion callbacks so
-		// chunk i's RDMA overlaps chunk i+1's D2H and later packs. Chunks
-		// stripe round-robin: chunk c stages on D2H stream c%rails and
-		// flies on HCA rail c%rails, so with R rails up to R chunks occupy
-		// PCIe queues and wires concurrently.
-		chunkSent := make([]*sim.Event, total)
-		for c := 0; c < total; c++ {
-			c := c
-			rail := c % n1.rails
-			off := c * chunkBytes
-			n := min(chunkBytes, size-off)
-			slot := req.AwaitSlot(p, c)
-			pi := packIdx(off + n)
-			if pi >= 0 {
-				p.Wait(packDone[pi])
-			}
-			vbuf := n1.Pool.GetRail(p, rail)
-			sent := e.NewEvent(fmt.Sprintf("rank%d.chunk%d.sent", r.Rank(), c))
-			chunkSent[c] = sent
-			d2hSp := h.StartChild(parent, obs.KindD2H, n1.tracks.d2h[rail], c, n)
-			if pi >= 0 {
-				d2hSp.DependsOn(packSpans[pi], obs.DepPack)
-			}
-			d2h := n1.Ctx.MemcpyAsyncTask(p, vbuf.Ptr, tbuf.Add(off), n, n1.d2hStreams[rail], d2hSp, c)
-			d2h.OnTrigger(func() {
-				d2hSp.End()
-				rdmaSp := h.StartChild(parent, obs.KindRDMA, n1.tracks.rdma[rail], c, n)
-				rdmaSp.DependsOn(d2hSp, obs.DepStage)
-				rdma := r.RDMAChunkRailSpan(req, slot, vbuf.Ptr, n, rail, rdmaSp)
-				rdma.OnTrigger(func() {
-					rdmaSp.End()
-					n1.Pool.Put(vbuf)
-					sent.Trigger()
-				})
-			})
-		}
-		p.WaitAll(chunkSent...)
-		if !pl.contig {
+	r.World().Engine().Spawn(fmt.Sprintf("rank%d.gpusend", r.Rank()), func(p *sim.Proc) {
+		if pl.send.pack {
+			tbuf := n1.Ctx.MustMalloc(pl.size)
+			t.send(p, n1, &pl, req, tbuf)
 			mustFree(n1.Ctx, tbuf)
+		} else {
+			t.send(p, n1, &pl, req, req.Buf().Add(pl.shape.Off)) // contiguous bytes stage in place
 		}
 		req.CompleteSend()
 	})
 }
 
-// ---------------------------------------------------------------------------
-// Rendezvous receiver: stages 4-5.
+// packStep is one issued stage-1 pack: its completion covers the packed
+// bytes below through.
+type packStep struct {
+	done    *sim.Event
+	through int
+	sp      obs.Span
+}
 
-// StartRendezvousRecv announces vbuf landing slots (in batches bounded by
-// pool availability), then per arriving chunk stages H2D into tbuf and
-// unpacks row-aligned groups as their bytes land.
+// send is the sender pipeline, stages 1-3 as pl.send routes them. tbuf
+// holds the packed bytes (the user buffer for a contiguous type).
+func (t *Transport) send(p *sim.Proc, n1 *NodeGPU, pl *plan, req *mpi.Request, tbuf mem.Ptr) {
+	r := req.Rank()
+	e := r.World().Engine()
+	h, parent, rt := t.hub, req.ObsSpan(), pl.send
+	size := pl.size
+	blockSize := r.World().Config().BlockSize
+
+	// Stage 1: issue all device-side packs up front (row-aligned groups
+	// close to the block size for the copy engine, chunk-aligned blocks
+	// for the pack kernel), building a contiguous packed tbuf.
+	var packs []packStep
+	if rt.pack {
+		step := size
+		if pl.uniform && pl.packChunkEngine() != engineKernel {
+			rows := max(1, blockSize/pl.shape.Width)
+			step = rows * pl.shape.Width
+		} else if size > blockSize {
+			step = blockSize
+		}
+		for off := 0; off < size; off += step {
+			n := min(step, size-off)
+			idx := len(packs)
+			sp := h.StartChild(parent, obs.KindPack, n1.tracks.pack, idx, n)
+			ev := t.packChunk(p, n1, *pl, req, sp, idx, tbuf.Add(off), off, n)
+			packs = append(packs, packStep{ev, off + n, sp})
+			if sp.Active() {
+				ev.OnTrigger(sp.End)
+			}
+		}
+	}
+
+	// Rendezvous handshake: by now the RTS is long gone; wait for the
+	// receiver's chunk geometry.
+	total, chunkBytes := req.AwaitCTS(p)
+	if want := (size + blockSize - 1) / blockSize; chunkBytes != blockSize || total != want {
+		panic(fmt.Sprintf("core: receiver announced %d chunks of %d bytes, want %d of %d", total, chunkBytes, want, blockSize))
+	}
+
+	// wire posts a chunk's stage 3 under sp: an RDMA write, or a NIC
+	// gather, of the route's source.
+	wire := func(slot mpi.Slot, vbuf *hostmem.Vbuf, off, n, rail int, sp obs.Span) *sim.Event {
+		switch rt.wire {
+		case wireTbuf:
+			return r.RDMAChunkRailSpan(req, slot, tbuf.Add(off), n, rail, sp)
+		case wireGather:
+			return r.RDMANicChunkRailSpan(req, slot, pl.sgRange(req, off, n), rail, sp)
+		case wireVbufSG:
+			return r.RDMANicChunkRailSpan(req, slot, ib.SGDesc{Buf: vbuf.Ptr, N: n}, rail, sp)
+		}
+		return r.RDMAChunkRailSpan(req, slot, vbuf.Ptr, n, rail, sp)
+	}
+
+	// Per chunk: wait for its slot and its pack, stage it into a vbuf
+	// (D2H) if the route stages, put it on the wire (+ FIN), and recycle
+	// the vbuf at local completion. Chained via completion callbacks so
+	// chunk i's RDMA overlaps chunk i+1's D2H and later packs. Chunks stripe round-robin: chunk c stages
+	// on D2H stream c%rails and flies on HCA rail c%rails, so with R rails
+	// up to R chunks occupy PCIe queues and wires concurrently.
+	chunkSent := make([]*sim.Event, total)
+	for c := 0; c < total; c++ {
+		rail := c % n1.rails
+		off := c * chunkBytes
+		n := min(chunkBytes, size-off)
+		slot := req.AwaitSlot(p, c)
+		var pack obs.Span
+		if rt.pack {
+			ps := packs[len(packs)-1]
+			for _, s := range packs {
+				if s.through >= off+n {
+					ps = s
+					break
+				}
+			}
+			p.Wait(ps.done)
+			pack = ps.sp
+		}
+		var vbuf *hostmem.Vbuf
+		if rt.d2h != copyNone {
+			vbuf = n1.Pool.GetRail(p, rail)
+		}
+		sent := e.NewEvent(fmt.Sprintf(rt.sentName(), r.Rank(), c))
+		chunkSent[c] = sent
+		if rt.d2h == copyNone {
+			sp := h.StartChild(parent, obs.KindRDMA, n1.tracks.rdma[rail], c, n)
+			sp.DependsOn(pack, obs.DepPack)
+			rdma := wire(slot, nil, off, n, rail, sp)
+			if sp.Active() {
+				rdma.OnTrigger(sp.End)
+			}
+			rdma.OnTrigger(sent.Trigger)
+			continue
+		}
+		d2hSp := h.StartChild(parent, obs.KindD2H, n1.tracks.d2h[rail], c, n)
+		d2hSp.DependsOn(pack, obs.DepPack)
+		var d2h *sim.Event
+		if rt.d2h == copy1D {
+			d2h = n1.Ctx.MemcpyAsyncTask(p, vbuf.Ptr, tbuf.Add(off), n, n1.d2hStreams[rail], d2hSp, c)
+		} else {
+			uo, w, rows := pl.rows2D("d2h", off, n)
+			d2h = n1.Ctx.Memcpy2DAsyncTask(p, vbuf.Ptr, w, req.Buf().Add(uo), pl.shape.Pitch, w, rows, n1.d2hStreams[rail], d2hSp, c)
+		}
+		d2h.OnTrigger(func() {
+			d2hSp.End()
+			rdmaSp := h.StartChild(parent, obs.KindRDMA, n1.tracks.rdma[rail], c, n)
+			rdmaSp.DependsOn(d2hSp, obs.DepStage)
+			wire(slot, vbuf, off, n, rail, rdmaSp).OnTrigger(func() {
+				rdmaSp.End()
+				n1.Pool.Put(vbuf)
+				sent.Trigger()
+			})
+		})
+	}
+	p.WaitAll(chunkSent...)
+}
+
+// StartRendezvousRecv announces the route's landing slots, then per
+// arriving chunk stages it to the device if the route stages, and unpacks
+// row-aligned groups as their bytes land.
 func (t *Transport) StartRendezvousRecv(req *mpi.Request) {
 	r := req.Rank()
 	n1 := t.Node(r)
 	pl := t.planFor(req)
-	e := r.World().Engine()
-	e.Spawn(fmt.Sprintf("rank%d.gpurecv", r.Rank()), func(p *sim.Proc) {
-		h := t.obsHub(e)
-		parent := req.ObsSpan()
-		size := req.Size()
-		total, chunkBytes := r.World().ChunkGeometry(size)
-		if t.cfg.GPUDirect && pl.unpackEng != engineNic {
-			t.recvGDR(p, n1, pl, req)
-			return
-		}
-		if hostStagedApplies(t, pl, chunkBytes) {
-			t.recvHostStaged(p, n1, pl, req)
-			return
-		}
-		if pl.unpackEng == engineNic {
-			t.recvNic(p, n1, pl, req)
-			return
-		}
-		if chunkBytes != n1.RecvPool.ChunkSize() {
-			panic(fmt.Sprintf("core: block size %d != vbuf size %d", chunkBytes, n1.RecvPool.ChunkSize()))
-		}
-
-		var tbuf mem.Ptr
-		if pl.contig {
-			tbuf = req.Buf().Add(pl.shape.Off) // land H2D chunks straight in the user buffer
-		} else {
-			tbuf = n1.Ctx.MustMalloc(size)
-		}
-
-		chunkLen := func(c int) int { return min(chunkBytes, size-c*chunkBytes) }
-
-		// Progressive unpack state: rows are unpacked as soon as all their
-		// packed bytes have arrived on the device.
-		arrived := 0
-		unpackedThrough := 0
-		var unpackEvs []*sim.Event
-		advanceUnpack := func(trigger obs.Span) {
-			if pl.contig {
-				return
-			}
-			// The copy engine unpacks whole rows; the kernel path keeps
-			// chunk alignment (arrived only moves in whole chunks), which
-			// is what its plan ranges require.
-			var cut int
-			if pl.uniform && pl.unpackChunkEngine() != engineKernel {
-				cut = arrived / pl.shape.Width * pl.shape.Width
-			} else {
-				cut = arrived
-			}
-			if cut > unpackedThrough {
-				idx := len(unpackEvs)
-				sp := h.StartChild(parent, obs.KindUnpack, n1.tracks.unpack, idx, cut-unpackedThrough)
-				sp.DependsOn(trigger, obs.DepStage)
-				ev := t.unpackChunk(nil, n1, pl, req, sp, idx, tbuf.Add(unpackedThrough), unpackedThrough, cut-unpackedThrough)
-				unpackEvs = append(unpackEvs, ev)
-				if sp.Active() {
-					ev.OnTrigger(sp.End)
-				}
-				unpackedThrough = cut
-			}
-		}
-
-		slotVbuf := make([]*hostmem.Vbuf, total)
-		announced := 0
-		announce := func() {
-			// Grab every immediately free receive vbuf (at least one,
-			// blocking) and announce the batch in one CTS. Receive vbufs
-			// recycle as soon as their chunk's H2D completes, and those
-			// H2Ds depend only on remote senders — which stage through
-			// their own pool — so this blocking Get always unblocks.
-			var slots []mpi.Slot
-			v := n1.RecvPool.Get(p)
-			for {
-				c := announced
-				slotVbuf[c] = v
-				slots = append(slots, mpi.Slot{Chunk: c, Rkey: v.Region.Rkey, Off: 0, Len: chunkLen(c)})
-				announced++
-				if announced == total {
-					break
-				}
-				var ok bool
-				v, ok = n1.RecvPool.TryGet()
-				if !ok {
-					break
-				}
-			}
-			r.SendCTS(req, total, chunkBytes, slots)
-		}
-
-		// FINs from different rails may overtake each other, so chunks are
-		// processed in arrival order; the progressive unpack only advances
-		// over the contiguous prefix of landed chunks.
-		h2dDone := make([]*sim.Event, total)
-		arrivedChunks := make([]bool, total)
-		prefixChunks := 0
-		for done := 0; done < total; done++ {
-			for announced <= done {
-				announce()
-			}
-			c := req.AwaitFin(p)
-			if c < 0 || c >= total || h2dDone[c] != nil {
-				panic(fmt.Sprintf("core: bogus FIN for chunk %d", c))
-			}
-			vbuf := slotVbuf[c]
-			n := chunkLen(c)
-			off := c * chunkBytes
-			rail := c % n1.rails
-			h2dSp := h.StartChild(parent, obs.KindH2D, n1.tracks.h2d[rail], c, n)
-			ev := n1.Ctx.MemcpyAsyncTask(p, tbuf.Add(off), vbuf.Ptr, n, n1.h2dStreams[rail], h2dSp, c)
-			h2dDone[c] = ev
-			ev.OnTrigger(func() {
-				h2dSp.End()
-				n1.RecvPool.Put(vbuf)
-				arrivedChunks[c] = true
-				for prefixChunks < total && arrivedChunks[prefixChunks] {
-					prefixChunks++
-				}
-				arrived = min(prefixChunks*chunkBytes, size)
-				advanceUnpack(h2dSp)
-			})
-		}
-		p.WaitAll(h2dDone...)
-		// All bytes are on the device; flush any unpack tail and wait.
-		arrived = size
-		if !pl.contig {
-			if unpackedThrough < size {
-				idx := len(unpackEvs)
-				sp := h.StartChild(parent, obs.KindUnpack, n1.tracks.unpack, idx, size-unpackedThrough)
-				ev := t.unpackChunk(p, n1, pl, req, sp, idx, tbuf.Add(unpackedThrough), unpackedThrough, size-unpackedThrough)
-				unpackEvs = append(unpackEvs, ev)
-				if sp.Active() {
-					ev.OnTrigger(sp.End)
-				}
-				unpackedThrough = size
-			}
-			p.WaitAll(unpackEvs...)
+	r.World().Engine().Spawn(fmt.Sprintf("rank%d.gpurecv", r.Rank()), func(p *sim.Proc) {
+		if pl.recv.unpack {
+			tbuf := n1.Ctx.MustMalloc(pl.size)
+			t.recv(p, n1, &pl, req, tbuf)
 			mustFree(n1.Ctx, tbuf)
+		} else {
+			t.recv(p, n1, &pl, req, req.Buf().Add(pl.shape.Off)) // contiguous bytes land in place
 		}
 		req.CompleteRecv()
 	})
+}
+
+// recv is the receiver pipeline, stages 4-5 as pl.recv routes them. tbuf
+// receives the packed bytes (the user buffer for a contiguous type).
+func (t *Transport) recv(p *sim.Proc, n1 *NodeGPU, pl *plan, req *mpi.Request, tbuf mem.Ptr) {
+	r := req.Rank()
+	h, parent, rt := t.hub, req.ObsSpan(), pl.recv
+	size := pl.size
+	total, chunkBytes := r.World().ChunkGeometry(size)
+	chunkLen := func(c int) int { return min(chunkBytes, size-c*chunkBytes) }
+
+	// Progressive unpack: rows are unpacked as soon as all their packed
+	// bytes are on the device, which FINs or H2D completions report per
+	// chunk. FINs from different rails may overtake each other, so the
+	// unpack only advances over the contiguous prefix of landed chunks.
+	unpackedThrough := 0
+	var unpackEvs []*sim.Event
+	unpack := func(p *sim.Proc, through int, after obs.Span) {
+		idx, n := len(unpackEvs), through-unpackedThrough
+		sp := h.StartChild(parent, obs.KindUnpack, n1.tracks.unpack, idx, n)
+		sp.DependsOn(after, obs.DepStage)
+		ev := t.unpackChunk(p, n1, *pl, req, sp, idx, tbuf.Add(unpackedThrough), unpackedThrough, n)
+		unpackEvs = append(unpackEvs, ev)
+		if sp.Active() {
+			ev.OnTrigger(sp.End)
+		}
+		unpackedThrough = through
+	}
+	landed := make([]bool, total)
+	prefix := 0
+	land := func(c int, after obs.Span) {
+		if !rt.unpack {
+			return
+		}
+		landed[c] = true
+		for prefix < total && landed[prefix] {
+			prefix++
+		}
+		// The copy engine unpacks whole rows; the kernel path keeps chunk
+		// alignment (the prefix only moves in whole chunks), which is what
+		// its plan ranges require.
+		cut := min(prefix*chunkBytes, size)
+		if pl.uniform && pl.unpackChunkEngine() != engineKernel {
+			cut = cut / pl.shape.Width * pl.shape.Width
+		}
+		if cut > unpackedThrough {
+			unpack(nil, cut, after)
+		}
+	}
+
+	// Landing: receive vbufs are announced in batches as the pool allows;
+	// a registered tbuf or NIC scatter region takes every chunk at once.
+	var slotVbuf []*hostmem.Vbuf
+	var landDone []*sim.Event // per chunk: its H2D copy or NIC scatter
+	var region ib.Region
+	announced := 0
+	switch rt.land {
+	case landVbufs:
+		if chunkBytes != n1.RecvPool.ChunkSize() {
+			panic(fmt.Sprintf("core: block size %d != vbuf size %d", chunkBytes, n1.RecvPool.ChunkSize()))
+		}
+		slotVbuf = make([]*hostmem.Vbuf, total)
+		landDone = make([]*sim.Event, total)
+	case landTbuf:
+		region = r.HCA().Register(tbuf, size)
+	case landScatter:
+		landDone = make([]*sim.Event, total)
+		for c := range landDone {
+			landDone[c] = r.World().Engine().NewEvent(fmt.Sprintf("rank%d.nicscatter%d", r.Rank(), c))
+		}
+		region = r.HCA().RegisterScatterRegion(pl.sgRange(req, 0, size), chunkBytes, func(chunk int) {
+			landDone[chunk].Trigger()
+		})
+	}
+	if rt.land != landVbufs {
+		slots := make([]mpi.Slot, total)
+		for c := range slots {
+			slots[c] = mpi.Slot{Chunk: c, Rkey: region.Rkey, Off: c * chunkBytes, Len: chunkLen(c)}
+		}
+		r.SendCTS(req, total, chunkBytes, slots)
+		announced = total
+	}
+	announce := func() {
+		// Grab every immediately free receive vbuf (at least one,
+		// blocking) and announce the batch in one CTS. Receive vbufs
+		// recycle as soon as their chunk's H2D completes, and those H2Ds
+		// depend only on remote senders — which stage through their own
+		// pool — so this blocking Get always unblocks.
+		var slots []mpi.Slot
+		v := n1.RecvPool.Get(p)
+		for {
+			c := announced
+			slotVbuf[c] = v
+			slots = append(slots, mpi.Slot{Chunk: c, Rkey: v.Region.Rkey, Off: 0, Len: chunkLen(c)})
+			announced++
+			if announced == total {
+				break
+			}
+			var ok bool
+			v, ok = n1.RecvPool.TryGet()
+			if !ok {
+				break
+			}
+		}
+		r.SendCTS(req, total, chunkBytes, slots)
+	}
+
+	// Chunks are processed in FIN arrival order.
+	finned := make([]bool, total)
+	for done := 0; done < total; done++ {
+		for announced <= done {
+			announce()
+		}
+		c := req.AwaitFin(p)
+		if c < 0 || c >= total || finned[c] {
+			panic(fmt.Sprintf("core: bogus FIN for chunk %d", c))
+		}
+		finned[c] = true
+		if rt.h2d == copyNone {
+			land(c, obs.Span{})
+			continue
+		}
+		vbuf := slotVbuf[c]
+		n := chunkLen(c)
+		off := c * chunkBytes
+		rail := c % n1.rails
+		h2dSp := h.StartChild(parent, obs.KindH2D, n1.tracks.h2d[rail], c, n)
+		var ev *sim.Event
+		if rt.h2d == copy1D {
+			ev = n1.Ctx.MemcpyAsyncTask(p, tbuf.Add(off), vbuf.Ptr, n, n1.h2dStreams[rail], h2dSp, c)
+		} else {
+			uo, w, rows := pl.rows2D("h2d", off, n)
+			ev = n1.Ctx.Memcpy2DAsyncTask(p, req.Buf().Add(uo), pl.shape.Pitch, vbuf.Ptr, w, w, rows, n1.h2dStreams[rail], h2dSp, c)
+		}
+		landDone[c] = ev
+		ev.OnTrigger(func() {
+			h2dSp.End()
+			n1.RecvPool.Put(vbuf)
+			land(c, h2dSp)
+		})
+	}
+	p.WaitAll(landDone...)
+	if rt.land != landVbufs {
+		r.HCA().Deregister(region)
+	}
+	// All bytes are on the device; flush any unpack tail and wait.
+	if rt.unpack {
+		if unpackedThrough < size {
+			unpack(p, size, obs.Span{})
+		}
+		p.WaitAll(unpackEvs...)
+	}
 }
 
 func mustFree(ctx *cuda.Ctx, p mem.Ptr) {

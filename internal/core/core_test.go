@@ -14,6 +14,7 @@ import (
 	"mv2sim/internal/gpu"
 	"mv2sim/internal/mem"
 	"mv2sim/internal/mpi"
+	"mv2sim/internal/obs"
 	"mv2sim/internal/sim"
 )
 
@@ -442,16 +443,14 @@ func TestHostStagedPackAblation(t *testing.T) {
 	}
 }
 
-// The pipeline trace is the executable Figure 3: it must show all five
-// stages per chunk and true overlap (packing still running after the
-// first chunk is already on the wire).
+// The pipeline trace is the executable Figure 3: attached like any other
+// tracer, it must show all five stages per chunk and true overlap
+// (packing still running after the first chunk is already on the wire).
 func TestPipelineTraceShowsOverlap(t *testing.T) {
 	v, _ := datatype.Vector(1<<19, 4, 16, datatype.Byte) // 2 MB, 32 chunks
 	v.MustCommit()
 	trace := &core.PipelineTrace{}
-	cfg := cluster.Config{GPUMemBytes: 64 << 20}
-	cfg.Core.Trace = trace
-	cl := cluster.New(cfg)
+	cl := cluster.New(cluster.Config{GPUMemBytes: 64 << 20, Tracers: []obs.Tracer{trace}})
 	err := cl.Run(func(n *cluster.Node) {
 		r := n.Rank
 		buf := n.Ctx.MustMalloc(v.Span(1))

@@ -1,12 +1,15 @@
 package core_test
 
 import (
+	"strings"
 	"testing"
 
 	"mv2sim/internal/cluster"
 	"mv2sim/internal/core"
 	"mv2sim/internal/datatype"
 	"mv2sim/internal/mem"
+	"mv2sim/internal/obs"
+	"mv2sim/internal/obs/critpath"
 	"mv2sim/internal/sim"
 )
 
@@ -101,6 +104,76 @@ func TestAutoFallsBackUnderApplicationKernel(t *testing.T) {
 	if busyKern <= busy {
 		t.Errorf("pinned kernel mode under load finished in %v, expected to serialize past %v", busyKern, busy)
 	}
+
+	// The handoff instant: auto must see the application kernel as soon as
+	// the transport's last kernel completes, even at that very instant —
+	// the kernel-count decrement runs inline in the completion, not in a
+	// later slot. An eager and a rendezvous send each pack by kernel; an
+	// application kernel queues behind that pack; a 4 KB eager send is
+	// posted so that its plan is made at the pack's completion instant,
+	// after the completion but before any step it schedules.
+	for _, first := range []int{8 << 10, 48 << 10} {
+		_, start, end := kernelHandoff(t, first, 0, 0)
+		if got, _, _ := kernelHandoff(t, first, start, end); got != 2 {
+			t.Errorf("%d B first send: sender ran %d kernels, want 2 (its pack and the application's): "+
+				"auto planned at the pack's completion (%v) ignored the application kernel", first, got, end)
+		}
+	}
+}
+
+// kernelHandoff sends a vector of first bytes (4-byte rows) from rank 0
+// under auto and returns the sender device's kernel count and the span of
+// its first kernel, the send's pack. Given that span (packEnd > 0), rank 0
+// also queues a long application kernel behind the pack and sends a 4 KB
+// vector whose plan is made at packEnd.
+func kernelHandoff(t *testing.T, first int, packStart, packEnd sim.Time) (kernels int, start, end sim.Time) {
+	t.Helper()
+	big, _ := datatype.Vector(first/4, 4, 16, datatype.Byte)
+	big.MustCommit()
+	small, _ := datatype.Vector(1024, 4, 16, datatype.Byte)
+	small.MustCommit()
+	col := critpath.NewCollector()
+	cfg := cluster.Config{GPUMemBytes: 64 << 20, Tracers: []obs.Tracer{col}}
+	cfg.Core.UnpackMode = core.PackModeMemcpy2D
+	late := false
+	cl := runPair(t, cfg, func(n *cluster.Node) {
+		r := n.Rank
+		b1, b2 := n.Ctx.MustMalloc(big.Span(1)), n.Ctx.MustMalloc(small.Span(1))
+		if r.Rank() == 1 {
+			r.Recv(b1, 1, big, 0, 0)
+			if packEnd > 0 {
+				r.Recv(b2, 1, small, 0, 1)
+			}
+			return
+		}
+		q := r.Isend(b1, 1, big, 1, 0)
+		if packEnd > 0 {
+			p := r.Proc()
+			p.Sleep(packStart - r.Now())
+			n.Ctx.LaunchKernel(p, n.Ctx.NewStream(), 1, float64(sim.Millisecond/sim.Nanosecond), nil)
+			// The send's call overhead ends at packEnd, in a slot taken
+			// after the pack's completion was scheduled.
+			plan := packEnd - r.World().Config().CallOverhead
+			if late = r.Now() >= plan; !late {
+				p.Sleep(plan - r.Now())
+				r.Send(b2, 1, small, 1, 1)
+			}
+		}
+		r.Wait(q)
+	})
+	if late {
+		t.Fatalf("%d B send: the application kernel was queued after %v, too late to post at the pack's end", first, packEnd)
+	}
+	for _, tk := range col.Tasks() {
+		if tk.Kind == obs.KindKernel && strings.HasPrefix(tk.Where, "gpu0.") {
+			start, end = tk.Start, tk.End
+			break
+		}
+	}
+	if end == 0 {
+		t.Fatalf("%d B send ran no pack kernel", first)
+	}
+	return cl.Nodes[0].Dev.Stats().Kernels, start, end
 }
 
 // tailTransfer runs a kernel-pinned rendezvous transfer of `rows` 4-byte

@@ -11,12 +11,12 @@ import (
 
 // PipelineTrace records per-chunk stage completions of one rendezvous
 // transfer — the executable form of the paper's Figure 3 pipeline diagram.
-// Install one via Config.Trace before a transfer; each stage that finishes
-// appends an event.
+// Pass one in cluster.Config.Tracers before a transfer; each stage that
+// finishes appends an event.
 //
 // PipelineTrace is a thin obs.Tracer: it listens for the five
 // pipeline-stage task kinds emitted by the transport and ignores
-// everything else, so it can also be added to any obs.Hub directly.
+// everything else.
 //
 // Stages, in data-flow order:
 //

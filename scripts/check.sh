@@ -138,6 +138,15 @@ cmp "$cm" BENCH_critpath.json || {
     echo "BENCH_critpath.json drifted: pipedoctor -matrix no longer reproduces it"; exit 1; }
 rm -f "$cm"
 
+echo "== repro bench gate"
+# BENCH_repro.json — the Figure 5(b) curves and every other experiment's
+# headline numbers — must be exactly what repro -bench writes.
+rb=$(mktemp /tmp/mv2sim-repro.XXXXXX.json)
+go run ./cmd/repro -bench "$rb" > /dev/null
+cmp "$rb" BENCH_repro.json || {
+    echo "BENCH_repro.json drifted: repro -bench no longer reproduces it"; exit 1; }
+rm -f "$rb"
+
 echo "== load harness gate"
 # The open-loop load sweep must be byte-reproducible: regenerating
 # BENCH_load.json with the committed default configuration (same seed →
