@@ -63,26 +63,30 @@ func eagerPingPong(t *testing.T, trips int) *Cluster {
 	return cl
 }
 
-// TestEagerSteadyStateAllocs pins the heap-free eager path. The host cost
-// of a round trip is the difference between a long and a short ping-pong,
-// so cluster setup and the pools' warm-up cancel out; a first, unmeasured
-// ping-pong leaves the vbuf bytes both runs map in mem's recycler. No
-// 4 KiB payload may be allocated per message (the payload, snapshot and
-// delivery buffers are recycled), and neither may a request, a staging
-// record or a stream op's event: what is left per trip is the HCA's two
-// eager posts.
-func TestEagerSteadyStateAllocs(t *testing.T) {
+// perTrip reports the host cost of one round trip of pingPong: the
+// difference between a long and a short run over their trip counts, so
+// cluster setup and the pools' warm-up cancel out. A first, unmeasured
+// run leaves the vbuf bytes both runs map in mem's recycler.
+func perTrip(pingPong func(trips int) *Cluster) (bytes, mallocs float64) {
 	const short, long = 50, 250
-	eagerPingPong(t, 1)
-	b0, m0 := hostAllocs(func() { eagerPingPong(t, short) })
-	b1, m1 := hostAllocs(func() { eagerPingPong(t, long) })
-	bytesPerTrip := float64(int64(b1)-int64(b0)) / (long - short)
-	mallocsPerTrip := float64(int64(m1)-int64(m0)) / (long - short)
+	pingPong(1)
+	b0, m0 := hostAllocs(func() { pingPong(short) })
+	b1, m1 := hostAllocs(func() { pingPong(long) })
+	return float64(int64(b1)-int64(b0)) / (long - short), float64(int64(m1)-int64(m0)) / (long - short)
+}
+
+// TestEagerSteadyStateAllocs pins the heap-free eager path. No 4 KiB
+// payload may be allocated per message (the payload, snapshot and
+// delivery buffers are recycled), and neither may a request, a staging
+// record, a stream op's event or a post's completion event: what is left
+// per trip is the two eager headers the HCA carries.
+func TestEagerSteadyStateAllocs(t *testing.T) {
+	bytesPerTrip, mallocsPerTrip := perTrip(func(trips int) *Cluster { return eagerPingPong(t, trips) })
 	t.Logf("per round trip: %.0f heap bytes, %.1f mallocs", bytesPerTrip, mallocsPerTrip)
-	if bytesPerTrip > 1<<10 {
-		t.Errorf("%.0f heap bytes per 4 KB round trip, want at most 1 KiB", bytesPerTrip)
+	if bytesPerTrip > 256 {
+		t.Errorf("%.0f heap bytes per 4 KB round trip, want at most 256", bytesPerTrip)
 	}
-	const maxMallocs = 8
+	const maxMallocs = 4
 	if mallocsPerTrip > maxMallocs {
 		t.Errorf("%.1f mallocs per 4 KB round trip, want at most %d", mallocsPerTrip, maxMallocs)
 	}
@@ -106,6 +110,88 @@ func TestEagerSwitchesPerTrip(t *testing.T) {
 	}
 	if events != 68 {
 		t.Errorf("%.2f events per 4 KB round trip, want exactly 68", events)
+	}
+}
+
+// rndvPingPong runs trips round trips of one 32 KB device vector (8192
+// rows of 4 B at pitch 64: above the eager limit, one pipeline chunk)
+// between two ranks on a fresh cluster, checks the echo arrives
+// byte-exact, and returns the cluster.
+func rndvPingPong(t *testing.T, trips int) *Cluster {
+	t.Helper()
+	vec, err := datatype.Vector(8192, 4, 64, datatype.Byte)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vec.MustCommit()
+	cl := New(Config{Nodes: 2})
+	span := vec.Span(1)
+	var a, c mem.Ptr
+	err = cl.Run(func(n *Node) {
+		r := n.Rank
+		if r.Rank() == 0 {
+			a, c = n.Ctx.MustMalloc(span), n.Ctx.MustMalloc(span)
+			mem.Fill(a, span, func(i int) byte { return byte(i*7 + 1) })
+			for it := 0; it < trips; it++ {
+				r.Send(a, 1, vec, 1, it)
+				r.Recv(c, 1, vec, 1, it)
+			}
+			return
+		}
+		b := n.Ctx.MustMalloc(span)
+		for it := 0; it < trips; it++ {
+			r.Recv(b, 1, vec, 0, it)
+			r.Send(b, 1, vec, 0, it)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent, echoed := make([]byte, vec.Size()), make([]byte, vec.Size())
+	vec.PackBytes(sent, a, 1)
+	vec.PackBytes(echoed, c, 1)
+	if string(sent) != string(echoed) {
+		t.Fatal("echoed 32 KB vector differs from the one sent")
+	}
+	return cl
+}
+
+// TestRendezvousSteadyStateAllocs pins the rendezvous path's host cost.
+// The sender and receiver records, their per-chunk events and callbacks,
+// the stream ops' and wire posts' completion events, the CTS slots and
+// the FIN queue are all reused. What is left is per-request protocol
+// state: the two requests of each transfer, the RTS, CTS and FIN
+// headers, the sender's slot table and the deposit of the chunk.
+func TestRendezvousSteadyStateAllocs(t *testing.T) {
+	bytesPerTrip, mallocsPerTrip := perTrip(func(trips int) *Cluster { return rndvPingPong(t, trips) })
+	t.Logf("per round trip: %.0f heap bytes, %.1f mallocs", bytesPerTrip, mallocsPerTrip)
+	if bytesPerTrip > 4<<10 {
+		t.Errorf("%.0f heap bytes per 32 KB rendezvous round trip, want at most 4 KiB", bytesPerTrip)
+	}
+	const maxMallocs = 18
+	if mallocsPerTrip > maxMallocs {
+		t.Errorf("%.1f mallocs per 32 KB rendezvous round trip, want at most %d", mallocsPerTrip, maxMallocs)
+	}
+}
+
+// TestRendezvousSwitchesPerTransfer pins the process handoffs of the
+// rendezvous path, long minus short ping-pong as above. The pipeline's
+// sender and receiver run as continuations, so the switches left are the
+// two ranks' resumes from their Send and Recv waits. Each step takes the
+// slot of a pipeline process's wake-up, the start call that of its
+// start-up resume, so a trip dispatches the 94 items the process
+// pipeline (core's test reference) does.
+func TestRendezvousSwitchesPerTransfer(t *testing.T) {
+	const short, long = 50, 250
+	s, l := rndvPingPong(t, short).Engine, rndvPingPong(t, long).Engine
+	perTrip := float64(l.Switches()-s.Switches()) / (long - short)
+	events := float64(l.Events()-s.Events()) / (long - short)
+	t.Logf("per round trip: %.2f switches, %.2f events", perTrip, events)
+	if perTrip != 4 {
+		t.Errorf("%.2f process switches per 32 KB rendezvous round trip, want exactly 4", perTrip)
+	}
+	if events != 94 {
+		t.Errorf("%.2f events per 32 KB rendezvous round trip, want exactly 94", events)
 	}
 }
 

@@ -16,42 +16,63 @@ import (
 	"mv2sim/internal/sim"
 )
 
-// eagerMsg is one message of a random eager program: count elements of
+// progMsg is one message of a random program: count elements of
 // types[typ] from rank src to rank dst (a self-send when equal).
-type eagerMsg struct {
+type progMsg struct {
 	src, dst, typ, count int
 }
 
-// eagerPost is one call of a rank's script: after gap, optionally start
+// progPost is one call of a rank's script: after gap, optionally start
 // an application kernel (foreign load on the kernel engine), then post
 // the send or the receive of message msg.
-type eagerPost struct {
+type progPost struct {
 	gap    sim.Time
 	kernel int // cells of an application kernel launched first; 0: none
 	msg    int
 	recv   bool
 }
 
-type eagerProgram struct {
-	vbufs, block int
-	pack, unpack core.PackMode
-	types        []*datatype.Datatype
-	msgs         []eagerMsg
-	scripts      [2][]eagerPost
+// program is a random point-to-point program on a cluster built from cfg.
+type program struct {
+	cfg     cluster.Config
+	types   []*datatype.Datatype
+	msgs    []progMsg
+	scripts [][]progPost // by rank
+}
+
+// schedule interleaves the send and the receive of every message into
+// the scripts of their ranks at random points, with random gaps and
+// foreign kernels.
+func (pg *program) schedule(rng *rand.Rand) {
+	pg.scripts = make([][]progPost, pg.cfg.Nodes)
+	for i, m := range pg.msgs {
+		for _, p := range []progPost{{msg: i}, {msg: i, recv: true}} {
+			rank := m.src
+			if p.recv {
+				rank = m.dst
+			}
+			p.gap = sim.Time(rng.Intn(4)) * sim.Microsecond
+			if rng.Intn(5) == 0 {
+				p.kernel = 1 + rng.Intn(4000)
+			}
+			s := pg.scripts[rank]
+			at := rng.Intn(len(s) + 1)
+			pg.scripts[rank] = append(s[:at], append([]progPost{p}, s[at:]...)...)
+		}
+	}
 }
 
 // genEagerProgram draws a two-rank program of eager messages and
 // self-sends over contiguous, vector and indexed types, sized from one
 // row to several pipeline chunks, on pools of one or two vbufs.
-func genEagerProgram(seed int64) eagerProgram {
+func genEagerProgram(seed int64) program {
 	rng := rand.New(rand.NewSource(seed))
 	modes := []core.PackMode{core.PackModeAuto, core.PackModeKernel, core.PackModeMemcpy2D}
-	pg := eagerProgram{
-		vbufs:  1 + rng.Intn(2),
-		block:  256 << rng.Intn(3),
-		pack:   modes[rng.Intn(len(modes))],
-		unpack: modes[rng.Intn(len(modes))],
-	}
+	pg := program{cfg: cluster.Config{
+		Nodes: 2, VbufCount: 1 + rng.Intn(2),
+		MPI:  mpi.Config{BlockSize: 256 << rng.Intn(3)},
+		Core: core.Config{PackMode: modes[rng.Intn(len(modes))], UnpackMode: modes[rng.Intn(len(modes))]},
+	}}
 	for i := 0; i < 4; i++ {
 		var dt *datatype.Datatype
 		var err error
@@ -79,28 +100,14 @@ func genEagerProgram(seed int64) eagerProgram {
 		pg.types = append(pg.types, dt)
 	}
 	for i := 2 + rng.Intn(7); i > 0; i-- {
-		m := eagerMsg{src: rng.Intn(2), dst: rng.Intn(2), typ: rng.Intn(len(pg.types)), count: 1 + rng.Intn(2)}
+		m := progMsg{src: rng.Intn(2), dst: rng.Intn(2), typ: rng.Intn(len(pg.types)), count: 1 + rng.Intn(2)}
 		pg.msgs = append(pg.msgs, m)
 	}
-	for i, m := range pg.msgs {
-		for _, p := range []eagerPost{{msg: i}, {msg: i, recv: true}} {
-			rank := m.src
-			if p.recv {
-				rank = m.dst
-			}
-			p.gap = sim.Time(rng.Intn(4)) * sim.Microsecond
-			if rng.Intn(5) == 0 {
-				p.kernel = 1 + rng.Intn(4000)
-			}
-			s := pg.scripts[rank]
-			at := rng.Intn(len(s) + 1)
-			pg.scripts[rank] = append(s[:at], append([]eagerPost{p}, s[at:]...)...)
-		}
-	}
+	pg.schedule(rng)
 	return pg
 }
 
-type eagerResult struct {
+type progResult struct {
 	fired  []string
 	events uint64
 	recv   []string // each message's received buffer
@@ -109,21 +116,19 @@ type eagerResult struct {
 	waits  uint64 // vbuf exhaustion waits
 }
 
-// runEagerProgram runs pg on a fresh cluster, with the eager records or,
-// for ref, the reference staging processes.
-func runEagerProgram(t *testing.T, pg eagerProgram, ref bool) eagerResult {
+// runProgram runs pg on a fresh cluster, with the transport's own GPU
+// paths or, when wrap is set, with the transport wrap returns.
+func runProgram(t *testing.T, pg program, wrap func(*core.Transport) mpi.GPUTransport) progResult {
 	t.Helper()
 	chrome := obs.NewChromeTracer()
-	cfg := cluster.Config{
-		Nodes: 2, VbufCount: pg.vbufs, Tracers: []obs.Tracer{chrome},
-		MPI:  mpi.Config{BlockSize: pg.block},
-		Core: core.Config{PackMode: pg.pack, UnpackMode: pg.unpack},
-	}
+	cfg := pg.cfg
+	cfg.Tracers = []obs.Tracer{chrome}
 	cl := cluster.New(cfg)
-	if ref {
-		cl.World.SetGPUTransport(core.RefEagerTransport(cl.Transport))
+	if wrap != nil {
+		cl.World.SetGPUTransport(wrap(cl.Transport))
 	}
-	var res eagerResult
+	ref := wrap != nil
+	var res progResult
 	cl.Engine.SetTracer(func(at sim.Time, msg string) {
 		if strings.HasPrefix(msg, "event ") {
 			res.fired = append(res.fired, fmt.Sprintf("%v %s", at, msg))
@@ -131,7 +136,7 @@ func runEagerProgram(t *testing.T, pg eagerProgram, ref bool) eagerResult {
 	})
 	// An indexed type may start past its buffer's base: a buffer covers
 	// its lower bound and span.
-	bufLen := func(m eagerMsg) int { return pg.types[m.typ].LB() + pg.types[m.typ].Span(m.count) }
+	bufLen := func(m progMsg) int { return pg.types[m.typ].LB() + pg.types[m.typ].Span(m.count) }
 	sendBufs, recvBufs := make([]mem.Ptr, len(pg.msgs)), make([]mem.Ptr, len(pg.msgs))
 	for i, m := range pg.msgs {
 		sendBufs[i] = cl.Nodes[m.src].Ctx.MustMalloc(bufLen(m))
@@ -170,6 +175,18 @@ func runEagerProgram(t *testing.T, pg eagerProgram, ref bool) eagerResult {
 		}
 		res.recv = append(res.recv, string(recvBufs[i].Bytes(bufLen(m))))
 	}
+	for i, m := range pg.msgs {
+		if err := cl.Nodes[m.src].Ctx.Free(sendBufs[i]); err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.Nodes[m.dst].Ctx.Free(recvBufs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Every tbuf the transport allocated has been freed.
+	if err := cl.CheckDeviceLeaks(); err != nil {
+		t.Errorf("ref=%v: %v", ref, err)
+	}
 	for _, n := range cl.Nodes {
 		for _, p := range []interface {
 			Stats() string
@@ -188,6 +205,36 @@ func runEagerProgram(t *testing.T, pg eagerProgram, ref bool) eagerResult {
 	return res
 }
 
+// sameRun reports whether a run matches its reference run: the same
+// event firings, item count, received memory, pool counters and Chrome
+// trace. It reports the first difference.
+func sameRun(t *testing.T, seed int64, got, want progResult) bool {
+	t.Helper()
+	if g, w := strings.Join(got.fired, "\n"), strings.Join(want.fired, "\n"); g != w {
+		for i := range got.fired {
+			if i >= len(want.fired) || got.fired[i] != want.fired[i] {
+				t.Errorf("seed %d: firing %d: %q, reference %q", seed, i, got.fired[i], want.fired[min(i, len(want.fired)-1)])
+				break
+			}
+		}
+		t.Errorf("seed %d: %d firings, reference %d", seed, len(got.fired), len(want.fired))
+		return false
+	}
+	switch {
+	case got.events != want.events:
+		t.Errorf("seed %d: %d events, reference %d", seed, got.events, want.events)
+	case strings.Join(got.recv, "") != strings.Join(want.recv, ""):
+		t.Errorf("seed %d: received memory differs from the reference", seed)
+	case strings.Join(got.pools, "\n") != strings.Join(want.pools, "\n"):
+		t.Errorf("seed %d: pools\n%s\nreference\n%s", seed, strings.Join(got.pools, "\n"), strings.Join(want.pools, "\n"))
+	case got.trace != want.trace:
+		t.Errorf("seed %d: Chrome trace differs from the reference", seed)
+	default:
+		return true
+	}
+	return false
+}
+
 // TestPropEagerMatchesReference runs random eager programs — cross-node
 // sends and self-sends of contiguous, vector and indexed types, from one
 // row to several chunks, under every pack mode, with foreign kernels on
@@ -198,11 +245,11 @@ func TestPropEagerMatchesReference(t *testing.T) {
 	var serial, double, blocked int // runs that reach each vbuf path
 	f := func(seed int64) bool {
 		pg := genEagerProgram(seed)
-		got := runEagerProgram(t, pg, false)
-		want := runEagerProgram(t, pg, true)
+		got := runProgram(t, pg, nil)
+		want := runProgram(t, pg, core.RefEagerTransport)
 		for _, m := range pg.msgs {
-			if pg.types[m.typ].Size()*m.count > pg.block {
-				if pg.vbufs == 1 {
+			if pg.types[m.typ].Size()*m.count > pg.cfg.MPI.BlockSize {
+				if pg.cfg.VbufCount == 1 {
 					serial++
 				} else {
 					double++
@@ -213,29 +260,7 @@ func TestPropEagerMatchesReference(t *testing.T) {
 		if got.waits > 0 {
 			blocked++
 		}
-		if g, w := strings.Join(got.fired, "\n"), strings.Join(want.fired, "\n"); g != w {
-			for i := range got.fired {
-				if i >= len(want.fired) || got.fired[i] != want.fired[i] {
-					t.Errorf("seed %d: firing %d: %q, reference %q", seed, i, got.fired[i], want.fired[min(i, len(want.fired)-1)])
-					break
-				}
-			}
-			t.Errorf("seed %d: %d firings, reference %d", seed, len(got.fired), len(want.fired))
-			return false
-		}
-		switch {
-		case got.events != want.events:
-			t.Errorf("seed %d: %d events, reference %d", seed, got.events, want.events)
-		case strings.Join(got.recv, "") != strings.Join(want.recv, ""):
-			t.Errorf("seed %d: received memory differs from the reference", seed)
-		case strings.Join(got.pools, "\n") != strings.Join(want.pools, "\n"):
-			t.Errorf("seed %d: pools\n%s\nreference\n%s", seed, strings.Join(got.pools, "\n"), strings.Join(want.pools, "\n"))
-		case got.trace != want.trace:
-			t.Errorf("seed %d: Chrome trace differs from the reference", seed)
-		default:
-			return true
-		}
-		return false
+		return sameRun(t, seed, got, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)

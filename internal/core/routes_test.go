@@ -80,7 +80,7 @@ func digest(b []byte) string {
 // runRoute sends one message of count dt from a device buffer on node 0 to
 // one on node 1 under rc and rails, and returns its digest line. traced
 // attaches a Chrome tracer and a critpath collector; untraced runs hash the
-// engine's firing log instead, so both hub paths are pinned.
+// engine's event firings instead, so both hub paths are pinned.
 func runRoute(t *testing.T, rc routeConfig, rails int, dt *datatype.Datatype, count int, traced bool) string {
 	t.Helper()
 	chrome, col := obs.NewChromeTracer(), critpath.NewCollector()
@@ -92,7 +92,13 @@ func runRoute(t *testing.T, rc routeConfig, rails int, dt *datatype.Datatype, co
 	cl := cluster.New(cfg)
 	log := sha256.New()
 	if !traced {
-		cl.Engine.SetTracer(func(at sim.Time, msg string) { fmt.Fprintf(log, "%d %s\n", at, msg) })
+		// Only the firing lines: which processes carry the pipeline is
+		// not part of the schedule.
+		cl.Engine.SetTracer(func(at sim.Time, msg string) {
+			if strings.HasPrefix(msg, "event ") {
+				fmt.Fprintf(log, "%d %s\n", at, msg)
+			}
+		})
 	}
 	span := dt.LB() + dt.Span(count)
 	var recv string
@@ -142,7 +148,7 @@ func runRoute(t *testing.T, rc routeConfig, rails int, dt *datatype.Datatype, co
 // Each run's line records the received buffer, the engine's event and
 // switch counts and final time, and either the Chrome trace (traced run,
 // whose critical path must also account for the whole wall time) or the
-// engine's firing log (untraced run). Regenerate with -update only for a
+// engine's event firings (untraced run). Regenerate with -update only for a
 // change that means to alter the schedule.
 func TestRendezvousRoutesPinned(t *testing.T) {
 	const oneChunk, multi = 48 << 10, 3*(64<<10) + 400

@@ -151,19 +151,23 @@ func (p *Pool) GetRail(proc *sim.Proc, rail int) *Vbuf {
 // slot where a process blocked in Get would resume. A blocked GetThen
 // waits on the same "<pool>.vbuf" events, counts the same exhaustion
 // wait and traces the same vbuf_wait span as Get.
-func (p *Pool) GetThen(fn func(*Vbuf)) {
+func (p *Pool) GetThen(fn func(*Vbuf)) { p.GetRailThen(0, fn) }
+
+// GetRailThen is GetRail for a continuation, like GetThen.
+func (p *Pool) GetRailThen(rail int, fn func(*Vbuf)) {
 	if len(p.freeList) > 0 {
-		fn(p.granted(0, obs.Span{}))
+		fn(p.granted(rail, obs.Span{}))
 		return
 	}
-	g := &getter{p: p, fn: fn}
+	g := &getter{p: p, rail: rail, fn: fn}
 	g.retryFn = g.retry
 	g.retry()
 }
 
-// getter is a blocked GetThen: the state GetRail keeps on its stack.
+// getter is a blocked GetRailThen: the state GetRail keeps on its stack.
 type getter struct {
 	p       *Pool
+	rail    int
 	fn      func(*Vbuf)
 	waitSp  obs.Span
 	blocked bool
@@ -177,7 +181,7 @@ func (g *getter) retry() {
 		g.p.await(&g.waitSp, &g.blocked).Then(g.retryFn)
 		return
 	}
-	g.fn(g.p.granted(0, g.waitSp))
+	g.fn(g.p.granted(g.rail, g.waitSp))
 }
 
 // await registers one more wait of a Get that found the pool empty and

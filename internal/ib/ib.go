@@ -231,6 +231,8 @@ type HCA struct {
 	txCtr, rxCtr string
 	// precomputed name of every transfer's local-completion event
 	txDone string
+	// name of every gather's completion event, built on first use
+	gatherDone string
 }
 
 // Node returns the node ID this HCA serves.
@@ -286,12 +288,15 @@ func (h *HCA) wireTime(n int) sim.Time {
 	return h.f.model.PostOverhead + sim.DurationOf(n, h.f.model.Bandwidth)
 }
 
-// transmit implements the shared egress/ingress path: n bytes go from h
-// to node dst on rail railIdx of both HCAs, and the returned event fires
-// at local completion (the last byte has left the sender). kind
-// classifies the operation for tracing. The caller fills in the
-// returned record's delivery fields (see transfer) before
-// control returns to the engine.
+// transmit implements the shared egress/ingress path on t, a record the
+// caller took with newTransfer: n bytes go from h to node dst on rail
+// railIdx of both HCAs, and done fires at local completion (the last
+// byte has left the sender). done is the caller's event, re-armed here,
+// or nil for a post nobody waits on, whose completion fires the record's
+// own event instead; either way the firing is the same "hcaN.tx.done".
+// kind classifies the operation for tracing. The caller fills in the
+// record's delivery fields (see transfer) before control returns to the
+// engine.
 //
 // parent/chunk thread pipeline identity into the trace: the tx task is a
 // child of parent (typically the sender's rdma stage span) tagged with the
@@ -299,7 +304,7 @@ func (h *HCA) wireTime(n int) sim.Time {
 // span because it outlives local completion — carries the same chunk tag
 // plus an explicit wire dependency edge back to the tx task, which is how
 // the critical-path analyzer crosses ranks.
-func (h *HCA) transmit(dst int, n int, kind string, railIdx int, parent obs.Span, chunk int) *transfer {
+func (h *HCA) transmit(t *transfer, done *sim.Event, dst int, n int, kind string, railIdx int, parent obs.Span, chunk int) {
 	rx := h.f.hcas[dst]
 	if rx == nil {
 		panic(fmt.Sprintf("ib: no HCA for destination node %d", dst))
@@ -307,15 +312,17 @@ func (h *HCA) transmit(dst int, n int, kind string, railIdx int, parent obs.Span
 	if rx == h {
 		panic("ib: loopback transfer; same-node communication does not use the fabric")
 	}
-	t := h.f.newTransfer()
 	t.h, t.rx = h, rx
 	t.txRail, t.rxRail = h.railAt(railIdx), rx.railAt(railIdx)
 	t.n, t.kind, t.railIdx, t.parent, t.chunk = n, kind, railIdx, parent, chunk
-	t.localDone = h.f.e.NewEvent(h.txDone)
+	if done == nil {
+		done = &t.localDone
+	}
+	done.Reset(h.f.e, h.txDone)
+	t.done = done
 	t.txRail.queued++
 	h.f.hub.Counter(t.txRail.qCtr, float64(t.txRail.queued))
 	h.f.e.CallAt(h.f.e.Now(), t.startFn)
-	return t
 }
 
 // transfer is one wire transfer in flight. The HCA hardware is modeled
@@ -325,6 +332,8 @@ func (h *HCA) transmit(dst int, n int, kind string, railIdx int, parent obs.Span
 // granted, sent after the wire time, arrive after the latency, ingress
 // after the receive link is granted, and landed after the ingress time.
 // Records are pooled per fabric, with their step method values bound once.
+// A record's own completion event is only ever fired, never handed out,
+// so no caller holds a pointer into a recycled record.
 type transfer struct {
 	h, rx          *HCA
 	txRail, rxRail *rail
@@ -333,7 +342,8 @@ type transfer struct {
 	railIdx        int
 	parent         obs.Span
 	chunk          int
-	localDone      *sim.Event
+	localDone      sim.Event  // completion of a post nobody waits on
+	done           *sim.Event // the event sent fires: localDone or the caller's
 	tx, in         obs.Span
 
 	// Delivery: a two-sided send (send set) hands msg and snap to the
@@ -343,9 +353,10 @@ type transfer struct {
 	snap []byte
 	rkey uint32
 	roff int
+	src  mem.Ptr // an RDMA write's source, read into snap at post time
 
-	startFn, wireFn, sentFn, arriveFn, ingressFn, landedFn func()
-	next                                                   *transfer
+	startFn, wireFn, sentFn, arriveFn, ingressFn, landedFn, snapFn func()
+	next                                                           *transfer
 }
 
 // newTransfer takes a record from the fabric's pool.
@@ -355,6 +366,7 @@ func (f *Fabric) newTransfer() *transfer {
 		t = &transfer{}
 		t.startFn, t.wireFn, t.sentFn = t.start, t.wire, t.sent
 		t.arriveFn, t.ingressFn, t.landedFn = t.arrive, t.ingress, t.landed
+		t.snapFn = t.snapshot
 		return t
 	}
 	f.free = t.next
@@ -375,7 +387,9 @@ func (t *transfer) sent() {
 	t.txRail.sendLink.Release()
 	t.txRail.queued--
 	h.f.hub.Counter(t.txRail.qCtr, float64(t.txRail.queued))
-	t.localDone.Trigger() // last byte has left the sender
+	done := t.done
+	t.done = nil
+	done.Trigger() // last byte has left the sender
 	h.stats.BytesTx += int64(t.n)
 	h.f.hub.Counter(h.txCtr, float64(h.stats.BytesTx))
 	h.f.e.CallAt(h.f.e.Now()+h.f.model.Latency, t.arriveFn)
@@ -405,7 +419,7 @@ func (t *transfer) landed() {
 	*t = transfer{
 		startFn: t.startFn, wireFn: t.wireFn, sentFn: t.sentFn,
 		arriveFn: t.arriveFn, ingressFn: t.ingressFn, landedFn: t.landedFn,
-		next: f.free,
+		snapFn: t.snapFn, next: f.free,
 	}
 	f.free = t
 	if !send {
@@ -424,22 +438,31 @@ const headerBytes = 64
 
 // PostSend transmits a two-sided message carrying msg and an optional
 // payload snapshot taken from payload at post time, on rail 0. The
-// returned event fires at local completion (send buffer reusable). The
 // remote handler is invoked when the message fully arrives; the snapshot
 // goes back to the recycler (mem.PutBytes) when the handler returns.
-func (h *HCA) PostSend(dst int, msg Message, payload []byte) *sim.Event {
-	return h.PostSendRail(dst, msg, payload, 0)
+// Protocol control messages (RTS, CTS, FIN) are posted this way: nothing
+// waits for their local completion.
+func (h *HCA) PostSend(dst int, msg Message, payload []byte) {
+	h.PostSendRailInto(nil, dst, msg, payload, 0)
 }
 
 // PostSendRail is PostSend on an explicit rail. Delivery order is
 // guaranteed only relative to other operations on the same rail.
-func (h *HCA) PostSendRail(dst int, msg Message, payload []byte, railIdx int) *sim.Event {
+func (h *HCA) PostSendRail(dst int, msg Message, payload []byte, railIdx int) {
+	h.PostSendRailInto(nil, dst, msg, payload, railIdx)
+}
+
+// PostSendRailInto is PostSendRail for a caller that waits for local
+// completion (send buffer reusable): done, an event the caller holds, is
+// re-armed and fires then. The caller must not reuse done before it has
+// fired and its waiters have run.
+func (h *HCA) PostSendRailInto(done *sim.Event, dst int, msg Message, payload []byte, railIdx int) {
 	snap := mem.GetBytes(len(payload))
 	copy(snap, payload)
 	h.stats.SendsPosted++
-	t := h.transmit(dst, headerBytes+len(snap), obs.KindSend, railIdx, obs.Span{}, -1)
+	t := h.f.newTransfer()
+	h.transmit(t, done, dst, headerBytes+len(snap), obs.KindSend, railIdx, obs.Span{}, -1)
 	t.send, t.msg, t.snap = true, msg, snap
-	return t.localDone
 }
 
 // RDMAWrite transfers n bytes from local memory src into the remote region
@@ -456,29 +479,31 @@ func (h *HCA) RDMAWrite(dst int, src mem.Ptr, n int, rkey uint32, roff int) *sim
 // RDMAWriteRail is RDMAWrite on an explicit rail. The FIN-after-data
 // invariant holds only against sends posted on the same rail.
 func (h *HCA) RDMAWriteRail(dst int, src mem.Ptr, n int, rkey uint32, roff, railIdx int) *sim.Event {
-	return h.RDMAWriteRailTask(dst, src, n, rkey, roff, railIdx, obs.Span{}, -1)
+	done := new(sim.Event)
+	h.RDMAWriteRailInto(done, dst, src, n, rkey, roff, railIdx, obs.Span{}, -1)
+	return done
 }
 
-// RDMAWriteRailTask is RDMAWriteRail with the wire tasks parented to an
+// RDMAWriteRailInto is RDMAWriteRail with the wire tasks parented to an
 // enclosing pipeline-stage span and tagged with a chunk index (see
-// transmit). An inert parent and chunk -1 degrade to plain tracing.
-func (h *HCA) RDMAWriteRailTask(dst int, src mem.Ptr, n int, rkey uint32, roff, railIdx int, parent obs.Span, chunk int) *sim.Event {
+// transmit), completing done, an event the caller holds: it is re-armed
+// here and fires at local completion. An inert parent and chunk -1
+// degrade to plain tracing.
+func (h *HCA) RDMAWriteRailInto(done *sim.Event, dst int, src mem.Ptr, n int, rkey uint32, roff, railIdx int, parent obs.Span, chunk int) {
 	// The HCA's DMA read of the source happens "at post time": the task is
 	// due at the post instant, and the poster owns src until the local
 	// completion event, so nothing rewrites it before the slot commits.
-	snap := mem.GetBytes(n)
-	h.f.e.TaskAt(h.f.e.Now(), func() { copy(snap, src.Bytes(n)) })
+	t := h.f.newTransfer()
+	t.snap, t.src = mem.GetBytes(n), src
+	h.f.e.TaskAt(h.f.e.Now(), t.snapFn)
 	h.stats.RDMAWrites++
-	return h.writeSnapshot(dst, snap, rkey, roff, railIdx, parent, chunk)
+	h.transmit(t, done, dst, n, obs.KindRDMA, railIdx, parent, chunk)
+	t.rkey, t.roff = rkey, roff
 }
 
-// writeSnapshot transmits an RDMA write whose payload snap has been
-// captured, to be deposited at rkey+roff on delivery.
-func (h *HCA) writeSnapshot(dst int, snap []byte, rkey uint32, roff, railIdx int, parent obs.Span, chunk int) *sim.Event {
-	t := h.transmit(dst, len(snap), obs.KindRDMA, railIdx, parent, chunk)
-	t.snap, t.rkey, t.roff = snap, rkey, roff
-	return t.localDone
-}
+// snapshot is the DMA read of an RDMA write's source: a task due at the
+// post instant, long before the record can be recycled at landed.
+func (t *transfer) snapshot() { copy(t.snap, t.src.Bytes(len(t.snap))) }
 
 // deposit lands an arrived RDMA write payload in the target region: a
 // plain region takes a direct memory copy at delivery time; a scatter

@@ -29,6 +29,13 @@ func newNet(n int) *net {
 	return nw
 }
 
+// postSend is PostSend for a test that waits for local completion.
+func postSend(h *HCA, dst int, msg Message, payload []byte) *sim.Event {
+	done := new(sim.Event)
+	h.PostSendRailInto(done, dst, msg, payload, 0)
+	return done
+}
+
 func TestPostSendDelivery(t *testing.T) {
 	nw := newNet(2)
 	type hello struct{ N int }
@@ -42,7 +49,7 @@ func TestPostSendDelivery(t *testing.T) {
 		deliveredAt = nw.e.Now()
 	})
 	nw.e.Spawn("sender", func(p *sim.Proc) {
-		ev := nw.hcas[0].PostSend(1, hello{42}, []byte("abc"))
+		ev := postSend(nw.hcas[0], 1, hello{42}, []byte("abc"))
 		p.Wait(ev)
 	})
 	if err := nw.e.Run(); err != nil {
@@ -131,8 +138,8 @@ func TestSendsFromOneHCASerialize(t *testing.T) {
 	}
 	var done1, done2 sim.Time
 	nw.e.Spawn("sender", func(p *sim.Proc) {
-		e1 := nw.hcas[0].PostSend(1, nil, make([]byte, n))
-		e2 := nw.hcas[0].PostSend(2, nil, make([]byte, n))
+		e1 := postSend(nw.hcas[0], 1, nil, make([]byte, n))
+		e2 := postSend(nw.hcas[0], 2, nil, make([]byte, n))
 		p.WaitAll(e1, e2)
 		done1, done2 = e1.FiredAt(), e2.FiredAt()
 	})
@@ -153,8 +160,8 @@ func TestDisjointPairsOverlap(t *testing.T) {
 	}
 	var end sim.Time
 	nw.e.Spawn("main", func(p *sim.Proc) {
-		e1 := nw.hcas[0].PostSend(1, nil, make([]byte, n))
-		e2 := nw.hcas[2].PostSend(3, nil, make([]byte, n))
+		e1 := postSend(nw.hcas[0], 1, nil, make([]byte, n))
+		e2 := postSend(nw.hcas[2], 3, nil, make([]byte, n))
 		p.WaitAll(e1, e2)
 		end = p.Now()
 	})
@@ -321,10 +328,10 @@ func TestWireTimeScalesWithSize(t *testing.T) {
 	var small, large sim.Time
 	nw.e.Spawn("s", func(p *sim.Proc) {
 		t0 := p.Now()
-		p.Wait(nw.hcas[0].PostSend(1, nil, make([]byte, 64)))
+		p.Wait(postSend(nw.hcas[0], 1, nil, make([]byte, 64)))
 		small = p.Now() - t0
 		t0 = p.Now()
-		p.Wait(nw.hcas[0].PostSend(1, nil, make([]byte, 1<<20)))
+		p.Wait(postSend(nw.hcas[0], 1, nil, make([]byte, 1<<20)))
 		large = p.Now() - t0
 	})
 	if err := nw.e.Run(); err != nil {
@@ -511,7 +518,7 @@ func TestPostSendSnapshotsNotAliased(t *testing.T) {
 	}
 	nw.e.Spawn("sender", func(p *sim.Proc) {
 		fill(a, 0)
-		p.Wait(nw.hcas[0].PostSend(1, 0, a))
+		p.Wait(postSend(nw.hcas[0], 1, 0, a))
 		p.Sleep(10 * sim.Microsecond) // delivered: its snapshot is parked
 		fill(a, 1)
 		fill(b, 2)

@@ -54,7 +54,7 @@ func post(h *HCA, ref bool, dst int, msg Message, payload []byte, write bool, sr
 		if write {
 			return h.RDMAWriteRail(dst, src, len(payload), rkey, roff, 0)
 		}
-		return h.PostSendRail(dst, msg, payload, 0)
+		return postSend(h, dst, msg, payload)
 	}
 	if write {
 		n := len(payload)

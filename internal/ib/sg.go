@@ -236,17 +236,26 @@ func (h *HCA) scatterDeposit(reg Region, roff int, snap []byte, railIdx int, wir
 }
 
 // RDMAWriteGatherRailTask is the NIC-offloaded counterpart of
-// RDMAWriteRailTask: instead of snapshotting a contiguous source at post
-// time, the rail's SGE unit first walks the gather descriptor (engine
-// occupancy per GatherCost, traced as KindNicGather under parent), then
-// the gathered payload goes to the wire. onWirePosted, when non-nil, runs
-// synchronously right after the wire transfer has been posted — the hook
-// protocol layers use to post the chunk's FIN behind the data on the same
-// rail, preserving the FIN-after-data FIFO even though the gather delays
-// the post. The returned event fires at local wire completion.
+// RDMAWriteRail with a parent span and chunk tag: instead of snapshotting
+// a contiguous source at post time, the rail's SGE unit first walks the
+// gather descriptor (engine occupancy per GatherCost, traced as
+// KindNicGather under parent), then the gathered payload goes to the
+// wire. onWirePosted, when non-nil, runs synchronously right after the
+// wire transfer has been posted — the hook protocol layers use to post the
+// chunk's FIN behind the data on the same rail, preserving the
+// FIN-after-data FIFO even though the gather delays the post. The
+// returned event fires at local wire completion.
 func (h *HCA) RDMAWriteGatherRailTask(dst int, sg SGDesc, rkey uint32, roff, railIdx int, parent obs.Span, chunk int, onWirePosted func()) *sim.Event {
+	done := new(sim.Event)
+	h.RDMAWriteGatherRailInto(done, dst, sg, rkey, roff, railIdx, parent, chunk, onWirePosted)
+	return done
+}
+
+// RDMAWriteGatherRailInto is RDMAWriteGatherRailTask completing done, an
+// event the caller holds, re-armed here as "hcaN.gather.done".
+func (h *HCA) RDMAWriteGatherRailInto(done *sim.Event, dst int, sg SGDesc, rkey uint32, roff, railIdx int, parent obs.Span, chunk int, onWirePosted func()) {
 	rl := h.railAt(railIdx)
-	done := h.f.e.NewEvent(fmt.Sprintf("hca%d.gather.done", h.node))
+	done.Reset(h.f.e, h.gatherDoneName())
 	h.stats.RDMAWrites++
 	var snap []byte
 	h.walk(rl, sg, func() (obs.Span, func()) {
@@ -256,13 +265,25 @@ func (h *HCA) RDMAWriteGatherRailTask(dst int, sg SGDesc, rkey uint32, roff, rai
 		// the poster owns the typed buffer until the transfer completes.
 		return g, func() { sg.gather(snap) }
 	}, func() {
-		ev := h.writeSnapshot(dst, snap, rkey, roff, railIdx, parent, chunk)
+		t := h.f.newTransfer()
+		h.transmit(t, nil, dst, len(snap), obs.KindRDMA, railIdx, parent, chunk)
+		t.snap, t.rkey, t.roff = snap, rkey, roff
 		if onWirePosted != nil {
 			onWirePosted()
 		}
-		ev.OnTrigger(done.Trigger)
+		// The record's own event fires "hcaN.tx.done"; done follows it
+		// inline, as the gather's completion.
+		t.localDone.OnTrigger(done.Trigger)
 	})
-	return done
+}
+
+// gatherDoneName is the name of every gather's completion event, built
+// on first use.
+func (h *HCA) gatherDoneName() string {
+	if h.gatherDone == "" {
+		h.gatherDone = fmt.Sprintf("hca%d.gather.done", h.node)
+	}
+	return h.gatherDone
 }
 
 // ExecuteGather runs one descriptor through rail 0's SGE engine with no
@@ -272,7 +293,7 @@ func (h *HCA) RDMAWriteGatherRailTask(dst int, sg SGDesc, rkey uint32, roff, rai
 // is exactly GatherCost plus any engine queueing.
 func (h *HCA) ExecuteGather(sg SGDesc, dst []byte) *sim.Event {
 	rl := h.railAt(0)
-	done := h.f.e.NewEvent(fmt.Sprintf("hca%d.gather.done", h.node))
+	done := h.f.e.NewEvent(h.gatherDoneName())
 	h.walk(rl, sg, func() (obs.Span, func()) {
 		sp := h.f.hub.Start(obs.KindNicGather, rl.sgeTrack, -1, sg.N)
 		return sp, func() { sg.gather(dst) }

@@ -500,6 +500,7 @@ var simVisibleMethods = map[[3]string]bool{
 	{simPath, "Resource", "Use"}:            true,
 	{simPath, "Queue", "Put"}:               true,
 	{simPath, "Queue", "Get"}:               true,
+	{simPath, "Queue", "GetThen"}:           true,
 	{simPath, "Queue", "TryGet"}:            true,
 
 	// Task stream: record order is byte-visible in Chrome traces.
@@ -523,14 +524,16 @@ var simVisibleMethods = map[[3]string]bool{
 	{hostmemPath, "Pool", "Get"}:         true,
 	{hostmemPath, "Pool", "GetRail"}:     true,
 	{hostmemPath, "Pool", "GetThen"}:     true,
+	{hostmemPath, "Pool", "GetRailThen"}: true,
 	{hostmemPath, "Pool", "TryGet"}:      true,
 	{hostmemPath, "Pool", "TryGetRail"}:  true,
 	{hostmemPath, "Pool", "Put"}:         true,
 	{ibPath, "HCA", "PostSend"}:          true,
 	{ibPath, "HCA", "PostSendRail"}:      true,
+	{ibPath, "HCA", "PostSendRailInto"}:  true,
 	{ibPath, "HCA", "RDMAWrite"}:         true,
 	{ibPath, "HCA", "RDMAWriteRail"}:     true,
-	{ibPath, "HCA", "RDMAWriteRailTask"}: true,
+	{ibPath, "HCA", "RDMAWriteRailInto"}: true,
 	{ibPath, "HCA", "RDMARead"}:          true,
 	{ibPath, "HCA", "Register"}:          true,
 	{ibPath, "HCA", "Deregister"}:        true,

@@ -18,9 +18,10 @@ import (
 //     permits nil only for non-blocking calls), or
 //   - the call sits inside an engine-context callback (a func literal
 //     passed to Engine.CallAt/CallAfter/TaskAt, Event.OnTrigger/Then,
-//     Resource.AcquireThen, Pool.GetThen or a kernel launch's body),
-//     which the engine runs to completion on its own goroutine and must
-//     never block, or
+//     Resource.AcquireThen, Queue.GetThen, Pool.GetThen/GetRailThen,
+//     Request.AwaitCTSThen/AwaitSlotThen/AwaitFinThen or a kernel
+//     launch's body), which the engine runs to completion on its own
+//     goroutine and must never block, or
 //   - no enclosing function receives a *sim.Proc and the proc value is
 //     not obtained locally (e.g. from rank.Proc()).
 var ProcBlock = &Analyzer{
@@ -49,8 +50,9 @@ var blockingMethods = map[[3]string]int{
 
 // engineCallbacks are the methods whose func-literal argument runs in
 // engine context and therefore must not block: scheduled calls and
-// tasks, event continuations and callbacks, grant continuations, and
-// kernel bodies, which run as tasks.
+// tasks, event continuations and callbacks, grant, queue, vbuf and
+// rendezvous-protocol continuations, and kernel bodies, which run as
+// tasks.
 var engineCallbacks = map[[3]string]bool{
 	{simPath, "Engine", "CallAt"}:         true,
 	{simPath, "Engine", "CallAfter"}:      true,
@@ -58,7 +60,12 @@ var engineCallbacks = map[[3]string]bool{
 	{simPath, "Event", "OnTrigger"}:       true,
 	{simPath, "Event", "Then"}:            true,
 	{simPath, "Resource", "AcquireThen"}:  true,
+	{simPath, "Queue", "GetThen"}:         true,
 	{hostmemPath, "Pool", "GetThen"}:      true,
+	{hostmemPath, "Pool", "GetRailThen"}:  true,
+	{mpiPath, "Request", "AwaitCTSThen"}:  true,
+	{mpiPath, "Request", "AwaitSlotThen"}: true,
+	{mpiPath, "Request", "AwaitFinThen"}:  true,
 	{cudaPath, "Ctx", "LaunchKernel"}:     true,
 	{cudaPath, "Ctx", "LaunchKernelTask"}: true,
 	{cudaPath, "Ctx", "LaunchKernelInto"}: true,

@@ -18,6 +18,9 @@ func (p *Pool) GetRail(proc *sim.Proc, rail int) *Vbuf { return &Vbuf{} }
 // GetThen hands a vbuf to fn in engine context.
 func (p *Pool) GetThen(fn func(*Vbuf)) {}
 
+// GetRailThen is GetThen accounted to a rail.
+func (p *Pool) GetRailThen(rail int, fn func(*Vbuf)) {}
+
 // TryGet takes a vbuf if one is free.
 func (p *Pool) TryGet() (*Vbuf, bool) { return nil, false }
 

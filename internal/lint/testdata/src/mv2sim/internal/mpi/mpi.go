@@ -23,3 +23,15 @@ func (r *Rank) Send(buf mem.Ptr, n int, dst, tag int) {}
 
 // Recv is a blocking receive.
 func (r *Rank) Recv(buf mem.Ptr, n int, src, tag int) {}
+
+// Request is a non-blocking communication handle.
+type Request struct{}
+
+// AwaitCTSThen runs fn in engine context once the first CTS has arrived.
+func (q *Request) AwaitCTSThen(fn func()) {}
+
+// AwaitSlotThen runs fn in engine context once chunk's slot is announced.
+func (q *Request) AwaitSlotThen(chunk int, fn func()) {}
+
+// AwaitFinThen hands the next FIN's chunk to fn in engine context.
+func (q *Request) AwaitFinThen(fn func(chunk int)) {}

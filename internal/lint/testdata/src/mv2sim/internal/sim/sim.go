@@ -88,5 +88,8 @@ func (r *Resource) Release(n int) {}
 // Get blocks p until an item arrives.
 func (q *Queue) Get(p *Proc) interface{} { return nil }
 
+// GetThen hands the next item to fn in engine context.
+func (q *Queue) GetThen(fn func(interface{})) {}
+
 // Put enqueues an item.
 func (q *Queue) Put(v interface{}) {}

@@ -61,6 +61,42 @@ func continuations(e *sim.Engine, ev *sim.Event, res *sim.Resource, pool *hostme
 	})
 }
 
+// Positive: the queue, vbuf and rendezvous-protocol continuations of a
+// transfer record run in engine context too.
+func transferContinuations(q *sim.Queue, pool *hostmem.Pool, req *mpi.Request, s *cuda.Stream, p *sim.Proc) {
+	q.GetThen(func(v interface{}) {
+		q.Get(p) // want `blocking call Queue.Get inside an engine-context callback`
+	})
+	pool.GetRailThen(1, func(v *hostmem.Vbuf) {
+		pool.GetRail(p, 1) // want `blocking call Pool.GetRail inside an engine-context callback`
+	})
+	req.AwaitCTSThen(func() {
+		s.Synchronize(p) // want `blocking call Stream.Synchronize inside an engine-context callback`
+	})
+	req.AwaitSlotThen(0, func() {
+		p.Sleep(1) // want `blocking call Proc.Sleep inside an engine-context callback`
+	})
+	req.AwaitFinThen(func(chunk int) {
+		p.Yield() // want `blocking call Proc.Yield inside an engine-context callback`
+	})
+}
+
+// Negative: a transfer record's continuations that only take free
+// vbufs, post and schedule do not block.
+func nonBlockingTransfer(e *sim.Engine, q *sim.Queue, pool *hostmem.Pool, req *mpi.Request) {
+	req.AwaitFinThen(func(chunk int) {
+		pool.GetRailThen(chunk, func(v *hostmem.Vbuf) {
+			pool.Put(v)
+			q.Put(chunk)
+		})
+	})
+	req.AwaitSlotThen(0, func() {
+		q.GetThen(func(interface{}) {
+			e.CallAfter(2, func() {})
+		})
+	})
+}
+
 // Positive: a vbuf pool's Get blocks its caller.
 func poolGets(pool *hostmem.Pool) {
 	pool.Get(nil)              // want `blocking call Pool.Get with nil \*sim\.Proc`

@@ -233,12 +233,13 @@ type Rank struct {
 	arrivalWaiters []*sim.Event // blocked Probe calls
 
 	nextID      int
-	reqs        map[int]*Request // in-flight rendezvous requests by ID
-	freeReqs    []*Request       // recycled blocking-call requests
-	allocReqs   int              // requests allocated, recycled ones not counted
-	obsTrack    string           // tracing track name, "rankN.mpi"
-	reqName     string           // request event name prefix, "rankN.req"
-	inflightCtr string           // in-flight request gauge, "rankN.inflight"
+	reqs        map[int]*Request  // in-flight rendezvous requests by ID
+	freeReqs    []*Request        // recycled blocking-call requests
+	freeFinQs   []*sim.Queue[int] // FIN queues of completed rendezvous receives
+	allocReqs   int               // requests allocated, recycled ones not counted
+	obsTrack    string            // tracing track name, "rankN.mpi"
+	reqName     string            // request event name prefix, "rankN.req"
+	inflightCtr string            // in-flight request gauge, "rankN.inflight"
 }
 
 // Rank returns this process's rank index.

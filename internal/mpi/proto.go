@@ -57,8 +57,7 @@ type inbound struct {
 // wire protocol and completion plumbing stay in this package. All methods
 // are invoked in engine context or from a rank process and must not block
 // the caller: long-running work goes on in the transport, as scheduled
-// continuations (eager staging) or processes it spawns (the rendezvous
-// pipeline).
+// continuations (eager staging and the rendezvous pipeline).
 type GPUTransport interface {
 	// StageToHost packs the request's device buffer into host bytes and
 	// hands them to req.SendPacked when the packed data is ready. Used
@@ -73,13 +72,14 @@ type GPUTransport interface {
 	DeliverFromHost(req *Request, packed []byte)
 	// StartRendezvousSend drives the sender side of a large transfer from
 	// device memory: it must send the RTS via req.Rank().SendRTS, produce
-	// packed chunks, place them with req.Rank().RDMAChunk, and finally
-	// call req.CompleteSend.
+	// packed chunks, place them with req.Rank().RDMAChunkRailInto (or the
+	// NIC gather form), and finally call req.CompleteSend.
 	StartRendezvousSend(req *Request)
 	// StartRendezvousRecv drives the receiver side of a large transfer
 	// into device memory: it must announce landing slots via
-	// req.Rank().SendCTS, consume req.AwaitFin per chunk, move the data
-	// into the device buffer, and finally call req.CompleteRecv.
+	// req.Rank().SendCTS, consume one FIN per chunk (req.AwaitFinThen),
+	// move the data into the device buffer, and finally call
+	// req.CompleteRecv.
 	StartRendezvousRecv(req *Request)
 }
 
@@ -226,12 +226,12 @@ func (q *Request) SendPacked(packed []byte) {
 		q.CompleteSend()
 		return
 	}
-	// PostSend snapshots packed, which the caller then recycles.
-	ev := r.hca.PostSend(q.peer, eagerMsg{r.rank, q.tag, q.ctx, q.size}, packed)
+	// The post snapshots packed, which the caller then recycles.
+	r.hca.PostSendRailInto(&q.ev, q.peer, eagerMsg{r.rank, q.tag, q.ctx, q.size}, packed, 0)
 	if q.completeSendFn == nil {
 		q.completeSendFn = q.CompleteSend
 	}
-	ev.OnTrigger(q.completeSendFn)
+	q.ev.OnTrigger(q.completeSendFn)
 }
 
 // SendRTS posts the rendezvous request-to-send for a send request. GPU
@@ -242,31 +242,96 @@ func (r *Rank) SendRTS(q *Request) {
 	r.hca.PostSend(q.peer, rtsMsg{r.rank, q.tag, q.ctx, q.size, q.id}, nil)
 }
 
+// slotEntry is one chunk's landing slot on the sender, once announced.
+type slotEntry struct {
+	s  Slot
+	ok bool
+}
+
 // AwaitCTS blocks until the first CTS for this send arrives and returns
 // the transfer geometry the receiver chose.
 func (q *Request) AwaitCTS(p *sim.Proc) (totalChunks, chunkBytes int) {
 	for q.totalChunks == 0 {
-		q.waitSlotEvent(p)
+		p.Wait(q.slotEvent())
 	}
 	return q.totalChunks, q.chunkBytes
 }
+
+// AwaitCTSThen is AwaitCTS for a continuation in engine context: fn runs
+// once the first CTS has arrived — at once if it has, otherwise in the
+// slot where a process blocked in AwaitCTS would resume, after the same
+// "rankN.reqM.cts" firing. fn reads the geometry with CTSGeometry.
+func (q *Request) AwaitCTSThen(fn func()) {
+	if q.totalChunks != 0 {
+		fn()
+		return
+	}
+	q.slotEvent().Then(fn) // every CTS sets the geometry
+}
+
+// CTSGeometry returns the transfer geometry the first CTS announced, or
+// zeros before it has arrived.
+func (q *Request) CTSGeometry() (totalChunks, chunkBytes int) { return q.totalChunks, q.chunkBytes }
 
 // AwaitSlot blocks until the landing slot for the given chunk has been
 // announced.
 func (q *Request) AwaitSlot(p *sim.Proc, chunk int) Slot {
 	for {
-		if s, ok := q.slots[chunk]; ok {
+		if s, ok := q.slot(chunk); ok {
 			return s
 		}
-		q.waitSlotEvent(p)
+		p.Wait(q.slotEvent())
 	}
 }
 
-func (q *Request) waitSlotEvent(p *sim.Proc) {
-	if q.slotEv == nil {
-		q.slotEv = q.r.w.e.NewEvent(fmt.Sprintf("rank%d.req%d.cts", q.r.rank, q.id))
+// AwaitSlotThen is AwaitSlot for a continuation, like AwaitCTSThen: fn
+// runs once chunk's landing slot has been announced, and reads it with
+// Slot. Like AwaitSlot, it waits again when a CTS batch does not
+// announce the chunk.
+func (q *Request) AwaitSlotThen(chunk int, fn func()) {
+	if _, ok := q.slot(chunk); ok {
+		fn()
+		return
 	}
-	p.Wait(q.slotEv)
+	q.slotChunk, q.slotFn = chunk, fn
+	if q.slotRetryFn == nil {
+		q.slotRetryFn = q.slotRetry
+	}
+	q.slotEvent().Then(q.slotRetryFn)
+}
+
+func (q *Request) slotRetry() {
+	fn := q.slotFn
+	q.slotFn = nil
+	q.AwaitSlotThen(q.slotChunk, fn)
+}
+
+// Slot returns the announced landing slot of chunk; it panics if the
+// slot has not been announced yet.
+func (q *Request) Slot(chunk int) Slot {
+	s, ok := q.slot(chunk)
+	if !ok {
+		panic(fmt.Sprintf("mpi rank %d: slot of chunk %d read before its CTS", q.r.rank, chunk))
+	}
+	return s
+}
+
+func (q *Request) slot(chunk int) (Slot, bool) {
+	if chunk < 0 || chunk >= len(q.slots) {
+		return Slot{}, false
+	}
+	e := q.slots[chunk]
+	return e.s, e.ok
+}
+
+// slotEvent returns the event the next CTS batch fires, arming it for
+// the first waiter since the last batch.
+func (q *Request) slotEvent() *sim.Event {
+	if !q.slotWait {
+		q.ev.ResetNumberedSuffix(q.r.w.e, q.r.reqName, q.id, ".cts")
+		q.slotWait = true
+	}
+	return &q.ev
 }
 
 // RDMAChunk places one packed chunk into its announced slot on rail 0 and
@@ -274,45 +339,42 @@ func (q *Request) waitSlotEvent(p *sim.Proc) {
 // arrive after the data). It returns the local completion event, after
 // which the source buffer is reusable.
 func (r *Rank) RDMAChunk(q *Request, s Slot, src mem.Ptr, n int) *sim.Event {
-	return r.RDMAChunkRail(q, s, src, n, 0)
+	done := new(sim.Event)
+	r.RDMAChunkRailInto(done, q, s, src, n, 0, obs.Span{})
+	return done
 }
 
-// RDMAChunkRail is RDMAChunk on an explicit HCA rail. The data write and
-// its FIN travel on the same rail — wire FIFO ordering holds only per
+// RDMAChunkRailInto is RDMAChunk on an explicit HCA rail, completing done,
+// an event the caller holds (see ib.HCA.RDMAWriteRailInto). The data write
+// and its FIN travel on the same rail — wire FIFO ordering holds only per
 // rail, so posting them on different rails would let the FIN overtake its
 // data. FINs from different rails may arrive in any interleaving; the
-// receiver must not assume chunk order.
-func (r *Rank) RDMAChunkRail(q *Request, s Slot, src mem.Ptr, n, rail int) *sim.Event {
-	return r.RDMAChunkRailSpan(q, s, src, n, rail, obs.Span{})
-}
-
-// RDMAChunkRailSpan is RDMAChunkRail with the chunk's wire tasks and FIN
-// marker parented under the sender's rdma stage span, so the critical-path
-// analyzer can follow chunk identity across the fabric. An inert span
-// degrades to plain tracing.
-func (r *Rank) RDMAChunkRailSpan(q *Request, s Slot, src mem.Ptr, n, rail int, sp obs.Span) *sim.Event {
+// receiver must not assume chunk order. The chunk's wire tasks and FIN
+// marker are parented under sp, the sender's rdma stage span, so the
+// critical-path analyzer can follow chunk identity across the fabric; an
+// inert span degrades to plain tracing.
+func (r *Rank) RDMAChunkRailInto(done *sim.Event, q *Request, s Slot, src mem.Ptr, n, rail int, sp obs.Span) {
 	if n != s.Len {
 		panic(fmt.Sprintf("mpi: chunk %d length %d does not match slot length %d", s.Chunk, n, s.Len))
 	}
-	ev := r.hca.RDMAWriteRailTask(q.peer, src, n, s.Rkey, s.Off, rail, sp, s.Chunk)
+	r.hca.RDMAWriteRailInto(done, q.peer, src, n, s.Rkey, s.Off, rail, sp, s.Chunk)
 	r.w.hub.InstantChild(sp, obs.KindFIN, r.obsTrack, s.Chunk, n)
 	r.hca.PostSendRail(q.peer, finMsg{q.peerID, s.Chunk}, nil, rail)
-	return ev
 }
 
-// RDMANicChunkRailSpan places one chunk into its announced slot with the
+// RDMANicChunkRailInto places one chunk into its announced slot with the
 // HCA's scatter/gather unit walking the datatype in place of a packed
-// source buffer (ib.RDMAWriteGatherRailTask). The gather delays the wire
-// post by the SGE engine time, so the FIN cannot be posted here at call
-// time — it would overtake the data on the rail FIFO. Instead it rides
-// the onWirePosted hook, which the HCA invokes synchronously right after
-// posting the data transfer, restoring the exact post order
-// RDMAChunkRailSpan gets for free.
-func (r *Rank) RDMANicChunkRailSpan(q *Request, s Slot, sg ib.SGDesc, rail int, sp obs.Span) *sim.Event {
+// source buffer (ib.RDMAWriteGatherRailInto), completing done. The gather
+// delays the wire post by the SGE engine time, so the FIN cannot be
+// posted here at call time — it would overtake the data on the rail
+// FIFO. Instead it rides the onWirePosted hook, which the HCA invokes
+// synchronously right after posting the data transfer, restoring the
+// exact post order RDMAChunkRailInto gets for free.
+func (r *Rank) RDMANicChunkRailInto(done *sim.Event, q *Request, s Slot, sg ib.SGDesc, rail int, sp obs.Span) {
 	if sg.N != s.Len {
 		panic(fmt.Sprintf("mpi: chunk %d length %d does not match slot length %d", s.Chunk, sg.N, s.Len))
 	}
-	return r.hca.RDMAWriteGatherRailTask(q.peer, sg, s.Rkey, s.Off, rail, sp, s.Chunk, func() {
+	r.hca.RDMAWriteGatherRailInto(done, q.peer, sg, s.Rkey, s.Off, rail, sp, s.Chunk, func() {
 		r.w.hub.InstantChild(sp, obs.KindFIN, r.obsTrack, s.Chunk, sg.N)
 		r.hca.PostSendRail(q.peer, finMsg{q.peerID, s.Chunk}, nil, rail)
 	})
@@ -434,14 +496,17 @@ func (r *Rank) handleMessage(from int, msg ib.Message, payload []byte) {
 		q.totalChunks = m.TotalChunks
 		q.chunkBytes = m.ChunkBytes
 		if q.slots == nil {
-			q.slots = map[int]Slot{}
+			q.slots = make([]slotEntry, m.TotalChunks)
 		}
 		for _, s := range m.Slots {
-			q.slots[s.Chunk] = s
+			if s.Chunk < 0 || s.Chunk >= len(q.slots) {
+				panic(fmt.Sprintf("mpi rank %d: CTS announces chunk %d of %d", r.rank, s.Chunk, len(q.slots)))
+			}
+			q.slots[s.Chunk] = slotEntry{s, true}
 		}
-		if q.slotEv != nil {
-			q.slotEv.Trigger()
-			q.slotEv = nil
+		if q.slotWait {
+			q.slotWait = false
+			q.ev.Trigger()
 		}
 	case finMsg:
 		q := r.reqs[m.RecvID]
@@ -549,7 +614,13 @@ func (r *Rank) startRecvData(q *Request, from, tag, size, sendID int) {
 	q.setMatched(from, tag, size)
 	q.peer = from // resolve AnySource for the data phase
 	q.peerID = sendID
-	q.finQ = sim.NewQueue[int](r.w.e, fmt.Sprintf("rank%d.req%d.fin", r.rank, q.id))
+	if n := len(r.freeFinQs); n > 0 {
+		q.finQ = r.freeFinQs[n-1]
+		r.freeFinQs = r.freeFinQs[:n-1]
+		q.finQ.Reuse(r.reqName, q.id, ".fin")
+	} else {
+		q.finQ = sim.NewQueueNumbered[int](r.w.e, r.reqName, q.id, ".fin")
+	}
 	if q.buf.IsDevice() {
 		r.transport().StartRendezvousRecv(q)
 		return
@@ -573,6 +644,14 @@ func (r *Rank) SendCTS(q *Request, totalChunks, chunkBytes int, slots []Slot) {
 // AwaitFin blocks until a chunk FIN arrives and returns the chunk index.
 func (q *Request) AwaitFin(p *sim.Proc) int {
 	return q.finQ.Get(p)
+}
+
+// AwaitFinThen is AwaitFin for a continuation in engine context: fn
+// receives the chunk index of the next FIN — at once if one has arrived,
+// otherwise in the slot where a process blocked in AwaitFin would resume,
+// after the same "rankN.reqM.fin.get" firing.
+func (q *Request) AwaitFinThen(fn func(chunk int)) {
+	q.finQ.GetThen(fn)
 }
 
 // ChunkGeometry returns the pipeline chunking for a transfer of size bytes

@@ -46,13 +46,21 @@ type Request struct {
 	// their completion without a closure.
 	completeSendFn func()
 
+	// ev is a send's second event: an eager send's post completion (the
+	// HCA has read the bytes), or a rendezvous send's "new CTS batch
+	// arrived", armed while slotWait.
+	ev sim.Event
+
 	// rendezvous state
 	id          int             // sendID (sender) or recvID (receiver)
 	peerID      int             // the other side's request ID
 	totalChunks int             // set by the first CTS (sender) or at match (receiver)
 	chunkBytes  int             // pipeline granularity for this transfer
-	slots       map[int]Slot    // sender: chunk -> landing slot
-	slotEv      *sim.Event      // sender: refreshed "new CTS batch arrived"
+	slots       []slotEntry     // sender: landing slot by chunk, sized by the first CTS
+	slotWait    bool            // sender: something waits on ev for a CTS batch
+	slotChunk   int             // sender: the chunk a blocked AwaitSlotThen waits for
+	slotFn      func()          // sender: that AwaitSlotThen's continuation
+	slotRetryFn func()          // sender: slotRetry, bound on first use
 	finQ        *sim.Queue[int] // receiver: arrived chunk indices
 	matchedSize int             // receiver: actual incoming packed bytes
 
@@ -161,8 +169,13 @@ func (r *Rank) nullRequest(kind ReqKind) *Request {
 	return q
 }
 
-// complete finalizes the request.
+// complete finalizes the request. A rendezvous receive has consumed
+// every FIN by now, so its FIN queue goes back to the rank.
 func (q *Request) complete() {
+	if q.finQ != nil {
+		q.r.freeFinQs = append(q.r.freeFinQs, q.finQ)
+		q.finQ = nil
+	}
 	delete(q.r.reqs, q.id)
 	q.r.w.hub.Counter(q.r.inflightCtr, float64(len(q.r.reqs)))
 	q.span.End()

@@ -48,20 +48,21 @@ func (w waiter) wake(e *Engine) {
 	}
 }
 
-// label is a process or event name kept as a prefix and an optional
-// decimal suffix, so a per-message name costs nothing until a tracer or
-// a deadlock report reads it.
+// label is a process, event or queue name kept as a prefix, an optional
+// decimal number and a suffix, so a per-message name costs nothing until
+// a tracer or a deadlock report reads it.
 type label struct {
 	prefix string
 	n      int
 	num    bool // append n in decimal
+	suffix string
 }
 
 func (l label) String() string {
 	if !l.num {
-		return l.prefix
+		return l.prefix + l.suffix
 	}
-	return l.prefix + strconv.Itoa(l.n)
+	return l.prefix + strconv.Itoa(l.n) + l.suffix
 }
 
 // NewEvent creates a named, unfired event.
@@ -85,6 +86,12 @@ func (ev *Event) Reset(e *Engine, name string) { ev.reset(e, label{prefix: name}
 // decimal.
 func (ev *Event) ResetNumbered(e *Engine, prefix string, n int) {
 	ev.reset(e, label{prefix: prefix, n: n, num: true})
+}
+
+// ResetNumberedSuffix is Reset for an event named prefix, then n in
+// decimal, then suffix.
+func (ev *Event) ResetNumberedSuffix(e *Engine, prefix string, n int, suffix string) {
+	ev.reset(e, label{prefix: prefix, n: n, num: true, suffix: suffix})
 }
 
 func (ev *Event) reset(e *Engine, name label) {

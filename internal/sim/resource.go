@@ -10,14 +10,17 @@ import "fmt"
 // Ownership is handed off directly from Release to the head waiter, so a
 // releasing process cannot barge back in front of queued waiters. A
 // waiter is a process blocked in Acquire or a continuation queued by
-// AcquireThen; both wait on a grant event, in one FIFO.
+// AcquireThen; both wait on a grant event, in one FIFO. A grant event
+// goes back to a spare list once its Trigger has woken its waiter, so a
+// contended resource allocates no event per wait.
 type Resource struct {
 	e     *Engine
 	name  string
 	cap   int
 	inUse int
-	queue []*Event // one wakeup event per waiter, FIFO
-	grant string   // name of the wakeup events, built on first wait
+	queue fifo[*Event] // one wakeup event per waiter, FIFO
+	spare []*Event     // fired grant events, re-armed by the next wait
+	grant string       // name of the wakeup events, built on first wait
 
 	// Stats.
 	acquires   uint64 // slots granted, counted when a slot is taken or handed over
@@ -45,7 +48,7 @@ func (r *Resource) InUse() int { return r.inUse }
 
 // QueueLen returns the number of waiters (processes and continuations)
 // queued to acquire.
-func (r *Resource) QueueLen() int { return len(r.queue) }
+func (r *Resource) QueueLen() int { return r.queue.len() }
 
 func (r *Resource) accountChange() {
 	r.busyTime += Time(int64(r.inUse) * int64(r.e.now-r.lastChange))
@@ -76,17 +79,24 @@ func (r *Resource) enqueue() *Event {
 	if r.grant == "" {
 		r.grant = r.name + ".grant"
 	}
-	ev := r.e.NewEvent(r.grant)
-	r.queue = append(r.queue, ev)
-	if len(r.queue) > r.maxQueue {
-		r.maxQueue = len(r.queue)
+	var ev *Event
+	if n := len(r.spare); n > 0 {
+		ev = r.spare[n-1]
+		r.spare = r.spare[:n-1]
+		ev.Reset(r.e, r.grant)
+	} else {
+		ev = r.e.NewEvent(r.grant)
+	}
+	r.queue.push(ev)
+	if n := r.queue.len(); n > r.maxQueue {
+		r.maxQueue = n
 	}
 	return ev
 }
 
 // TryAcquire takes a slot if one is immediately free and reports success.
 func (r *Resource) TryAcquire() bool {
-	if r.inUse < r.cap && len(r.queue) == 0 {
+	if r.inUse < r.cap && r.queue.len() == 0 {
 		r.accountChange()
 		r.inUse++
 		r.acquires++
@@ -102,12 +112,14 @@ func (r *Resource) Release() {
 	if r.inUse <= 0 {
 		panic("sim: release of idle resource " + r.name)
 	}
-	if len(r.queue) > 0 {
-		head := r.queue[0]
-		r.queue = r.queue[1:]
+	if r.queue.len() > 0 {
+		head := r.queue.pop()
 		// inUse is unchanged: the slot moves from releaser to waiter.
 		r.acquires++
 		head.Trigger()
+		// The waiter is woken — a resume or a call is scheduled — and
+		// nothing refers to the event any more.
+		r.spare = append(r.spare, head)
 		return
 	}
 	r.accountChange()

@@ -24,12 +24,13 @@
 // There is one engine, Engine (created by New). It runs every item, tasks
 // included, on the goroutine that calls Run.
 //
-// Software — MPI ranks and the rendezvous protocol and pipeline stages
-// that act for them — is written as processes. Hardware models (GPU
-// engines, CUDA streams, HCA transfers and scatter/gather units) and the
-// GPU transport's per-message eager staging are state machines that
-// advance by continuations instead: CallAt in place of Sleep, Event.Then
-// in place of Wait, Resource.AcquireThen in place of Acquire.
+// Software — MPI ranks and mpi's host-memory protocol helpers — is
+// written as processes. Hardware models (GPU engines, CUDA streams, HCA
+// transfers and scatter/gather units) and the GPU transport's eager
+// staging and rendezvous pipeline are state machines that advance by
+// continuations instead: CallAt in place of Sleep, Event.Then in place of
+// Wait, Resource.AcquireThen in place of Acquire, Queue.GetThen in place
+// of Get.
 // Each continuation is scheduled at exactly the (time, seq) slot where
 // the wake-up of the equivalent process would have been — the next seq at
 // the moment the process would have blocked — so replacing a process by

@@ -252,3 +252,90 @@ func TestEventReset(t *testing.T) {
 		}()
 	}
 }
+
+// queueScenario has four consumers take from one queue — processes
+// only, or with every other consumer a continuation — while a producer
+// puts an item every 2 ns, one of them while a non-waiting TryGet takes
+// it first, and returns the trace of firings and takes and the item
+// count.
+func queueScenario(mixed bool) (string, uint64) {
+	e := New()
+	defer e.Shutdown()
+	q := NewQueueNumbered[int](e, "rank", 1, ".fin")
+	var log []string
+	e.SetTracer(func(at Time, msg string) {
+		if !strings.HasPrefix(msg, "proc ") {
+			log = append(log, fmt.Sprintf("%v %s", at, msg))
+		}
+	})
+	for i := 0; i < 4; i++ {
+		name := fmt.Sprintf("c%d", i)
+		took := func(v int) { log = append(log, fmt.Sprintf("%v %s took %d", e.Now(), name, v)) }
+		if mixed && i%2 == 1 {
+			e.CallAt(Time(i), func() { q.GetThen(took) })
+			continue
+		}
+		e.SpawnAt(Time(i), name, func(p *Proc) { took(q.Get(p)) })
+	}
+	for i := 0; i < 5; i++ {
+		v := i
+		e.CallAt(Time(10+2*i), func() {
+			q.Put(v)
+			if v == 1 {
+				q.TryGet() // a woken waiter finds the queue empty and waits again
+			}
+		})
+	}
+	if err := e.Run(); err != nil {
+		panic(err)
+	}
+	return strings.Join(log, "|"), e.Events()
+}
+
+// TestQueueGetThenMatchesGet: continuations queued with GetThen wait in
+// one FIFO with blocked processes, take their items in the slots those
+// processes would resume in, after the same "<queue>.get" firings, and
+// wait again at the back when another taker emptied the queue first.
+func TestQueueGetThenMatchesGet(t *testing.T) {
+	procs, pe := queueScenario(false)
+	mixed, me := queueScenario(true)
+	if procs != mixed {
+		t.Errorf("takes differ:\nprocesses: %s\nmixed:     %s", procs, mixed)
+	}
+	if !strings.Contains(procs, "10ns event rank1.fin.get: fired|10ns c0 took 0") {
+		t.Errorf("unexpected reference trace: %s", procs)
+	}
+	if pe != me {
+		t.Errorf("events: processes %d, mixed %d", pe, me)
+	}
+}
+
+// TestContendedResourceAllocatesNothing: once a resource has woken as
+// many waiters as it ever queues at once, a grant reuses a fired grant
+// event and the FIFO's storage, so contention allocates nothing.
+func TestContendedResourceAllocatesNothing(t *testing.T) {
+	e := New()
+	r := e.NewResource("link", 1)
+	c := &thenCounter{}
+	c.step = c.inc
+	rounds := 0
+	round := func() {
+		rounds++
+		r.TryAcquire()
+		r.AcquireThen(c.step)
+		r.AcquireThen(c.step)
+		r.Release()
+		r.Release()
+		r.Release()
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round()
+	if avg := testing.AllocsPerRun(50, round); avg != 0 {
+		t.Errorf("%.1f allocs per contended round, want 0", avg)
+	}
+	if c.n != 2*rounds {
+		t.Errorf("grants ran %d times in %d rounds, want 2 a round", c.n, rounds)
+	}
+}
