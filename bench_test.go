@@ -377,10 +377,8 @@ func BenchmarkPackPlanCache(b *testing.B) {
 
 // BenchmarkEngineEventLoop measures raw event-loop throughput of the
 // discrete-event engine: one process sleeping through b.N timer events.
-// The process is alone, so every Sleep runs ahead on its own stack and
-// each event costs the clock advance and counters without a coroutine
-// switch. This is the denominator of every other wall-clock number in
-// this file.
+// Each event is a heap push and pop plus one coroutine switch out of the
+// process and back: the cost of a rank's wake-up.
 func BenchmarkEngineEventLoop(b *testing.B) {
 	e := sim.New()
 	e.Spawn("bench", func(p *sim.Proc) {
@@ -397,9 +395,9 @@ func BenchmarkEngineEventLoop(b *testing.B) {
 
 // BenchmarkEngineSpawn measures one process spawn-and-finish: a chain of
 // b.N processes, each spawning its successor before it returns, so the
-// two carriers they run on are reused throughout. The eager path spawns
-// about three processes per message, so spawn cost is a share of
-// small-message host time of its own.
+// two carriers they run on are reused throughout. The GPU paths spawn
+// no process per message; mpi's host-memory rendezvous and RGET still
+// spawn one per transfer side.
 func BenchmarkEngineSpawn(b *testing.B) {
 	e := sim.New()
 	n := 0

@@ -278,7 +278,8 @@ func writeWallclock(path string) {
 		RailsBandwidthMBs: map[string]float64{},
 	}
 
-	// Event-loop throughput: one process sleeping through N timer events.
+	// Event-loop throughput: one process sleeping through N timer events,
+	// each a heap push and pop plus a coroutine switch out and back.
 	{
 		const n = 200_000
 		e := sim.New()

@@ -93,20 +93,20 @@ func TestEagerSteadyStateAllocs(t *testing.T) {
 }
 
 // TestEagerSwitchesPerTrip pins the process handoffs of the eager path,
-// long minus short ping-pong as above: a process whose wake-up is the
-// next item keeps running instead of switching out and back, hardware
-// models (CUDA streams, HCA transfers) and core's eager staging run as
-// scheduled calls rather than processes, and the switches left are the
-// two ranks' resumes from their Send and Recv waits. The 68 items a trip
-// dispatches are the same as when the staging was processes.
+// long minus short ping-pong as above. Hardware models (CUDA streams,
+// HCA transfers) and core's eager staging run as scheduled calls rather
+// than processes, so the only processes are the two ranks. Each of a
+// trip's four Send and Recv calls resumes its rank twice: once after the
+// call-overhead Sleep and once from the wait for completion. The 68
+// items a trip dispatches are the same as when the staging was processes.
 func TestEagerSwitchesPerTrip(t *testing.T) {
 	const short, long = 50, 250
 	s, l := eagerPingPong(t, short).Engine, eagerPingPong(t, long).Engine
 	perTrip := float64(l.Switches()-s.Switches()) / (long - short)
 	events := float64(l.Events()-s.Events()) / (long - short)
 	t.Logf("per round trip: %.2f switches, %.2f events", perTrip, events)
-	if perTrip != 4 {
-		t.Errorf("%.2f process switches per 4 KB round trip, want exactly 4", perTrip)
+	if perTrip != 8 {
+		t.Errorf("%.2f process switches per 4 KB round trip, want exactly 8", perTrip)
 	}
 	if events != 68 {
 		t.Errorf("%.2f events per 4 KB round trip, want exactly 68", events)
@@ -159,16 +159,18 @@ func rndvPingPong(t *testing.T, trips int) *Cluster {
 // TestRendezvousSteadyStateAllocs pins the rendezvous path's host cost.
 // The sender and receiver records, their per-chunk events and callbacks,
 // the stream ops' and wire posts' completion events, the CTS slots and
-// the FIN queue are all reused. What is left is per-request protocol
-// state: the two requests of each transfer, the RTS, CTS and FIN
-// headers, the sender's slot table and the deposit of the chunk.
+// the FIN queue and the RDMA write's landing are all reused. What is
+// left is per-request protocol state: the two requests of each transfer,
+// the RTS, CTS and FIN headers and the sender's slot table.
 func TestRendezvousSteadyStateAllocs(t *testing.T) {
 	bytesPerTrip, mallocsPerTrip := perTrip(func(trips int) *Cluster { return rndvPingPong(t, trips) })
 	t.Logf("per round trip: %.0f heap bytes, %.1f mallocs", bytesPerTrip, mallocsPerTrip)
 	if bytesPerTrip > 4<<10 {
 		t.Errorf("%.0f heap bytes per 32 KB rendezvous round trip, want at most 4 KiB", bytesPerTrip)
 	}
-	const maxMallocs = 18
+	// 12 measured; the one spare covers a stray runtime malloc that
+	// lands in the long run when the whole package runs.
+	const maxMallocs = 13
 	if mallocsPerTrip > maxMallocs {
 		t.Errorf("%.1f mallocs per 32 KB rendezvous round trip, want at most %d", mallocsPerTrip, maxMallocs)
 	}
@@ -177,18 +179,19 @@ func TestRendezvousSteadyStateAllocs(t *testing.T) {
 // TestRendezvousSwitchesPerTransfer pins the process handoffs of the
 // rendezvous path, long minus short ping-pong as above. The pipeline's
 // sender and receiver run as continuations, so the switches left are the
-// two ranks' resumes from their Send and Recv waits. Each step takes the
-// slot of a pipeline process's wake-up, the start call that of its
-// start-up resume, so a trip dispatches the 94 items the process
-// pipeline (core's test reference) does.
+// ranks' resumes: two for each of a trip's four Send and Recv calls, one
+// after the call-overhead Sleep and one from the wait for completion.
+// Each step takes the slot of a pipeline process's wake-up, the start
+// call that of its start-up resume, so a trip dispatches the 94 items the
+// process pipeline (core's test reference) does.
 func TestRendezvousSwitchesPerTransfer(t *testing.T) {
 	const short, long = 50, 250
 	s, l := rndvPingPong(t, short).Engine, rndvPingPong(t, long).Engine
 	perTrip := float64(l.Switches()-s.Switches()) / (long - short)
 	events := float64(l.Events()-s.Events()) / (long - short)
 	t.Logf("per round trip: %.2f switches, %.2f events", perTrip, events)
-	if perTrip != 4 {
-		t.Errorf("%.2f process switches per 32 KB rendezvous round trip, want exactly 4", perTrip)
+	if perTrip != 8 {
+		t.Errorf("%.2f process switches per 32 KB rendezvous round trip, want exactly 8", perTrip)
 	}
 	if events != 94 {
 		t.Errorf("%.2f events per 32 KB rendezvous round trip, want exactly 94", events)

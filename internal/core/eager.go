@@ -48,7 +48,7 @@ type eager struct {
 
 	kernel bool                // the pack or unpack runs as a kernel
 	kd     datatype.KernelDesc // that kernel's segments
-	// Operands of the host memcpy task in flight.
+	// Operands of the host memcpy call in flight.
 	copyDst, copySrc []byte
 
 	eagerSteps
@@ -99,12 +99,12 @@ func (x *eager) issueTime() sim.Time { return x.n1.Ctx.Model().AsyncIssue }
 func (x *eager) chunkLen(off int) int { return min(x.n1.Pool.ChunkSize(), x.size-off) }
 
 // hostCopy models a host memcpy of src into dst: the bytes move in a
-// task at the end of the modeled copy, and step follows in the next
+// call at the end of the modeled copy, and step follows in the next
 // slot.
 func (x *eager) hostCopy(dst, src []byte, step func()) {
 	hc := x.req.Rank().HostCopyCost(len(dst))
 	x.copyDst, x.copySrc = dst, src
-	x.e.TaskAt(x.e.Now()+hc, x.copyFn)
+	x.e.CallAt(x.e.Now()+hc, x.copyFn)
 	x.after(hc, step)
 }
 
@@ -215,7 +215,7 @@ func (x *eager) drained() {
 }
 
 // drainChunk copies the current chunk from its vbuf into packed. The
-// vbuf is not re-filled before the copy's task has run, and packed is
+// vbuf is not re-filled before the copy's call has run, and packed is
 // only read once the loop is over.
 func (x *eager) drainChunk() {
 	n := x.chunkLen(x.off)
@@ -290,7 +290,7 @@ func (x *eager) gotDeliver(v *hostmem.Vbuf) {
 func (x *eager) deliverLoop() {
 	switch {
 	case x.off >= x.size:
-		// Every fill task's slot has passed, so nothing reads packed now.
+		// Every fill copy's slot has passed, so nothing reads packed now.
 		mem.PutBytes(x.packed)
 		x.packed = nil
 		x.drain = 0
@@ -303,7 +303,7 @@ func (x *eager) deliverLoop() {
 }
 
 // fill copies the current chunk into its vbuf; the H2D that reads the
-// vbuf is issued after the copy's task has run.
+// vbuf is issued after the copy's call has run.
 func (x *eager) fill() {
 	n := x.chunkLen(x.off)
 	x.hostCopy(x.bufs[x.b].Ptr.Bytes(n), x.packed[x.off:x.off+n], x.filledFn)

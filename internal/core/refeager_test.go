@@ -61,7 +61,7 @@ func (t refEager) StageToHost(req *mpi.Request) {
 			}
 			hc := r.HostCopyCost(n)
 			dst, src := packed[off:off+n], bufs[b].Ptr.Bytes(n)
-			e.TaskAt(p.Now()+hc, func() { copy(dst, src) })
+			e.CallAt(p.Now()+hc, func() { copy(dst, src) })
 			p.Sleep(hc)
 			if next < size && nbuf == 1 {
 				issue(0, next)
@@ -114,7 +114,7 @@ func (t refEager) DeliverFromHost(req *mpi.Request, packed []byte) {
 			}
 			hc := r.HostCopyCost(n)
 			dst, src := bufs[b].Ptr.Bytes(n), packed[off:off+n]
-			e.TaskAt(p.Now()+hc, func() { copy(dst, src) })
+			e.CallAt(p.Now()+hc, func() { copy(dst, src) })
 			p.Sleep(hc)
 			evs[b] = n1.Ctx.MemcpyAsyncTask(p, tbuf.Add(off), bufs[b].Ptr, n, n1.h2dStreams[0], req.ObsSpan(), -1)
 			if nbuf == 2 {

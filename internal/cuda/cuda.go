@@ -209,7 +209,7 @@ func (s *Stream) complete() {
 }
 
 // finish completes the op in flight and recycles it. It runs after the
-// slot of the op's memory task, so that task is done reading the op.
+// slot of the op's memory call, so that call is done reading the op.
 func (s *Stream) finish() {
 	o := s.cur
 	s.cur = nil

@@ -77,7 +77,7 @@ func refExec(p *sim.Proc, eng *sim.Resource, cost sim.Time, work func()) {
 		eng.Acquire(p)
 	}
 	if work != nil {
-		p.Engine().TaskAt(p.Now()+cost, work)
+		p.Engine().CallAt(p.Now()+cost, work)
 	}
 	p.Sleep(cost)
 	if eng != nil {

@@ -227,7 +227,7 @@ const noEngine = numEngines
 
 // Exec runs j as the device's hardware would, advancing by scheduled
 // calls rather than in a process: it waits for j's engine, schedules the
-// memory effect as a task due at the completion instant, and calls
+// memory effect as a call due at the completion instant, and calls
 // j.Done at that instant once the engine is released. Nothing may read
 // j's destination before Done.
 //
@@ -258,7 +258,7 @@ func (d *Device) Exec(j *Job) {
 	d.engines[j.eng].AcquireThen(j.start)
 }
 
-// begin starts the job on its engine: the memory effect is a task due at
+// begin starts the job on its engine: the memory effect is a call due at
 // the completion instant — the destination is not readable before then —
 // and the completion call takes the next slot after it.
 func (j *Job) begin() {
@@ -267,13 +267,13 @@ func (j *Job) begin() {
 	if j.Kernel {
 		j.sp = d.hub.StartChild(j.Parent, obs.KindKernel, d.engineTrack[EngineKernel], j.Chunk, j.Cells)
 		if j.Body != nil {
-			d.e.TaskAt(at, j.Body)
+			d.e.CallAt(at, j.Body)
 		}
 	} else {
 		if j.eng != noEngine {
 			j.sp = d.hub.StartChild(j.Parent, CopyKind(j.dir), d.engineTrack[j.eng], j.Chunk, j.Shape.Bytes())
 		}
-		d.e.TaskAt(at, j.move)
+		d.e.CallAt(at, j.move)
 	}
 	d.e.CallAt(at, j.finish)
 }

@@ -95,6 +95,8 @@ type Fabric struct {
 	hcas  map[int]*HCA
 	hub   *obs.Hub
 	free  *transfer // recycled transfer records
+
+	landings *landing // recycled RDMA write landings, see deposit
 }
 
 // SetHub attaches an observability hub: every wire operation becomes a
@@ -490,18 +492,18 @@ func (h *HCA) RDMAWriteRail(dst int, src mem.Ptr, n int, rkey uint32, roff, rail
 // here and fires at local completion. An inert parent and chunk -1
 // degrade to plain tracing.
 func (h *HCA) RDMAWriteRailInto(done *sim.Event, dst int, src mem.Ptr, n int, rkey uint32, roff, railIdx int, parent obs.Span, chunk int) {
-	// The HCA's DMA read of the source happens "at post time": the task is
+	// The HCA's DMA read of the source happens "at post time": the call is
 	// due at the post instant, and the poster owns src until the local
 	// completion event, so nothing rewrites it before the slot commits.
 	t := h.f.newTransfer()
 	t.snap, t.src = mem.GetBytes(n), src
-	h.f.e.TaskAt(h.f.e.Now(), t.snapFn)
+	h.f.e.CallAt(h.f.e.Now(), t.snapFn)
 	h.stats.RDMAWrites++
 	h.transmit(t, done, dst, n, obs.KindRDMA, railIdx, parent, chunk)
 	t.rkey, t.roff = rkey, roff
 }
 
-// snapshot is the DMA read of an RDMA write's source: a task due at the
+// snapshot is the DMA read of an RDMA write's source: a call due at the
 // post instant, long before the record can be recycled at landed.
 func (t *transfer) snapshot() { copy(t.snap, t.src.Bytes(len(t.snap))) }
 
@@ -525,11 +527,34 @@ func (h *HCA) deposit(rkey uint32, roff int, snap []byte, railIdx int, wire obs.
 	}
 	// Bytes land in remote memory at delivery time; the receiver only
 	// looks after the FIN, which trails the data on the same rail.
-	dst := reg.ptr.Add(roff).Bytes(len(snap))
-	h.f.e.TaskAt(h.f.e.Now(), func() {
-		copy(dst, snap)
-		mem.PutBytes(snap)
-	})
+	l := h.f.landings
+	if l == nil {
+		l = &landing{f: h.f}
+		l.landFn = l.land
+	} else {
+		h.f.landings = l.next
+	}
+	l.dst, l.snap = reg.ptr.Add(roff).Bytes(len(snap)), snap
+	h.f.e.CallAt(h.f.e.Now(), l.landFn)
+}
+
+// landing is an RDMA write's payload on its way into a plain region: the
+// copy is a call at the delivery instant. Records are pooled per fabric,
+// with their step bound once.
+type landing struct {
+	f         *Fabric
+	dst, snap []byte
+	landFn    func()
+	next      *landing
+}
+
+// land copies the payload into place, recycles the snapshot and returns
+// the record to the pool.
+func (l *landing) land() {
+	copy(l.dst, l.snap)
+	mem.PutBytes(l.snap)
+	l.dst, l.snap = nil, nil
+	l.next, l.f.landings = l.f.landings, l
 }
 
 // RDMARead fetches n bytes from the remote region identified by rkey at

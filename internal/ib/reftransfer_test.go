@@ -59,7 +59,7 @@ func post(h *HCA, ref bool, dst int, msg Message, payload []byte, write bool, sr
 	if write {
 		n := len(payload)
 		snap := mem.GetBytes(n)
-		h.f.e.TaskAt(h.f.e.Now(), func() { copy(snap, src.Bytes(n)) })
+		h.f.e.CallAt(h.f.e.Now(), func() { copy(snap, src.Bytes(n)) })
 		h.stats.RDMAWrites++
 		return h.refTransmit(dst, n, obs.KindRDMA, func(rx *HCA, wire obs.Task) {
 			rx.deposit(rkey, roff, snap, 0, wire)

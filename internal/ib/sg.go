@@ -188,7 +188,7 @@ func (h *HCA) RegisterScatterRegion(sg SGDesc, chunkBytes int, done func(chunk i
 // walk runs one descriptor on rl's SGE unit. The unit is modeled as a
 // chain of scheduled calls, not a process: it starts at the current
 // instant, waits for the engine, then begin opens the walk's span and
-// returns its memory work, which is a task due when the walk completes.
+// returns its memory work, which is a call due when the walk completes.
 // At completion the span ends, the engine is released and then runs.
 func (h *HCA) walk(rl *rail, sg SGDesc, begin func() (obs.Span, func()), then func()) {
 	e := h.f.e
@@ -202,7 +202,7 @@ func (h *HCA) walk(rl *rail, sg SGDesc, begin func() (obs.Span, func()), then fu
 		at := e.Now() + h.f.model.GatherCost(sg.N, sg.Segments())
 		var work func()
 		sp, work = begin()
-		e.TaskAt(at, work)
+		e.CallAt(at, work)
 		e.CallAt(at, finish)
 	}
 	e.CallAt(e.Now(), func() { rl.sgEngine.AcquireThen(granted) })

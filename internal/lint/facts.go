@@ -472,36 +472,29 @@ const (
 var simVisibleMethods = map[[3]string]bool{
 	// Engine scheduling and lifecycle: creation and dispatch order define
 	// the event sequence.
-	{simPath, "Engine", "CallAt"}:           true,
-	{simPath, "Engine", "CallAfter"}:        true,
-	{simPath, "Engine", "TaskAt"}:           true,
-	{simPath, "Engine", "Spawn"}:            true,
-	{simPath, "Engine", "SpawnAt"}:          true,
-	{simPath, "Engine", "SpawnNumbered"}:    true,
-	{simPath, "Engine", "Run"}:              true,
-	{simPath, "Engine", "RunUntil"}:         true,
-	{simPath, "Engine", "Shutdown"}:         true,
-	{simPath, "Engine", "NewEvent"}:         true,
-	{simPath, "Engine", "NewEventNumbered"}: true,
-	{simPath, "Engine", "NewResource"}:      true,
-	{simPath, "Engine", "AllOf"}:            true,
-	{simPath, "Event", "Trigger"}:           true,
-	{simPath, "Event", "OnTrigger"}:         true,
-	{simPath, "Event", "Then"}:              true,
-	{simPath, "Proc", "Wait"}:               true,
-	{simPath, "Proc", "WaitAll"}:            true,
-	{simPath, "Proc", "WaitAny"}:            true,
-	{simPath, "Proc", "Sleep"}:              true,
-	{simPath, "Proc", "Yield"}:              true,
-	{simPath, "Resource", "Acquire"}:        true,
-	{simPath, "Resource", "AcquireThen"}:    true,
-	{simPath, "Resource", "TryAcquire"}:     true,
-	{simPath, "Resource", "Release"}:        true,
-	{simPath, "Resource", "Use"}:            true,
-	{simPath, "Queue", "Put"}:               true,
-	{simPath, "Queue", "Get"}:               true,
-	{simPath, "Queue", "GetThen"}:           true,
-	{simPath, "Queue", "TryGet"}:            true,
+	{simPath, "Engine", "CallAt"}:        true,
+	{simPath, "Engine", "CallAfter"}:     true,
+	{simPath, "Engine", "Spawn"}:         true,
+	{simPath, "Engine", "SpawnAt"}:       true,
+	{simPath, "Engine", "Run"}:           true,
+	{simPath, "Engine", "RunUntil"}:      true,
+	{simPath, "Engine", "Shutdown"}:      true,
+	{simPath, "Engine", "NewEvent"}:      true,
+	{simPath, "Engine", "NewResource"}:   true,
+	{simPath, "Event", "Trigger"}:        true,
+	{simPath, "Event", "OnTrigger"}:      true,
+	{simPath, "Event", "Then"}:           true,
+	{simPath, "Proc", "Wait"}:            true,
+	{simPath, "Proc", "WaitAll"}:         true,
+	{simPath, "Proc", "WaitAny"}:         true,
+	{simPath, "Proc", "Sleep"}:           true,
+	{simPath, "Resource", "Acquire"}:     true,
+	{simPath, "Resource", "AcquireThen"}: true,
+	{simPath, "Resource", "Release"}:     true,
+	{simPath, "Queue", "Put"}:            true,
+	{simPath, "Queue", "Get"}:            true,
+	{simPath, "Queue", "GetThen"}:        true,
+	{simPath, "Queue", "TryGet"}:         true,
 
 	// Task stream: record order is byte-visible in Chrome traces.
 	{obsPath, "Hub", "Start"}:             true,

@@ -9,7 +9,7 @@ import (
 // simulation process to block: the deadlock-by-construction class of bug.
 //
 // Blocking operations (Stream.Synchronize, Event.Synchronize, Ctx.Memcpy/
-// Memcpy2D/Memset, Proc.Wait/WaitAll/Sleep/Yield, Resource.Acquire,
+// Memcpy2D/Memset, Proc.Wait/WaitAll/Sleep, Resource.Acquire,
 // Queue.Get, Pool.Get/GetRail) hand the cooperative baton back to the
 // engine; they may only run inside a *sim.Proc goroutine. The analyzer
 // reports a call when
@@ -17,7 +17,7 @@ import (
 //   - the *sim.Proc argument is a nil literal (the async-issue convention
 //     permits nil only for non-blocking calls), or
 //   - the call sits inside an engine-context callback (a func literal
-//     passed to Engine.CallAt/CallAfter/TaskAt, Event.OnTrigger/Then,
+//     passed to Engine.CallAt/CallAfter, Event.OnTrigger/Then,
 //     Resource.AcquireThen, Queue.GetThen, Pool.GetThen/GetRailThen,
 //     Request.AwaitCTSThen/AwaitSlotThen/AwaitFinThen or a kernel
 //     launch's body), which the engine runs to completion on its own
@@ -41,7 +41,6 @@ var blockingMethods = map[[3]string]int{
 	{simPath, "Proc", "Wait"}:           -1,
 	{simPath, "Proc", "WaitAll"}:        -1,
 	{simPath, "Proc", "Sleep"}:          -1,
-	{simPath, "Proc", "Yield"}:          -1,
 	{simPath, "Resource", "Acquire"}:    0,
 	{simPath, "Queue", "Get"}:           0,
 	{hostmemPath, "Pool", "Get"}:        0,
@@ -49,14 +48,12 @@ var blockingMethods = map[[3]string]int{
 }
 
 // engineCallbacks are the methods whose func-literal argument runs in
-// engine context and therefore must not block: scheduled calls and
-// tasks, event continuations and callbacks, grant, queue, vbuf and
-// rendezvous-protocol continuations, and kernel bodies, which run as
-// tasks.
+// engine context and therefore must not block: scheduled calls, event
+// continuations and callbacks, grant, queue, vbuf and rendezvous-protocol
+// continuations, and kernel bodies, which run as scheduled calls.
 var engineCallbacks = map[[3]string]bool{
 	{simPath, "Engine", "CallAt"}:         true,
 	{simPath, "Engine", "CallAfter"}:      true,
-	{simPath, "Engine", "TaskAt"}:         true,
 	{simPath, "Event", "OnTrigger"}:       true,
 	{simPath, "Event", "Then"}:            true,
 	{simPath, "Resource", "AcquireThen"}:  true,

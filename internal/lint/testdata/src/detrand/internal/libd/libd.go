@@ -136,11 +136,11 @@ func spawnSim(e *sim.Engine) {
 	})
 }
 
-// Positive (rule 1): TaskAt is sim-visible scheduling like CallAt.
-func flushTasks(e *sim.Engine, sizes map[string]int) {
+// Positive (rule 1): CallAt is sim-visible scheduling.
+func flushCalls(e *sim.Engine, sizes map[string]int) {
 	for _, n := range sizes { // want `map iteration order is randomized per run but this loop drives sim-visible work`
 		n := n
-		e.TaskAt(sim.Time(n), func() {})
+		e.CallAt(sim.Time(n), func() {})
 	}
 }
 

@@ -31,9 +31,6 @@ func (e *Engine) CallAt(t Time, fn func()) {}
 // CallAfter schedules fn after d in engine context.
 func (e *Engine) CallAfter(d Time, fn func()) {}
 
-// TaskAt schedules host work that schedules nothing at time t.
-func (e *Engine) TaskAt(t Time, fn func()) {}
-
 // Spawn starts a process.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) {}
 
@@ -57,9 +54,6 @@ func (p *Proc) WaitAll(evs ...*Event) {}
 
 // Sleep blocks for d.
 func (p *Proc) Sleep(d Time) {}
-
-// Yield cedes the baton.
-func (p *Proc) Yield() {}
 
 // Now returns current time.
 func (p *Proc) Now() Time { return 0 }

@@ -41,8 +41,8 @@ func triggerCallback(ev *sim.Event, s *cuda.Stream, p *sim.Proc) {
 	})
 }
 
-// Positive: continuations (Then, AcquireThen, GetThen), tasks and kernel
-// bodies run in engine context as well.
+// Positive: continuations (Then, AcquireThen, GetThen), scheduled calls
+// and kernel bodies run in engine context as well.
 func continuations(e *sim.Engine, ev *sim.Event, res *sim.Resource, pool *hostmem.Pool, ctx *cuda.Ctx, s *cuda.Stream, p *sim.Proc) {
 	ev.Then(func() {
 		s.Synchronize(p) // want `blocking call Stream.Synchronize inside an engine-context callback`
@@ -50,8 +50,8 @@ func continuations(e *sim.Engine, ev *sim.Event, res *sim.Resource, pool *hostme
 	res.AcquireThen(func() {
 		p.Sleep(1) // want `blocking call Proc.Sleep inside an engine-context callback`
 	})
-	e.TaskAt(5, func() {
-		p.Yield() // want `blocking call Proc.Yield inside an engine-context callback`
+	e.CallAt(5, func() {
+		p.Sleep(0) // want `blocking call Proc.Sleep inside an engine-context callback`
 	})
 	pool.GetThen(func(v *hostmem.Vbuf) {
 		pool.Get(p) // want `blocking call Pool.Get inside an engine-context callback`
@@ -77,7 +77,7 @@ func transferContinuations(q *sim.Queue, pool *hostmem.Pool, req *mpi.Request, s
 		p.Sleep(1) // want `blocking call Proc.Sleep inside an engine-context callback`
 	})
 	req.AwaitFinThen(func(chunk int) {
-		p.Yield() // want `blocking call Proc.Yield inside an engine-context callback`
+		p.Sleep(0) // want `blocking call Proc.Sleep inside an engine-context callback`
 	})
 }
 
@@ -145,6 +145,6 @@ func viaLocal(r *mpi.Rank, s *cuda.Stream) {
 func spawned(e *sim.Engine, s *cuda.Stream) {
 	e.Spawn("worker", func(p *sim.Proc) {
 		s.Synchronize(p)
-		p.Yield()
+		p.Sleep(0)
 	})
 }

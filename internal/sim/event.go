@@ -70,12 +70,6 @@ func (e *Engine) NewEvent(name string) *Event {
 	return &Event{e: e, name: label{prefix: name}}
 }
 
-// NewEventNumbered creates an unfired event named prefix followed by n in
-// decimal. The name is formatted only when something reads it.
-func (e *Engine) NewEventNumbered(prefix string, n int) *Event {
-	return &Event{e: e, name: label{prefix: prefix, n: n, num: true}}
-}
-
 // Reset arms ev, an Event held by value, as an unfired event named name
 // on e: the first use of a zero Event and every reuse after it has
 // fired. Resetting an event that still has waiters or callbacks panics,
@@ -237,27 +231,6 @@ func (p *Proc) WaitAny(evs ...*Event) int {
 		}
 	}
 	panic("sim: WaitAny woke with no fired event")
-}
-
-// AllOf returns a new event that fires once all inputs have fired. With no
-// inputs the returned event is already fired.
-func (e *Engine) AllOf(name string, evs ...*Event) *Event {
-	out := e.NewEvent(name)
-	n := len(evs)
-	if n == 0 {
-		out.Trigger()
-		return out
-	}
-	remaining := n
-	for _, ev := range evs {
-		ev.OnTrigger(func() {
-			remaining--
-			if remaining == 0 {
-				out.Trigger()
-			}
-		})
-	}
-	return out
 }
 
 func (ev *Event) String() string {

@@ -6,6 +6,12 @@ import (
 	"testing"
 )
 
+// serial runs fn on a new engine as the subtest "serial", the name
+// TestEngineSteadyStateAllocs is reported under.
+func serial(t *testing.T, fn func(t *testing.T, e *Engine)) {
+	t.Run("serial", func(t *testing.T) { fn(t, New()) })
+}
+
 // TestEngineSteadyStateAllocs pins the item freelist: once an engine has
 // run a warmup batch, further event scheduling must recycle items rather
 // than allocate. The budget covers only the test's own closures — a
@@ -34,10 +40,10 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	})
 }
 
-// TestFreelistRecyclesAcrossKinds drives calls, process resumptions and
-// tasks through one engine, each chained so only a handful of items are
+// TestFreelistRecyclesAcrossKinds drives calls and process resumptions
+// through one engine, each chained so only a handful of items are
 // outstanding at any instant, and checks the free stack stays bounded by
-// that peak — not by the 300 total items scheduled.
+// that peak — not by the 500 items scheduled in all.
 func TestFreelistRecyclesAcrossKinds(t *testing.T) {
 	e := New()
 	defer e.Shutdown()
@@ -45,7 +51,7 @@ func TestFreelistRecyclesAcrossKinds(t *testing.T) {
 	var call func()
 	call = func() {
 		if total++; total%3 == 0 && total < 300 {
-			e.TaskAt(e.Now()+Nanosecond, func() {}) // tasks retire through the same freelist
+			e.CallAt(e.Now()+Nanosecond, func() {})
 		}
 		if total < 300 {
 			e.CallAfter(Nanosecond, call)

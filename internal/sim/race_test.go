@@ -38,7 +38,7 @@ func workload(t *testing.T) (Time, uint64) {
 			res.Acquire(p)
 			p.Sleep(10 * Nanosecond)
 			res.Release()
-			p.Yield()
+			p.Sleep(0)
 			q.Put(job{id: i})
 		})
 	}

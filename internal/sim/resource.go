@@ -40,9 +40,6 @@ func (e *Engine) NewResource(name string, capacity int) *Resource {
 // Name returns the resource name.
 func (r *Resource) Name() string { return r.name }
 
-// Capacity returns the number of slots.
-func (r *Resource) Capacity() int { return r.cap }
-
 // InUse returns the number of currently occupied slots.
 func (r *Resource) InUse() int { return r.inUse }
 
@@ -57,7 +54,7 @@ func (r *Resource) accountChange() {
 
 // Acquire blocks until a slot is free and takes it.
 func (r *Resource) Acquire(p *Proc) {
-	if !r.TryAcquire() {
+	if !r.tryAcquire() {
 		p.Wait(r.enqueue())
 	}
 }
@@ -67,7 +64,7 @@ func (r *Resource) Acquire(p *Proc) {
 // behind the other waiters and, once Release hands it the slot, runs in
 // the slot where a process blocked in Acquire at this point would resume.
 func (r *Resource) AcquireThen(fn func()) {
-	if r.TryAcquire() {
+	if r.tryAcquire() {
 		fn()
 		return
 	}
@@ -94,8 +91,8 @@ func (r *Resource) enqueue() *Event {
 	return ev
 }
 
-// TryAcquire takes a slot if one is immediately free and reports success.
-func (r *Resource) TryAcquire() bool {
+// tryAcquire takes a slot if one is immediately free and reports success.
+func (r *Resource) tryAcquire() bool {
 	if r.inUse < r.cap && r.queue.len() == 0 {
 		r.accountChange()
 		r.inUse++
@@ -124,14 +121,6 @@ func (r *Resource) Release() {
 	}
 	r.accountChange()
 	r.inUse--
-}
-
-// Use acquires the resource, holds it for d, then releases it. This is the
-// common "occupy hardware for a modeled duration" idiom.
-func (r *Resource) Use(p *Proc, d Time) {
-	r.Acquire(p)
-	p.Sleep(d)
-	r.Release()
 }
 
 // Utilization returns the mean fraction of capacity occupied between the

@@ -1,28 +1,22 @@
 // Package sim implements a deterministic discrete-event simulation engine.
 //
 // The engine advances a virtual clock by executing scheduled items in
-// non-decreasing time order. Three kinds of items exist: callbacks, which
-// run to completion inside the engine's goroutine, process resumptions,
-// which hand control to a cooperative process, and tasks — host work that
-// schedules nothing (no engine calls, no observable emissions). A task runs
-// at its slot like a callback; the distinction lets a sleeping process run
-// the tasks ahead of its own wake-up on its stack (see Proc.runAhead).
+// non-decreasing time order. Two kinds of items exist: callbacks, which
+// run to completion inside the engine's goroutine, and process
+// resumptions, which hand control to a cooperative process.
 //
 // Processes are coroutines wrapped by Proc: each runs on a pooled carrier
 // (an iter.Pull coroutine, see coro.go) that the engine resumes directly.
 // Exactly one process (or the engine itself) executes at any instant;
 // control is transferred explicitly when a process blocks in Sleep, Wait,
-// or a resource/queue operation. Sleep and Yield block only when they
-// must: when the process's own wake-up is the next item due — nothing
-// but tasks queued before it — they run those tasks on the process's
-// stack and keep running, in the exact (time, seq) order the dispatch
-// loop would have used. This cooperative single-executor
+// or a resource/queue operation, and comes back only when the dispatch
+// loop pops the process's wake-up. This cooperative single-executor
 // discipline makes the whole simulation race-free and fully
 // deterministic: the same program produces the same event trace on every
 // run.
 //
-// There is one engine, Engine (created by New). It runs every item, tasks
-// included, on the goroutine that calls Run.
+// There is one engine, Engine (created by New). It runs every item on the
+// goroutine that calls Run.
 //
 // Software — MPI ranks and mpi's host-memory protocol helpers — is
 // written as processes. Hardware models (GPU engines, CUDA streams, HCA
@@ -103,7 +97,6 @@ type itemKind uint8
 const (
 	kindCall itemKind = iota
 	kindResume
-	kindTask
 )
 
 // item is one entry in the event heap. Items are recycled through the
@@ -148,7 +141,6 @@ type Engine struct {
 	idle     []*carrier // carriers with no process, reused LIFO by SpawnAt
 	nevents  uint64     // dispatched item count, for stats and runaway guards
 	switches uint64     // process resumes performed by the dispatch loop
-	limit    Time       // the running loop's RunUntil limit; -1 for Run
 
 	tracer func(t Time, msg string)
 }
@@ -185,8 +177,7 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Events() uint64 { return e.nevents }
 
 // Switches returns the number of process resumes the dispatch loop has
-// performed. A process that keeps running through a Sleep or Yield
-// (see Proc.Sleep) costs no switch.
+// performed: one per process start and one per wake-up from a block.
 func (e *Engine) Switches() uint64 { return e.switches }
 
 // SetTracer installs a trace sink invoked for process lifecycle events.
@@ -256,17 +247,6 @@ func (e *Engine) CallAfter(d Time, fn func()) {
 	e.CallAt(e.now+d, fn)
 }
 
-// TaskAt schedules fn — host work that makes no engine calls and emits
-// nothing observable — to run at absolute time t. The dispatch loop runs
-// it at its slot exactly like CallAt; because a task schedules nothing, a
-// sleeping process may also run it on its own stack (see Proc.runAhead).
-func (e *Engine) TaskAt(t Time, fn func()) {
-	it := e.newItem()
-	it.kind = kindTask
-	it.fn = fn
-	e.schedule(t, it)
-}
-
 // DeadlockError reports that the event queue drained while processes were
 // still blocked on events that can no longer fire.
 type DeadlockError struct {
@@ -296,7 +276,6 @@ func (e *Engine) RunUntil(limit Time) error {
 }
 
 func (e *Engine) run(limit Time) error {
-	e.limit = limit
 	for len(e.heap) > 0 {
 		if limit >= 0 && e.heap[0].t > limit {
 			return nil
@@ -314,8 +293,6 @@ func (e *Engine) run(limit Time) error {
 			e.recycle(it)
 			e.switches++
 			e.runProc(p)
-		case kindTask:
-			e.runTask(it)
 		}
 	}
 	var msgs []string
@@ -333,12 +310,6 @@ func (e *Engine) run(limit Time) error {
 		return &DeadlockError{At: e.now, Blocked: msgs}
 	}
 	return nil
-}
-
-// runTask runs a dispatched task at its slot and recycles it.
-func (e *Engine) runTask(it *item) {
-	it.fn()
-	e.recycle(it)
 }
 
 // runProc switches to p's carrier and returns when p blocks or finishes.
@@ -392,26 +363,12 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	return e.SpawnAt(e.now, name, fn)
 }
 
-// SpawnNumbered is Spawn for a process named prefix followed by n in
-// decimal. The name is formatted only when a tracer or a deadlock
-// report reads it, so per-message processes cost no string.
-func (e *Engine) SpawnNumbered(prefix string, n int, fn func(p *Proc)) *Proc {
-	return e.spawn(e.now, label{prefix: prefix, n: n, num: true}, fn)
-}
-
 // SpawnAt creates a process starting at absolute time t. The process
 // runs on an idle carrier if one exists.
 func (e *Engine) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
-	return e.spawn(t, label{prefix: name}, fn)
-}
-
-func (e *Engine) spawn(t Time, name label, fn func(p *Proc)) *Proc {
-	p := &Proc{e: e, name: name, fn: fn, c: e.carrier()}
+	p := &Proc{e: e, name: label{prefix: name}, fn: fn, c: e.carrier()}
 	p.c.p = p
-	it := e.newItem()
-	it.kind = kindResume
-	it.proc = p
-	e.schedule(t, it)
+	p.scheduleResume(t)
 	return p
 }
 
@@ -423,71 +380,12 @@ func (p *Proc) scheduleResume(t Time) {
 	p.e.schedule(t, it)
 }
 
-// Sleep blocks the process for duration d of virtual time. When the
-// wake-up would be the next item dispatched, the process does not block:
-// see runAhead.
+// Sleep blocks the process for duration d of virtual time. Sleep(0) lets
+// every item already queued for the current instant run first.
 func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		panic("sim: negative sleep")
 	}
-	p.advance(p.e.now+d, "sleep")
-}
-
-// Yield reschedules the process at the current instant, letting other items
-// queued for the same time run first. Like Sleep, it returns without a
-// switch when only tasks are queued that early.
-func (p *Proc) Yield() {
-	p.advance(p.e.now, "yield")
-}
-
-// advance resumes p at absolute time t: in place if runAhead can, by a
-// wake-up item and a switch to the dispatch loop otherwise. t is fixed
-// on entry; runAhead moves the clock only when it succeeds.
-func (p *Proc) advance(t Time, why string) {
-	if !p.runAhead(t) {
-		p.scheduleResume(t)
-		p.block(why, nil)
-	}
-}
-
-// runAhead dispatches, on p's stack, what the loop would dispatch between
-// now and p's wake-up at t, and reports whether p may go on running.
-//
-// A wake-up scheduled now takes the highest seq in the heap, so the loop
-// would run every item due at or before t first. While those are tasks —
-// host work that schedules nothing — runAhead pops and runs them exactly
-// as the loop does. If that leaves the wake-up next, and t is within the
-// running loop's limit, it consumes the wake-up's seq and event count,
-// advances the clock to t and returns true. Any other item in the way
-// (a call or a resume) returns false and p blocks as usual; the tasks
-// already run were due before it either way. Resumes are not traced,
-// so no output can tell the two paths apart.
-//
-// A task that panics leaves the clock at its slot and returns false, with
-// the panic stored for runProc to raise from Run once p has blocked on
-// its wake-up: the state the loop would have panicked in.
-func (p *Proc) runAhead(t Time) (ahead bool) {
-	e := p.e
-	if e.limit >= 0 && t > e.limit {
-		return false
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			p.panicked = r
-			ahead = false
-		}
-	}()
-	for len(e.heap) > 0 && e.heap[0].t <= t {
-		if e.heap[0].kind != kindTask {
-			return false
-		}
-		it := heap.Pop(&e.heap).(*item)
-		e.now = it.t
-		e.nevents++
-		e.runTask(it)
-	}
-	e.now = t
-	e.seq++
-	e.nevents++
-	return true
+	p.scheduleResume(p.e.now + d)
+	p.block("sleep", nil)
 }

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestTimeUnits(t *testing.T) {
@@ -109,6 +111,36 @@ func TestProcSleep(t *testing.T) {
 	want := []string{"a0@0ns", "a1@10ns", "b@12ns", "a2@15ns"}
 	if !reflect.DeepEqual(trace, want) {
 		t.Errorf("trace = %v, want %v", trace, want)
+	}
+}
+
+// TestWakeUpTieOrder: a wake-up tied with a call or another process's
+// wake-up already queued for the same instant takes the later seq, so
+// the sleeper runs after them. Sleep(0) ties at the current instant.
+func TestWakeUpTieOrder(t *testing.T) {
+	for _, d := range []Time{0, 10} {
+		e := New()
+		defer e.Shutdown()
+		var log []string
+		e.Spawn("other", func(p *Proc) {
+			p.Sleep(d)
+			log = append(log, fmt.Sprintf("other@%v", p.Now()))
+		})
+		e.Spawn("sleeper", func(p *Proc) {
+			e.CallAt(d, func() { log = append(log, fmt.Sprintf("call@%v", e.Now())) })
+			p.Sleep(d)
+			log = append(log, fmt.Sprintf("sleeper@%v", p.Now()))
+		})
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := fmt.Sprint(log), fmt.Sprintf("[other@%[1]v call@%[1]v sleeper@%[1]v]", d); got != want {
+			t.Errorf("Sleep(%v): order %s, want %s", d, got, want)
+		}
+		// Two starts and two wake-ups, each a switch.
+		if s := e.Switches(); s != 4 {
+			t.Errorf("Sleep(%v): Switches = %d, want 4", d, s)
+		}
 	}
 }
 
@@ -214,29 +246,6 @@ func TestWaitAnyAlreadyFired(t *testing.T) {
 	}
 }
 
-func TestAllOf(t *testing.T) {
-	e := New()
-	a, b, c := e.NewEvent("a"), e.NewEvent("b"), e.NewEvent("c")
-	all := e.AllOf("all", a, b, c)
-	var at Time = -1
-	e.Spawn("w", func(p *Proc) {
-		p.Wait(all)
-		at = p.Now()
-	})
-	e.CallAt(5, func() { a.Trigger() })
-	e.CallAt(15, func() { c.Trigger() })
-	e.CallAt(10, func() { b.Trigger() })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if at != 15 {
-		t.Errorf("AllOf fired at %v, want 15", at)
-	}
-	if empty := e.AllOf("none"); !empty.Fired() {
-		t.Error("AllOf with no inputs should be pre-fired")
-	}
-}
-
 func TestWaitAllBlocksUntilLast(t *testing.T) {
 	e := New()
 	a, b := e.NewEvent("a"), e.NewEvent("b")
@@ -337,7 +346,9 @@ func TestResourceCapacityTwo(t *testing.T) {
 	var finish []Time
 	for i := 0; i < 4; i++ {
 		e.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
-			r.Use(p, 10)
+			r.Acquire(p)
+			p.Sleep(10)
+			r.Release()
 			finish = append(finish, p.Now())
 		})
 	}
@@ -382,15 +393,15 @@ func TestResourceTryAcquire(t *testing.T) {
 	e := New()
 	r := e.NewResource("r", 1)
 	e.Spawn("p", func(p *Proc) {
-		if !r.TryAcquire() {
-			t.Error("first TryAcquire failed")
+		if !r.tryAcquire() {
+			t.Error("first tryAcquire failed")
 		}
-		if r.TryAcquire() {
-			t.Error("second TryAcquire succeeded on full resource")
+		if r.tryAcquire() {
+			t.Error("second tryAcquire succeeded on full resource")
 		}
 		r.Release()
-		if !r.TryAcquire() {
-			t.Error("TryAcquire after release failed")
+		if !r.tryAcquire() {
+			t.Error("tryAcquire after release failed")
 		}
 		r.Release()
 	})
@@ -414,7 +425,9 @@ func TestResourceUtilization(t *testing.T) {
 	e := New()
 	r := e.NewResource("r", 1)
 	e.Spawn("p", func(p *Proc) {
-		r.Use(p, 50)
+		r.Acquire(p)
+		p.Sleep(50)
+		r.Release()
 		p.Sleep(50)
 	})
 	if err := e.Run(); err != nil {
@@ -480,26 +493,6 @@ func TestQueueTryGet(t *testing.T) {
 	}
 	if q.Len() != 0 {
 		t.Errorf("len = %d", q.Len())
-	}
-}
-
-func TestYieldRunsOthersFirst(t *testing.T) {
-	e := New()
-	var order []string
-	e.Spawn("a", func(p *Proc) {
-		order = append(order, "a1")
-		p.Yield()
-		order = append(order, "a2")
-	})
-	e.Spawn("b", func(p *Proc) {
-		order = append(order, "b")
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"a1", "b", "a2"}
-	if !reflect.DeepEqual(order, want) {
-		t.Errorf("order = %v, want %v", order, want)
 	}
 }
 
@@ -581,6 +574,68 @@ func TestPropEventOrdering(t *testing.T) {
 	}
 }
 
+// Property: for random mixes of sleeping processes that schedule calls,
+// and independent calls, every call and wake-up observes the clock in
+// time order, every marker call due earlier has run by then and none due
+// later has, and Events counts every start, wake-up and call.
+func TestPropSleepCallOrder(t *testing.T) {
+	type marker struct {
+		due  Time
+		done bool
+	}
+	f := func(seed uint32) bool {
+		e := New()
+		defer e.Shutdown()
+		r := seed
+		next := func(n int) Time {
+			r = r*1664525 + 1013904223
+			return Time(int(r>>16) % n)
+		}
+		var markers []*marker
+		var last Time
+		ok := true
+		see := func() {
+			now := e.Now()
+			ok = ok && now >= last
+			last = now
+			for _, m := range markers {
+				if m.due < now && !m.done || m.due > now && m.done {
+					ok = false
+				}
+			}
+		}
+		var items uint64
+		for c := 0; c < 3; c++ {
+			e.CallAt(next(40), see)
+			items++
+		}
+		for i := 0; i < 1+int(next(4)); i++ {
+			steps := int(next(12))
+			items += 1 + uint64(steps)
+			e.Spawn("walker", func(p *Proc) {
+				for s := 0; s < steps; s++ {
+					for k := next(3); k > 0; k-- {
+						m := &marker{due: p.Now() + next(15)}
+						markers = append(markers, m)
+						e.CallAt(m.due, func() { m.done = true })
+						items++
+					}
+					p.Sleep(next(10))
+					see()
+				}
+			})
+		}
+		if err := e.Run(); err != nil {
+			t.Error(err)
+			return false
+		}
+		return ok && e.Events() == items
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+}
+
 // Property: simulation is deterministic — the same randomized workload run
 // twice produces the identical completion trace.
 func TestPropDeterminism(t *testing.T) {
@@ -604,7 +659,9 @@ func TestPropDeterminism(t *testing.T) {
 					if v < 0 {
 						return
 					}
-					r.Use(p, hold)
+					r.Acquire(p)
+					p.Sleep(hold)
+					r.Release()
 					trace = append(trace, fmt.Sprintf("w%d:%d@%v", w, v, p.Now()))
 				}
 			})
@@ -673,7 +730,11 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	e := New()
 	r := e.NewResource("r", 2)
 	for i := 0; i < b.N; i++ {
-		e.Spawn("w", func(p *Proc) { r.Use(p, 5) })
+		e.Spawn("w", func(p *Proc) {
+			r.Acquire(p)
+			p.Sleep(5)
+			r.Release()
+		})
 	}
 	b.ResetTimer()
 	if err := e.Run(); err != nil {
@@ -702,17 +763,59 @@ func TestNonDaemonStillDeadlocks(t *testing.T) {
 	}
 }
 
+// TestProcPanicPropagatesToRun: a panic in a process body or in a
+// scheduled call is raised from Run with the clock at the panicking
+// item's slot. A sleeper due later stays blocked in its Sleep, and
+// Shutdown then unwinds it and leaves no goroutine behind.
 func TestProcPanicPropagatesToRun(t *testing.T) {
-	e := New()
-	e.Spawn("boom", func(p *Proc) {
-		p.Sleep(5)
-		panic("kaboom")
-	})
-	defer func() {
-		if r := recover(); r != "kaboom" {
-			t.Errorf("recovered %v, want kaboom", r)
-		}
-	}()
-	_ = e.Run()
-	t.Error("Run returned instead of panicking")
+	for _, c := range []struct {
+		name string
+		boom func(e *Engine)
+	}{
+		{"process", func(e *Engine) {
+			e.Spawn("boom", func(p *Proc) {
+				p.Sleep(5)
+				panic("kaboom")
+			})
+		}},
+		{"call", func(e *Engine) { e.CallAt(5, func() { panic("kaboom") }) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			e := New()
+			unwound, resumed := false, false
+			e.Spawn("sleeper", func(p *Proc) {
+				defer func() { unwound = true }()
+				p.Sleep(10)
+				resumed = true
+			})
+			c.boom(e)
+			func() {
+				defer func() {
+					if r := recover(); r != "kaboom" {
+						t.Errorf("recovered %v, want kaboom", r)
+					}
+				}()
+				_ = e.Run()
+				t.Error("Run returned instead of panicking")
+			}()
+			if unwound || resumed {
+				t.Errorf("after the panic: unwound %v, resumed %v; want the sleeper still blocked", unwound, resumed)
+			}
+			if e.Now() != 5 {
+				t.Errorf("clock at %v after the panic, want the panicking slot 5ns", e.Now())
+			}
+			withinDeadline(t, "Shutdown", e.Shutdown)
+			if !unwound || resumed {
+				t.Errorf("after Shutdown: unwound %v, resumed %v; want true, false", unwound, resumed)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if got := runtime.NumGoroutine(); got > base {
+				t.Errorf("%d goroutines after Shutdown, want at most the baseline %d", got, base)
+			}
+		})
+	}
 }

@@ -137,7 +137,7 @@ func TestAcquireThenGrantTraceText(t *testing.T) {
 			}
 		})
 		r := e.NewResource("link", 1)
-		r.TryAcquire()
+		r.tryAcquire()
 		if cont {
 			r.AcquireThen(func() { lines = append(lines, "granted") })
 		} else {
@@ -321,7 +321,7 @@ func TestContendedResourceAllocatesNothing(t *testing.T) {
 	rounds := 0
 	round := func() {
 		rounds++
-		r.TryAcquire()
+		r.tryAcquire()
 		r.AcquireThen(c.step)
 		r.AcquireThen(c.step)
 		r.Release()
