@@ -36,7 +36,8 @@ import (
 // benchResults is the machine-readable summary written as BENCH_repro.json:
 // the Figure 5(b) latency curves, the Table II/III stencil medians, the
 // per-resource utilization of the five-stage pipeline at 4 MB, and the
-// pipeline doctor's stall attribution of the same point.
+// pipeline doctor's stall attribution of the same point, and the 1 MB
+// host round trip under each rendezvous protocol (the RGET row).
 type benchResults struct {
 	Scale              int                           `json:"scale"`
 	Iters              int                           `json:"iters"`
@@ -44,6 +45,8 @@ type benchResults struct {
 	Stencil2DMedianSec map[string][]shoc.TableRow    `json:"stencil2d_median_sec"`
 	PipelineResources  []resourceUtil                `json:"pipeline_utilization_4mb"`
 	Pipedoctor4MB      critpath.BenchResult          `json:"pipedoctor_4mb"`
+	RndvPutHost1MBUs   float64                       `json:"rndv_put_host_1mb_us"`
+	RndvGetHost1MBUs   float64                       `json:"rndv_get_host_1mb_us"`
 }
 
 // resourceUtil is one row of the pipeline utilization table. Rail lanes of
@@ -212,6 +215,7 @@ func main() {
 
 	put := hostRoundTrip(mpi.RendezvousPut)
 	get := hostRoundTrip(mpi.RendezvousGet)
+	bench.RndvPutHost1MBUs, bench.RndvGetHost1MBUs = put.Micros(), get.Micros()
 	fmt.Printf("rendezvous protocols, 1 MB contiguous host transfer: put %.1f us, get %.1f us (%s better)\n\n",
 		put.Micros(), get.Micros(), report.Improvement(put, get))
 
