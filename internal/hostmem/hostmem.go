@@ -127,12 +127,15 @@ func (p *Pool) MinFree() int { return p.minFree }
 func (p *Pool) Mapped() int { return p.mapped }
 
 // Get blocks until a vbuf is available and returns it, accounted to
-// rail 0.
+// rail 0. It is for process code — the GPU transport's process
+// references in internal/core's tests; the transport itself waits with
+// GetThen.
 func (p *Pool) Get(proc *sim.Proc) *Vbuf {
 	return p.GetRail(proc, 0)
 }
 
-// GetRail is Get with the hold accounted to the given pipeline rail. When
+// GetRail is Get with the hold accounted to the given pipeline rail (for
+// process code, like Get; the transport uses GetRailThen). When
 // the pool is exhausted, the blocked interval is traced as a vbuf_wait
 // task on "<pool>.wait", and the eventual hold records an explicit
 // dependency edge on it — the signal the critical-path analyzer uses to

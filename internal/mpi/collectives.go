@@ -36,8 +36,8 @@ func (c *Comm) Barrier() {
 		src := (c.Rank() - mask + n) % n
 		rq := c.r.irecv(empty, 0, datatype.Byte, c.WorldRank(src), collTagBase+round, c.ctxColl)
 		sq := c.r.isend(empty, 0, datatype.Byte, c.WorldRank(dst), collTagBase+round, c.ctxColl)
-		c.r.Proc().Wait(&sq.done)
-		c.r.Proc().Wait(&rq.done)
+		c.r.waitBlocking(sq)
+		c.r.waitBlocking(rq)
 		round++
 	}
 }
@@ -57,7 +57,7 @@ func (c *Comm) Bcast(buf mem.Ptr, count int, dt *datatype.Datatype, root int) {
 		if vrank&mask != 0 {
 			parent := (vrank - mask + root) % n
 			q := c.r.irecv(buf, count, dt, c.WorldRank(parent), collTagBase+20, c.ctxColl)
-			c.r.Proc().Wait(&q.done)
+			c.r.waitBlocking(q)
 			break
 		}
 		mask <<= 1
@@ -73,8 +73,7 @@ func (c *Comm) Bcast(buf mem.Ptr, count int, dt *datatype.Datatype, root int) {
 // sendCollBlocking sends on the collective context and waits for local
 // completion, so the caller may reuse buf immediately after.
 func (c *Comm) sendCollBlocking(buf mem.Ptr, count int, dt *datatype.Datatype, dest, tag int) {
-	q := c.r.isend(buf, count, dt, c.WorldRank(dest), tag, c.ctxColl)
-	c.r.Proc().Wait(&q.done)
+	c.r.waitBlocking(c.r.isend(buf, count, dt, c.WorldRank(dest), tag, c.ctxColl))
 }
 
 // Op is a reduction operator over float64.
@@ -113,8 +112,7 @@ func (c *Comm) Reduce(sendBuf, recvBuf mem.Ptr, count int, op Op, root int) {
 		if peer >= n {
 			continue
 		}
-		q := c.r.irecv(tmp, count, datatype.Float64, c.WorldRank((peer+root)%n), collTagBase+21, c.ctxColl)
-		c.r.Proc().Wait(&q.done)
+		c.r.waitBlocking(c.r.irecv(tmp, count, datatype.Float64, c.WorldRank((peer+root)%n), collTagBase+21, c.ctxColl))
 		readF64(tmp, scratch)
 		for i := range acc {
 			acc[i] = op(acc[i], scratch[i])
@@ -144,8 +142,7 @@ func (c *Comm) Gather(sendBuf mem.Ptr, count int, dt *datatype.Datatype, recvBuf
 			localTypedCopy(dst, sendBuf, count, dt)
 			continue
 		}
-		q := c.r.irecv(dst, count, dt, c.WorldRank(src), collTagBase+22, c.ctxColl)
-		c.r.Proc().Wait(&q.done)
+		c.r.waitBlocking(c.r.irecv(dst, count, dt, c.WorldRank(src), collTagBase+22, c.ctxColl))
 	}
 }
 
@@ -153,8 +150,7 @@ func (c *Comm) Gather(sendBuf mem.Ptr, count int, dt *datatype.Datatype, recvBuf
 // (laid out by communicator rank) into each member's recvBuf (MPI_Scatter).
 func (c *Comm) Scatter(sendBuf mem.Ptr, count int, dt *datatype.Datatype, recvBuf mem.Ptr, root int) {
 	if c.Rank() != root {
-		q := c.r.irecv(recvBuf, count, dt, c.WorldRank(root), collTagBase+23, c.ctxColl)
-		c.r.Proc().Wait(&q.done)
+		c.r.waitBlocking(c.r.irecv(recvBuf, count, dt, c.WorldRank(root), collTagBase+23, c.ctxColl))
 		return
 	}
 	for dst := 0; dst < c.Size(); dst++ {

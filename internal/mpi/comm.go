@@ -62,15 +62,12 @@ func (c *Comm) commRankOf(world int) int {
 
 // Send is MPI_Send on this communicator; dest is a communicator rank.
 func (c *Comm) Send(buf mem.Ptr, count int, dt *datatype.Datatype, dest, tag int) {
-	q := c.Isend(buf, count, dt, dest, tag)
-	c.r.Proc().Wait(&q.done)
+	c.r.waitBlocking(c.Isend(buf, count, dt, dest, tag))
 }
 
 // Recv is MPI_Recv on this communicator; source may be AnySource.
 func (c *Comm) Recv(buf mem.Ptr, count int, dt *datatype.Datatype, source, tag int) Status {
-	q := c.Irecv(buf, count, dt, source, tag)
-	c.r.Proc().Wait(&q.done)
-	return q.status
+	return c.r.waitBlocking(c.Irecv(buf, count, dt, source, tag))
 }
 
 // Isend is MPI_Isend on this communicator. dest may be ProcNull.
@@ -101,9 +98,8 @@ func (c *Comm) Sendrecv(
 ) Status {
 	rq := c.Irecv(recvBuf, recvCount, recvType, source, recvTag)
 	sq := c.Isend(sendBuf, sendCount, sendType, dest, sendTag)
-	c.r.Proc().Wait(&sq.done)
-	c.r.Proc().Wait(&rq.done)
-	return rq.status
+	c.r.waitBlocking(sq)
+	return c.r.waitBlocking(rq)
 }
 
 // ---------------------------------------------------------------------------
@@ -245,8 +241,7 @@ func (w *World) allocCtx() int {
 // sendColl/recvColl are internal fixed-size byte exchanges on a
 // communicator's collective context.
 func (r *Rank) sendColl(buf mem.Ptr, n int, c *Comm, dest, tag int) {
-	q := r.isend(buf, n, datatype.Byte, c.WorldRank(dest), tag, c.ctxColl)
-	r.Proc().Wait(&q.done)
+	r.waitBlocking(r.isend(buf, n, datatype.Byte, c.WorldRank(dest), tag, c.ctxColl))
 }
 
 func (r *Rank) recvColl(buf mem.Ptr, n int, c *Comm, source, tag int) Status {
@@ -254,9 +249,7 @@ func (r *Rank) recvColl(buf mem.Ptr, n int, c *Comm, source, tag int) Status {
 	if source != AnySource {
 		src = c.WorldRank(source)
 	}
-	q := r.irecv(buf, n, datatype.Byte, src, tag, c.ctxColl)
-	r.Proc().Wait(&q.done)
-	return q.status
+	return r.waitBlocking(r.irecv(buf, n, datatype.Byte, src, tag, c.ctxColl))
 }
 
 func readInt(p mem.Ptr, off int) int {

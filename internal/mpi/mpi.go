@@ -8,16 +8,19 @@
 //
 //   - matching (posted-receive queue + unexpected-message queue) is owned
 //     here and is common to all transports;
-//   - the host-memory data path (pack → RDMA → unpack) is implemented here;
+//   - the host-memory data path (pack → RDMA → unpack) is implemented here,
+//     put and get, as continuations on pooled per-rank records;
 //   - buffers detected to live in GPU device memory are delegated to a
 //     pluggable GPUTransport — internal/core provides the paper's
 //     MV2-GPU-NC implementation, and a World without a transport rejects
 //     device buffers exactly like a non-CUDA-aware MPI.
 //
-// Every rank runs as one simulation process; blocking calls (Send, Recv,
-// Wait, Barrier) suspend that process in virtual time while the protocol
-// progresses through engine-context handlers driven by the InfiniBand
-// fabric model.
+// Every rank runs as one simulation process, and ranks are the only
+// processes: blocking calls (Send, Recv, Wait, Barrier) suspend the rank
+// in virtual time while the protocol progresses through engine-context
+// handlers and continuations driven by the InfiniBand fabric model.
+// Steady-state traffic allocates nothing per message: wire headers come
+// from a free list, and the requests of blocking calls are recycled.
 package mpi
 
 import (
@@ -133,6 +136,8 @@ type World struct {
 	transport GPUTransport
 	nextCtx   int // context-ID allocator for Comm.Split (root-driven)
 	hub       *obs.Hub
+	host      hostProtocol // host-memory rendezvous: records, or a test reference
+	freeHdrs  *header      // recycled wire headers, shared by the ranks
 }
 
 // SetHub attaches an observability hub: every request's lifetime becomes
@@ -148,7 +153,7 @@ func (w *World) Hub() *obs.Hub { return w.hub }
 
 // NewWorld creates an empty world; attach ranks with AddRank.
 func NewWorld(e *sim.Engine, cfg Config) *World {
-	return &World{e: e, cfg: cfg.withDefaults()}
+	return &World{e: e, cfg: cfg.withDefaults(), host: records{}}
 }
 
 // Engine returns the simulation engine.
@@ -236,6 +241,10 @@ type Rank struct {
 	reqs        map[int]*Request  // in-flight rendezvous requests by ID
 	freeReqs    []*Request        // recycled blocking-call requests
 	freeFinQs   []*sim.Queue[int] // FIN queues of completed rendezvous receives
+	sendFree    *hsend            // idle put senders from host memory (hostrndv.go)
+	recvFree    *hrecv            // idle put receivers into host memory
+	getFree     *hget             // idle get receivers (proto_get.go)
+	scatterFree *hscatter         // idle host eager scatters
 	allocReqs   int               // requests allocated, recycled ones not counted
 	obsTrack    string            // tracing track name, "rankN.mpi"
 	reqName     string            // request event name prefix, "rankN.req"

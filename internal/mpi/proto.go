@@ -10,16 +10,48 @@ import (
 	"mv2sim/internal/sim"
 )
 
-// Wire messages. All protocol headers travel as two-sided ib sends; bulk
-// data travels as eager payload or one-sided RDMA writes into announced
-// slots.
+// Wire headers. All protocol headers travel as two-sided ib sends; bulk
+// data travels as eager payload, one-sided RDMA writes into announced
+// slots, or (RGET) RDMA reads of an advertised region.
 
-type eagerMsg struct {
-	Src, Tag, Ctx, Size int
+// hdrKind says which protocol message a header carries.
+type hdrKind uint8
+
+const (
+	hdrEager  hdrKind = iota // eager data: the envelope, payload inline
+	hdrRTS                   // put rendezvous request-to-send
+	hdrRTSGet                // get rendezvous request-to-send with the rkey to read
+	hdrCTS                   // clear-to-send: geometry and a batch of slots
+	hdrFIN                   // one chunk has landed in its slot
+	hdrDone                  // get rendezvous: the receiver has read it all
+)
+
+// header is one protocol message. Headers come from a free list per
+// world and go to ib by pointer — a pointer held in an ib.Message does
+// not allocate — and handleMessage puts each back once it has copied its
+// fields out, so no post allocates.
+type header struct {
+	kind                    hdrKind
+	rkey                    uint32 // get RTS
+	src, tag, ctx, size     int    // eager, RTS, get RTS: the envelope
+	sendID, recvID          int    // the sender's and the receiver's request IDs
+	chunk                   int    // FIN
+	totalChunks, chunkBytes int    // CTS
+	slots                   []Slot // CTS: the poster's slice, read on delivery
+	next                    *header
 }
 
-type rtsMsg struct {
-	Src, Tag, Ctx, Size, SendID int
+// post sends h to rank dst on rail through a pooled header, completing
+// done as ib.HCA.PostSendRailInto does (nil: nobody waits).
+func (r *Rank) post(done *sim.Event, dst int, h header, payload []byte, rail int) {
+	p := r.w.freeHdrs
+	if p == nil {
+		p = new(header)
+	} else {
+		r.w.freeHdrs = p.next
+	}
+	*p = h
+	r.hca.PostSendRailInto(done, dst, p, payload, rail)
 }
 
 // Slot is one chunk's landing area announced in a CTS: chunk index,
@@ -30,16 +62,6 @@ type Slot struct {
 	Rkey  uint32
 	Off   int
 	Len   int
-}
-
-type ctsMsg struct {
-	SendID, RecvID          int
-	TotalChunks, ChunkBytes int
-	Slots                   []Slot
-}
-
-type finMsg struct {
-	RecvID, Chunk int
 }
 
 // inbound is an arrived-but-unmatched message.
@@ -57,7 +79,10 @@ type inbound struct {
 // wire protocol and completion plumbing stay in this package. All methods
 // are invoked in engine context or from a rank process and must not block
 // the caller: long-running work goes on in the transport, as scheduled
-// continuations (eager staging and the rendezvous pipeline).
+// continuations (eager staging and the rendezvous pipeline). Once the
+// transport has completed a request (SendPacked's post included) it must
+// not touch it again: a blocking call recycles its request as soon as it
+// has completed.
 type GPUTransport interface {
 	// StageToHost packs the request's device buffer into host bytes and
 	// hands them to req.SendPacked when the packed data is ready. Used
@@ -117,11 +142,9 @@ func (r *Rank) Isend(buf mem.Ptr, count int, dt *datatype.Datatype, dest, tag in
 // Send is the blocking form (MPI_Send): it returns when the send buffer is
 // reusable (eager: buffered on the wire; rendezvous: fully transferred).
 // Its request is never seen by the caller, so it goes back to the rank's
-// free list when it completed eagerly.
+// free list.
 func (r *Rank) Send(buf mem.Ptr, count int, dt *datatype.Datatype, dest, tag int) {
-	q := r.isend(buf, count, dt, dest, tag, ctxPt2pt)
-	r.Proc().Wait(&q.done)
-	r.recycle(q)
+	r.waitBlocking(r.isend(buf, count, dt, dest, tag, ctxPt2pt))
 }
 
 func (r *Rank) isend(buf mem.Ptr, count int, dt *datatype.Datatype, dest, tag, ctx int) *Request {
@@ -139,17 +162,14 @@ func (r *Rank) isend(buf mem.Ptr, count int, dt *datatype.Datatype, dest, tag, c
 
 	switch {
 	case dest == r.rank:
-		q.eager = true
 		r.selfSend(q)
 	case q.size == 0:
 		// Zero-byte messages always travel eagerly, device or host.
-		q.eager = true
 		q.SendPacked(nil)
 		r.stats.EagerSent++
 	case buf.IsDevice():
 		t := r.transport()
 		if q.size <= r.w.cfg.EagerLimit {
-			q.eager = true
 			t.StageToHost(q)
 			r.stats.EagerSent++
 		} else {
@@ -157,7 +177,6 @@ func (r *Rank) isend(buf mem.Ptr, count int, dt *datatype.Datatype, dest, tag, c
 			r.stats.RndvSent++
 		}
 	case q.size <= r.w.cfg.EagerLimit:
-		q.eager = true
 		r.Proc().Sleep(r.hostPackCost(dt, count))
 		payload := mem.GetBytes(q.size)
 		dt.PackBytes(payload, buf, count)
@@ -191,9 +210,7 @@ func (r *Rank) startHostRendezvous(q *Request) {
 		return
 	}
 	r.SendRTS(q)
-	r.w.e.Spawn(fmt.Sprintf("rank%d.hostsend%d", r.rank, q.id), func(p *sim.Proc) {
-		r.sendHostData(p, q)
-	})
+	r.w.host.sendData(q)
 }
 
 // selfSend delivers a message to this same rank without touching the
@@ -227,7 +244,7 @@ func (q *Request) SendPacked(packed []byte) {
 		return
 	}
 	// The post snapshots packed, which the caller then recycles.
-	r.hca.PostSendRailInto(&q.ev, q.peer, eagerMsg{r.rank, q.tag, q.ctx, q.size}, packed, 0)
+	r.post(&q.ev, q.peer, header{kind: hdrEager, src: r.rank, tag: q.tag, ctx: q.ctx, size: q.size}, packed, 0)
 	if q.completeSendFn == nil {
 		q.completeSendFn = q.CompleteSend
 	}
@@ -239,7 +256,7 @@ func (q *Request) SendPacked(packed []byte) {
 // overlaps datatype processing as in the paper's design.
 func (r *Rank) SendRTS(q *Request) {
 	r.w.hub.Instant(obs.KindRTS, r.obsTrack, -1, q.size)
-	r.hca.PostSend(q.peer, rtsMsg{r.rank, q.tag, q.ctx, q.size, q.id}, nil)
+	r.post(nil, q.peer, header{kind: hdrRTS, src: r.rank, tag: q.tag, ctx: q.ctx, size: q.size, sendID: q.id}, nil, 0)
 }
 
 // slotEntry is one chunk's landing slot on the sender, once announced.
@@ -249,7 +266,9 @@ type slotEntry struct {
 }
 
 // AwaitCTS blocks until the first CTS for this send arrives and returns
-// the transfer geometry the receiver chose.
+// the transfer geometry the receiver chose. It is for the process
+// references of the protocol records in tests (here and in internal/core);
+// library code waits with AwaitCTSThen.
 func (q *Request) AwaitCTS(p *sim.Proc) (totalChunks, chunkBytes int) {
 	for q.totalChunks == 0 {
 		p.Wait(q.slotEvent())
@@ -274,7 +293,8 @@ func (q *Request) AwaitCTSThen(fn func()) {
 func (q *Request) CTSGeometry() (totalChunks, chunkBytes int) { return q.totalChunks, q.chunkBytes }
 
 // AwaitSlot blocks until the landing slot for the given chunk has been
-// announced.
+// announced. Like AwaitCTS it is for test references; library code
+// waits with AwaitSlotThen.
 func (q *Request) AwaitSlot(p *sim.Proc, chunk int) Slot {
 	for {
 		if s, ok := q.slot(chunk); ok {
@@ -334,22 +354,15 @@ func (q *Request) slotEvent() *sim.Event {
 	return &q.ev
 }
 
-// RDMAChunk places one packed chunk into its announced slot on rail 0 and
-// posts the chunk's FIN message behind it (ordered delivery makes the FIN
-// arrive after the data). It returns the local completion event, after
-// which the source buffer is reusable.
-func (r *Rank) RDMAChunk(q *Request, s Slot, src mem.Ptr, n int) *sim.Event {
-	done := new(sim.Event)
-	r.RDMAChunkRailInto(done, q, s, src, n, 0, obs.Span{})
-	return done
-}
-
-// RDMAChunkRailInto is RDMAChunk on an explicit HCA rail, completing done,
-// an event the caller holds (see ib.HCA.RDMAWriteRailInto). The data write
-// and its FIN travel on the same rail — wire FIFO ordering holds only per
-// rail, so posting them on different rails would let the FIN overtake its
-// data. FINs from different rails may arrive in any interleaving; the
-// receiver must not assume chunk order. The chunk's wire tasks and FIN
+// RDMAChunkRailInto places one packed chunk into its announced slot on an
+// HCA rail and posts the chunk's FIN message behind it (ordered delivery
+// makes the FIN arrive after the data). done, an event the caller holds,
+// fires at local completion, after which the source buffer is reusable
+// (see ib.HCA.RDMAWriteRailInto). The data write and its FIN travel on
+// the same rail — wire FIFO ordering holds only per rail, so posting
+// them on different rails would let the FIN overtake its data. FINs from
+// different rails may arrive in any interleaving; the receiver must not
+// assume chunk order. The chunk's wire tasks and FIN
 // marker are parented under sp, the sender's rdma stage span, so the
 // critical-path analyzer can follow chunk identity across the fabric; an
 // inert span degrades to plain tracing.
@@ -359,7 +372,7 @@ func (r *Rank) RDMAChunkRailInto(done *sim.Event, q *Request, s Slot, src mem.Pt
 	}
 	r.hca.RDMAWriteRailInto(done, q.peer, src, n, s.Rkey, s.Off, rail, sp, s.Chunk)
 	r.w.hub.InstantChild(sp, obs.KindFIN, r.obsTrack, s.Chunk, n)
-	r.hca.PostSendRail(q.peer, finMsg{q.peerID, s.Chunk}, nil, rail)
+	r.post(nil, q.peer, header{kind: hdrFIN, recvID: q.peerID, chunk: s.Chunk}, nil, rail)
 }
 
 // RDMANicChunkRailInto places one chunk into its announced slot with the
@@ -376,35 +389,8 @@ func (r *Rank) RDMANicChunkRailInto(done *sim.Event, q *Request, s Slot, sg ib.S
 	}
 	r.hca.RDMAWriteGatherRailInto(done, q.peer, sg, s.Rkey, s.Off, rail, sp, s.Chunk, func() {
 		r.w.hub.InstantChild(sp, obs.KindFIN, r.obsTrack, s.Chunk, sg.N)
-		r.hca.PostSendRail(q.peer, finMsg{q.peerID, s.Chunk}, nil, rail)
+		r.post(nil, q.peer, header{kind: hdrFIN, recvID: q.peerID, chunk: s.Chunk}, nil, rail)
 	})
-}
-
-// sendHostData is the host-memory rendezvous sender: pack each chunk on
-// the CPU and place it. Chunks are processed in order; each chunk's pack
-// overlaps the previous chunk's wire time through the async RDMA post.
-// Packing indexes the datatype's cached chunk plan, so the per-chunk walk
-// re-derives nothing.
-func (r *Rank) sendHostData(p *sim.Proc, q *Request) {
-	total, chunkBytes := q.AwaitCTS(p)
-	plan := q.dt.ChunkPlan(q.count, chunkBytes)
-	staging := r.AllocHost(chunkBytes)
-	defer r.FreeHost(staging)
-	var lastEv *sim.Event
-	for c := 0; c < total; c++ {
-		s := q.AwaitSlot(p, c)
-		off := c * chunkBytes
-		p.Sleep(r.hostCopyCost(s.Len))
-		plan.PackRange(staging, q.buf, off, s.Len)
-		lastEv = r.RDMAChunk(q, s, staging, s.Len)
-		// The staging buffer is reused next iteration, so wait for the
-		// HCA to have read it (local completion).
-		p.Wait(lastEv)
-	}
-	if lastEv != nil {
-		p.Wait(lastEv)
-	}
-	q.CompleteSend()
 }
 
 // ---------------------------------------------------------------------------
@@ -416,14 +402,10 @@ func (r *Rank) Irecv(buf mem.Ptr, count int, dt *datatype.Datatype, source, tag 
 	return r.irecv(buf, count, dt, source, tag, ctxPt2pt)
 }
 
-// Recv is the blocking form (MPI_Recv).
-// Like Send, it recycles its request when it completed eagerly.
+// Recv is the blocking form (MPI_Recv). Like Send, it recycles its
+// request.
 func (r *Rank) Recv(buf mem.Ptr, count int, dt *datatype.Datatype, source, tag int) Status {
-	q := r.irecv(buf, count, dt, source, tag, ctxPt2pt)
-	r.Proc().Wait(&q.done)
-	st := q.status
-	r.recycle(q)
-	return st
+	return r.waitBlocking(r.irecv(buf, count, dt, source, tag, ctxPt2pt))
 }
 
 func (r *Rank) irecv(buf mem.Ptr, count int, dt *datatype.Datatype, source, tag, ctx int) *Request {
@@ -472,33 +454,45 @@ func matches(wantSrc, wantTag, wantCtx, from, tag, ctx int) bool {
 }
 
 // handleMessage is the HCA upcall: it runs in engine context on every
-// arriving protocol message.
+// arriving protocol message. The header goes back to the free list
+// before the message is acted on.
 func (r *Rank) handleMessage(from int, msg ib.Message, payload []byte) {
-	switch m := msg.(type) {
-	case eagerMsg:
-		r.dispatchEager(m.Src, m.Tag, m.Ctx, m.Size, payload)
-	case rtsMsg:
-		r.dispatchRTS(m)
-	case rtsGetMsg:
-		r.dispatchRTSGet(m)
-	case doneMsg:
-		q := r.reqs[m.SendID]
+	p, ok := msg.(*header)
+	if !ok {
+		panic(fmt.Sprintf("mpi rank %d: unknown message %T", r.rank, msg))
+	}
+	m := *p
+	*p = header{next: r.w.freeHdrs}
+	r.w.freeHdrs = p
+	switch m.kind {
+	case hdrEager:
+		r.dispatchEager(m.src, m.tag, m.ctx, m.size, payload)
+	case hdrRTS:
+		r.dispatchRTS(&m)
+	case hdrRTSGet:
+		r.dispatchRTSGet(&m)
+	case hdrDone:
+		q := r.reqs[m.sendID]
 		if q == nil {
-			panic(fmt.Sprintf("mpi rank %d: DONE for unknown send %d", r.rank, m.SendID))
+			panic(fmt.Sprintf("mpi rank %d: DONE for unknown send %d", r.rank, m.sendID))
 		}
-		q.onDone()
-	case ctsMsg:
-		q := r.reqs[m.SendID]
+		r.getSent(q)
+	case hdrCTS:
+		q := r.reqs[m.sendID]
 		if q == nil {
-			panic(fmt.Sprintf("mpi rank %d: CTS for unknown send %d", r.rank, m.SendID))
+			panic(fmt.Sprintf("mpi rank %d: CTS for unknown send %d", r.rank, m.sendID))
 		}
-		q.peerID = m.RecvID
-		q.totalChunks = m.TotalChunks
-		q.chunkBytes = m.ChunkBytes
-		if q.slots == nil {
-			q.slots = make([]slotEntry, m.TotalChunks)
+		q.peerID = m.recvID
+		q.totalChunks = m.totalChunks
+		q.chunkBytes = m.chunkBytes
+		if len(q.slots) == 0 { // the first CTS; a recycled request keeps its array
+			if cap(q.slots) < m.totalChunks {
+				q.slots = make([]slotEntry, m.totalChunks)
+			}
+			q.slots = q.slots[:m.totalChunks]
+			clear(q.slots)
 		}
-		for _, s := range m.Slots {
+		for _, s := range m.slots {
 			if s.Chunk < 0 || s.Chunk >= len(q.slots) {
 				panic(fmt.Sprintf("mpi rank %d: CTS announces chunk %d of %d", r.rank, s.Chunk, len(q.slots)))
 			}
@@ -508,14 +502,12 @@ func (r *Rank) handleMessage(from int, msg ib.Message, payload []byte) {
 			q.slotWait = false
 			q.ev.Trigger()
 		}
-	case finMsg:
-		q := r.reqs[m.RecvID]
+	case hdrFIN:
+		q := r.reqs[m.recvID]
 		if q == nil {
-			panic(fmt.Sprintf("mpi rank %d: FIN for unknown recv %d", r.rank, m.RecvID))
+			panic(fmt.Sprintf("mpi rank %d: FIN for unknown recv %d", r.rank, m.recvID))
 		}
-		q.finQ.Put(m.Chunk)
-	default:
-		panic(fmt.Sprintf("mpi rank %d: unknown message %T", r.rank, msg))
+		q.finQ.Put(m.chunk)
 	}
 }
 
@@ -537,16 +529,16 @@ func (r *Rank) dispatchEager(from, tag, ctx, size int, payload []byte) {
 	r.notifyArrival()
 }
 
-func (r *Rank) dispatchRTS(m rtsMsg) {
+func (r *Rank) dispatchRTS(m *header) {
 	r.stats.RndvRecvd++
-	if q := r.matchPosted(m.Src, m.Tag, m.Ctx); q != nil {
-		r.startRecvData(q, m.Src, m.Tag, m.Size, m.SendID)
+	if q := r.matchPosted(m.src, m.tag, m.ctx); q != nil {
+		r.startRecvData(q, m.src, m.tag, m.size, m.sendID)
 		return
 	}
 	r.stats.Unexpected++
 	r.unexpected = append(r.unexpected, &inbound{
-		from: m.Src, tag: m.Tag, ctx: m.Ctx, size: m.Size,
-		sendID: m.SendID, isRts: true,
+		from: m.src, tag: m.tag, ctx: m.ctx, size: m.size,
+		sendID: m.sendID, isRts: true,
 	})
 	r.notifyArrival()
 }
@@ -584,7 +576,6 @@ func (q *Request) setMatched(from, tag, size int) {
 // delivery needs later are copied into a recycled buffer (mem.GetBytes),
 // which goes back once it has been unpacked.
 func (r *Rank) deliverEager(q *Request, from, tag, size int, payload []byte) {
-	q.eager = true
 	q.setMatched(from, tag, size)
 	if size == 0 {
 		q.CompleteRecv()
@@ -600,13 +591,38 @@ func (r *Rank) deliverEager(q *Request, from, tag, size int, payload []byte) {
 		panic(fmt.Sprintf("mpi rank %d: received %d bytes, not a multiple of element size %d",
 			r.rank, size, q.dt.Size()))
 	}
-	elems := size / q.dt.Size()
 	// The scatter costs host copy time; completion is deferred by it.
-	r.w.e.CallAfter(r.hostPackCost(q.dt, elems), func() {
-		q.dt.UnpackBytes(q.buf, data, elems)
-		mem.PutBytes(data)
-		q.CompleteRecv()
-	})
+	x := r.scatterFree
+	if x == nil {
+		x = &hscatter{r: r}
+		x.fn = x.scatter
+	} else {
+		r.scatterFree = x.next
+		x.next = nil
+	}
+	x.q, x.data, x.elems = q, data, size/q.dt.Size()
+	r.w.e.CallAfter(r.hostPackCost(q.dt, x.elems), x.fn)
+}
+
+// hscatter is a host eager receive's scatter into the user buffer, due
+// once its host copy time has passed: a pooled per-rank record with its
+// step bound once.
+type hscatter struct {
+	r     *Rank
+	q     *Request
+	data  []byte
+	elems int
+	fn    func()
+	next  *hscatter
+}
+
+func (x *hscatter) scatter() {
+	r, q, data := x.r, x.q, x.data
+	q.dt.UnpackBytes(q.buf, data, x.elems)
+	mem.PutBytes(data)
+	x.q, x.data = nil, nil
+	x.next, r.scatterFree = r.scatterFree, x
+	q.CompleteRecv()
 }
 
 // startRecvData launches the rendezvous receiver for a matched RTS.
@@ -625,23 +641,22 @@ func (r *Rank) startRecvData(q *Request, from, tag, size, sendID int) {
 		r.transport().StartRendezvousRecv(q)
 		return
 	}
-	r.w.e.Spawn(fmt.Sprintf("rank%d.hostrecv%d", r.rank, q.id), func(p *sim.Proc) {
-		r.recvHostData(p, q)
-	})
+	r.w.host.recvData(q)
 }
 
 // SendCTS announces landing slots to the sender. GPU transports may call
 // it several times with successive batches when staging memory is scarce.
 func (r *Rank) SendCTS(q *Request, totalChunks, chunkBytes int, slots []Slot) {
 	r.w.hub.Instant(obs.KindCTS, r.obsTrack, -1, len(slots)*chunkBytes)
-	r.hca.PostSend(q.peer, ctsMsg{
-		SendID: q.peerID, RecvID: q.id,
-		TotalChunks: totalChunks, ChunkBytes: chunkBytes,
-		Slots: slots,
-	}, nil)
+	r.post(nil, q.peer, header{
+		kind: hdrCTS, sendID: q.peerID, recvID: q.id,
+		totalChunks: totalChunks, chunkBytes: chunkBytes, slots: slots,
+	}, nil, 0)
 }
 
 // AwaitFin blocks until a chunk FIN arrives and returns the chunk index.
+// Like AwaitCTS it is for test references; library code waits with
+// AwaitFinThen.
 func (q *Request) AwaitFin(p *sim.Proc) int {
 	return q.finQ.Get(p)
 }
@@ -674,58 +689,17 @@ func zeroCopy(dt *datatype.Datatype, count int) bool {
 	return ok && shape.Rows == 1 && shape.Off == 0
 }
 
-// recvHostData is the host-memory rendezvous receiver. A receive into a
-// single-segment (fully contiguous) host buffer is zero-copy: the user
-// buffer itself is registered and announced. Otherwise the data lands in a
-// temporary packed buffer and is scattered once all chunks arrive.
-func (r *Rank) recvHostData(p *sim.Proc, q *Request) {
-	size := q.matchedSize
-	total, chunkBytes := r.w.ChunkGeometry(size)
-
-	var landing mem.Ptr
-	temp := false
-	if zeroCopy(q.dt, q.count) {
-		landing = q.buf
-	} else {
-		landing = r.AllocHost(size)
-		temp = true
-	}
-	region := r.hca.Register(landing, size)
-
-	slots := make([]Slot, total)
-	for c := 0; c < total; c++ {
-		n := chunkBytes
-		if off := c * chunkBytes; off+n > size {
-			n = size - off
-		}
-		slots[c] = Slot{Chunk: c, Rkey: region.Rkey, Off: c * chunkBytes, Len: n}
-	}
-	r.SendCTS(q, total, chunkBytes, slots)
-
-	for got := 0; got < total; got++ {
-		q.AwaitFin(p)
-	}
-	r.hca.Deregister(region)
-	if temp {
-		p.Sleep(r.hostPackCost(q.dt, q.count))
-		elems := size / q.dt.Size()
-		q.dt.Unpack(q.buf, landing, elems)
-		r.FreeHost(landing)
-	}
-	q.CompleteRecv()
-}
-
 // ---------------------------------------------------------------------------
 
 // Sendrecv executes a combined send and receive (MPI_Sendrecv), safe
-// against the head-to-head deadlock two blocking calls would risk.
+// against the head-to-head deadlock two blocking calls would risk. Its
+// two requests are never seen by the caller, so both are recycled.
 func (r *Rank) Sendrecv(
 	sendBuf mem.Ptr, sendCount int, sendType *datatype.Datatype, dest, sendTag int,
 	recvBuf mem.Ptr, recvCount int, recvType *datatype.Datatype, source, recvTag int,
 ) Status {
 	rq := r.Irecv(recvBuf, recvCount, recvType, source, recvTag)
 	sq := r.Isend(sendBuf, sendCount, sendType, dest, sendTag)
-	r.Proc().Wait(&sq.done)
-	r.Proc().Wait(&rq.done)
-	return rq.status
+	r.waitBlocking(sq)
+	return r.waitBlocking(rq)
 }

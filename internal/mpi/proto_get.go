@@ -1,8 +1,7 @@
 package mpi
 
 import (
-	"fmt"
-
+	"mv2sim/internal/ib"
 	"mv2sim/internal/mem"
 	"mv2sim/internal/sim"
 )
@@ -30,98 +29,52 @@ const (
 	RendezvousGet
 )
 
-// Wire messages of the get protocol.
-type rtsGetMsg struct {
-	Src, Tag, Ctx, Size, SendID int
-	Rkey                        uint32
-}
-
-type doneMsg struct {
-	SendID int
-}
-
 // sendHostGet runs the sender side: pack (if needed), register, advertise.
-// Completion arrives with the DONE message; cleanup runs in its handler.
+// Completion arrives with the DONE message; getSent cleans up.
 func (r *Rank) sendHostGet(q *Request) {
 	p := r.Proc()
-	var packed mem.Ptr
-	temp := false
-	if zeroCopy(q.dt, q.count) {
-		packed = q.buf // zero-copy: expose the user buffer
-	} else {
+	packed := q.buf // zero-copy: expose the user buffer
+	if !zeroCopy(q.dt, q.count) {
 		packed = r.AllocHost(q.size)
-		temp = true
+		q.getBuf = packed
 		p.Sleep(r.hostPackCost(q.dt, q.count))
 		q.dt.Pack(packed, q.buf, q.count)
 	}
-	region := r.hca.Register(packed, q.size)
-	q.onDone = func() {
-		r.hca.Deregister(region)
-		if temp {
-			r.FreeHost(packed)
-		}
-		q.CompleteSend()
-	}
-	r.hca.PostSend(q.peer, rtsGetMsg{r.rank, q.tag, q.ctx, q.size, q.id, region.Rkey}, nil)
+	q.rkey = r.hca.Register(packed, q.size).Rkey
+	r.post(nil, q.peer, header{
+		kind: hdrRTSGet, src: r.rank, tag: q.tag, ctx: q.ctx, size: q.size,
+		sendID: q.id, rkey: q.rkey,
+	}, nil, 0)
 }
 
-// recvHostGet pulls the advertised data chunk by chunk. Reads are issued
-// back to back; they serialize on the sender's response link, giving the
-// same wire utilization as the put pipeline.
-func (r *Rank) recvHostGet(p *sim.Proc, q *Request) {
-	size := q.matchedSize
-	total, chunkBytes := r.w.ChunkGeometry(size)
-
-	var landing mem.Ptr
-	temp := false
-	if zeroCopy(q.dt, q.count) {
-		landing = q.buf
-	} else {
-		landing = r.AllocHost(size)
-		temp = true
+// getSent completes a get send when its DONE arrives: the receiver has
+// read everything, so the region and any packed copy go.
+func (r *Rank) getSent(q *Request) {
+	r.hca.Deregister(ib.Region{Rkey: q.rkey}) // a region is named by its rkey
+	if !q.getBuf.IsNil() {
+		r.FreeHost(q.getBuf)
 	}
-	reads := make([]*sim.Event, 0, total)
-	for c := 0; c < total; c++ {
-		off := c * chunkBytes
-		n := chunkBytes
-		if off+n > size {
-			n = size - off
-		}
-		reads = append(reads, r.hca.RDMARead(landing.Add(off), q.peer, q.srcRkey, off, n))
-	}
-	p.WaitAll(reads...)
-	r.hca.PostSend(q.peer, doneMsg{q.peerID}, nil)
-	if temp {
-		p.Sleep(r.hostPackCost(q.dt, q.count))
-		q.dt.Unpack(q.buf, landing, size/q.dt.Size())
-		r.FreeHost(landing)
-	}
-	q.CompleteRecv()
+	q.CompleteSend()
 }
 
-// recvDeviceGet serves a get-RTS whose receive buffer lives in device
-// memory: pull into pinned host staging, then hand the packed bytes to the
-// GPU transport's delivery path (which unpacks on the device and
-// completes the request).
-func (r *Rank) recvDeviceGet(p *sim.Proc, q *Request) {
-	size := q.matchedSize
-	staging := r.AllocHost(size)
-	total, chunkBytes := r.w.ChunkGeometry(size)
-	reads := make([]*sim.Event, 0, total)
-	for c := 0; c < total; c++ {
-		off := c * chunkBytes
-		n := chunkBytes
-		if off+n > size {
-			n = size - off
-		}
-		reads = append(reads, r.hca.RDMARead(staging.Add(off), q.peer, q.srcRkey, off, n))
-	}
-	p.WaitAll(reads...)
-	r.hca.PostSend(q.peer, doneMsg{q.peerID}, nil)
-	packed := mem.GetBytes(size)
-	copy(packed, staging.Bytes(size))
-	r.FreeHost(staging)
-	r.transport().DeliverFromHost(q, packed)
+// hget is the receiver of a get rendezvous in flight, on a record from
+// its rank's pool (see hostrndv.go). It pulls the advertised data chunk
+// by chunk into its landing: reads are issued back to back, serialize on
+// the sender's response link, and so use the wire as the put pipeline
+// does. Once all have landed it sends DONE. A host receiver unpacks
+// unless the landing was its own buffer; a device receiver reads into
+// pinned host staging and hands the packed bytes to the GPU transport's
+// eager delivery path, which unpacks on the device and completes.
+type hget struct {
+	r                 *Rank
+	q                 *Request
+	size, total, wait int
+	landing           mem.Ptr
+	temp, device      bool
+	reads             []sim.Event // by chunk; kept from transfer to transfer
+
+	startFn, readFn, unpackFn func()
+	next                      *hget
 }
 
 // startRecvGet launches the receiver for a matched get-RTS.
@@ -129,27 +82,100 @@ func (r *Rank) startRecvGet(q *Request, from, tag, size, sendID int, rkey uint32
 	q.setMatched(from, tag, size)
 	q.peer = from
 	q.peerID = sendID
-	q.srcRkey = rkey
-	r.w.e.Spawn(fmt.Sprintf("rank%d.getrecv%d", r.rank, q.id), func(p *sim.Proc) {
-		if q.buf.IsDevice() {
-			r.recvDeviceGet(p, q)
-		} else {
-			r.recvHostGet(p, q)
+	q.rkey = rkey
+	r.w.host.recvGet(q)
+}
+
+func (records) recvGet(q *Request) {
+	r := q.r
+	x := r.getFree
+	if x == nil {
+		x = &hget{r: r}
+		x.startFn, x.readFn, x.unpackFn = x.start, x.waitReads, x.unpack
+	} else {
+		r.getFree = x.next
+		x.next = nil
+	}
+	x.q = q
+	r.w.e.CallAt(r.w.e.Now(), x.startFn)
+}
+
+func (x *hget) start() {
+	r, q := x.r, x.q
+	x.size, x.device = q.matchedSize, q.buf.IsDevice()
+	total, chunkBytes := r.w.ChunkGeometry(x.size)
+	if !x.device && zeroCopy(q.dt, q.count) {
+		x.landing = q.buf
+	} else {
+		x.landing, x.temp = r.AllocHost(x.size), true
+	}
+	if cap(x.reads) < total {
+		x.reads = make([]sim.Event, total)
+	}
+	x.total, x.reads = total, x.reads[:total]
+	for c := range x.reads {
+		off := c * chunkBytes
+		n := min(chunkBytes, x.size-off)
+		r.hca.RDMAReadInto(&x.reads[c], x.landing.Add(off), q.peer, q.rkey, off, n)
+	}
+	x.waitReads()
+}
+
+// waitReads waits for the reads in chunk order, then acknowledges.
+func (x *hget) waitReads() {
+	for ; x.wait < x.total; x.wait++ {
+		if ev := &x.reads[x.wait]; !ev.Fired() {
+			ev.Then(x.readFn)
+			return
 		}
-	})
+	}
+	r, q := x.r, x.q
+	r.post(nil, q.peer, header{kind: hdrDone, sendID: q.peerID}, nil, 0)
+	switch {
+	case x.device:
+		packed := mem.GetBytes(x.size)
+		copy(packed, x.landing.Bytes(x.size))
+		r.FreeHost(x.landing)
+		x.free()
+		r.transport().DeliverFromHost(q, packed)
+	case x.temp:
+		r.w.e.CallAt(r.w.e.Now()+r.hostPackCost(q.dt, q.count), x.unpackFn)
+	default:
+		x.free()
+		q.CompleteRecv()
+	}
+}
+
+func (x *hget) unpack() {
+	r, q := x.r, x.q
+	q.dt.Unpack(q.buf, x.landing, x.size/q.dt.Size())
+	r.FreeHost(x.landing)
+	x.free()
+	q.CompleteRecv()
+}
+
+// free returns the record to its rank's pool.
+func (x *hget) free() {
+	r := x.r
+	*x = hget{
+		r: r, reads: x.reads,
+		startFn: x.startFn, readFn: x.readFn, unpackFn: x.unpackFn,
+		next: r.getFree,
+	}
+	r.getFree = x
 }
 
 // dispatchRTSGet handles an arriving get-RTS: match or queue unexpected.
-func (r *Rank) dispatchRTSGet(m rtsGetMsg) {
+func (r *Rank) dispatchRTSGet(m *header) {
 	r.stats.RndvRecvd++
-	if q := r.matchPosted(m.Src, m.Tag, m.Ctx); q != nil {
-		r.startRecvGet(q, m.Src, m.Tag, m.Size, m.SendID, m.Rkey)
+	if q := r.matchPosted(m.src, m.tag, m.ctx); q != nil {
+		r.startRecvGet(q, m.src, m.tag, m.size, m.sendID, m.rkey)
 		return
 	}
 	r.stats.Unexpected++
 	r.unexpected = append(r.unexpected, &inbound{
-		from: m.Src, tag: m.Tag, ctx: m.Ctx, size: m.Size,
-		sendID: m.SendID, isRts: true, isGet: true, rkey: m.Rkey,
+		from: m.src, tag: m.tag, ctx: m.ctx, size: m.size,
+		sendID: m.sendID, isRts: true, isGet: true, rkey: m.rkey,
 	})
 	r.notifyArrival()
 }

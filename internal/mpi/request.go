@@ -38,10 +38,6 @@ type Request struct {
 	done   sim.Event
 	status Status
 
-	// eager marks a request that completes on an eager path (or a
-	// self-send's local delivery), whose completion is its last
-	// reference: a blocking call may recycle it once Wait returns.
-	eager bool
 	// completeSendFn is CompleteSend bound once, so eager sends register
 	// their completion without a closure.
 	completeSendFn func()
@@ -56,7 +52,7 @@ type Request struct {
 	peerID      int             // the other side's request ID
 	totalChunks int             // set by the first CTS (sender) or at match (receiver)
 	chunkBytes  int             // pipeline granularity for this transfer
-	slots       []slotEntry     // sender: landing slot by chunk, sized by the first CTS
+	slots       []slotEntry     // sender: landing slot by chunk, sized by the first CTS; kept on reuse
 	slotWait    bool            // sender: something waits on ev for a CTS batch
 	slotChunk   int             // sender: the chunk a blocked AwaitSlotThen waits for
 	slotFn      func()          // sender: that AwaitSlotThen's continuation
@@ -65,8 +61,8 @@ type Request struct {
 	matchedSize int             // receiver: actual incoming packed bytes
 
 	// get-protocol state
-	srcRkey uint32 // receiver: sender's advertised region
-	onDone  func() // sender: cleanup + completion when DONE arrives
+	rkey   uint32  // the region read: the sender's own, or advertised to the receiver
+	getBuf mem.Ptr // sender: its packed copy, freed on DONE; nil when zero-copy
 
 	span obs.Span // open over the request's lifetime when tracing
 }
@@ -135,6 +131,8 @@ func (r *Rank) newRequest(kind ReqKind, buf mem.Ptr, dt *datatype.Datatype, coun
 		peer: peer, tag: tag, ctx: ctx, size: dtSize,
 		id:             r.nextID,
 		completeSendFn: q.completeSendFn,
+		slotRetryFn:    q.slotRetryFn,
+		slots:          q.slots[:0],
 	}
 	q.done.ResetNumbered(r.w.e, r.reqName, r.nextID)
 	r.reqs[q.id] = q
@@ -142,16 +140,28 @@ func (r *Rank) newRequest(kind ReqKind, buf mem.Ptr, dt *datatype.Datatype, coun
 	return q
 }
 
-// recycle puts a completed request of a blocking call, which the caller
-// never saw, back on the rank's free list. Only an eager request is
-// recycled: its completion was its last reference. A rendezvous request
-// may still be named by protocol state after it completes, so it is left
-// to the collector, as is every request handed to the user.
+// waitBlocking is the wait of a blocking call, whose request the caller
+// never sees: it returns the status and recycles the request.
+func (r *Rank) waitBlocking(q *Request) Status {
+	r.Proc().Wait(&q.done)
+	st := q.status
+	r.recycle(q)
+	return st
+}
+
+// recycle puts a completed request of a blocking call back on the rank's
+// free list. Nothing names it any more: complete has deleted its reqs
+// entry and returned its FIN queue, and every protocol record — eager
+// staging, the host rendezvous records, the GPU transport's — lets go of
+// a request before completing it. A request handed to the user is never
+// recycled, and neither is a ProcNull request.
 func (r *Rank) recycle(q *Request) {
-	if !q.eager {
+	if q.id == 0 {
 		return
 	}
-	q.done.Reset(r.w.e, "") // panics if anything still waits on it
+	// Both resets panic if anything still waits on the event.
+	q.done.Reset(r.w.e, "")
+	q.ev.Reset(r.w.e, "")
 	r.freeReqs = append(r.freeReqs, q)
 }
 

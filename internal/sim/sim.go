@@ -18,10 +18,10 @@
 // There is one engine, Engine (created by New). It runs every item on the
 // goroutine that calls Run.
 //
-// Software — MPI ranks and mpi's host-memory protocol helpers — is
-// written as processes. Hardware models (GPU engines, CUDA streams, HCA
-// transfers and scatter/gather units) and the GPU transport's eager
-// staging and rendezvous pipeline are state machines that advance by
+// Software — the MPI ranks — is written as processes. Hardware models
+// (GPU engines, CUDA streams, HCA transfers, reads and scatter/gather
+// units), the GPU transport's eager staging and rendezvous pipeline and
+// mpi's host-memory rendezvous are state machines that advance by
 // continuations instead: CallAt in place of Sleep, Event.Then in place of
 // Wait, Resource.AcquireThen in place of Acquire, Queue.GetThen in place
 // of Get.
@@ -39,7 +39,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 )
@@ -109,24 +108,63 @@ type item struct {
 	proc *Proc
 }
 
+// itemHeap is a binary min-heap of items ordered by (t, seq). (t, seq) is
+// a total order — seq is unique — so the pop order is fixed whatever the
+// heap's shape. It is typed rather than a container/heap, so a push or a
+// pop calls no interface method.
 type itemHeap []*item
 
-func (h itemHeap) Len() int { return len(h) }
-func (h itemHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
-	}
-	return h[i].seq < h[j].seq
+// before reports whether a dispatches before b.
+func (a *item) before(b *item) bool {
+	return a.t < b.t || (a.t == b.t && a.seq < b.seq)
 }
-func (h itemHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *itemHeap) Push(x interface{}) { *h = append(*h, x.(*item)) }
-func (h *itemHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return it
+
+// push inserts it, sifting it up from the bottom.
+func (h *itemHeap) push(it *item) {
+	s := append(*h, it)
+	i := len(s) - 1
+	for i > 0 {
+		up := (i - 1) / 2
+		if !it.before(s[up]) {
+			break
+		}
+		s[i] = s[up]
+		i = up
+	}
+	s[i] = it
+	*h = s
+}
+
+// pop removes and returns the first item; the heap must not be empty.
+// The last item fills the root's hole and sifts down.
+func (h *itemHeap) pop() *item {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	last := s[n]
+	s[n] = nil
+	s = s[:n]
+	*h = s
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && s[r].before(s[c]) {
+			c = r
+		}
+		if !s[c].before(last) {
+			break
+		}
+		s[i] = s[c]
+		i = c
+	}
+	s[i] = last
+	return top
 }
 
 // Engine is the simulation scheduler: a virtual clock, a heap of items
@@ -226,7 +264,7 @@ func (e *Engine) schedule(t Time, it *item) {
 	it.t = t
 	it.seq = e.seq
 	e.seq++
-	heap.Push(&e.heap, it)
+	e.heap.push(it)
 }
 
 // CallAt schedules fn to run in engine context at absolute time t.
@@ -280,7 +318,7 @@ func (e *Engine) run(limit Time) error {
 		if limit >= 0 && e.heap[0].t > limit {
 			return nil
 		}
-		it := heap.Pop(&e.heap).(*item)
+		it := e.heap.pop()
 		e.now = it.t
 		e.nevents++
 		switch it.kind {

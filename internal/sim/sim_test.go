@@ -819,3 +819,42 @@ func TestProcPanicPropagatesToRun(t *testing.T) {
 		})
 	}
 }
+
+// TestPropHeapPopsInSortOrder drives the dispatch heap directly with
+// random pushes interleaved with pops — times drawn from a small range so
+// many tie, seqs unique as the engine assigns them — and requires the
+// items to come out in the order of a sort by (t, seq).
+func TestPropHeapPopsInSortOrder(t *testing.T) {
+	f := func(times []uint8, popAfter []bool) bool {
+		var h itemHeap
+		var pending, popped, want []*item
+		pop := func() {
+			popped = append(popped, h.pop())
+			sort.Slice(pending, func(i, j int) bool { return pending[i].before(pending[j]) })
+			want, pending = append(want, pending[0]), pending[1:]
+		}
+		for i, tm := range times {
+			it := &item{t: Time(tm % 8), seq: uint64(len(times) - i)}
+			h.push(it)
+			pending = append(pending, it)
+			if i < len(popAfter) && popAfter[i] {
+				pop()
+			}
+		}
+		for len(h) > 0 {
+			pop()
+		}
+		if len(pending) != 0 || len(popped) != len(times) {
+			return false
+		}
+		for i := range popped {
+			if popped[i] != want[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}

@@ -37,6 +37,27 @@ if [ -z "${MV2LINT_JSON:-}" ]; then
     rm -f "$lint_json"
 fi
 
+echo "== process gate"
+# Only ranks are processes: hardware models and protocol helpers run as
+# continuations on pooled records. Outside package sim, a non-test file
+# under internal/ may spawn a process only in mpi's World.Launch (the
+# rank bodies) and in the osu drivers.
+stray=$(find internal -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' \
+    ! -path 'internal/sim/*' ! -path 'internal/osu/*' -print0 |
+    xargs -0 awk '
+        FNR == 1 { fn = "" }
+        /^func / { fn = $0 }
+        /^[[:space:]]*\/\// { next }
+        /\.Spawn(At)?\(/ {
+            if (!(FILENAME == "internal/mpi/mpi.go" && fn ~ /^func \(w \*World\) Launch\(/))
+                print FILENAME ":" FNR ": " $0
+        }')
+if [ -n "$stray" ]; then
+    echo "processes spawned outside the rank bodies and the osu drivers:"
+    echo "$stray"
+    exit 1
+fi
+
 echo "== go test -race"
 go test -race ./...
 
