@@ -29,7 +29,8 @@ func newNet(n int) *net {
 	return nw
 }
 
-// postSend is PostSend for a test that waits for local completion.
+// postSend posts on rail 0 and returns the event that fires at local
+// completion.
 func postSend(h *HCA, dst int, msg Message, payload []byte) *sim.Event {
 	done := new(sim.Event)
 	h.PostSendRailInto(done, dst, msg, payload, 0)
@@ -72,7 +73,7 @@ func TestPayloadSnapshotAtPostTime(t *testing.T) {
 		got = append([]byte(nil), payload...)
 	})
 	nw.e.Spawn("sender", func(p *sim.Proc) {
-		nw.hcas[0].PostSend(1, nil, buf)
+		postSend(nw.hcas[0], 1, nil, buf)
 		buf[0] = 99 // mutate after post; receiver must see the snapshot
 	})
 	if err := nw.e.Run(); err != nil {
@@ -120,7 +121,7 @@ func TestRDMAThenSendOrdering(t *testing.T) {
 	})
 	nw.e.Spawn("sender", func(p *sim.Proc) {
 		nw.hcas[0].RDMAWrite(1, src, 1<<16, reg.Rkey, 0)
-		nw.hcas[0].PostSend(1, "fin", nil)
+		postSend(nw.hcas[0], 1, "fin", nil)
 	})
 	if err := nw.e.Run(); err != nil {
 		t.Fatal(err)
@@ -232,7 +233,7 @@ func TestLoopbackPanics(t *testing.T) {
 			t.Error("loopback send did not panic")
 		}
 	}()
-	nw.hcas[0].PostSend(0, nil, nil)
+	postSend(nw.hcas[0], 0, nil, nil)
 }
 
 func TestDuplicateHCAPanics(t *testing.T) {
@@ -248,7 +249,7 @@ func TestDuplicateHCAPanics(t *testing.T) {
 func TestMissingHandlerPanics(t *testing.T) {
 	nw := newNet(2) // no handler installed on node 1
 	nw.e.Spawn("sender", func(p *sim.Proc) {
-		nw.hcas[0].PostSend(1, "x", nil)
+		postSend(nw.hcas[0], 1, "x", nil)
 	})
 	defer func() {
 		if recover() == nil {
@@ -272,7 +273,7 @@ func TestPropPairwiseOrdering(t *testing.T) {
 		})
 		nw.e.Spawn("sender", func(p *sim.Proc) {
 			for i, s := range sizes {
-				nw.hcas[0].PostSend(1, i, make([]byte, int(s)))
+				postSend(nw.hcas[0], 1, i, make([]byte, int(s)))
 			}
 		})
 		if err := nw.e.Run(); err != nil {
@@ -349,7 +350,8 @@ func TestRDMAReadFetchesBytes(t *testing.T) {
 	reg := nw.hcas[1].Register(src, 4096)
 	dst := nw.host[0].Base()
 	nw.e.Spawn("reader", func(p *sim.Proc) {
-		ev := nw.hcas[0].RDMARead(dst, 1, reg.Rkey, 128, 1024)
+		ev := new(sim.Event)
+		nw.hcas[0].RDMAReadInto(ev, dst, 1, reg.Rkey, 128, 1024)
 		p.Wait(ev)
 		if !mem.Equal(dst, src.Add(128), 1024) {
 			t.Error("read returned wrong bytes")
@@ -372,7 +374,9 @@ func TestRDMAReadCostsTwoTrips(t *testing.T) {
 	var readTime sim.Time
 	nw.e.Spawn("reader", func(p *sim.Proc) {
 		t0 := p.Now()
-		p.Wait(nw.hcas[0].RDMARead(nw.host[0].Base(), 1, reg.Rkey, 0, 1<<20))
+		done := new(sim.Event)
+		nw.hcas[0].RDMAReadInto(done, nw.host[0].Base(), 1, reg.Rkey, 0, 1<<20)
+		p.Wait(done)
 		readTime = p.Now() - t0
 	})
 	if err := nw.e.Run(); err != nil {
@@ -387,7 +391,7 @@ func TestRDMAReadCostsTwoTrips(t *testing.T) {
 func TestRDMAReadUnknownRkeyPanics(t *testing.T) {
 	nw := newNet(2)
 	nw.e.Spawn("reader", func(p *sim.Proc) {
-		nw.hcas[0].RDMARead(nw.host[0].Base(), 1, 777, 0, 16)
+		nw.hcas[0].RDMAReadInto(new(sim.Event), nw.host[0].Base(), 1, 777, 0, 16)
 	})
 	defer func() {
 		if recover() == nil {
@@ -522,8 +526,8 @@ func TestPostSendSnapshotsNotAliased(t *testing.T) {
 		p.Sleep(10 * sim.Microsecond) // delivered: its snapshot is parked
 		fill(a, 1)
 		fill(b, 2)
-		nw.hcas[0].PostSend(1, 1, a)
-		nw.hcas[0].PostSend(1, 2, b)
+		postSend(nw.hcas[0], 1, 1, a)
+		postSend(nw.hcas[0], 1, 2, b)
 		fill(a, 3)
 		fill(b, 4)
 	})
