@@ -395,9 +395,8 @@ func BenchmarkEngineEventLoop(b *testing.B) {
 
 // BenchmarkEngineSpawn measures one process spawn-and-finish: a chain of
 // b.N processes, each spawning its successor before it returns, so the
-// two carriers they run on are reused throughout. The GPU paths spawn
-// no process per message; mpi's host-memory rendezvous and RGET still
-// spawn one per transfer side.
+// two carriers they run on are reused throughout. No message path
+// spawns a process: only the ranks are processes.
 func BenchmarkEngineSpawn(b *testing.B) {
 	e := sim.New()
 	n := 0

@@ -24,14 +24,13 @@ import (
 
 	"mv2sim/internal/cluster"
 	"mv2sim/internal/core"
-	"mv2sim/internal/datatype"
 	"mv2sim/internal/load"
-	"mv2sim/internal/mem"
 	"mv2sim/internal/mpi"
 	"mv2sim/internal/obs"
 	"mv2sim/internal/obs/critpath"
 	"mv2sim/internal/obs/dash"
 	"mv2sim/internal/obs/store"
+	"mv2sim/internal/osu"
 	"mv2sim/internal/report"
 )
 
@@ -108,45 +107,13 @@ func runLive(msg, pitch, rails int, packMode string) (dash.Bundle, []byte) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rows := msg / 4
-	vec, err := datatype.Vector(rows, 1, pitch/4, datatype.Float32)
-	if err != nil {
-		log.Fatal(err)
-	}
-	vec.MustCommit()
-
 	b := dash.NewBundle()
 	chrome := obs.NewChromeTracer()
-	cfg := cluster.Config{
-		GPUMemBytes: 2*rows*pitch + (64 << 20),
-		Rails:       rails,
-		Tracers:     append(b.Tracers(), chrome),
-	}
+	cfg := cluster.Config{Rails: rails, Tracers: append(b.Tracers(), chrome)}
 	cfg.Core.PackMode = mode
 	cfg.Core.UnpackMode = mode
-	cl := cluster.New(cfg)
-	err = cl.Run(func(n *cluster.Node) {
-		r := n.Rank
-		buf := n.Ctx.MustMalloc(vec.Span(1))
-		if r.Rank() == 0 {
-			mem.Fill(buf, vec.Span(1), func(i int) byte { return byte(i) })
-			r.Send(buf, 1, vec, 1, 0)
-		} else {
-			r.Recv(buf, 1, vec, 0, 0)
-		}
-		if err := n.Ctx.Free(buf); err != nil {
-			panic(err)
-		}
-	})
-	if err != nil {
+	if _, err := osu.VectorTransfer(msg, pitch, cfg); err != nil {
 		log.Fatal(err)
 	}
-	if err := cl.CheckDeviceLeaks(); err != nil {
-		log.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := chrome.WriteTo(&buf); err != nil {
-		log.Fatal(err)
-	}
-	return b, buf.Bytes()
+	return b, []byte(chrome.JSON())
 }

@@ -82,14 +82,7 @@ func main() {
 		if _, err := osu.VectorLatency(osu.DesignMV2GPUNC, 4<<20, tcfg); err != nil {
 			log.Fatal(err)
 		}
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if _, err := chrome.WriteTo(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := chrome.WriteFile(*traceOut); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("Chrome trace of one 4 MB MV2-GPU-NC transfer: %s (%d events)\n", *traceOut, chrome.Events())

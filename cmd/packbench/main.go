@@ -83,7 +83,7 @@ func main() {
 }
 
 // runCrossover measures the pack-engine crossover grid, prints it, and
-// optionally writes the JSON artifact CI uploads next to BENCH_wallclock.
+// optionally writes it as the BENCH_pack.json artifact CI gates and uploads.
 func runCrossover(out string) {
 	rowsList := []int{16, 64, 128, 256, 1024, 4096, 16384}
 	rowBytesList := []int{4, 16, 64, 256, 1024, 4096}

@@ -25,12 +25,11 @@ import (
 
 	"mv2sim/internal/cluster"
 	"mv2sim/internal/core"
-	"mv2sim/internal/datatype"
-	"mv2sim/internal/mem"
 	"mv2sim/internal/mpi"
 	"mv2sim/internal/obs"
 	"mv2sim/internal/obs/critpath"
 	"mv2sim/internal/obs/store"
+	"mv2sim/internal/osu"
 	"mv2sim/internal/report"
 )
 
@@ -180,43 +179,15 @@ func runOnce(msg, pitch, rails int, packMode string) (*critpath.Analysis, *obs.M
 	if err != nil {
 		log.Fatal(err)
 	}
-	rows := msg / 4
-	vec, err := datatype.Vector(rows, 1, pitch/4, datatype.Float32)
-	if err != nil {
-		log.Fatal(err)
-	}
-	vec.MustCommit()
-
 	col := critpath.NewCollector()
 	met := obs.NewMetricsTracer()
-	cfg := cluster.Config{
-		GPUMemBytes: 2*rows*pitch + (64 << 20),
-		Rails:       rails,
-		Tracers:     []obs.Tracer{col, met},
-	}
+	cfg := cluster.Config{Rails: rails, Tracers: []obs.Tracer{col, met}}
 	cfg.Core.PackMode = mode
 	cfg.Core.UnpackMode = mode
-	cl := cluster.New(cfg)
-	err = cl.Run(func(n *cluster.Node) {
-		r := n.Rank
-		buf := n.Ctx.MustMalloc(vec.Span(1))
-		if r.Rank() == 0 {
-			mem.Fill(buf, vec.Span(1), func(i int) byte { return byte(i) })
-			r.Send(buf, 1, vec, 1, 0)
-		} else {
-			r.Recv(buf, 1, vec, 0, 0)
-		}
-		if err := n.Ctx.Free(buf); err != nil {
-			panic(err)
-		}
-	})
+	cl, err := osu.VectorTransfer(msg, pitch, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := cl.CheckDeviceLeaks(); err != nil {
-		log.Fatal(err)
-	}
-
 	as := col.Analyze()
 	if len(as) != 1 {
 		log.Fatalf("pipedoctor: expected 1 transfer, analyzed %d", len(as))

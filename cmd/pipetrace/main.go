@@ -9,14 +9,12 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
 
 	"mv2sim/internal/cluster"
 	"mv2sim/internal/core"
-	"mv2sim/internal/datatype"
-	"mv2sim/internal/mem"
 	"mv2sim/internal/mpi"
 	"mv2sim/internal/obs"
+	"mv2sim/internal/osu"
 )
 
 func main() {
@@ -39,16 +37,9 @@ func main() {
 		}
 	}
 
-	rows := *msg / 4
-	vec, vecErr := datatype.Vector(rows, 1, *pitch/4, datatype.Float32)
-	if vecErr != nil {
-		log.Fatal(vecErr)
-	}
-	vec.MustCommit()
-
 	trace := &core.PipelineTrace{}
 	var chrome *obs.ChromeTracer
-	cfg := cluster.Config{GPUMemBytes: 2*rows**pitch + (64 << 20), Rails: *rails}
+	cfg := cluster.Config{Rails: *rails}
 	cfg.Core.PackMode = mode
 	cfg.Core.UnpackMode = umode
 	if *chromeOut != "" {
@@ -56,17 +47,7 @@ func main() {
 		cfg.Tracers = []obs.Tracer{chrome}
 	}
 	cfg.Tracers = append(cfg.Tracers, trace)
-	cl := cluster.New(cfg)
-	err = cl.Run(func(n *cluster.Node) {
-		r := n.Rank
-		buf := n.Ctx.MustMalloc(vec.Span(1))
-		if r.Rank() == 0 {
-			mem.Fill(buf, vec.Span(1), func(i int) byte { return byte(i) })
-			r.Send(buf, 1, vec, 1, 0)
-		} else {
-			r.Recv(buf, 1, vec, 0, 0)
-		}
-	})
+	cl, err := osu.VectorTransfer(*msg, *pitch, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -80,14 +61,7 @@ func main() {
 		fmt.Println("Overlap confirmed: packing was still running after the first chunk hit the wire.")
 	}
 	if chrome != nil {
-		f, err := os.Create(*chromeOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if _, err := chrome.WriteTo(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := chrome.WriteFile(*chromeOut); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("Chrome trace: %s (%d events, %d tracks)\n", *chromeOut, chrome.Events(), len(chrome.Tracks()))

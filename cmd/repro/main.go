@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -21,7 +20,6 @@ import (
 	"mv2sim/internal/core"
 	"mv2sim/internal/datatype"
 	"mv2sim/internal/halo3d"
-	"mv2sim/internal/mem"
 	"mv2sim/internal/mpi"
 	"mv2sim/internal/obs"
 	"mv2sim/internal/obs/critpath"
@@ -36,8 +34,9 @@ import (
 // benchResults is the machine-readable summary written as BENCH_repro.json:
 // the Figure 5(b) latency curves, the Table II/III stencil medians, the
 // per-resource utilization of the five-stage pipeline at 4 MB, and the
-// pipeline doctor's stall attribution of the same point, and the 1 MB
-// host round trip under each rendezvous protocol (the RGET row).
+// pipeline doctor's stall attribution of the same point, the 1 MB host
+// round trip under each rendezvous protocol (the RGET row) and the
+// multi-rail bandwidth of a wire-bound wide-row vector.
 type benchResults struct {
 	Scale              int                           `json:"scale"`
 	Iters              int                           `json:"iters"`
@@ -47,6 +46,7 @@ type benchResults struct {
 	Pipedoctor4MB      critpath.BenchResult          `json:"pipedoctor_4mb"`
 	RndvPutHost1MBUs   float64                       `json:"rndv_put_host_1mb_us"`
 	RndvGetHost1MBUs   float64                       `json:"rndv_get_host_1mb_us"`
+	RailsBandwidthMBs  map[string]float64            `json:"rails_bandwidth_mbs"`
 }
 
 // resourceUtil is one row of the pipeline utilization table. Rail lanes of
@@ -58,39 +58,13 @@ type resourceUtil struct {
 	Utilization float64 `json:"utilization"`
 }
 
-// wallclockResults is the machine-readable simulator-performance summary
-// written by -wallclock: real (host) time per operation for the hot paths
-// the pack-plan cache and the event loop sit on, plus the multi-rail
-// bandwidth points as a determinism pin. CI runs `repro -wallclockonly
-// -wallclock BENCH_wallclock.json` and archives the file so simulator
-// slowdowns show up in review alongside virtual-time regressions.
-type wallclockResults struct {
-	GoMaxProcs              int                `json:"gomaxprocs"`
-	EngineEventNs           float64            `json:"engine_event_ns"`
-	PackPlanCachedNsChunk   float64            `json:"packplan_cached_ns_per_chunk"`
-	PackPlanUncachedNsChunk float64            `json:"packplan_uncached_ns_per_chunk"`
-	RailsBandwidthMBs       map[string]float64 `json:"rails_bandwidth_mbs"`
-	RailsBandwidthWallMs    float64            `json:"rails_bandwidth_wall_ms"`
-	PipetraceTransferWallMs float64            `json:"pipetrace_transfer_wall_ms"`
-}
-
 func main() {
 	scale := flag.Int("scale", 16, "stencil geometry divisor (1 = paper scale)")
 	iters := flag.Int("iters", 3, "iterations per measurement")
 	benchOut := flag.String("bench", "BENCH_repro.json", "machine-readable results file ('' to skip)")
-	wallOut := flag.String("wallclock", "", "write simulator wall-clock microbenchmarks to this JSON file")
-	wallOnly := flag.Bool("wallclockonly", false, "run only the -wallclock microbenchmarks and exit")
 	storePath := flag.String("store", "", "append extracted bench metrics to this perf store (JSON lines)")
 	commit := flag.String("commit", "", "commit id to stamp on appended store records")
 	flag.Parse()
-	if *wallOnly && *wallOut == "" {
-		log.Fatal("repro: -wallclockonly requires -wallclock FILE")
-	}
-	if *wallOnly {
-		writeWallclock(*wallOut)
-		appendStoreFiles(*storePath, *commit, *wallOut)
-		return
-	}
 	bench := benchResults{
 		Scale:              *scale,
 		Iters:              *iters,
@@ -194,6 +168,19 @@ func main() {
 
 	fmt.Println(must(osu.RunBandwidthTable([]int{64 << 10, 1 << 20, 4 << 20}, 16, osu.VectorConfig{})))
 
+	// Wide rows (8 KB of every 16 KB) leave the wire the bound, so rails
+	// add bandwidth until a non-wire stage takes over.
+	bench.RailsBandwidthMBs = map[string]float64{}
+	fmt.Print("Multi-rail bandwidth (1 MB vector of 8 KB rows, window 4):")
+	for _, rails := range []int{1, 2, 4} {
+		cfg := osu.VectorConfig{ElemBytes: 8 << 10, PitchBytes: 16 << 10}
+		cfg.Cluster.Rails = rails
+		bw := must(osu.Bandwidth(1<<20, 4, cfg))
+		bench.RailsBandwidthMBs[fmt.Sprintf("rails%d", rails)] = bw
+		fmt.Printf("  rails=%d %.1f MB/s", rails, bw)
+	}
+	fmt.Print("\n\n")
+
 	one := must(osu.MultiPairLatency(256<<10, 1, osu.VectorConfig{}))
 	four := must(osu.MultiPairLatency(256<<10, 4, osu.VectorConfig{}))
 	fmt.Printf("Disjoint-pair fabric scaling (256 KB vector): 1 pair %.1f us, 4 pairs %.1f us\n\n",
@@ -231,20 +218,16 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("\nMachine-readable results: %s\n", *benchOut)
+		appendStore(*storePath, *commit, data)
 	}
-
-	if *wallOut != "" {
-		writeWallclock(*wallOut)
-	}
-	appendStoreFiles(*storePath, *commit, *benchOut, *wallOut)
 
 	fmt.Printf("\nTotal wall time: %s (virtual cluster: 8 nodes, C2050-class GPUs, QDR IB)\n",
 		time.Since(start).Round(time.Millisecond))
 }
 
-// appendStoreFiles extracts the metrics of each written bench file and
-// appends them to the perf store; a no-op without -store.
-func appendStoreFiles(storePath, commit string, files ...string) {
+// appendStore extracts the metrics of the bench document and appends
+// them to the perf store; a no-op without -store.
+func appendStore(storePath, commit string, benchDoc []byte) {
 	if storePath == "" {
 		return
 	}
@@ -252,115 +235,17 @@ func appendStoreFiles(storePath, commit string, files ...string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, p := range files {
-		if p == "" {
-			continue
-		}
-		data, err := os.ReadFile(p)
-		if err != nil {
-			log.Fatal(err)
-		}
-		source, recs, err := store.Extract(data)
-		if err != nil {
-			log.Fatalf("repro: %s: %v", p, err)
-		}
-		for i := range recs {
-			recs[i].Commit = commit
-		}
-		if err := st.Append(recs...); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("Perf store: appended %d %s metric(s) to %s\n", len(recs), source, storePath)
-	}
-}
-
-// writeWallclock measures the simulator's own wall-clock hot paths and
-// writes them as JSON. Fast (a few seconds) so CI can run it on every push.
-func writeWallclock(path string) {
-	res := wallclockResults{
-		GoMaxProcs:        runtime.GOMAXPROCS(0),
-		RailsBandwidthMBs: map[string]float64{},
-	}
-
-	// Event-loop throughput: one process sleeping through N timer events,
-	// each a heap push and pop plus a coroutine switch out and back.
-	{
-		const n = 200_000
-		e := sim.New()
-		e.Spawn("wallclock", func(p *sim.Proc) {
-			for i := 0; i < n; i++ {
-				p.Sleep(sim.Nanosecond)
-			}
-		})
-		t0 := time.Now()
-		if err := e.Run(); err != nil {
-			log.Fatal(err)
-		}
-		res.EngineEventNs = float64(time.Since(t0).Nanoseconds()) / n
-		e.Shutdown()
-	}
-
-	// Pack-plan chunk walk, cached plan vs uncached range derivation, on an
-	// irregular indexed type (the generic-kernel path).
-	{
-		blocklens := make([]int, 64)
-		displs := make([]int, 64)
-		for i := range blocklens {
-			blocklens[i] = 3 + i%5
-			displs[i] = i * 12
-		}
-		idx := must(datatype.Indexed(blocklens, displs, datatype.Float32))
-		idx.MustCommit()
-		const count = 256
-		chunk := mpi.DefaultBlockSize
-		total := count * idx.Size()
-		src := mem.NewHostSpace("wallclock.src", count*idx.Extent()+64)
-		dst := mem.NewHostSpace("wallclock.dst", total+64)
-		plan := idx.ChunkPlan(count, chunk)
-		const reps = 2000
-		t0 := time.Now()
-		for i := 0; i < reps; i++ {
-			plan.PackChunk(dst.Base(), src.Base(), i%plan.Chunks())
-		}
-		res.PackPlanCachedNsChunk = float64(time.Since(t0).Nanoseconds()) / reps
-		chunks := (total + chunk - 1) / chunk
-		t0 = time.Now()
-		for i := 0; i < reps; i++ {
-			off := i % chunks * chunk
-			idx.PackRange(dst.Base(), src.Base(), count, off, min(chunk, total-off))
-		}
-		res.PackPlanUncachedNsChunk = float64(time.Since(t0).Nanoseconds()) / reps
-	}
-
-	// Multi-rail bandwidth points (wire-bound wide-row vector): both a
-	// determinism pin for the virtual numbers and a wall-clock sample of a
-	// full pipeline simulation.
-	{
-		t0 := time.Now()
-		for _, rails := range []int{1, 2, 4} {
-			cfg := osu.VectorConfig{ElemBytes: 8 << 10, PitchBytes: 16 << 10}
-			cfg.Cluster.Rails = rails
-			bw := must(osu.Bandwidth(1<<20, 4, cfg))
-			res.RailsBandwidthMBs[fmt.Sprintf("rails%d", rails)] = bw
-		}
-		res.RailsBandwidthWallMs = float64(time.Since(t0).Microseconds()) / 1e3
-	}
-
-	// One traced 1 MB five-stage transfer, wall time end to end.
-	{
-		t0 := time.Now()
-		_ = pipelineTrace()
-		res.PipetraceTransferWallMs = float64(time.Since(t0).Microseconds()) / 1e3
-	}
-
-	data, err := json.MarshalIndent(res, "", "  ")
+	source, recs, err := store.Extract(benchDoc)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+	for i := range recs {
+		recs[i].Commit = commit
+	}
+	if err := st.Append(recs...); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("Wall-clock microbenchmarks: %s\n", path)
+	fmt.Printf("Perf store: appended %d %s metric(s) to %s\n", len(recs), source, storePath)
 }
 
 // pipelineRun runs one traced 4 MB MV2-GPU-NC vector transfer at the
@@ -375,37 +260,10 @@ func pipelineRun(rails int) ([]resourceUtil, *obs.StatsTracer, *critpath.Analysi
 	busy := obs.NewBusyTimeTracer()
 	stats := obs.NewStatsTracer()
 	col := critpath.NewCollector()
-	rows := (4 << 20) / 4
-	vec, err := datatype.Vector(rows, 1, 4, datatype.Float32)
-	if err != nil {
-		log.Fatal(err)
-	}
-	vec.MustCommit()
-	ccfg := cluster.Config{
-		GPUMemBytes: 2*rows*16 + (64 << 20),
-		Rails:       rails,
-		Tracers:     []obs.Tracer{busy, stats, col},
-	}
-	cl := cluster.New(ccfg)
-	err = cl.Run(func(n *cluster.Node) {
-		r := n.Rank
-		buf := n.Ctx.MustMalloc(vec.Span(1))
-		if r.Rank() == 0 {
-			mem.Fill(buf, vec.Span(1), func(i int) byte { return byte(i) })
-			r.Send(buf, 1, vec, 1, 0)
-		} else {
-			r.Recv(buf, 1, vec, 0, 0)
-		}
-		if err := n.Ctx.Free(buf); err != nil {
-			panic(err)
-		}
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := cl.CheckDeviceLeaks(); err != nil {
-		log.Fatal(err)
-	}
+	cl := must(osu.VectorTransfer(4<<20, 16, cluster.Config{
+		Rails:   rails,
+		Tracers: []obs.Tracer{busy, stats, col},
+	}))
 
 	// Rail lanes ("hca0.tx.r0", "hca0.tx.r1", ...) are lanes of one
 	// logical resource: aggregate each group so rails>1 runs don't
@@ -491,33 +349,8 @@ func hostRoundTrip(mode mpi.RendezvousMode) sim.Time {
 
 // pipelineTrace runs one traced 1 MB transfer and renders Figure 3.
 func pipelineTrace() string {
-	rows := (1 << 20) / 4
-	vec, err := datatype.Vector(rows, 1, 4, datatype.Float32)
-	if err != nil {
-		log.Fatal(err)
-	}
-	vec.MustCommit()
 	trace := &core.PipelineTrace{}
-	cl := cluster.New(cluster.Config{GPUMemBytes: 2*rows*16 + (64 << 20), Tracers: []obs.Tracer{trace}})
-	err = cl.Run(func(n *cluster.Node) {
-		r := n.Rank
-		buf := n.Ctx.MustMalloc(vec.Span(1))
-		if r.Rank() == 0 {
-			mem.Fill(buf, vec.Span(1), func(i int) byte { return byte(i) })
-			r.Send(buf, 1, vec, 1, 0)
-		} else {
-			r.Recv(buf, 1, vec, 0, 0)
-		}
-		if err := n.Ctx.Free(buf); err != nil {
-			panic(err)
-		}
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := cl.CheckDeviceLeaks(); err != nil {
-		log.Fatal(err)
-	}
+	must(osu.VectorTransfer(1<<20, 16, cluster.Config{Tracers: []obs.Tracer{trace}}))
 	head := trace.String()
 	if lines := strings.SplitAfterN(head, "\n", 8); len(lines) == 8 {
 		head = strings.Join(lines[:7], "") + "(...)\n"

@@ -80,14 +80,7 @@ func main() {
 		if _, err := shoc.Run(p); err != nil {
 			log.Fatal(err)
 		}
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if _, err := chrome.WriteTo(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := chrome.WriteFile(*traceOut); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("Chrome trace of one Stencil2D-NC iteration (2x4 grid): %s (%d events)\n", *traceOut, chrome.Events())

@@ -19,7 +19,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"os"
 
 	"mv2sim/internal/cluster"
 	"mv2sim/internal/datatype"
@@ -59,14 +58,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	f, err := os.Create("trace.json")
-	if err != nil {
-		log.Fatal(err)
-	}
-	if _, err := chrome.WriteTo(f); err != nil {
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	if err := chrome.WriteFile("trace.json"); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("wrote trace.json: %d events on %d tracks — open in https://ui.perfetto.dev\n\n",

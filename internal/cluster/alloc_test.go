@@ -9,6 +9,7 @@ import (
 	"mv2sim/internal/hostmem"
 	"mv2sim/internal/mem"
 	"mv2sim/internal/mpi"
+	"mv2sim/internal/sim"
 )
 
 // hostAllocs reports the heap bytes and malloc count fn costs the host.
@@ -24,9 +25,11 @@ func hostAllocs(fn func()) (bytes, mallocs uint64) {
 // pingPong runs trips round trips of one vector of rows 4-byte rows at
 // pitch 64 between two ranks on a fresh cluster built from cfg, in device
 // memory or, with host set, in host memory; it checks the echo arrives
-// byte-exact and returns the cluster. Unless at is nil, rank 0 calls it
-// with the trip's index before each trip and with trips after the last.
-func pingPong(t *testing.T, cfg Config, rows int, host bool, trips int, at func(trip int)) *Cluster {
+// byte-exact and returns the cluster. Rank 1 sleeps late before each
+// Recv, so with late > 0 each of its messages arrives unexpected. Unless
+// at is nil, rank 0 calls it with the trip's index before each trip and
+// with trips after the last.
+func pingPong(t *testing.T, cfg Config, rows int, host bool, late sim.Time, trips int, at func(trip int)) *Cluster {
 	t.Helper()
 	vec, err := datatype.Vector(rows, 4, 64, datatype.Byte)
 	if err != nil {
@@ -61,6 +64,9 @@ func pingPong(t *testing.T, cfg Config, rows int, host bool, trips int, at func(
 		}
 		b := alloc(n)
 		for it := 0; it < trips; it++ {
+			if late > 0 {
+				r.Proc().Sleep(late)
+			}
 			r.Recv(b, 1, vec, 0, it)
 			r.Send(b, 1, vec, 0, it)
 		}
@@ -80,13 +86,13 @@ func pingPong(t *testing.T, cfg Config, rows int, host bool, trips int, at func(
 // eagerPingPong is pingPong of one 4 KB device vector (1024 rows), below
 // the eager limit.
 func eagerPingPong(t *testing.T, trips int, at func(int)) *Cluster {
-	return pingPong(t, Config{Nodes: 2}, 1024, false, trips, at)
+	return pingPong(t, Config{Nodes: 2}, 1024, false, 0, trips, at)
 }
 
 // rndvPingPong is pingPong of one 32 KB device vector (8192 rows): above
 // the eager limit, one pipeline chunk.
 func rndvPingPong(t *testing.T, trips int, at func(int)) *Cluster {
-	return pingPong(t, Config{Nodes: 2}, 8192, false, trips, at)
+	return pingPong(t, Config{Nodes: 2}, 8192, false, 0, trips, at)
 }
 
 // perTrip reports the host cost of one round trip of a ping-pong, read
@@ -200,7 +206,7 @@ func TestRendezvousSwitchesPerTransfer(t *testing.T) {
 func hostRndvPingPong(t *testing.T, mode mpi.RendezvousMode, trips int, at func(int)) *Cluster {
 	cfg := Config{Nodes: 2, NoGPU: true}
 	cfg.MPI.Rendezvous = mode
-	return pingPong(t, cfg, 8192, true, trips, at)
+	return pingPong(t, cfg, 8192, true, 0, trips, at)
 }
 
 // TestHostRendezvousPins pins the host-memory rendezvous, put and get,
@@ -239,6 +245,41 @@ func TestHostRendezvousPins(t *testing.T) {
 				t.Errorf("%.2f events per 32 KB host round trip, want exactly %.0f", events, c.events)
 			}
 			checkNoAllocs(t, "32 KB host "+c.name, bytesPerTrip, mallocsPerTrip)
+		})
+	}
+}
+
+// TestUnexpectedArrivalAllocs pins messages that arrive before their
+// receive is posted at no malloc per round trip. Rank 1 sleeps 1 ms
+// before each Recv, longer than the sender's host pack takes (about
+// 100 us for 4 KB, 800 us for a 32 KB get), so each message it gets
+// waits in its unexpected queue: a 4 KB host eager payload, whose queued
+// copy is recycled, and a 32 KB host put or get RTS. The queue holds
+// arrivals by value.
+func TestUnexpectedArrivalAllocs(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		rows int
+		mode mpi.RendezvousMode
+	}{
+		{"eager", 1024, mpi.RendezvousPut},
+		{"put", 8192, mpi.RendezvousPut},
+		{"get", 8192, mpi.RendezvousGet},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := Config{Nodes: 2, NoGPU: true}
+			cfg.MPI.Rendezvous = c.mode
+			unexpected := 0
+			bytesPerTrip, mallocsPerTrip := perTrip(t, func(t *testing.T, trips int, at func(int)) *Cluster {
+				cl := pingPong(t, cfg, c.rows, true, sim.Millisecond, trips, at)
+				unexpected = cl.Nodes[1].Rank.Stats().Unexpected
+				return cl
+			})
+			t.Logf("per round trip: %.0f heap bytes, %.1f mallocs", bytesPerTrip, mallocsPerTrip)
+			if unexpected != 250 {
+				t.Errorf("rank 1 queued %d unexpected messages, want all 250", unexpected)
+			}
+			checkNoAllocs(t, "late-received host "+c.name, bytesPerTrip, mallocsPerTrip)
 		})
 	}
 }

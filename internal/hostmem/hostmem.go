@@ -39,7 +39,6 @@ type Vbuf struct {
 	pool   *Pool
 	free   bool
 	mapped bool     // Ptr is mapped and Region registered
-	rail   int      // rail the current hold is accounted to
 	span   obs.Span // open while the vbuf is held
 }
 
@@ -64,14 +63,10 @@ type Pool struct {
 	waits         uint64
 	mapped        int // vbufs mapped so far
 
-	// Per-rail accounting for multi-rail pipelines: railGets[r] counts
-	// vbufs handed out to rail r's chunk stream, railHeld[r] how many it
-	// holds right now, railMaxHeld[r] its high-water mark. Slices grow
-	// lazily with the highest rail index seen, so single-rail runs pay
-	// one entry.
-	railGets    []uint64
-	railHeld    []int
-	railMaxHeld []int
+	// railGets[r] counts vbufs handed out to rail r's chunk stream. It
+	// grows lazily with the highest rail index seen, so single-rail runs
+	// pay one entry.
+	railGets []uint64
 
 	hub       *obs.Hub
 	freeCtr   string // occupancy gauge name
@@ -250,7 +245,6 @@ func (p *Pool) take(rail int) *Vbuf {
 		p.mapped++
 	}
 	v.free = false
-	v.rail = rail
 	p.gets++
 	p.held++
 	if p.held > p.maxHeld {
@@ -258,14 +252,8 @@ func (p *Pool) take(rail int) *Vbuf {
 	}
 	for len(p.railGets) <= rail {
 		p.railGets = append(p.railGets, 0)
-		p.railHeld = append(p.railHeld, 0)
-		p.railMaxHeld = append(p.railMaxHeld, 0)
 	}
 	p.railGets[rail]++
-	p.railHeld[rail]++
-	if p.railHeld[rail] > p.railMaxHeld[rail] {
-		p.railMaxHeld[rail] = p.railHeld[rail]
-	}
 	if len(p.freeList) < p.minFree {
 		p.minFree = len(p.freeList)
 	}
@@ -288,7 +276,6 @@ func (p *Pool) Put(v *Vbuf) {
 	v.span.End()
 	v.span = obs.Span{}
 	p.held--
-	p.railHeld[v.rail]--
 	p.freeList = append(p.freeList, v)
 	p.puts++
 	p.hub.Counter(p.freeCtr, float64(len(p.freeList)))
@@ -329,35 +316,6 @@ func (p *Pool) MaxHeld() int { return p.maxHeld }
 // sampled as the cumulative "<pool>.waits" gauge, so time-series tracers
 // see when the pressure happened, not only how often.
 func (p *Pool) Waits() uint64 { return p.waits }
-
-// Rails returns the number of rails the pool has seen holds for (at
-// least 1 once any vbuf was taken).
-func (p *Pool) Rails() int { return len(p.railGets) }
-
-// RailGets returns the number of vbufs handed out to the given rail.
-func (p *Pool) RailGets(rail int) uint64 {
-	if rail < 0 || rail >= len(p.railGets) {
-		return 0
-	}
-	return p.railGets[rail]
-}
-
-// RailHeld returns how many vbufs the given rail holds right now.
-func (p *Pool) RailHeld(rail int) int {
-	if rail < 0 || rail >= len(p.railHeld) {
-		return 0
-	}
-	return p.railHeld[rail]
-}
-
-// RailMaxHeld returns the given rail's concurrent-hold high-water mark —
-// how many vbufs that rail's chunk stream had in flight at once.
-func (p *Pool) RailMaxHeld(rail int) int {
-	if rail < 0 || rail >= len(p.railMaxHeld) {
-		return 0
-	}
-	return p.railMaxHeld[rail]
-}
 
 // Stats returns a one-line summary; multi-rail pools append the per-rail
 // get counts.

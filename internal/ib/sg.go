@@ -235,24 +235,17 @@ func (h *HCA) scatterDeposit(reg Region, roff int, snap []byte, railIdx int, wir
 	})
 }
 
-// RDMAWriteGatherRailTask is the NIC-offloaded counterpart of
-// RDMAWriteRail with a parent span and chunk tag: instead of snapshotting
-// a contiguous source at post time, the rail's SGE unit first walks the
-// gather descriptor (engine occupancy per GatherCost, traced as
-// KindNicGather under parent), then the gathered payload goes to the
-// wire. onWirePosted, when non-nil, runs synchronously right after the
-// wire transfer has been posted — the hook protocol layers use to post the
-// chunk's FIN behind the data on the same rail, preserving the
-// FIN-after-data FIFO even though the gather delays the post. The
-// returned event fires at local wire completion.
-func (h *HCA) RDMAWriteGatherRailTask(dst int, sg SGDesc, rkey uint32, roff, railIdx int, parent obs.Span, chunk int, onWirePosted func()) *sim.Event {
-	done := new(sim.Event)
-	h.RDMAWriteGatherRailInto(done, dst, sg, rkey, roff, railIdx, parent, chunk, onWirePosted)
-	return done
-}
-
-// RDMAWriteGatherRailInto is RDMAWriteGatherRailTask completing done, an
-// event the caller holds, re-armed here as "hcaN.gather.done".
+// RDMAWriteGatherRailInto is the NIC-offloaded counterpart of
+// RDMAWriteRailInto with a parent span and chunk tag: instead of
+// snapshotting a contiguous source at post time, the rail's SGE unit
+// first walks the gather descriptor (engine occupancy per GatherCost,
+// traced as KindNicGather under parent), then the gathered payload goes
+// to the wire. onWirePosted, when non-nil, runs synchronously right after
+// the wire transfer has been posted — the hook protocol layers use to
+// post the chunk's FIN behind the data on the same rail, preserving the
+// FIN-after-data FIFO even though the gather delays the post. done, an
+// event the caller holds, is re-armed here as "hcaN.gather.done" and
+// fires at local wire completion.
 func (h *HCA) RDMAWriteGatherRailInto(done *sim.Event, dst int, sg SGDesc, rkey uint32, roff, railIdx int, parent obs.Span, chunk int, onWirePosted func()) {
 	rl := h.railAt(railIdx)
 	done.Reset(h.f.e, h.gatherDoneName())

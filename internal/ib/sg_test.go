@@ -99,8 +99,10 @@ func TestGatherWriteScatterRoundTrip(t *testing.T) {
 	wirePosted := false
 	nw.e.Spawn("sender", func(p *sim.Proc) {
 		sg := SGDesc{Plan: srcPlan, Buf: src, Off: 0, N: size}
-		p.Wait(nw.hcas[0].RDMAWriteGatherRailTask(1, sg, region.Rkey, 0, 0, obs.Span{}, 0,
-			func() { wirePosted = true }))
+		done := new(sim.Event)
+		nw.hcas[0].RDMAWriteGatherRailInto(done, 1, sg, region.Rkey, 0, 0, obs.Span{}, 0,
+			func() { wirePosted = true })
+		p.Wait(done)
 	})
 	if err := nw.e.Run(); err != nil {
 		t.Fatal(err)
@@ -145,8 +147,9 @@ func TestGatherSerializesOnSGEngine(t *testing.T) {
 	var ends []sim.Time
 	nw.e.Spawn("sender", func(p *sim.Proc) {
 		sg := SGDesc{Plan: plan, Buf: src, Off: 0, N: size}
-		a := nw.hcas[0].RDMAWriteGatherRailTask(1, sg, region.Rkey, 0, 0, obs.Span{}, 0, nil)
-		b := nw.hcas[0].RDMAWriteGatherRailTask(1, sg, region.Rkey, size, 0, obs.Span{}, 1, nil)
+		a, b := new(sim.Event), new(sim.Event)
+		nw.hcas[0].RDMAWriteGatherRailInto(a, 1, sg, region.Rkey, 0, 0, obs.Span{}, 0, nil)
+		nw.hcas[0].RDMAWriteGatherRailInto(b, 1, sg, region.Rkey, size, 0, obs.Span{}, 1, nil)
 		a.OnTrigger(func() { ends = append(ends, nw.e.Now()) })
 		b.OnTrigger(func() { ends = append(ends, nw.e.Now()) })
 		p.Wait(a)
@@ -234,7 +237,8 @@ func TestGatherDeterminism(t *testing.T) {
 		nw.e.Spawn("sender", func(p *sim.Proc) {
 			for c := 0; c < 2; c++ {
 				sg := SGDesc{Plan: plan, Buf: src, Off: 0, N: size}
-				ev := nw.hcas[0].RDMAWriteGatherRailTask(1, sg, region.Rkey, c*size, 0, obs.Span{}, c, nil)
+				ev := new(sim.Event)
+				nw.hcas[0].RDMAWriteGatherRailInto(ev, 1, sg, region.Rkey, c*size, 0, obs.Span{}, c, nil)
 				ev.OnTrigger(func() { ends = append(ends, nw.e.Now()) })
 				p.Wait(ev)
 			}

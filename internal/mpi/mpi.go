@@ -234,7 +234,7 @@ type Rank struct {
 	stats *RankStats
 
 	posted         []*Request   // posted receives, in post order
-	unexpected     []*inbound   // arrived unmatched, in arrival order
+	unexpected     []inbound    // arrived unmatched, in arrival order
 	arrivalWaiters []*sim.Event // blocked Probe calls
 
 	nextID      int

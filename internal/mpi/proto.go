@@ -422,7 +422,12 @@ func (r *Rank) irecv(buf mem.Ptr, count int, dt *datatype.Datatype, source, tag,
 		if !matches(source, tag, ctx, in.from, in.tag, in.ctx) {
 			continue
 		}
-		r.unexpected = append(r.unexpected[:i], r.unexpected[i+1:]...)
+		// Zero the vacated tail slot: the array must not keep a recycled
+		// payload alive.
+		last := len(r.unexpected) - 1
+		copy(r.unexpected[i:], r.unexpected[i+1:])
+		r.unexpected[last] = inbound{}
+		r.unexpected = r.unexpected[:last]
 		switch {
 		case in.isRts && in.isGet:
 			r.startRecvGet(q, in.from, in.tag, in.size, in.sendID, in.rkey)
@@ -522,7 +527,7 @@ func (r *Rank) dispatchEager(from, tag, ctx, size int, payload []byte) {
 	// unexpected copy lives until a receive matches it.
 	data := mem.GetBytes(len(payload))
 	copy(data, payload)
-	r.unexpected = append(r.unexpected, &inbound{
+	r.unexpected = append(r.unexpected, inbound{
 		from: from, tag: tag, ctx: ctx, size: size,
 		payload: data,
 	})
@@ -536,7 +541,7 @@ func (r *Rank) dispatchRTS(m *header) {
 		return
 	}
 	r.stats.Unexpected++
-	r.unexpected = append(r.unexpected, &inbound{
+	r.unexpected = append(r.unexpected, inbound{
 		from: m.src, tag: m.tag, ctx: m.ctx, size: m.size,
 		sendID: m.sendID, isRts: true,
 	})

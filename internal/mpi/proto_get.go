@@ -173,7 +173,7 @@ func (r *Rank) dispatchRTSGet(m *header) {
 		return
 	}
 	r.stats.Unexpected++
-	r.unexpected = append(r.unexpected, &inbound{
+	r.unexpected = append(r.unexpected, inbound{
 		from: m.src, tag: m.tag, ctx: m.ctx, size: m.size,
 		sendID: m.sendID, isRts: true, isGet: true, rkey: m.rkey,
 	})

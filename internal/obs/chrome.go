@@ -2,7 +2,7 @@ package obs
 
 import (
 	"fmt"
-	"io"
+	"os"
 	"strconv"
 	"strings"
 
@@ -117,10 +117,10 @@ func (c *ChromeTracer) Tracks() []string { return append([]string(nil), c.order.
 // metadata).
 func (c *ChromeTracer) Events() int { return len(c.lines) - len(c.order) }
 
-// WriteTo writes the complete trace JSON document.
-func (c *ChromeTracer) WriteTo(w io.Writer) (int64, error) {
-	n, err := io.WriteString(w, c.JSON())
-	return int64(n), err
+// WriteFile writes the complete trace JSON document to the file at path,
+// creating or truncating it.
+func (c *ChromeTracer) WriteFile(path string) error {
+	return os.WriteFile(path, []byte(c.JSON()), 0o644)
 }
 
 // JSON returns the complete trace document as a string.

@@ -1,7 +1,6 @@
 package critpath_test
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -9,49 +8,22 @@ import (
 
 	"mv2sim/internal/cluster"
 	"mv2sim/internal/core"
-	"mv2sim/internal/datatype"
-	"mv2sim/internal/mem"
 	"mv2sim/internal/obs"
 	"mv2sim/internal/obs/critpath"
+	"mv2sim/internal/osu"
 	"mv2sim/internal/sim"
 )
 
-// runTransfer runs one pipetrace-style 2-GPU vector transfer with the
-// collector (and optionally a chrome tracer) attached and returns the
-// analyses.
+// runTransfer runs one pipetrace-style 2-GPU vector transfer (pitch 16)
+// with the collector and a Chrome tracer attached and returns both.
 func runTransfer(t testing.TB, msg, rails int, mode core.PackMode) (*critpath.Collector, *obs.ChromeTracer) {
 	t.Helper()
-	rows := msg / 4
-	vec, err := datatype.Vector(rows, 1, 4, datatype.Float32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vec.MustCommit()
-
 	col := critpath.NewCollector()
 	chrome := obs.NewChromeTracer()
-	cfg := cluster.Config{
-		GPUMemBytes: 2*rows*16 + (64 << 20),
-		Rails:       rails,
-		Tracers:     []obs.Tracer{col, chrome},
-	}
+	cfg := cluster.Config{Rails: rails, Tracers: []obs.Tracer{col, chrome}}
 	cfg.Core.PackMode = mode
 	cfg.Core.UnpackMode = mode
-	cl := cluster.New(cfg)
-	err = cl.Run(func(n *cluster.Node) {
-		r := n.Rank
-		buf := n.Ctx.MustMalloc(vec.Span(1))
-		if r.Rank() == 0 {
-			mem.Fill(buf, vec.Span(1), func(i int) byte { return byte(i) })
-			r.Send(buf, 1, vec, 1, 0)
-		} else {
-			r.Recv(buf, 1, vec, 0, 0)
-		}
-		if err := n.Ctx.Free(buf); err != nil {
-			panic(err)
-		}
-	})
-	if err != nil {
+	if _, err := osu.VectorTransfer(msg, 16, cfg); err != nil {
 		t.Fatal(err)
 	}
 	return col, chrome
@@ -114,11 +86,7 @@ func TestGoldenDeterminism(t *testing.T) {
 // reproduces the live analysis exactly.
 func TestIngestRoundTrip(t *testing.T) {
 	col, chrome := runTransfer(t, 1<<20, 2, core.PackModeKernel)
-	var buf bytes.Buffer
-	if _, err := chrome.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	ingested, err := critpath.Ingest(&buf)
+	ingested, err := critpath.Ingest(strings.NewReader(chrome.JSON()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,61 +12,31 @@ import (
 
 	"mv2sim/internal/cluster"
 	"mv2sim/internal/core"
-	"mv2sim/internal/datatype"
 	"mv2sim/internal/load"
-	"mv2sim/internal/mem"
 	"mv2sim/internal/obs"
 	"mv2sim/internal/obs/critpath"
 	"mv2sim/internal/obs/dash"
 	"mv2sim/internal/obs/store"
+	"mv2sim/internal/osu"
 )
 
 var update = flag.Bool("update", false, "rewrite golden endpoint payloads")
 
 // runDash drives the pinned pipetrace configuration (1 MB vector, pitch
-// 4, memcpy2d — the same run the committed trace golden pins) with the
+// 16, memcpy2d — the same run the committed trace golden pins) with the
 // full dashboard bundle attached and returns the bundle plus the Chrome
 // trace document.
 func runDash(t testing.TB, msg, rails int, mode core.PackMode) (dash.Bundle, []byte) {
 	t.Helper()
-	rows := msg / 4
-	vec, err := datatype.Vector(rows, 1, 4, datatype.Float32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vec.MustCommit()
-
 	b := dash.NewBundle()
 	chrome := obs.NewChromeTracer()
-	cfg := cluster.Config{
-		GPUMemBytes: 2*rows*16 + (64 << 20),
-		Rails:       rails,
-		Tracers:     append(b.Tracers(), chrome),
-	}
+	cfg := cluster.Config{Rails: rails, Tracers: append(b.Tracers(), chrome)}
 	cfg.Core.PackMode = mode
 	cfg.Core.UnpackMode = mode
-	cl := cluster.New(cfg)
-	err = cl.Run(func(n *cluster.Node) {
-		r := n.Rank
-		buf := n.Ctx.MustMalloc(vec.Span(1))
-		if r.Rank() == 0 {
-			mem.Fill(buf, vec.Span(1), func(i int) byte { return byte(i) })
-			r.Send(buf, 1, vec, 1, 0)
-		} else {
-			r.Recv(buf, 1, vec, 0, 0)
-		}
-		if err := n.Ctx.Free(buf); err != nil {
-			panic(err)
-		}
-	})
-	if err != nil {
+	if _, err := osu.VectorTransfer(msg, 16, cfg); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := chrome.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return b, buf.Bytes()
+	return b, []byte(chrome.JSON())
 }
 
 // fixtureStore seeds a small deterministic trajectory store.

@@ -9,14 +9,15 @@ import (
 
 // This file flattens the repo's BENCH_*.json snapshot formats into store
 // records, one record per metric. Virtual-time metrics (simulated
-// latencies, virtual bandwidths) get a direction and are gate-able; host
-// wall-clock metrics are recorded as informational — they ride along in
-// the trajectory plots but a noisy CI machine can never fail the gate.
+// latencies, virtual bandwidths) get a direction and are gate-able;
+// context such as model divergence and break-even rows is recorded as
+// informational — it rides along in the trajectory plots but never fails
+// the gate.
 
 // Extract sniffs which BENCH format the document is and flattens it.
-// The returned source is one of "repro", "pack", "critpath", "wallclock",
-// "load". Records come back sorted by metric key, so extraction is
-// deterministic regardless of JSON map order.
+// The returned source is one of "repro", "pack", "critpath", "load".
+// Records come back sorted by metric key, so extraction is deterministic
+// regardless of JSON map order.
 func Extract(data []byte) (source string, recs []Record, err error) {
 	var probe map[string]json.RawMessage
 	if err := json.Unmarshal(data, &probe); err != nil {
@@ -32,9 +33,6 @@ func Extract(data []byte) (source string, recs []Record, err error) {
 	case probe["results"] != nil:
 		recs, err = ExtractCritpath(data)
 		source = "critpath"
-	case probe["engine_event_ns"] != nil:
-		recs, err = ExtractWallclock(data)
-		source = "wallclock"
 	case probe["load_schema"] != nil:
 		recs, err = ExtractLoad(data)
 		source = "load"
@@ -68,11 +66,13 @@ type reproBench struct {
 	Pipedoctor4MB struct {
 		WallUs float64 `json:"wall_us"`
 	} `json:"pipedoctor_4mb"`
+	RailsBandwidthMBs map[string]float64 `json:"rails_bandwidth_mbs"`
 }
 
 // ExtractRepro flattens BENCH_repro.json: the Figure 5(b) virtual latency
-// curves, the Stencil2D NC medians and the 4 MB pipedoctor wall clock —
-// all virtual times, all gate-able lower-is-better.
+// curves, the Stencil2D NC medians and the 4 MB pipedoctor wall clock,
+// all gate-able lower-is-better, and the multi-rail virtual bandwidths,
+// gate-able higher-is-better.
 func ExtractRepro(data []byte) ([]Record, error) {
 	var b reproBench
 	if err := json.Unmarshal(data, &b); err != nil {
@@ -107,6 +107,13 @@ func ExtractRepro(data []byte) ([]Record, error) {
 			Source: "repro",
 			Metric: "repro.pipedoctor_4mb.wall_us",
 			Unit:   "us", Better: BetterLower, Value: b.Pipedoctor4MB.WallUs,
+		})
+	}
+	for _, k := range sortedKeys(b.RailsBandwidthMBs) {
+		recs = append(recs, Record{
+			Source: "repro",
+			Metric: fmt.Sprintf("repro.rails_bandwidth_mbs.%s", k),
+			Unit:   "MB/s", Better: BetterHigher, Value: b.RailsBandwidthMBs[k],
 		})
 	}
 	return recs, nil
@@ -190,38 +197,6 @@ func ExtractCritpath(data []byte) ([]Record, error) {
 				Metric: fmt.Sprintf("critpath.%s.divergence_pct", r.Label),
 				Unit:   "%", Value: 100 * r.Divergence, // informational
 			})
-	}
-	return recs, nil
-}
-
-// wallclockBench mirrors cmd/repro's wallclockResults.
-type wallclockBench struct {
-	EngineEventNs           float64            `json:"engine_event_ns"`
-	PackPlanCachedNsChunk   float64            `json:"packplan_cached_ns_per_chunk"`
-	PackPlanUncachedNsChunk float64            `json:"packplan_uncached_ns_per_chunk"`
-	RailsBandwidthMBs       map[string]float64 `json:"rails_bandwidth_mbs"`
-}
-
-// ExtractWallclock flattens BENCH_wallclock.json. The rails bandwidth
-// points are virtual numbers (a determinism pin) and gate higher-better;
-// the host-time microbenchmarks are informational — real machines are
-// too noisy for a 5% wall-clock gate in CI.
-func ExtractWallclock(data []byte) ([]Record, error) {
-	var b wallclockBench
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("store: parse wallclock bench: %w", err)
-	}
-	recs := []Record{
-		{Source: "wallclock", Metric: "wallclock.engine_event_ns", Unit: "ns", Value: b.EngineEventNs},
-		{Source: "wallclock", Metric: "wallclock.packplan_cached_ns_per_chunk", Unit: "ns", Value: b.PackPlanCachedNsChunk},
-		{Source: "wallclock", Metric: "wallclock.packplan_uncached_ns_per_chunk", Unit: "ns", Value: b.PackPlanUncachedNsChunk},
-	}
-	for _, k := range sortedKeys(b.RailsBandwidthMBs) {
-		recs = append(recs, Record{
-			Source: "wallclock",
-			Metric: fmt.Sprintf("wallclock.rails_bandwidth_mbs.%s", k),
-			Unit:   "MB/s", Better: BetterHigher, Value: b.RailsBandwidthMBs[k],
-		})
 	}
 	return recs, nil
 }

@@ -14,7 +14,8 @@ const reproDoc = `{
   "stencil2d_median_sec": {
     "f32": [{"grid": "1x8 (64Kx1K)", "def_sec": 0.006949, "nc_sec": 0.002588}]
   },
-  "pipedoctor_4mb": {"label": "figure5b_4M_rails1_auto", "wall_us": 1465.986}
+  "pipedoctor_4mb": {"label": "figure5b_4M_rails1_auto", "wall_us": 1465.986},
+  "rails_bandwidth_mbs": {"rails1": 2958.1, "rails2": 3168.9}
 }`
 
 const packDoc = `{
@@ -32,14 +33,6 @@ const critpathDoc = `{
   ]
 }`
 
-const wallclockDoc = `{
-  "gomaxprocs": 8,
-  "engine_event_ns": 350.1,
-  "packplan_cached_ns_per_chunk": 38.4,
-  "packplan_uncached_ns_per_chunk": 44.3,
-  "rails_bandwidth_mbs": {"rails1": 3087.0, "rails2": 4355.0}
-}`
-
 func TestExtractDetectsFormats(t *testing.T) {
 	for _, tc := range []struct {
 		doc, source string
@@ -47,7 +40,7 @@ func TestExtractDetectsFormats(t *testing.T) {
 		{reproDoc, "repro"},
 		{packDoc, "pack"},
 		{critpathDoc, "critpath"},
-		{wallclockDoc, "wallclock"},
+		{loadDoc, "load"},
 	} {
 		source, recs, err := Extract([]byte(tc.doc))
 		if err != nil {
@@ -79,19 +72,23 @@ func TestExtractReproMetrics(t *testing.T) {
 	for _, r := range recs {
 		byMetric[r.Metric] = r
 	}
-	want := map[string]float64{
-		"repro.figure5b.MV2-GPU-NC.4194304_us": 1465.986,
-		"repro.figure5b.Cpy2D+Send.4096_us":    571.62,
-		"repro.stencil2d.f32.1x8.nc_sec":       0.002588,
-		"repro.pipedoctor_4mb.wall_us":         1465.986,
-	}
-	for m, v := range want {
+	for m, want := range map[string]struct {
+		value  float64
+		better string
+	}{
+		"repro.figure5b.MV2-GPU-NC.4194304_us": {1465.986, BetterLower},
+		"repro.figure5b.Cpy2D+Send.4096_us":    {571.62, BetterLower},
+		"repro.stencil2d.f32.1x8.nc_sec":       {0.002588, BetterLower},
+		"repro.pipedoctor_4mb.wall_us":         {1465.986, BetterLower},
+		"repro.rails_bandwidth_mbs.rails1":     {2958.1, BetterHigher},
+		"repro.rails_bandwidth_mbs.rails2":     {3168.9, BetterHigher},
+	} {
 		r, ok := byMetric[m]
 		if !ok {
 			t.Fatalf("metric %s missing; have %v", m, sortedKeys(byMetric))
 		}
-		if r.Value != v || r.Better != BetterLower {
-			t.Fatalf("metric %s = %+v, want value %g lower-better", m, r, v)
+		if r.Value != want.value || r.Better != want.better {
+			t.Fatalf("metric %s = %+v, want value %g better %q", m, r, want.value, want.better)
 		}
 	}
 }
@@ -118,27 +115,8 @@ func TestExtractPackCountsMismatches(t *testing.T) {
 	}
 }
 
-func TestExtractWallclockDirections(t *testing.T) {
-	_, recs, err := Extract([]byte(wallclockDoc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range recs {
-		switch r.Metric {
-		case "wallclock.rails_bandwidth_mbs.rails1", "wallclock.rails_bandwidth_mbs.rails2":
-			if r.Better != BetterHigher {
-				t.Fatalf("virtual bandwidth %s not higher-better: %+v", r.Metric, r)
-			}
-		default:
-			if r.Better != "" {
-				t.Fatalf("host-time metric %s must be informational: %+v", r.Metric, r)
-			}
-		}
-	}
-}
-
 func TestExtractIsDeterministic(t *testing.T) {
-	for _, doc := range []string{reproDoc, packDoc, critpathDoc, wallclockDoc, loadDoc} {
+	for _, doc := range []string{reproDoc, packDoc, critpathDoc, loadDoc} {
 		_, a, err := Extract([]byte(doc))
 		if err != nil {
 			t.Fatal(err)

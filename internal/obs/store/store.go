@@ -33,8 +33,8 @@ const SchemaVersion = 1
 const (
 	BetterLower  = "lower"  // latency-like: smaller is an improvement
 	BetterHigher = "higher" // bandwidth-like: larger is an improvement
-	// An empty Better marks an informational metric (host wall-clock
-	// noise, configuration echoes): tracked and plotted, never gated.
+	// An empty Better marks an informational metric (model divergence,
+	// configuration echoes, host times): tracked and plotted, never gated.
 )
 
 // Record is one stored measurement of one metric.
@@ -42,7 +42,7 @@ type Record struct {
 	Schema int    `json:"schema"`
 	Seq    int    `json:"seq"`              // 1-based append order, assigned by the store
 	Commit string `json:"commit,omitempty"` // PR / commit label the value was measured at
-	Source string `json:"source"`           // producing bench: repro, pack, critpath, wallclock
+	Source string `json:"source"`           // producing bench: repro, pack, critpath, load
 	Metric string `json:"metric"`           // dotted key, e.g. "critpath.msg4M_rails1_memcpy2d.wall_us"
 	Unit   string `json:"unit,omitempty"`   // us, ns, MB/s, points
 	Better string `json:"better,omitempty"` // BetterLower, BetterHigher or "" (informational)
