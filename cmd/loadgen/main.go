@@ -112,9 +112,11 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("Load sweep written to %s (%d curves x %d points).\n", *benchOut, len(doc.Curves), len(levels))
-	}
-	if *storePath != "" && *benchOut != "" {
-		appendStore(*storePath, *commit, *benchOut)
+		if *storePath != "" {
+			if err := store.AppendBench(os.Stdout, *storePath, *commit, data); err != nil {
+				log.Fatalf("loadgen: %s: %v", *benchOut, err)
+			}
+		}
 	}
 }
 
@@ -161,28 +163,4 @@ func railsLabel(r int) int {
 		return 1
 	}
 	return r
-}
-
-// appendStore extracts the load metrics from the written bench file and
-// appends them to the perf store.
-func appendStore(storePath, commit, benchPath string) {
-	st, err := store.Open(storePath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	data, err := os.ReadFile(benchPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	source, recs, err := store.Extract(data)
-	if err != nil {
-		log.Fatalf("loadgen: %s: %v", benchPath, err)
-	}
-	for i := range recs {
-		recs[i].Commit = commit
-	}
-	if err := st.Append(recs...); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("Perf store: appended %d %s metric(s) to %s\n", len(recs), source, storePath)
 }

@@ -44,9 +44,11 @@ func main() {
 	flag.Parse()
 
 	if *crossover {
-		runCrossover(*benchOut)
-		if *storePath != "" && *benchOut != "" {
-			appendStore(*storePath, *commit, *benchOut)
+		doc := runCrossover(*benchOut)
+		if *storePath != "" && doc != nil {
+			if err := store.AppendBench(os.Stdout, *storePath, *commit, doc); err != nil {
+				log.Fatalf("packbench: %s: %v", *benchOut, err)
+			}
 		}
 		return
 	}
@@ -83,8 +85,9 @@ func main() {
 }
 
 // runCrossover measures the pack-engine crossover grid, prints it, and
-// optionally writes it as the BENCH_pack.json artifact CI gates and uploads.
-func runCrossover(out string) {
+// optionally writes it as the BENCH_pack.json artifact CI gates and
+// uploads; it returns the document written, or nil.
+func runCrossover(out string) []byte {
 	rowsList := []int{16, 64, 128, 256, 1024, 4096, 16384}
 	rowBytesList := []int{4, 16, 64, 256, 1024, 4096}
 	res := must(osu.PackCrossover(rowsList, rowBytesList, 4, gpu.CostModel{}, ib.Model{}))
@@ -107,31 +110,9 @@ func runCrossover(out string) {
 			log.Fatal(err)
 		}
 		fmt.Printf("Crossover sweep written to %s (%d points).\n", out, len(res.Grid))
+		return data
 	}
-}
-
-// appendStore extracts the crossover metrics from the written bench file
-// and appends them to the perf store.
-func appendStore(storePath, commit, benchPath string) {
-	st, err := store.Open(storePath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	data, err := os.ReadFile(benchPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	source, recs, err := store.Extract(data)
-	if err != nil {
-		log.Fatalf("packbench: %s: %v", benchPath, err)
-	}
-	for i := range recs {
-		recs[i].Commit = commit
-	}
-	if err := st.Append(recs...); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("Perf store: appended %d %s metric(s) to %s\n", len(recs), source, storePath)
+	return nil
 }
 
 // must exits nonzero on any benchmark failure, including the device-leak

@@ -48,17 +48,25 @@ func main() {
 	}
 
 	switch cmd {
-	case "seed", "append":
+	case "seed":
 		recs := loadBench(fs.Args(), *commit)
-		if cmd == "seed" {
-			err = st.Seed(recs)
-		} else {
-			err = st.Append(recs...)
-		}
-		if err != nil {
+		if err := st.Seed(recs); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("perfstore: %sed %d record(s) into %s\n", cmd, len(recs), *storePath)
+		fmt.Printf("perfstore: seeded %d record(s) into %s\n", len(recs), *storePath)
+	case "append":
+		if len(fs.Args()) == 0 {
+			log.Fatal("perfstore: at least one BENCH_*.json argument is required")
+		}
+		for _, p := range fs.Args() {
+			data, err := os.ReadFile(p)
+			if err != nil {
+				log.Fatal(err)
+			}
+			if err := store.AppendBench(os.Stdout, *storePath, *commit, data); err != nil {
+				log.Fatalf("perfstore: %s: %v", p, err)
+			}
+		}
 	case "gate":
 		var results []store.GateResult
 		if *self {

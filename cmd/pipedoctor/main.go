@@ -141,34 +141,13 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := appendStore(*storePath, *commit, data); err != nil {
+		if err := store.AppendBench(os.Stdout, *storePath, *commit, data); err != nil {
 			log.Fatal(err)
 		}
 	}
 	if failed {
 		os.Exit(1)
 	}
-}
-
-// appendStore extracts metrics from a bench document and appends them to
-// the perf store at path.
-func appendStore(path, commit string, benchDoc []byte) error {
-	st, err := store.Open(path)
-	if err != nil {
-		return err
-	}
-	source, recs, err := store.Extract(benchDoc)
-	if err != nil {
-		return err
-	}
-	for i := range recs {
-		recs[i].Commit = commit
-	}
-	if err := st.Append(recs...); err != nil {
-		return err
-	}
-	fmt.Printf("Perf store: appended %d %s metric(s) to %s\n", len(recs), source, path)
-	return nil
 }
 
 // runOnce runs one live pipetrace-style transfer with the collecting and

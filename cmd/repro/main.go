@@ -218,34 +218,15 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("\nMachine-readable results: %s\n", *benchOut)
-		appendStore(*storePath, *commit, data)
+		if *storePath != "" {
+			if err := store.AppendBench(os.Stdout, *storePath, *commit, data); err != nil {
+				log.Fatal(err)
+			}
+		}
 	}
 
 	fmt.Printf("\nTotal wall time: %s (virtual cluster: 8 nodes, C2050-class GPUs, QDR IB)\n",
 		time.Since(start).Round(time.Millisecond))
-}
-
-// appendStore extracts the metrics of the bench document and appends
-// them to the perf store; a no-op without -store.
-func appendStore(storePath, commit string, benchDoc []byte) {
-	if storePath == "" {
-		return
-	}
-	st, err := store.Open(storePath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	source, recs, err := store.Extract(benchDoc)
-	if err != nil {
-		log.Fatal(err)
-	}
-	for i := range recs {
-		recs[i].Commit = commit
-	}
-	if err := st.Append(recs...); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("Perf store: appended %d %s metric(s) to %s\n", len(recs), source, storePath)
 }
 
 // pipelineRun runs one traced 4 MB MV2-GPU-NC vector transfer at the

@@ -44,9 +44,11 @@ func main() {
 	}
 	vec.MustCommit()
 
+	bufs := make([]mem.Ptr, len(cl.Nodes))
 	err = cl.Run(func(n *cluster.Node) {
 		r := n.Rank
 		buf := n.Ctx.MustMalloc(vec.Span(1))
+		bufs[r.Rank()] = buf
 		if r.Rank() == 0 {
 			mem.Fill(buf, vec.Span(1), func(i int) byte { return byte(i) })
 			r.Send(buf, 1, vec, 1, 0)
@@ -55,6 +57,16 @@ func main() {
 		}
 	})
 	if err != nil {
+		log.Fatal(err)
+	}
+	// Free is table bookkeeping, so it works once Run has returned; then
+	// nothing the transport allocated may still be live.
+	for i, n := range cl.Nodes {
+		if err := n.Ctx.Free(bufs[i]); err != nil {
+			log.Fatal(err)
+		}
+	}
+	if err := cl.CheckDeviceLeaks(); err != nil {
 		log.Fatal(err)
 	}
 

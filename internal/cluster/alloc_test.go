@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"mv2sim/internal/core"
 	"mv2sim/internal/datatype"
 	"mv2sim/internal/hostmem"
 	"mv2sim/internal/mem"
@@ -199,6 +200,35 @@ func TestRendezvousSwitchesPerTransfer(t *testing.T) {
 	if events != 94 {
 		t.Errorf("%.2f events per 32 KB rendezvous round trip, want exactly 94", events)
 	}
+}
+
+// nicPingPong is rndvPingPong with the HCA's scatter/gather unit packing
+// and unpacking on both sides (PackModeNic): gather → wire → scatter.
+func nicPingPong(t *testing.T, trips int, at func(int)) *Cluster {
+	cfg := Config{Nodes: 2}
+	cfg.Core.PackMode, cfg.Core.UnpackMode = core.PackModeNic, core.PackModeNic
+	return pingPong(t, cfg, 8192, false, 0, trips, at)
+}
+
+// TestNicRendezvousPins pins the NIC route as the tests above pin the
+// staged one: switches and events per round trip, and no malloc. The
+// gather and scatter walks run on pooled records, and so do the FINs
+// posted behind the gathered data.
+func TestNicRendezvousPins(t *testing.T) {
+	const short, long = 50, 250
+	s, l := nicPingPong(t, short, nil).Engine, nicPingPong(t, long, nil).Engine
+	switches := float64(l.Switches()-s.Switches()) / (long - short)
+	events := float64(l.Events()-s.Events()) / (long - short)
+	bytesPerTrip, mallocsPerTrip := perTrip(t, nicPingPong)
+	t.Logf("per round trip: %.2f switches, %.2f events, %.0f heap bytes, %.1f mallocs",
+		switches, events, bytesPerTrip, mallocsPerTrip)
+	if switches != 8 {
+		t.Errorf("%.2f process switches per 32 KB NIC round trip, want exactly 8", switches)
+	}
+	if events != 68 {
+		t.Errorf("%.2f events per 32 KB NIC round trip, want exactly 68", events)
+	}
+	checkNoAllocs(t, "32 KB NIC rendezvous", bytesPerTrip, mallocsPerTrip)
 }
 
 // hostRndvPingPong is pingPong of one 32 KB host vector (8192 rows, one

@@ -123,6 +123,8 @@ type Cluster struct {
 	// Obs is the tracing hub all layers publish to; nil when Config.Tracers
 	// is empty, i.e. when tracing is off.
 	Obs *obs.Hub
+
+	bytes mem.ByteCounters // every layer's byte work, see ByteCounters
 }
 
 // New builds a cluster per cfg.
@@ -136,6 +138,8 @@ func New(cfg Config) *Cluster {
 	fabric := ib.NewFabric(e, cfg.IBModel)
 	world := mpi.NewWorld(e, cfg.MPI)
 	cl := &Cluster{Engine: e, Fabric: fabric, World: world}
+	fabric.SetByteCounters(&cl.bytes)
+	world.SetByteCounters(&cl.bytes)
 
 	if len(cfg.Tracers) > 0 {
 		cl.Obs = obs.NewHub(e, cfg.Tracers...)
@@ -153,12 +157,15 @@ func New(cfg Config) *Cluster {
 	for i := 0; i < cfg.Nodes; i++ {
 		hca := fabric.NewHCA(i)
 		heap := mem.Reserve(mem.Host, fmt.Sprintf("node%d.heap", i), -1, cfg.HostHeapBytes)
+		heap.SetByteCounters(&cl.bytes)
 		rank := world.AddRank(hca, heap)
 		node := &Node{Rank: rank}
 		if !cfg.NoGPU {
 			node.Dev = gpu.New(e, i, gpu.Config{MemBytes: cfg.GPUMemBytes, Model: cfg.GPUModel})
+			node.Dev.Space().SetByteCounters(&cl.bytes)
 			node.Ctx = cuda.NewCtx(e, node.Dev)
 			pinned := mem.Reserve(mem.Host, fmt.Sprintf("node%d.pinned", i), -1, 2*cfg.VbufCount*blockSize)
+			pinned.SetByteCounters(&cl.bytes)
 			node.Pinned = pinned
 			node.Pool = hostmem.NewPool(e, fmt.Sprintf("node%d.txvbufs", i), hca, pinned.Base(), blockSize, cfg.VbufCount)
 			node.RecvPool = hostmem.NewPool(e, fmt.Sprintf("node%d.rxvbufs", i), hca,
@@ -205,6 +212,12 @@ func (cl *Cluster) Run(fn func(n *Node)) error {
 	}
 	return err
 }
+
+// ByteCounters returns the byte work the cluster's layers have done so
+// far: the contiguous bytes they copied and the bytes new mappings
+// zeroed (mem.ByteCounters). Each cluster counts its own, so clusters
+// running at the same time do not mix.
+func (cl *Cluster) ByteCounters() mem.ByteCounters { return cl.bytes }
 
 // CheckDeviceLeaks is the end-of-run leak gate: it validates every device
 // memory table and reports any allocation still live, a stray mapping

@@ -19,6 +19,17 @@
 //     progress, overlapping the rendezvous handshake with datatype
 //     processing.
 //
+//     Only the pack and the unpack move bytes between two GPU ends. The
+//     sender packs into one packed buffer, which backs its tbuf; the
+//     RTS offers it, and a receiver that unpacks out of one buffer
+//     holds it as its own tbuf and says so in its CTS. The D2H, the
+//     RDMA write and the H2D between them then keep their streams,
+//     engines, spans and slots but move nothing: the vbufs they name
+//     are never read. A contiguous end copies into or out of the
+//     packed buffer at its D2H or H2D completion. An end that is not
+//     this pipeline (a host buffer) offers or holds no buffer, and the
+//     hops move the bytes as they go (DESIGN.md §9.3).
+//
 //  3. The programming model is unchanged: applications pass device
 //     pointers and committed MPI datatypes straight to Send/Recv; the
 //     library detects device memory (UVA classification on mem.Ptr) and
@@ -304,6 +315,22 @@ const (
 	landTbuf                   // the device tbuf, registered and announced in one CTS
 	landScatter                // a NIC scatter region, announced in one CTS
 )
+
+// offersPacked reports whether the sender route builds the whole packed
+// stream in one buffer before it leaves the device: a pack into the
+// tbuf, or a contiguous type's D2H. Such a sender offers the buffer to
+// the receiver in its RTS.
+func (s sendRoute) offersPacked() bool {
+	return s.d2h == copy1D || (s.wire == wireTbuf && s.pack)
+}
+
+// takesPacked reports whether the receiver route reads the packed stream
+// out of one buffer once it has landed: an unpack from the tbuf, or a
+// contiguous type's H2D. Such a receiver holds the buffer a sender
+// offers.
+func (r recvRoute) takesPacked() bool {
+	return r.h2d == copy1D || (r.land == landTbuf && r.unpack)
+}
 
 // sentName names the route's per-chunk send-completion event: "rankN."
 // then kind, the chunk index and suffix.

@@ -17,9 +17,11 @@ import (
 )
 
 // progMsg is one message of a random program: count elements of
-// types[typ] from rank src to rank dst (a self-send when equal).
+// types[typ] from rank src to rank dst (a self-send when equal), between
+// device buffers unless hostSrc or hostDst puts that end in host memory.
 type progMsg struct {
 	src, dst, typ, count int
+	hostSrc, hostDst     bool
 }
 
 // progPost is one call of a rank's script: after gap, optionally start
@@ -138,9 +140,22 @@ func runProgram(t *testing.T, pg program, wrap func(*core.Transport) mpi.GPUTran
 	// its lower bound and span.
 	bufLen := func(m progMsg) int { return pg.types[m.typ].LB() + pg.types[m.typ].Span(m.count) }
 	sendBufs, recvBufs := make([]mem.Ptr, len(pg.msgs)), make([]mem.Ptr, len(pg.msgs))
+	alloc := func(n *cluster.Node, host bool, size int) mem.Ptr {
+		if host {
+			return n.Rank.AllocHost(size)
+		}
+		return n.Ctx.MustMalloc(size)
+	}
+	free := func(n *cluster.Node, host bool, p mem.Ptr) {
+		if host {
+			n.Rank.FreeHost(p)
+		} else if err := n.Ctx.Free(p); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for i, m := range pg.msgs {
-		sendBufs[i] = cl.Nodes[m.src].Ctx.MustMalloc(bufLen(m))
-		recvBufs[i] = cl.Nodes[m.dst].Ctx.MustMalloc(bufLen(m))
+		sendBufs[i] = alloc(cl.Nodes[m.src], m.hostSrc, bufLen(m))
+		recvBufs[i] = alloc(cl.Nodes[m.dst], m.hostDst, bufLen(m))
 		mem.Fill(sendBufs[i], bufLen(m), func(j int) byte { return byte(j*7 + i + 1) })
 	}
 	err := cl.Run(func(n *cluster.Node) {
@@ -176,12 +191,8 @@ func runProgram(t *testing.T, pg program, wrap func(*core.Transport) mpi.GPUTran
 		res.recv = append(res.recv, string(recvBufs[i].Bytes(bufLen(m))))
 	}
 	for i, m := range pg.msgs {
-		if err := cl.Nodes[m.src].Ctx.Free(sendBufs[i]); err != nil {
-			t.Fatal(err)
-		}
-		if err := cl.Nodes[m.dst].Ctx.Free(recvBufs[i]); err != nil {
-			t.Fatal(err)
-		}
+		free(cl.Nodes[m.src], m.hostSrc, sendBufs[i])
+		free(cl.Nodes[m.dst], m.hostDst, recvBufs[i])
 	}
 	// Every tbuf the transport allocated has been freed.
 	if err := cl.CheckDeviceLeaks(); err != nil {

@@ -68,7 +68,7 @@ func (t refRndv) StartRendezvousSend(req *mpi.Request) {
 	r := req.Rank()
 	n1 := t.Node(r)
 	pl := t.planFor(req)
-	r.SendRTS(req)
+	r.SendRTS(req, nil)
 	r.World().Engine().Spawn(fmt.Sprintf("rank%d.gpusend", r.Rank()), func(p *sim.Proc) {
 		if pl.send.pack {
 			tbuf := n1.Ctx.MustMalloc(pl.size)
@@ -213,7 +213,7 @@ func (t refRndv) send(p *sim.Proc, n1 *NodeGPU, pl *plan, req *mpi.Request, tbuf
 // StartRendezvousRecv announces the route's landing slots, then per
 // arriving chunk stages it to the device if the route stages, and unpacks
 // row-aligned groups as their bytes land.
-func (t refRndv) StartRendezvousRecv(req *mpi.Request) {
+func (t refRndv) StartRendezvousRecv(req *mpi.Request, _ []byte) {
 	r := req.Rank()
 	n1 := t.Node(r)
 	pl := t.planFor(req)
@@ -306,7 +306,7 @@ func (t refRndv) recv(p *sim.Proc, n1 *NodeGPU, pl *plan, req *mpi.Request, tbuf
 		for c := range slots {
 			slots[c] = mpi.Slot{Chunk: c, Rkey: region.Rkey, Off: c * chunkBytes, Len: chunkLen(c)}
 		}
-		r.SendCTS(req, total, chunkBytes, slots)
+		r.SendCTS(req, total, chunkBytes, slots, false)
 		announced = total
 	}
 	announce := func() {
@@ -331,7 +331,7 @@ func (t refRndv) recv(p *sim.Proc, n1 *NodeGPU, pl *plan, req *mpi.Request, tbuf
 				break
 			}
 		}
-		r.SendCTS(req, total, chunkBytes, slots)
+		r.SendCTS(req, total, chunkBytes, slots, false)
 	}
 
 	// Chunks are processed in FIN arrival order.

@@ -118,6 +118,11 @@ type rndv struct {
 	pl   plan
 	tbuf mem.Ptr // packed bytes on the device, or the user buffer when contiguous
 
+	// packed is the transfer's packed buffer (see plan): the sender's
+	// offer, which backs its tbuf, and the receiver's, once it holds it.
+	// nil when the routes move the bytes hop by hop.
+	packed []byte
+
 	total, chunkBytes int
 	wait              int // the next event of a final WaitAll
 }
@@ -133,16 +138,22 @@ func (x *rndv) after(d sim.Time, step func()) { x.e.CallAt(x.e.Now()+d, step) }
 // issueTime is the host cost of an async CUDA launch (cuda's issue).
 func (x *rndv) issueTime() sim.Time { return x.n1.Ctx.Model().AsyncIssue }
 
-// setTbuf allocates the transfer's device tbuf when alloc is set, and
-// otherwise stages the contiguous bytes in place. A step that panics
-// makes Run re-raise the panic to its caller, as a process body's panic
-// does.
+// setTbuf allocates the transfer's device tbuf when alloc is set, backed
+// by the packed buffer if the side has one, and otherwise stages the
+// contiguous bytes in place. A step that panics makes Run re-raise the
+// panic to its caller, as a process body's panic does.
 func (x *rndv) setTbuf(alloc bool) {
 	if !alloc {
 		x.tbuf = x.req.Buf().Add(x.pl.shape.Off)
 		return
 	}
-	p, err := x.n1.Ctx.Malloc(x.pl.size)
+	var p mem.Ptr
+	var err error
+	if x.packed != nil {
+		p, err = x.n1.Ctx.MallocWith(x.packed)
+	} else {
+		p, err = x.n1.Ctx.Malloc(x.pl.size)
+	}
 	if err != nil {
 		panic(err)
 	}
@@ -160,9 +171,10 @@ func (x *rndv) chunkLen(c int) int { return min(x.chunkBytes, x.pl.size-c*x.chun
 // as pl.send routes them.
 type rsend struct {
 	rndv
-	step, off int // stage 1: pack size and the next packed offset to pack
-	npack     int // packs issued
-	c         int // the chunk being placed
+	step, off int  // stage 1: pack size and the next packed offset to pack
+	npack     int  // packs issued
+	c         int  // the chunk being placed
+	held      bool // the receiver holds the packed buffer: stages 2 and 3 move no bytes
 	sendKeep
 	next *rsend
 }
@@ -177,8 +189,8 @@ type sendKeep struct {
 	// sentSuffix; the prefix is kept for the route kind it was built for.
 	sentKind, sentPrefix, sentSuffix string
 
-	startFn, issuePackFn, ctsFn, slotFn, packedFn, d2hFn, waitFn func()
-	gotVbufFn                                                    func(*hostmem.Vbuf)
+	startFn, issuePackFn, ctsFn, slotFn, gotPackFn, d2hFn, waitFn func()
+	gotVbufFn                                                     func(*hostmem.Vbuf)
 }
 
 // schunk is one chunk of a send.
@@ -187,6 +199,7 @@ type schunk struct {
 	c, off, n, rail     int
 	slot                mpi.Slot
 	vbuf                *hostmem.Vbuf
+	ps                  *rstage // the pack the chunk waits for; nil without one
 	pack, d2hSp, rdmaSp obs.Span
 	d2h, wire, sent     sim.Event
 
@@ -201,14 +214,17 @@ func (t *Transport) StartRendezvousSend(req *mpi.Request) {
 	if x == nil {
 		x = &rsend{}
 		x.startFn, x.issuePackFn, x.ctsFn = x.start, x.issuePack, x.cts
-		x.slotFn, x.packedFn, x.d2hFn, x.waitFn = x.gotSlot, x.packed, x.d2h, x.waitSent
+		x.slotFn, x.gotPackFn, x.d2hFn, x.waitFn = x.gotSlot, x.gotPack, x.d2h, x.waitSent
 		x.gotVbufFn = x.gotVbuf
 	} else {
 		n1.sendFree = x.next
 		x.next = nil
 	}
 	x.init(t, n1, req)
-	req.Rank().SendRTS(req)
+	if x.pl.send.offersPacked() {
+		x.packed = mem.GetBytes(x.pl.size)
+	}
+	req.Rank().SendRTS(req, x.packed)
 	x.e.CallAt(x.e.Now(), x.startFn)
 }
 
@@ -262,6 +278,9 @@ func (x *rsend) cts() {
 		panic(fmt.Sprintf("core: receiver announced %d chunks of %d bytes, want %d of %d", total, chunkBytes, want, blockSize))
 	}
 	x.total, x.chunkBytes = total, chunkBytes
+	if x.held = x.req.PeerHoldsPacked(); x.held && x.packed == nil {
+		panic("core: receiver holds a packed buffer the sender never offered")
+	}
 	for len(x.chunks) < total {
 		ch := &schunk{x: x}
 		ch.d2hDoneFn, ch.wireDoneFn = ch.d2hDone, ch.wireDone
@@ -289,9 +308,9 @@ func (x *rsend) gotSlot() {
 	ch := x.chunks[x.c]
 	ch.c, ch.slot = x.c, x.req.Slot(x.c)
 	ch.rail, ch.off, ch.n = x.c%x.n1.rails, x.c*x.chunkBytes, x.chunkLen(x.c)
-	ch.pack = obs.Span{}
+	ch.ps, ch.pack = nil, obs.Span{}
 	if !x.pl.send.pack {
-		x.packed()
+		x.gotPack()
 		return
 	}
 	ps := x.packs[x.npack-1]
@@ -301,11 +320,11 @@ func (x *rsend) gotSlot() {
 			break
 		}
 	}
-	ch.pack = ps.sp
-	ps.ev.Then(x.packedFn)
+	ch.ps, ch.pack = ps, ps.sp
+	ps.ev.Then(x.gotPackFn)
 }
 
-func (x *rsend) packed() {
+func (x *rsend) gotPack() {
 	if x.pl.send.d2h != copyNone {
 		x.n1.Pool.GetRailThen(x.chunks[x.c].rail, x.gotVbufFn)
 		return
@@ -333,9 +352,12 @@ func (x *rsend) gotVbuf(v *hostmem.Vbuf) {
 func (x *rsend) d2h() {
 	n1, ch := x.n1, x.chunks[x.c]
 	st := n1.d2hStreams[ch.rail]
-	if x.pl.send.d2h == copy1D {
+	switch {
+	case x.held:
+		n1.Ctx.MemcpyAsyncNoBytesInto(&ch.d2h, ch.vbuf.Ptr, x.tbuf.Add(ch.off), ch.n, st, ch.d2hSp, ch.c)
+	case x.pl.send.d2h == copy1D:
 		n1.Ctx.MemcpyAsyncInto(&ch.d2h, ch.vbuf.Ptr, x.tbuf.Add(ch.off), ch.n, st, ch.d2hSp, ch.c)
-	} else {
+	default:
 		uo, w, rows := x.pl.rows2D("d2h", ch.off, ch.n)
 		n1.Ctx.Memcpy2DAsyncInto(&ch.d2h, ch.vbuf.Ptr, w, x.req.Buf().Add(uo), x.pl.shape.Pitch, w, rows, st, ch.d2hSp, ch.c)
 	}
@@ -344,26 +366,39 @@ func (x *rsend) d2h() {
 	x.nextChunk()
 }
 
-// d2hDone puts a staged chunk on the wire.
+// d2hDone puts a staged chunk on the wire. A contiguous chunk enters a
+// held packed buffer here, in the slot its bytes reach the vbuf in when
+// the hops move them.
 func (ch *schunk) d2hDone() {
 	x := ch.x
 	ch.d2hSp.End()
+	if x.held && !x.pl.send.pack {
+		mem.CopyOut(x.packed[ch.off:ch.off+ch.n], x.tbuf.Add(ch.off))
+	}
 	ch.rdmaSp = x.h.StartChild(x.req.ObsSpan(), obs.KindRDMA, x.n1.tracks.rdma[ch.rail], ch.c, ch.n)
 	ch.rdmaSp.DependsOn(ch.d2hSp, obs.DepStage)
 	ch.post()
 }
 
 // post puts the chunk's stage 3 under its rdma span: an RDMA write, or a
-// NIC gather, of the route's source.
+// NIC gather, of the route's source, or a write of no bytes when the
+// receiver holds the packed buffer. A packed chunk's pack must have
+// completed: with the packed buffer held, the receiver's bytes would
+// still come out right if it had not.
 func (ch *schunk) post() {
 	x := ch.x
-	r := x.req.Rank()
-	switch x.pl.send.wire {
-	case wireTbuf:
+	if ch.ps != nil && !ch.ps.ev.Fired() {
+		panic(fmt.Sprintf("core: chunk %d posted before its pack completed", ch.c))
+	}
+	r, wire := x.req.Rank(), x.pl.send.wire
+	switch {
+	case x.held:
+		r.RDMAChunkNoBytesRailInto(&ch.wire, x.req, ch.slot, ch.n, ch.rail, ch.rdmaSp)
+	case wire == wireTbuf:
 		r.RDMAChunkRailInto(&ch.wire, x.req, ch.slot, x.tbuf.Add(ch.off), ch.n, ch.rail, ch.rdmaSp)
-	case wireGather:
+	case wire == wireGather:
 		r.RDMANicChunkRailInto(&ch.wire, x.req, ch.slot, x.pl.sgRange(x.req, ch.off, ch.n), ch.rail, ch.rdmaSp)
-	case wireVbufSG:
+	case wire == wireVbufSG:
 		r.RDMANicChunkRailInto(&ch.wire, x.req, ch.slot, ib.SGDesc{Buf: ch.vbuf.Ptr, N: ch.n}, ch.rail, ch.rdmaSp)
 	default:
 		r.RDMAChunkRailInto(&ch.wire, x.req, ch.slot, ch.vbuf.Ptr, ch.n, ch.rail, ch.rdmaSp)
@@ -383,7 +418,8 @@ func (ch *schunk) wireDone() {
 }
 
 // waitSent waits for every chunk's send in chunk order, then frees the
-// tbuf and completes the request.
+// tbuf and completes the request. A packed buffer the receiver holds
+// leaves with the tbuf's mapping; one it does not goes to the recycler.
 func (x *rsend) waitSent() {
 	for ; x.wait < x.total; x.wait++ {
 		if ev := &x.chunks[x.wait].sent; !ev.Fired() {
@@ -391,8 +427,15 @@ func (x *rsend) waitSent() {
 			return
 		}
 	}
-	if x.pl.send.pack {
+	switch {
+	case x.pl.send.pack && x.held:
+		if _, err := x.n1.Ctx.Release(x.tbuf); err != nil {
+			panic(err)
+		}
+	case x.pl.send.pack:
 		mustFree(x.n1.Ctx, x.tbuf)
+	case x.packed != nil && !x.held:
+		mem.PutBytes(x.packed)
 	}
 	req := x.req
 	x.free()
@@ -457,8 +500,10 @@ type rchunk struct {
 	h2dDoneFn func()
 }
 
-// StartRendezvousRecv starts the receiver of a matched rendezvous.
-func (t *Transport) StartRendezvousRecv(req *mpi.Request) {
+// StartRendezvousRecv starts the receiver of a matched rendezvous. It
+// holds the packed buffer the sender offered when its route can read the
+// packed stream out of it.
+func (t *Transport) StartRendezvousRecv(req *mpi.Request, packed []byte) {
 	n1 := t.Node(req.Rank())
 	x := n1.recvFree
 	if x == nil {
@@ -471,6 +516,12 @@ func (t *Transport) StartRendezvousRecv(req *mpi.Request) {
 		x.next = nil
 	}
 	x.init(t, n1, req)
+	if packed != nil && x.pl.recv.takesPacked() {
+		if len(packed) != x.pl.size {
+			panic(fmt.Sprintf("core: offered a %d-byte packed buffer for a %d-byte message", len(packed), x.pl.size))
+		}
+		x.packed = packed
+	}
 	x.e.CallAt(x.e.Now(), x.startFn)
 }
 
@@ -511,7 +562,7 @@ func (x *rrecv) start() {
 	for c := range x.slots {
 		x.slots[c] = mpi.Slot{Chunk: c, Rkey: x.region.Rkey, Off: c * x.chunkBytes, Len: x.chunkLen(c)}
 	}
-	r.SendCTS(x.req, x.total, x.chunkBytes, x.slots)
+	r.SendCTS(x.req, x.total, x.chunkBytes, x.slots, x.packed != nil)
 	x.announced = x.total
 	x.loop()
 }
@@ -550,7 +601,7 @@ func (x *rrecv) gotVbuf(v *hostmem.Vbuf) {
 			break
 		}
 	}
-	x.req.Rank().SendCTS(x.req, x.total, x.chunkBytes, x.slots[first:x.announced:x.announced])
+	x.req.Rank().SendCTS(x.req, x.total, x.chunkBytes, x.slots[first:x.announced:x.announced], x.packed != nil)
 	x.loop()
 }
 
@@ -575,9 +626,12 @@ func (x *rrecv) h2d() {
 	n1, c := x.n1, x.cur
 	ch, n, off := x.chunks[c], x.chunkLen(c), c*x.chunkBytes
 	st := n1.h2dStreams[c%n1.rails]
-	if x.pl.recv.h2d == copy1D {
+	switch {
+	case x.packed != nil:
+		n1.Ctx.MemcpyAsyncNoBytesInto(&ch.ev, x.tbuf.Add(off), ch.vbuf.Ptr, n, st, ch.h2dSp, c)
+	case x.pl.recv.h2d == copy1D:
 		n1.Ctx.MemcpyAsyncInto(&ch.ev, x.tbuf.Add(off), ch.vbuf.Ptr, n, st, ch.h2dSp, c)
-	} else {
+	default:
 		uo, w, rows := x.pl.rows2D("h2d", off, n)
 		n1.Ctx.Memcpy2DAsyncInto(&ch.ev, x.req.Buf().Add(uo), x.pl.shape.Pitch, ch.vbuf.Ptr, w, w, rows, st, ch.h2dSp, c)
 	}
@@ -586,12 +640,21 @@ func (x *rrecv) h2d() {
 	x.loop()
 }
 
+// h2dDone lands the chunk. A contiguous chunk leaves a held packed
+// buffer here, in the slot its bytes leave the vbuf in when the hops
+// move them.
 func (ch *rchunk) h2dDone() {
 	x := ch.x
 	ch.h2dSp.End()
 	x.n1.RecvPool.Put(ch.vbuf)
 	ch.vbuf = nil
 	x.land(ch.c, ch.h2dSp)
+	if x.packed != nil && !x.pl.recv.unpack {
+		off := ch.c * x.chunkBytes
+		n := x.chunkLen(ch.c)
+		x.mustHaveLanded(off, n)
+		mem.CopyIn(x.tbuf.Add(off), x.packed[off:off+n])
+	}
 }
 
 // scattered is the NIC scatter region's per-chunk upcall.
@@ -601,10 +664,10 @@ func (x *rrecv) scattered(c int) { x.chunks[c].ev.Trigger() }
 // context, what the landed prefix now covers.
 func (x *rrecv) land(c int, after obs.Span) {
 	pl := &x.pl
+	x.chunks[c].landed = true
 	if !pl.recv.unpack {
 		return
 	}
-	x.chunks[c].landed = true
 	for x.prefix < x.total && x.chunks[x.prefix].landed {
 		x.prefix++
 	}
@@ -631,6 +694,7 @@ func (x *rrecv) prepUnpack(through int, after obs.Span) {
 
 func (x *rrecv) issueUnpack() {
 	s := x.unpacks[x.nunpack]
+	x.mustHaveLanded(s.off, s.n)
 	x.n1.issueStage(s, &x.pl, x.req, x.tbuf, false, x.nunpack)
 	x.nunpack++
 	x.unpacked = s.off + s.n
@@ -677,10 +741,28 @@ func (x *rrecv) waitUnpacks() {
 	x.finish()
 }
 
-// finish frees the tbuf and completes the request.
+// mustHaveLanded panics unless every chunk the packed range [off, off+n)
+// covers has landed: its H2D has completed or, on a route with no H2D,
+// its FIN, which trails its data, has arrived. A held packed buffer has
+// the bytes in place long before they land, so an early read would
+// still deliver them right: this check is what shows it.
+func (x *rrecv) mustHaveLanded(off, n int) {
+	for c := off / x.chunkBytes; c < x.total && c*x.chunkBytes < off+n; c++ {
+		if !x.chunks[c].landed {
+			panic(fmt.Sprintf("core: packed bytes [%d,%d) read before chunk %d landed", off, off+n, c))
+		}
+	}
+}
+
+// finish frees the tbuf and completes the request. A held packed buffer
+// goes to the recycler with its tbuf, or by itself when the type is
+// contiguous.
 func (x *rrecv) finish() {
-	if x.pl.recv.unpack {
+	switch {
+	case x.pl.recv.unpack:
 		mustFree(x.n1.Ctx, x.tbuf)
+	case x.packed != nil:
+		mem.PutBytes(x.packed)
 	}
 	req := x.req
 	x.free()

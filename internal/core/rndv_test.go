@@ -21,7 +21,9 @@ const rndvEagerLimit = 64
 // one chunk to many with a short tail, under every route of the route
 // table (each pack and unpack mode, GPUDirect, the host-staged ablation),
 // on one or two rails, with pools of one to three vbufs so vbuf Gets and
-// CTS batches wait, and foreign kernels on the device.
+// CTS batches wait, and foreign kernels on the device. About one message
+// in four has one end in host memory, where the device end keeps moving
+// the bytes hop by hop.
 func genRndvProgram(seed int64) program {
 	rng := rand.New(rand.NewSource(seed))
 	modes := []core.PackMode{core.PackModeAuto, core.PackModeKernel, core.PackModeMemcpy2D, core.PackModeNic}
@@ -64,6 +66,12 @@ func genRndvProgram(seed int64) program {
 		src := rng.Intn(pg.cfg.Nodes)
 		dst := (src + 1 + rng.Intn(pg.cfg.Nodes-1)) % pg.cfg.Nodes
 		m := progMsg{src: src, dst: dst, typ: rng.Intn(len(pg.types)), count: 1 + rng.Intn(3)}
+		switch rng.Intn(8) {
+		case 0:
+			m.hostSrc = true
+		case 1:
+			m.hostDst = true
+		}
 		for pg.types[m.typ].Size()*m.count <= rndvEagerLimit {
 			m.count++
 		}
@@ -78,7 +86,7 @@ func genRndvProgram(seed int64) program {
 // processes, and requires the same event firings, item count, received
 // memory, pool counters and Chrome trace.
 func TestPropRendezvousMatchesReference(t *testing.T) {
-	var gdr, staged, nic, kernel, rails2, multi, blocked, batched int // runs that reach each path
+	var gdr, staged, nic, kernel, rails2, multi, blocked, batched, host int // runs that reach each path
 	f := func(seed int64) bool {
 		pg := genRndvProgram(seed)
 		got := runProgram(t, pg, nil)
@@ -101,6 +109,12 @@ func TestPropRendezvousMatchesReference(t *testing.T) {
 				break
 			}
 		}
+		for _, m := range pg.msgs {
+			if m.hostSrc || m.hostDst {
+				host++
+				break
+			}
+		}
 		// A sender that waits for more CTS batches than there are
 		// messages waited for a later batch of some transfer.
 		ctsWaits := 0
@@ -120,12 +134,12 @@ func TestPropRendezvousMatchesReference(t *testing.T) {
 		n    int
 	}{
 		{"GPUDirect", gdr}, {"host-staged", staged}, {"nic", nic}, {"kernel", kernel}, {"two-rail", rails2},
-		{"multi-chunk", multi}, {"blocked-vbuf", blocked}, {"CTS-batch", batched},
+		{"multi-chunk", multi}, {"blocked-vbuf", blocked}, {"CTS-batch", batched}, {"host-end", host},
 	} {
 		if p.n == 0 {
 			t.Errorf("no program reached the %s path", p.name)
 		}
 	}
-	t.Logf("runs: %d GPUDirect, %d host-staged, %d nic, %d kernel, %d two-rail, %d multi-chunk, %d blocked vbuf Gets, %d later CTS batches",
-		gdr, staged, nic, kernel, rails2, multi, blocked, batched)
+	t.Logf("runs: %d GPUDirect, %d host-staged, %d nic, %d kernel, %d two-rail, %d multi-chunk, %d blocked vbuf Gets, %d later CTS batches, %d host ends",
+		gdr, staged, nic, kernel, rails2, multi, blocked, batched, host)
 }

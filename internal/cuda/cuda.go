@@ -69,14 +69,26 @@ func (c *Ctx) Malloc(n int) (mem.Ptr, error) { return c.dev.Malloc(n) }
 // MustMalloc allocates device memory or panics.
 func (c *Ctx) MustMalloc(n int) mem.Ptr { return c.dev.MustMalloc(n) }
 
+// MallocWith is Malloc of len(b) bytes backed by b, neither taken from
+// the recycler nor cleared (mem.Space.AllocWith): for buffers internal
+// to the simulator whose bytes are all written before they are read.
+func (c *Ctx) MallocWith(b []byte) (mem.Ptr, error) {
+	return c.dev.Space().AllocWith(b, gpu.Alignment)
+}
+
 // Free releases device memory (cudaFree).
 func (c *Ctx) Free(p mem.Ptr) error { return c.dev.Free(p) }
+
+// Release frees device memory like Free, but hands its backing back to
+// the caller instead of to the recycler (mem.Space.Release).
+func (c *Ctx) Release(p mem.Ptr) ([]byte, error) { return c.dev.Space().Release(p) }
 
 // op is one stream-ordered operation. Ops are recycled through their
 // stream's free list, linked by next there and in the stream's FIFO.
 type op struct {
 	shape       gpu.CopyShape
 	dst, src    mem.Ptr
+	noBytes     bool // a copy's engine time without its bytes (gpu.Job.NoBytes)
 	kernCells   int
 	kernNsCell  float64
 	kernBody    func()
@@ -186,7 +198,7 @@ func (s *Stream) run() {
 // call resumes the stream.
 func (s *Stream) exec(o *op) {
 	j := &s.job
-	j.Dst, j.Src, j.Shape = o.dst, o.src, o.shape
+	j.Dst, j.Src, j.Shape, j.NoBytes = o.dst, o.src, o.shape, o.noBytes
 	j.Kernel, j.Cells, j.NsPerCell, j.Body = o.isKernel, o.kernCells, o.kernNsCell, o.kernBody
 	j.Parent, j.Chunk = s.sp, o.chunk
 	if o.memsetBytes > 0 {
@@ -314,6 +326,14 @@ func (c *Ctx) MemcpyAsyncTask(p *sim.Proc, dst, src mem.Ptr, n int, s *Stream, p
 // caller must not reuse it before it has fired and its waiter has run.
 func (c *Ctx) MemcpyAsyncInto(done *sim.Event, dst, src mem.Ptr, n int, s *Stream, parent obs.Span, chunk int) {
 	s.enqueue(op{dst: dst, src: src, shape: gpu.Shape1D(n), parent: parent, chunk: chunk}, done)
+}
+
+// MemcpyAsyncNoBytesInto is MemcpyAsyncInto for a staging hop whose
+// destination nobody reads: the op is queued, costed, traced and
+// completed as the copy would be, in the same slots, but moves no bytes
+// (gpu.Job.NoBytes).
+func (c *Ctx) MemcpyAsyncNoBytesInto(done *sim.Event, dst, src mem.Ptr, n int, s *Stream, parent obs.Span, chunk int) {
+	s.enqueue(op{dst: dst, src: src, shape: gpu.Shape1D(n), noBytes: true, parent: parent, chunk: chunk}, done)
 }
 
 // Memcpy2DAsync enqueues a 2D strided copy: height rows of width bytes,

@@ -465,3 +465,33 @@ func TestLaunchKernelTaskTracing(t *testing.T) {
 			top.ParentID, top.Chunk, top.Bytes)
 	}
 }
+
+// TestMemcpyNoBytesTimesTheCopy: a no-bytes copy completes when the copy
+// would, over the same number of engine items, and leaves its
+// destination as it was.
+func TestMemcpyNoBytesTimesTheCopy(t *testing.T) {
+	run := func(noBytes bool) (at sim.Time, events uint64, dst []byte) {
+		f := newFixture()
+		d := f.ctx.MustMalloc(4096)
+		mem.Fill(f.host.Base(), 4096, func(i int) byte { return byte(i | 1) })
+		done := new(sim.Event)
+		s := f.ctx.NewStream()
+		if noBytes {
+			f.ctx.MemcpyAsyncNoBytesInto(done, d, f.host.Base(), 4096, s, obs.Span{}, 0)
+		} else {
+			f.ctx.MemcpyAsyncInto(done, d, f.host.Base(), 4096, s, obs.Span{}, 0)
+		}
+		if err := f.e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return done.FiredAt(), f.e.Events(), d.Bytes(4096)
+	}
+	wantAt, wantEvents, copied := run(false)
+	at, events, dst := run(true)
+	if at != wantAt || events != wantEvents {
+		t.Errorf("no-bytes copy done at %v after %d items, the copy at %v after %d", at, events, wantAt, wantEvents)
+	}
+	if copied[0] == 0 || dst[0] != 0 || dst[4095] != 0 {
+		t.Errorf("copy wrote %#x, no-bytes copy wrote %#x...%#x", copied[0], dst[0], dst[4095])
+	}
+}

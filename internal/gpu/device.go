@@ -194,9 +194,14 @@ func (d *Device) CheckAllocator() error { return d.space.Check() }
 // nanoseconds each whose effect on memory is Body. The caller fills the
 // exported fields and hands the job to Device.Exec; the device owns it
 // until Done runs, and the caller may refill and resubmit it from Done on.
+// A copy with NoBytes set costs and occupies its engine as the copy
+// would, in the same slots, but moves nothing: it is for a staging hop
+// whose destination nobody reads, because the bytes reach their reader
+// another way.
 type Job struct {
 	Dst, Src  mem.Ptr
 	Shape     CopyShape
+	NoBytes   bool
 	Kernel    bool
 	Cells     int
 	NsPerCell float64
@@ -278,8 +283,11 @@ func (j *Job) begin() {
 	d.e.CallAt(at, j.finish)
 }
 
-// copyBytes is a copy job's memory effect.
+// copyBytes is a copy job's memory effect, none for a NoBytes copy.
 func (j *Job) copyBytes() {
+	if j.NoBytes {
+		return
+	}
 	mem.Copy2D(j.Dst, j.Shape.DPitch, j.Src, j.Shape.SPitch, j.Shape.Width, j.Shape.Height)
 }
 

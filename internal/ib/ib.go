@@ -98,12 +98,19 @@ type Fabric struct {
 
 	landings *landing  // recycled RDMA write landings, see deposit
 	reads    *rdmaRead // recycled RDMA reads
+	walks    *sgWalk   // recycled SGE unit walks, see sg.go
+
+	bytes *mem.ByteCounters // where snapshots and landings are counted; nil: nowhere
 }
 
 // SetHub attaches an observability hub: every wire operation becomes a
 // task on the sending HCA's tx track and the receiving HCA's rx track,
 // and cumulative per-HCA byte counters are sampled after each transfer.
 func (f *Fabric) SetHub(h *obs.Hub) { f.hub = h }
+
+// SetByteCounters makes the fabric count the bytes its snapshots and
+// landings copy in c.
+func (f *Fabric) SetByteCounters(c *mem.ByteCounters) { f.bytes = c }
 
 // NewFabric creates an empty fabric.
 func NewFabric(e *sim.Engine, model Model) *Fabric {
@@ -238,6 +245,8 @@ type HCA struct {
 	txDone, readDone string
 	// name of every gather's completion event, built on first use
 	gatherDone string
+	// recycled scatter region records, see RegisterScatterRegion
+	freeScatter *scatterRegion
 }
 
 // Node returns the node ID this HCA serves.
@@ -282,10 +291,15 @@ func (h *HCA) Register(p mem.Ptr, n int) Region {
 
 // Deregister removes a region. RDMA writes targeting it afterwards panic.
 func (h *HCA) Deregister(r Region) {
-	if _, ok := h.regions[r.Rkey]; !ok {
+	reg, ok := h.regions[r.Rkey]
+	if !ok {
 		panic(fmt.Sprintf("ib: deregister of unknown rkey %d", r.Rkey))
 	}
 	delete(h.regions, r.Rkey)
+	if sc := reg.sc; sc != nil {
+		*sc = scatterRegion{next: h.freeScatter}
+		h.freeScatter = sc
+	}
 }
 
 // wireTime is the link occupancy of an n-byte transfer.
@@ -352,7 +366,8 @@ type transfer struct {
 	tx, in         obs.Span
 
 	// Delivery: a two-sided send (send set) hands msg and snap to the
-	// receiver's handler; an RDMA write deposits snap at rkey+roff.
+	// receiver's handler; an RDMA write deposits snap at rkey+roff, or
+	// nothing when it moves no bytes (snap and src nil).
 	send bool
 	msg  Message
 	snap []byte
@@ -419,7 +434,7 @@ func (t *transfer) landed() {
 	t.rxRail.recvLink.Release()
 	rx.stats.BytesRx += int64(t.n)
 	f.hub.Counter(rx.rxCtr, float64(rx.stats.BytesRx))
-	from, wire := t.h.node, t.in.Task()
+	from, wire, n := t.h.node, t.in.Task(), t.n
 	send, msg, snap, rkey, roff, railIdx := t.send, t.msg, t.snap, t.rkey, t.roff, t.railIdx
 	*t = transfer{
 		startFn: t.startFn, wireFn: t.wireFn, sentFn: t.sentFn,
@@ -428,7 +443,7 @@ func (t *transfer) landed() {
 	}
 	f.free = t
 	if !send {
-		rx.deposit(rkey, roff, snap, railIdx, wire)
+		rx.deposit(rkey, roff, n, snap, railIdx, wire)
 		return
 	}
 	if rx.handler == nil {
@@ -453,7 +468,7 @@ const headerBytes = 64
 // completion.
 func (h *HCA) PostSendRailInto(done *sim.Event, dst int, msg Message, payload []byte, railIdx int) {
 	snap := mem.GetBytes(len(payload))
-	copy(snap, payload)
+	h.f.bytes.Copy(snap, payload)
 	h.stats.SendsPosted++
 	t := h.f.newTransfer()
 	h.transmit(t, done, dst, headerBytes+len(snap), obs.KindSend, railIdx, obs.Span{}, -1)
@@ -485,11 +500,29 @@ func (h *HCA) RDMAWriteRail(dst int, src mem.Ptr, n int, rkey uint32, roff, rail
 // here and fires at local completion. An inert parent and chunk -1
 // degrade to plain tracing.
 func (h *HCA) RDMAWriteRailInto(done *sim.Event, dst int, src mem.Ptr, n int, rkey uint32, roff, railIdx int, parent obs.Span, chunk int) {
+	h.rdmaWrite(done, dst, src, n, rkey, roff, railIdx, parent, chunk)
+}
+
+// RDMAWriteNoBytesRailInto is RDMAWriteRailInto for a write whose bytes
+// the target already holds, so nobody reads what it would deposit: the
+// transfer is costed, serialized, traced and counted as an n-byte write,
+// and its post and delivery calls keep their slots, but it takes no
+// snapshot at post and deposits nothing at delivery. The target region
+// and range are still checked at delivery; a scatter region, which has
+// to see the bytes, refuses it.
+func (h *HCA) RDMAWriteNoBytesRailInto(done *sim.Event, dst, n int, rkey uint32, roff, railIdx int, parent obs.Span, chunk int) {
+	h.rdmaWrite(done, dst, mem.Ptr{}, n, rkey, roff, railIdx, parent, chunk)
+}
+
+// rdmaWrite posts an n-byte write of src, or of no bytes when src is nil.
+func (h *HCA) rdmaWrite(done *sim.Event, dst int, src mem.Ptr, n int, rkey uint32, roff, railIdx int, parent obs.Span, chunk int) {
 	// The HCA's DMA read of the source happens "at post time": the call is
 	// due at the post instant, and the poster owns src until the local
 	// completion event, so nothing rewrites it before the slot commits.
 	t := h.f.newTransfer()
-	t.snap, t.src = mem.GetBytes(n), src
+	if !src.IsNil() {
+		t.snap, t.src = mem.GetBytes(n), src
+	}
 	h.f.e.CallAt(h.f.e.Now(), t.snapFn)
 	h.stats.RDMAWrites++
 	h.transmit(t, done, dst, n, obs.KindRDMA, railIdx, parent, chunk)
@@ -497,24 +530,33 @@ func (h *HCA) RDMAWriteRailInto(done *sim.Event, dst int, src mem.Ptr, n int, rk
 }
 
 // snapshot is the DMA read of an RDMA write's source: a call due at the
-// post instant, long before the record can be recycled at landed.
-func (t *transfer) snapshot() { copy(t.snap, t.src.Bytes(len(t.snap))) }
+// post instant, long before the record can be recycled at landed. A
+// write of no bytes reads nothing.
+func (t *transfer) snapshot() {
+	if t.snap != nil {
+		t.h.f.bytes.Copy(t.snap, t.src.Bytes(len(t.snap)))
+	}
+}
 
-// deposit lands an arrived RDMA write payload in the target region: a
-// plain region takes a direct memory copy at delivery time; a scatter
-// region routes the payload through the receiving rail's SGE unit, which
-// walks the registered descriptor (see sg.go). wire is the receive-side
-// wire task, threaded through so the scatter task can record its stage
-// dependency.
-func (h *HCA) deposit(rkey uint32, roff int, snap []byte, railIdx int, wire obs.Task) {
+// deposit lands an arrived n-byte RDMA write payload in the target
+// region: a plain region takes a direct memory copy at delivery time; a
+// scatter region routes the payload through the receiving rail's SGE
+// unit, which walks the registered descriptor (see sg.go). A nil snap is
+// a write of no bytes, whose landing copies nothing. wire is the
+// receive-side wire task, threaded through so the scatter task can
+// record its stage dependency.
+func (h *HCA) deposit(rkey uint32, roff, n int, snap []byte, railIdx int, wire obs.Task) {
 	reg, ok := h.regions[rkey]
 	if !ok {
 		panic(fmt.Sprintf("ib: RDMA write to unknown rkey %d on node %d", rkey, h.node))
 	}
-	if roff < 0 || roff+len(snap) > reg.len {
-		panic(fmt.Sprintf("ib: RDMA write [%d,%d) outside region of %d bytes", roff, roff+len(snap), reg.len))
+	if roff < 0 || roff+n > reg.len {
+		panic(fmt.Sprintf("ib: RDMA write [%d,%d) outside region of %d bytes", roff, roff+n, reg.len))
 	}
 	if reg.sc != nil {
+		if snap == nil && n > 0 {
+			panic(fmt.Sprintf("ib: write of no bytes to scatter region rkey %d on node %d", rkey, h.node))
+		}
 		h.scatterDeposit(reg, roff, snap, railIdx, wire)
 		return
 	}
@@ -527,7 +569,9 @@ func (h *HCA) deposit(rkey uint32, roff int, snap []byte, railIdx int, wire obs.
 	} else {
 		h.f.landings = l.next
 	}
-	l.dst, l.snap = reg.ptr.Add(roff).Bytes(len(snap)), snap
+	if snap != nil {
+		l.dst, l.snap = reg.ptr.Add(roff).Bytes(n), snap
+	}
 	h.f.e.CallAt(h.f.e.Now(), l.landFn)
 }
 
@@ -544,7 +588,7 @@ type landing struct {
 // land copies the payload into place, recycles the snapshot and returns
 // the record to the pool.
 func (l *landing) land() {
-	copy(l.dst, l.snap)
+	l.f.bytes.Copy(l.dst, l.snap)
 	mem.PutBytes(l.snap)
 	l.dst, l.snap = nil, nil
 	l.next, l.f.landings = l.f.landings, l
@@ -635,7 +679,7 @@ func (r *rdmaRead) arrived() {
 func (r *rdmaRead) respond() {
 	r.respSp = r.h.f.hub.Start(obs.KindRDMARead, r.respRail.txTrack, -1, r.n)
 	r.snap = mem.GetBytes(r.n)
-	copy(r.snap, r.reg.ptr.Add(r.roff).Bytes(r.n))
+	r.h.f.bytes.Copy(r.snap, r.reg.ptr.Add(r.roff).Bytes(r.n))
 	r.after(r.tx.wireTime(r.n), r.respondedFn)
 }
 
@@ -663,7 +707,7 @@ func (r *rdmaRead) landed() {
 	r.reqRail.recvLink.Release()
 	h.stats.BytesRx += int64(r.n)
 	f.hub.Counter(h.rxCtr, float64(h.stats.BytesRx))
-	copy(r.dst.Bytes(r.n), r.snap)
+	f.bytes.Copy(r.dst.Bytes(r.n), r.snap)
 	mem.PutBytes(r.snap)
 	done := r.done
 	*r = rdmaRead{

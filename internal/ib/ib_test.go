@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"mv2sim/internal/mem"
+	"mv2sim/internal/obs"
 	"mv2sim/internal/sim"
 )
 
@@ -546,4 +547,77 @@ func TestPostSendSnapshotsNotAliased(t *testing.T) {
 			t.Errorf("message %d delivered %v..., want %v...", msg, got[msg][:4], want[:4])
 		}
 	}
+}
+
+// TestRDMAWriteNoBytesKeepsTheWritesSlots runs the same write, a FIN-like
+// send behind it and a second write, once moving bytes and once with no
+// bytes: the two runs fire the same events at the same instants and
+// dispatch the same items, the stats count the bytes as sent, and the
+// no-bytes run leaves the target untouched and copies nothing.
+func TestRDMAWriteNoBytesKeepsTheWritesSlots(t *testing.T) {
+	const n = 4096
+	run := func(noBytes bool) (log []string, events uint64, target []byte, st Stats, copied int64) {
+		nw := newNet(2)
+		var bc mem.ByteCounters
+		nw.f.SetByteCounters(&bc)
+		nw.hcas[1].SetHandler(func(int, Message, []byte) {})
+		dst := nw.host[1].Base()
+		reg := nw.hcas[1].Register(dst, 2*n)
+		src := nw.host[0].Base()
+		mem.Fill(src, 2*n, func(i int) byte { return byte(i*7 + 1) })
+		nw.e.SetTracer(func(at sim.Time, msg string) {
+			if strings.HasPrefix(msg, "event ") {
+				log = append(log, fmt.Sprintf("%v %s", at, msg))
+			}
+		})
+		nw.e.Spawn("sender", func(p *sim.Proc) {
+			for i := 0; i < 2; i++ {
+				done := new(sim.Event)
+				if noBytes {
+					nw.hcas[0].RDMAWriteNoBytesRailInto(done, 1, n, reg.Rkey, i*n, 0, obs.Span{}, i)
+				} else {
+					nw.hcas[0].RDMAWriteRailInto(done, 1, src.Add(i*n), n, reg.Rkey, i*n, 0, obs.Span{}, i)
+				}
+				postSend(nw.hcas[0], 1, i, nil)
+				p.Wait(done)
+			}
+		})
+		if err := nw.e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return log, nw.e.Events(), dst.Bytes(2 * n), nw.hcas[0].Stats(), bc.Copied
+	}
+	wantLog, wantEvents, moved, wantStats, wantCopied := run(false)
+	log, events, target, st, copied := run(true)
+	if strings.Join(log, "\n") != strings.Join(wantLog, "\n") || events != wantEvents {
+		t.Errorf("no-bytes writes fired %d events over %d items, byte-moving ones %d over %d", len(log), events, len(wantLog), wantEvents)
+	}
+	if st != wantStats {
+		t.Errorf("stats %+v, byte-moving %+v", st, wantStats)
+	}
+	if moved[0] == 0 || wantCopied != 4*n {
+		t.Errorf("byte-moving writes deposited %#x first and copied %d B, want the data and %d B", moved[0], wantCopied, 4*n)
+	}
+	for i, b := range target {
+		if b != 0 {
+			t.Fatalf("no-bytes write changed target byte %d to %#x", i, b)
+		}
+	}
+	if copied != 0 {
+		t.Errorf("no-bytes writes copied %d B", copied)
+	}
+}
+
+// TestRDMAWriteNoBytesToScatterRegionPanics: a scatter region has to see
+// the bytes it scatters.
+func TestRDMAWriteNoBytesToScatterRegionPanics(t *testing.T) {
+	nw := newNet(2)
+	reg := nw.hcas[1].RegisterScatterRegion(SGDesc{Buf: nw.host[1].Base(), N: 64}, 64, nil)
+	nw.hcas[0].RDMAWriteNoBytesRailInto(new(sim.Event), 1, 64, reg.Rkey, 0, 0, obs.Span{}, 0)
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "no bytes to scatter region") {
+			t.Errorf("panic %q, want the scatter region refusing a write of no bytes", msg)
+		}
+	}()
+	nw.e.Run()
 }

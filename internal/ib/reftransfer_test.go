@@ -62,7 +62,7 @@ func post(h *HCA, ref bool, dst int, msg Message, payload []byte, write bool, sr
 		h.f.e.CallAt(h.f.e.Now(), func() { copy(snap, src.Bytes(n)) })
 		h.stats.RDMAWrites++
 		return h.refTransmit(dst, n, obs.KindRDMA, func(rx *HCA, wire obs.Task) {
-			rx.deposit(rkey, roff, snap, 0, wire)
+			rx.deposit(rkey, roff, n, snap, 0, wire)
 		})
 	}
 	snap := mem.GetBytes(len(payload))

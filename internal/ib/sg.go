@@ -154,10 +154,12 @@ func (sg SGDesc) scatter(src []byte) {
 // scatterRegion is the receive-side state of a scatter-registered region:
 // the descriptor covering the whole packed stream, the chunk geometry
 // arriving writes are aligned to, and the per-chunk completion upcall.
+// Records are pooled per HCA: Deregister recycles the region's.
 type scatterRegion struct {
 	sg         SGDesc
 	chunkBytes int
 	done       func(chunk int)
+	next       *scatterRegion
 }
 
 // RegisterScatterRegion registers the packed address space of a gather
@@ -174,38 +176,168 @@ func (h *HCA) RegisterScatterRegion(sg SGDesc, chunkBytes int, done func(chunk i
 	if chunkBytes <= 0 {
 		panic(fmt.Sprintf("ib: scatter region chunk size %d", chunkBytes))
 	}
-	r := Region{
-		Rkey: h.nextRkey,
-		ptr:  sg.Buf,
-		len:  sg.N,
-		sc:   &scatterRegion{sg: sg, chunkBytes: chunkBytes, done: done},
+	sc := h.freeScatter
+	if sc == nil {
+		sc = &scatterRegion{}
+	} else {
+		h.freeScatter = sc.next
 	}
+	*sc = scatterRegion{sg: sg, chunkBytes: chunkBytes, done: done}
+	r := Region{Rkey: h.nextRkey, ptr: sg.Buf, len: sg.N, sc: sc}
 	h.nextRkey++
 	h.regions[r.Rkey] = r
 	return r
 }
 
-// walk runs one descriptor on rl's SGE unit. The unit is modeled as a
-// chain of scheduled calls, not a process: it starts at the current
-// instant, waits for the engine, then begin opens the walk's span and
-// returns its memory work, which is a call due when the walk completes.
-// At completion the span ends, the engine is released and then runs.
-func (h *HCA) walk(rl *rail, sg SGDesc, begin func() (obs.Span, func()), then func()) {
+// sgWalk is one descriptor walk on a rail's SGE unit in flight. The unit
+// is modeled as a chain of scheduled calls, not a process: the walk
+// starts at the current instant, waits for the engine, then opens its
+// span and schedules its memory work as a call due when the walk
+// completes; at completion the span ends, the engine is released and
+// the walk's kind finishes it. Records are pooled per fabric, with their
+// steps bound once, so a walk allocates nothing.
+type sgWalk struct {
+	h    *HCA
+	rl   *rail
+	sg   SGDesc
+	kind walkKind
+	sp   obs.Span
+	snap []byte // the gathered payload, or the arrived one to scatter
+
+	// A gather for a write: where the gathered payload goes, the event
+	// its local completion fires and the hook run once it is posted.
+	done           *sim.Event
+	dst, roff      int
+	rkey           uint32
+	railIdx, chunk int
+	parent         obs.Span
+	onWirePosted   func()
+
+	// A scatter of an arrival: its region and the receive wire task.
+	sc   *scatterRegion
+	wire obs.Task
+
+	// A bare gather (ExecuteGather): the bytes' destination.
+	out []byte
+
+	acquireFn, grantedFn, workFn, finishFn, sentFn func()
+	next                                           *sgWalk
+}
+
+// walkKind says what a walk's memory work and completion are.
+type walkKind uint8
+
+const (
+	walkWrite   walkKind = iota // gather, then post the payload as an RDMA write
+	walkScatter                 // scatter an arrived write, then report its chunk
+	walkGather                  // gather into a caller's buffer (ExecuteGather)
+)
+
+// newWalk takes a record from the fabric's pool for a walk of sg on rl.
+func (h *HCA) newWalk(kind walkKind, rl *rail, sg SGDesc) *sgWalk {
+	f := h.f
+	w := f.walks
+	if w == nil {
+		w = &sgWalk{}
+		w.acquireFn, w.grantedFn, w.workFn = w.acquire, w.granted, w.work
+		w.finishFn, w.sentFn = w.finish, w.sent
+	} else {
+		f.walks = w.next
+		w.next = nil
+	}
+	w.h, w.rl, w.sg, w.kind = h, rl, sg, kind
+	return w
+}
+
+// start puts the walk on the unit: it asks for the engine at the current
+// instant.
+func (w *sgWalk) start() { w.h.f.e.CallAt(w.h.f.e.Now(), w.acquireFn) }
+
+func (w *sgWalk) acquire() { w.rl.sgEngine.AcquireThen(w.grantedFn) }
+
+// granted opens the walk's span; its memory work and its completion are
+// calls due when the walk's modeled cost has passed.
+func (w *sgWalk) granted() {
+	h := w.h
 	e := h.f.e
-	var sp obs.Span
-	finish := func() {
-		sp.End()
-		rl.sgEngine.Release()
-		then()
+	at := e.Now() + h.f.model.GatherCost(w.sg.N, w.sg.Segments())
+	switch w.kind {
+	case walkWrite:
+		w.sp = h.f.hub.StartChild(w.parent, obs.KindNicGather, w.rl.sgeTrack, w.chunk, w.sg.N)
+		w.snap = mem.GetBytes(w.sg.N)
+	case walkScatter:
+		w.sp = h.f.hub.Start(obs.KindNicScatter, w.rl.sgeTrack, w.chunk, w.sg.N)
+		w.sp.DependsOnTask(w.wire, obs.DepStage)
+	default:
+		w.sp = h.f.hub.Start(obs.KindNicGather, w.rl.sgeTrack, -1, w.sg.N)
 	}
-	granted := func() {
-		at := e.Now() + h.f.model.GatherCost(sg.N, sg.Segments())
-		var work func()
-		sp, work = begin()
-		e.CallAt(at, work)
-		e.CallAt(at, finish)
+	e.CallAt(at, w.workFn)
+	e.CallAt(at, w.finishFn)
+}
+
+// work is the walk's memory effect, due at its completion. A gather's
+// DMA read of the segments happens here: the poster owns the typed
+// buffer until the transfer completes. A scatter's typed bytes are due
+// here; its payload is recycled once read.
+func (w *sgWalk) work() {
+	switch w.kind {
+	case walkWrite:
+		w.sg.gather(w.snap)
+	case walkScatter:
+		w.sg.scatter(w.snap)
+		mem.PutBytes(w.snap)
+		w.snap = nil
+	default:
+		w.sg.gather(w.out)
 	}
-	e.CallAt(e.Now(), func() { rl.sgEngine.AcquireThen(granted) })
+}
+
+// finish ends the walk at its completion instant: the engine is free,
+// and a gathered write goes on the wire with its hook run right after.
+func (w *sgWalk) finish() {
+	w.sp.End()
+	w.rl.sgEngine.Release()
+	switch w.kind {
+	case walkWrite:
+		h := w.h
+		t := h.f.newTransfer()
+		h.transmit(t, nil, w.dst, len(w.snap), obs.KindRDMA, w.railIdx, w.parent, w.chunk)
+		t.snap, t.rkey, t.roff = w.snap, w.rkey, w.roff
+		w.snap = nil
+		if w.onWirePosted != nil {
+			w.onWirePosted()
+		}
+		// The record's own event fires "hcaN.tx.done"; done follows it
+		// inline, as the gather's completion.
+		t.localDone.OnTrigger(w.sentFn)
+	case walkScatter:
+		sc, chunk := w.sc, w.chunk
+		w.free()
+		if sc.done != nil {
+			sc.done(chunk)
+		}
+	default:
+		w.sent()
+	}
+}
+
+// sent fires the walk's completion event and returns the record to the
+// pool: a bare gather's at its end, a gathered write's once its transfer
+// has left.
+func (w *sgWalk) sent() {
+	done := w.done
+	w.free()
+	done.Trigger()
+}
+
+// free returns the record to its fabric's pool.
+func (w *sgWalk) free() {
+	f := w.h.f
+	*w = sgWalk{
+		acquireFn: w.acquireFn, grantedFn: w.grantedFn, workFn: w.workFn,
+		finishFn: w.finishFn, sentFn: w.sentFn, next: f.walks,
+	}
+	f.walks = w
 }
 
 // scatterDeposit routes an arrived write through the receiving rail's SGE
@@ -216,23 +348,9 @@ func (h *HCA) walk(rl *rail, sg SGDesc, begin func() (obs.Span, func()), then fu
 // chain and attributes engine wait to the nic-queueing bucket.
 func (h *HCA) scatterDeposit(reg Region, roff int, snap []byte, railIdx int, wire obs.Task) {
 	sc := reg.sc
-	chunk := roff / sc.chunkBytes
-	sub := sc.sg.sub(roff, len(snap))
-	rl := h.railAt(railIdx)
-	h.walk(rl, sub, func() (obs.Span, func()) {
-		sp := h.f.hub.Start(obs.KindNicScatter, rl.sgeTrack, chunk, sub.N)
-		sp.DependsOnTask(wire, obs.DepStage)
-		// The typed bytes are due when the scatter completes; snap is the
-		// wire payload, recycled once the scatter has read it.
-		return sp, func() {
-			sub.scatter(snap)
-			mem.PutBytes(snap)
-		}
-	}, func() {
-		if sc.done != nil {
-			sc.done(chunk)
-		}
-	})
+	w := h.newWalk(walkScatter, h.railAt(railIdx), sc.sg.sub(roff, len(snap)))
+	w.sc, w.chunk, w.wire, w.snap = sc, roff/sc.chunkBytes, wire, snap
+	w.start()
 }
 
 // RDMAWriteGatherRailInto is the NIC-offloaded counterpart of
@@ -250,24 +368,10 @@ func (h *HCA) RDMAWriteGatherRailInto(done *sim.Event, dst int, sg SGDesc, rkey 
 	rl := h.railAt(railIdx)
 	done.Reset(h.f.e, h.gatherDoneName())
 	h.stats.RDMAWrites++
-	var snap []byte
-	h.walk(rl, sg, func() (obs.Span, func()) {
-		g := h.f.hub.StartChild(parent, obs.KindNicGather, rl.sgeTrack, chunk, sg.N)
-		snap = mem.GetBytes(sg.N)
-		// The unit's DMA read of the segments is due at gather completion;
-		// the poster owns the typed buffer until the transfer completes.
-		return g, func() { sg.gather(snap) }
-	}, func() {
-		t := h.f.newTransfer()
-		h.transmit(t, nil, dst, len(snap), obs.KindRDMA, railIdx, parent, chunk)
-		t.snap, t.rkey, t.roff = snap, rkey, roff
-		if onWirePosted != nil {
-			onWirePosted()
-		}
-		// The record's own event fires "hcaN.tx.done"; done follows it
-		// inline, as the gather's completion.
-		t.localDone.OnTrigger(done.Trigger)
-	})
+	w := h.newWalk(walkWrite, rl, sg)
+	w.done, w.dst, w.rkey, w.roff = done, dst, rkey, roff
+	w.railIdx, w.parent, w.chunk, w.onWirePosted = railIdx, parent, chunk, onWirePosted
+	w.start()
 }
 
 // gatherDoneName is the name of every gather's completion event, built
@@ -285,11 +389,9 @@ func (h *HCA) gatherDoneName() string {
 // pack-crossover sweep uses: the event's trigger time minus the post time
 // is exactly GatherCost plus any engine queueing.
 func (h *HCA) ExecuteGather(sg SGDesc, dst []byte) *sim.Event {
-	rl := h.railAt(0)
 	done := h.f.e.NewEvent(h.gatherDoneName())
-	h.walk(rl, sg, func() (obs.Span, func()) {
-		sp := h.f.hub.Start(obs.KindNicGather, rl.sgeTrack, -1, sg.N)
-		return sp, func() { sg.gather(dst) }
-	}, done.Trigger)
+	w := h.newWalk(walkGather, h.railAt(0), sg)
+	w.done, w.out = done, dst
+	w.start()
 	return done
 }

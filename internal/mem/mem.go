@@ -13,17 +13,20 @@
 // which device — exactly the classification MVAPICH2 performs with
 // cuPointerGetAttribute to route device buffers onto the GPU path.
 //
-// Each mapping is backed by a real Go byte slice, so all simulated copies
-// move real bytes between Spaces through this package and end-to-end data
-// integrity is directly testable. Host cost is paid only for mapped
-// bytes: a 3 GB device costs nothing until cudaMalloc hands memory out.
+// Each mapping is backed by a real Go byte slice, so every simulated copy
+// that delivers data moves real bytes between Spaces through this
+// package and end-to-end data integrity is directly testable. Staging
+// hops whose destination nobody reads are timed without moving bytes
+// (see AllocWith). Host cost is paid only for mapped bytes: a 3 GB
+// device costs nothing until cudaMalloc hands memory out.
 //
 // Freed bytes go to one process-wide recycler, keyed by exact length and
 // bounded in size, which also serves the message path's payload buffers
 // (GetBytes, PutBytes). It outlives every cluster, so a process that
 // builds cluster after cluster, as the benchmarks and sweeps do, reuses
 // the bytes each one frees instead of allocating them again. A mapping
-// sees its own space's stale bytes or zeroes, never another owner's.
+// from Alloc or Map sees its own space's stale bytes or zeroes, never
+// another owner's; one from AllocWith sees the bytes it was given.
 package mem
 
 import (
@@ -74,6 +77,8 @@ type Space struct {
 	mapped    int      // bytes backed by the table
 	inUse     int      // bytes reserved by the table
 	peakInUse int      // high-water mark of inUse
+
+	bytes *ByteCounters // where the byte work on this space is counted; nil: nowhere
 }
 
 // extent is one reservation [off, off+res), of which [off, off+len(b))
@@ -142,12 +147,33 @@ func (s *Space) InUse() int { return s.inUse }
 // PeakInUse returns the high-water mark of InUse.
 func (s *Space) PeakInUse() int { return s.peakInUse }
 
+// SetByteCounters makes the space count its byte work in c: the bytes
+// Copy and Copy2D move into it and the bytes its new mappings zero.
+func (s *Space) SetByteCounters(c *ByteCounters) { s.bytes = c }
+
 // Alloc reserves n bytes rounded up to align, a power of two, in the
 // lowest gap between extents that holds them, and maps exactly the n
 // bytes it returns a pointer to: the padding past them is not
 // accessible. Freed gaps merge with their neighbours by construction, so
 // this is first-fit with eager coalescing.
 func (s *Space) Alloc(n, align int) (Ptr, error) {
+	return s.alloc(n, align, nil)
+}
+
+// AllocWith is Alloc of len(b) bytes backed by b instead of by the
+// recycler: b is neither taken nor cleared, so the mapping reads b's
+// bytes as they are. It is for buffers internal to the simulator whose
+// every byte is written before anything reads it, or that share another
+// mapping's bytes on purpose; user-visible memory comes from Alloc. The
+// mapping owns b until Free, which hands it to the recycler, or Release,
+// which hands it back.
+func (s *Space) AllocWith(b []byte, align int) (Ptr, error) {
+	return s.alloc(len(b), align, b)
+}
+
+// alloc places an n-byte allocation first-fit and backs it with b, or
+// with the recycler when b is nil.
+func (s *Space) alloc(n, align int, b []byte) (Ptr, error) {
 	if align <= 0 || align&(align-1) != 0 {
 		panic(fmt.Sprintf("mem: alignment %d of %s is not a power of two", align, s.name))
 	}
@@ -162,7 +188,10 @@ func (s *Space) Alloc(n, align int) (Ptr, error) {
 			end = s.table[i].off
 		}
 		if off := (at + align - 1) &^ (align - 1); end-off >= need {
-			return s.insert(i, off, need, n), nil
+			if b == nil {
+				b = s.backing(n)
+			}
+			return s.insert(i, off, need, b), nil
 		}
 		if i < len(s.table) {
 			at = s.table[i].off + s.table[i].res
@@ -184,14 +213,14 @@ func (s *Space) Map(off, n int) Ptr {
 		panic(fmt.Sprintf("mem: map [0x%x,0x%x) of %s overlaps mapping %v len %d",
 			off, off+n, s.name, Ptr{sp: s, off: s.table[i-1].off}, s.table[i-1].res))
 	}
-	return s.insert(i, off, n, n)
+	return s.insert(i, off, n, s.backing(n))
 }
 
-// insert adds an extent reserving res bytes at off, n of them backed, at
+// insert adds an extent reserving res bytes at off, backed by b, at
 // table index i.
-func (s *Space) insert(i, off, res, n int) Ptr {
-	s.table = slices.Insert(s.table, i, extent{off, res, s.backing(n)})
-	s.mapped += n
+func (s *Space) insert(i, off, res int, b []byte) Ptr {
+	s.table = slices.Insert(s.table, i, extent{off, res, b})
+	s.mapped += len(b)
 	s.inUse += res
 	s.peakInUse = max(s.peakInUse, s.inUse)
 	return Ptr{sp: s, off: off}
@@ -202,12 +231,15 @@ func (s *Space) insert(i, off, res, n int) Ptr {
 // slice this space freed keeps its stale bytes, the way freed memory
 // keeps its contents; one freed by any other owner is cleared first, so
 // it reads as fresh memory and nothing leaks from one cluster to another.
+// A fresh slice and a cleared one both count as zeroed bytes.
 func (s *Space) backing(n int) []byte {
 	p, ok := recycled.take(n)
 	if !ok {
+		s.bytes.zeroed(n)
 		return make([]byte, n)
 	}
 	if p.owner != s.id {
+		s.bytes.zeroed(n)
 		clear(p.b)
 	}
 	return p.b
@@ -218,19 +250,29 @@ func (s *Space) backing(n int) []byte {
 // recycler, for the next mapping or payload buffer of the same length. A
 // pointer into another space, or one that starts no extent, is an error.
 func (s *Space) Free(p Ptr) error {
+	b, err := s.Release(p)
+	if err == nil {
+		recycled.put(b, s.id)
+	}
+	return err
+}
+
+// Release is Free that hands the extent's backing back to the caller
+// instead of to the recycler: the counterpart of AllocWith for a backing
+// that outlives its mapping here.
+func (s *Space) Release(p Ptr) ([]byte, error) {
 	if p.sp != s {
-		return fmt.Errorf("mem: free of %v, which is not in %s", p, s.name)
+		return nil, fmt.Errorf("mem: free of %v, which is not in %s", p, s.name)
 	}
 	i := search(s.table, p.off)
 	if i < 0 || s.table[i].off != p.off {
-		return fmt.Errorf("mem: free of %v, which starts no allocation", p)
+		return nil, fmt.Errorf("mem: free of %v, which starts no allocation", p)
 	}
 	x := s.table[i]
 	s.table = slices.Delete(s.table, i, i+1)
 	s.mapped -= len(x.b)
 	s.inUse -= x.res
-	recycled.put(x.b, s.id)
-	return nil
+	return x.b, nil
 }
 
 // Check validates the table: extents sorted and disjoint by reservation
@@ -348,7 +390,7 @@ func (p Ptr) String() string {
 // space copy correctly (memmove semantics). This is the bytes-only
 // primitive; timing is the caller's concern.
 func Copy(dst, src Ptr, n int) {
-	copy(dst.Bytes(n), src.Bytes(n))
+	dst.Space().bytes.Copy(dst.Bytes(n), src.Bytes(n))
 }
 
 // Copy2D moves a width×height rectangle of bytes: height rows of width
@@ -369,6 +411,10 @@ func Copy2D(dst Ptr, dpitch int, src Ptr, spitch, width, height int) {
 	// least the width, so the last row ends furthest out.
 	d := dst.Bytes((height-1)*dpitch + width)
 	s := src.Bytes((height-1)*spitch + width)
+	if height == 1 || (dpitch == width && spitch == width) {
+		dst.sp.bytes.Copy(d, s) // rows that abut on both sides are one run
+		return
+	}
 	for r := 0; r < height; r++ {
 		copy(d[r*dpitch:r*dpitch+width], s[r*spitch:r*spitch+width])
 	}
@@ -392,4 +438,48 @@ func Equal(a, b Ptr, n int) bool {
 		}
 	}
 	return true
+}
+
+// ByteCounters tallies the host byte work of one cluster's simulated
+// memory traffic, so a test or a benchmark can tell the bytes delivery
+// needs from the bytes the simulator moves or clears on the way. Every
+// component of one cluster counts into the same ByteCounters, and one
+// engine drives them all, so it needs no lock; clusters that run at the
+// same time keep separate ones. A nil *ByteCounters counts nothing.
+type ByteCounters struct {
+	// Copied is the contiguous bytes copied: Copy, Copy2D of rows that
+	// abut on both sides, RDMA write snapshots and landings, RDMA read
+	// snapshots and landings, two-sided send snapshots and the MPI
+	// layer's and the GPU transport's host copies. Strided copies (the
+	// pack and unpack walks) are not counted.
+	Copied int64
+	// Zeroed is the bytes a new mapping's backing zeroed: a fresh slice,
+	// or a recycled one another owner freed.
+	Zeroed int64
+}
+
+// Copy copies src into dst, as the builtin does, and counts the bytes.
+func (c *ByteCounters) Copy(dst, src []byte) {
+	n := copy(dst, src)
+	if c != nil {
+		c.Copied += int64(n)
+	}
+}
+
+func (c *ByteCounters) zeroed(n int) {
+	if c != nil {
+		c.Zeroed += int64(n)
+	}
+}
+
+// CopyOut copies the len(dst) bytes at src into dst, a buffer outside
+// every space, and counts them against src's space.
+func CopyOut(dst []byte, src Ptr) {
+	src.Space().bytes.Copy(dst, src.Bytes(len(dst)))
+}
+
+// CopyIn copies src, a buffer outside every space, into the len(src)
+// bytes at dst, and counts them against dst's space.
+func CopyIn(dst Ptr, src []byte) {
+	dst.Space().bytes.Copy(dst.Bytes(len(src)), src)
 }

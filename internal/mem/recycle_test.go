@@ -109,3 +109,67 @@ func TestRecyclerConcurrentUse(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestAllocWithAndRelease: AllocWith maps the given backing as it is,
+// taking nothing from the recycler and clearing nothing; Release hands
+// the backing back without parking it, and Free of a second mapping of
+// it parks it once, under the freeing space.
+func TestAllocWithAndRelease(t *testing.T) {
+	const n = 4091 // a length no other test in the package parks
+	var ca, cb ByteCounters
+	a, b := Reserve(Device, "a", 0, 1<<16), Reserve(Device, "b", 1, 1<<16)
+	a.SetByteCounters(&ca)
+	b.SetByteCounters(&cb)
+	shared := make([]byte, n)
+	for i := range shared {
+		shared[i] = 's'
+	}
+	before := Recycled()
+	pa, err := a.AllocWith(shared, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pb, err := b.AllocWith(shared, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if Recycled().Takes != before.Takes || ca.Zeroed != 0 || cb.Zeroed != 0 {
+		t.Error("AllocWith took a recycled backing or zeroed one")
+	}
+	pa.Bytes(1)[0] = 'x'
+	if pb.Bytes(1)[0] != 'x' || pb.Bytes(n)[n-1] != 's' {
+		t.Error("two mappings of one backing do not share its bytes")
+	}
+	if back, err := a.Release(pa); err != nil || &back[0] != &shared[0] {
+		t.Errorf("Release handed back %p, %v; want the backing given", back, err)
+	}
+	if parkedBy(a, n) != 0 || a.Mappings() != 0 {
+		t.Error("Release parked the backing or left the mapping")
+	}
+	mustFree(t, b, pb.Offset())
+	if parkedBy(b, n) != 1 {
+		t.Error("Free of the second mapping did not park the backing under b")
+	}
+	if got := GetBytes(n); &got[0] != &shared[0] {
+		t.Error("the parked backing is not the shared one")
+	}
+}
+
+// TestByteCounters: Copy and a Copy2D of abutting rows count their bytes
+// against the destination space, a strided Copy2D does not, and a fresh
+// mapping counts its zeroed bytes.
+func TestByteCounters(t *testing.T) {
+	var c ByteCounters
+	s := Reserve(Host, "h", -1, 1<<16)
+	s.SetByteCounters(&c)
+	p := s.Map(0, 4096)
+	if c.Zeroed != 4096 {
+		t.Errorf("a fresh 4096-byte mapping counted %d zeroed bytes", c.Zeroed)
+	}
+	Copy(p, p.Add(1024), 100)
+	Copy2D(p, 16, p.Add(2048), 16, 16, 8) // abutting rows: one 128-byte run
+	Copy2D(p, 32, p.Add(2048), 16, 16, 8) // strided
+	if c.Copied != 228 {
+		t.Errorf("counted %d copied bytes, want 228", c.Copied)
+	}
+}

@@ -167,7 +167,7 @@ func (x *hrecv) start() {
 		off := c * chunkBytes
 		x.slots[c] = Slot{Chunk: c, Rkey: x.region.Rkey, Off: off, Len: min(chunkBytes, x.size-off)}
 	}
-	r.SendCTS(q, total, chunkBytes, x.slots)
+	r.SendCTS(q, total, chunkBytes, x.slots, false)
 	q.AwaitFinThen(x.finFn)
 }
 

@@ -138,6 +138,8 @@ type World struct {
 	hub       *obs.Hub
 	host      hostProtocol // host-memory rendezvous: records, or a test reference
 	freeHdrs  *header      // recycled wire headers, shared by the ranks
+
+	bytes *mem.ByteCounters // where the ranks' host copies are counted; nil: nowhere
 }
 
 // SetHub attaches an observability hub: every request's lifetime becomes
@@ -145,6 +147,10 @@ type World struct {
 // and the rendezvous control messages (RTS/CTS/FIN) appear as instant
 // markers. Install before communication starts.
 func (w *World) SetHub(h *obs.Hub) { w.hub = h }
+
+// SetByteCounters makes the ranks count the bytes of their contiguous
+// host copies (payload copies of eager delivery and get staging) in c.
+func (w *World) SetByteCounters(c *mem.ByteCounters) { w.bytes = c }
 
 // Hub returns the attached observability hub (nil when tracing is off).
 // GPU transports use it to parent their pipeline-stage tasks to the
@@ -245,6 +251,7 @@ type Rank struct {
 	recvFree    *hrecv            // idle put receivers into host memory
 	getFree     *hget             // idle get receivers (proto_get.go)
 	scatterFree *hscatter         // idle host eager scatters
+	finFree     *nicFIN           // idle FINs of NIC-gathered chunks
 	allocReqs   int               // requests allocated, recycled ones not counted
 	obsTrack    string            // tracing track name, "rankN.mpi"
 	reqName     string            // request event name prefix, "rankN.req"

@@ -38,6 +38,8 @@ type header struct {
 	chunk                   int    // FIN
 	totalChunks, chunkBytes int    // CTS
 	slots                   []Slot // CTS: the poster's slice, read on delivery
+	packed                  []byte // RTS: the sender's packed buffer, offered to the receiver
+	held                    bool   // CTS: the receiver holds the offered packed buffer
 	next                    *header
 }
 
@@ -72,6 +74,7 @@ type inbound struct {
 	isRts                bool
 	isGet                bool   // rendezvous RTS advertises an rkey to read
 	rkey                 uint32 // get protocol only
+	packed               []byte // put RTS: the sender's offered packed buffer, or nil
 }
 
 // GPUTransport is the extension point for device-memory buffers. The
@@ -98,14 +101,21 @@ type GPUTransport interface {
 	// StartRendezvousSend drives the sender side of a large transfer from
 	// device memory: it must send the RTS via req.Rank().SendRTS, produce
 	// packed chunks, place them with req.Rank().RDMAChunkRailInto (or the
-	// NIC gather form), and finally call req.CompleteSend.
+	// NIC gather or no-bytes form), and finally call req.CompleteSend.
+	// The RTS may offer the receiver the transfer's packed buffer; the
+	// sender owns it until a CTS says the receiver holds it
+	// (req.PeerHoldsPacked), and then places every chunk with
+	// RDMAChunkNoBytesRailInto.
 	StartRendezvousSend(req *Request)
 	// StartRendezvousRecv drives the receiver side of a large transfer
 	// into device memory: it must announce landing slots via
 	// req.Rank().SendCTS, consume one FIN per chunk (req.AwaitFinThen),
 	// move the data into the device buffer, and finally call
-	// req.CompleteRecv.
-	StartRendezvousRecv(req *Request)
+	// req.CompleteRecv. packed is the packed buffer the sender's RTS
+	// offered, or nil. A receiver that takes it says so in every CTS,
+	// owns it from then on, reads a chunk's bytes from it only once the
+	// chunk's FIN has arrived, and hands it to the recycler when done.
+	StartRendezvousRecv(req *Request, packed []byte)
 }
 
 func (r *Rank) transport() GPUTransport {
@@ -209,7 +219,7 @@ func (r *Rank) startHostRendezvous(q *Request) {
 		r.sendHostGet(q)
 		return
 	}
-	r.SendRTS(q)
+	r.SendRTS(q, nil)
 	r.w.host.sendData(q)
 }
 
@@ -253,10 +263,12 @@ func (q *Request) SendPacked(packed []byte) {
 
 // SendRTS posts the rendezvous request-to-send for a send request. GPU
 // transports call this before (or while) packing begins, so the handshake
-// overlaps datatype processing as in the paper's design.
-func (r *Rank) SendRTS(q *Request) {
+// overlaps datatype processing as in the paper's design. packed, when not
+// nil, is the transfer's packed buffer offered to the receiver (see
+// GPUTransport); a host sender offers none.
+func (r *Rank) SendRTS(q *Request, packed []byte) {
 	r.w.hub.Instant(obs.KindRTS, r.obsTrack, -1, q.size)
-	r.post(nil, q.peer, header{kind: hdrRTS, src: r.rank, tag: q.tag, ctx: q.ctx, size: q.size, sendID: q.id}, nil, 0)
+	r.post(nil, q.peer, header{kind: hdrRTS, src: r.rank, tag: q.tag, ctx: q.ctx, size: q.size, sendID: q.id, packed: packed}, nil, 0)
 }
 
 // slotEntry is one chunk's landing slot on the sender, once announced.
@@ -291,6 +303,10 @@ func (q *Request) AwaitCTSThen(fn func()) {
 // CTSGeometry returns the transfer geometry the first CTS announced, or
 // zeros before it has arrived.
 func (q *Request) CTSGeometry() (totalChunks, chunkBytes int) { return q.totalChunks, q.chunkBytes }
+
+// PeerHoldsPacked reports whether the receiver's CTS said it holds the
+// packed buffer the RTS offered, so the chunk writes need carry no bytes.
+func (q *Request) PeerHoldsPacked() bool { return q.peerHolds }
 
 // AwaitSlot blocks until the landing slot for the given chunk has been
 // announced. Like AwaitCTS it is for test references; library code
@@ -367,12 +383,32 @@ func (q *Request) slotEvent() *sim.Event {
 // critical-path analyzer can follow chunk identity across the fabric; an
 // inert span degrades to plain tracing.
 func (r *Rank) RDMAChunkRailInto(done *sim.Event, q *Request, s Slot, src mem.Ptr, n, rail int, sp obs.Span) {
+	r.checkChunk(s, n)
+	r.hca.RDMAWriteRailInto(done, q.peer, src, n, s.Rkey, s.Off, rail, sp, s.Chunk)
+	r.postFIN(q.peer, q.peerID, s.Chunk, n, rail, sp)
+}
+
+// RDMAChunkNoBytesRailInto is RDMAChunkRailInto for a receiver that holds
+// the transfer's packed buffer (PeerHoldsPacked): the write and its FIN
+// take the same rails, slots and wire time, but the write carries no
+// bytes (ib.HCA.RDMAWriteNoBytesRailInto).
+func (r *Rank) RDMAChunkNoBytesRailInto(done *sim.Event, q *Request, s Slot, n, rail int, sp obs.Span) {
+	r.checkChunk(s, n)
+	r.hca.RDMAWriteNoBytesRailInto(done, q.peer, n, s.Rkey, s.Off, rail, sp, s.Chunk)
+	r.postFIN(q.peer, q.peerID, s.Chunk, n, rail, sp)
+}
+
+func (r *Rank) checkChunk(s Slot, n int) {
 	if n != s.Len {
 		panic(fmt.Sprintf("mpi: chunk %d length %d does not match slot length %d", s.Chunk, n, s.Len))
 	}
-	r.hca.RDMAWriteRailInto(done, q.peer, src, n, s.Rkey, s.Off, rail, sp, s.Chunk)
-	r.w.hub.InstantChild(sp, obs.KindFIN, r.obsTrack, s.Chunk, n)
-	r.post(nil, q.peer, header{kind: hdrFIN, recvID: q.peerID, chunk: s.Chunk}, nil, rail)
+}
+
+// postFIN posts the FIN of an n-byte chunk to receive recvID on rank
+// peer, behind its data on the same rail.
+func (r *Rank) postFIN(peer, recvID, chunk, n, rail int, sp obs.Span) {
+	r.w.hub.InstantChild(sp, obs.KindFIN, r.obsTrack, chunk, n)
+	r.post(nil, peer, header{kind: hdrFIN, recvID: recvID, chunk: chunk}, nil, rail)
 }
 
 // RDMANicChunkRailInto places one chunk into its announced slot with the
@@ -384,13 +420,36 @@ func (r *Rank) RDMAChunkRailInto(done *sim.Event, q *Request, s Slot, src mem.Pt
 // synchronously right after posting the data transfer, restoring the
 // exact post order RDMAChunkRailInto gets for free.
 func (r *Rank) RDMANicChunkRailInto(done *sim.Event, q *Request, s Slot, sg ib.SGDesc, rail int, sp obs.Span) {
-	if sg.N != s.Len {
-		panic(fmt.Sprintf("mpi: chunk %d length %d does not match slot length %d", s.Chunk, sg.N, s.Len))
+	r.checkChunk(s, sg.N)
+	f := r.finFree
+	if f == nil {
+		f = &nicFIN{r: r}
+		f.postFn = f.post
+	} else {
+		r.finFree = f.next
+		f.next = nil
 	}
-	r.hca.RDMAWriteGatherRailInto(done, q.peer, sg, s.Rkey, s.Off, rail, sp, s.Chunk, func() {
-		r.w.hub.InstantChild(sp, obs.KindFIN, r.obsTrack, s.Chunk, sg.N)
-		r.post(nil, q.peer, header{kind: hdrFIN, recvID: q.peerID, chunk: s.Chunk}, nil, rail)
-	})
+	f.peer, f.recvID, f.chunk, f.n, f.rail, f.sp = q.peer, q.peerID, s.Chunk, sg.N, rail, sp
+	r.hca.RDMAWriteGatherRailInto(done, q.peer, sg, s.Rkey, s.Off, rail, sp, s.Chunk, f.postFn)
+}
+
+// nicFIN is the FIN of a NIC-gathered chunk, waiting for the gather to
+// post the data: a pooled per-rank record with its step bound once.
+type nicFIN struct {
+	r                            *Rank
+	peer, recvID, chunk, n, rail int
+	sp                           obs.Span
+	postFn                       func()
+	next                         *nicFIN
+}
+
+// post posts the FIN right behind its chunk's data and returns the
+// record to the pool.
+func (f *nicFIN) post() {
+	r := f.r
+	r.postFIN(f.peer, f.recvID, f.chunk, f.n, f.rail, f.sp)
+	f.sp = obs.Span{}
+	f.next, r.finFree = r.finFree, f
 }
 
 // ---------------------------------------------------------------------------
@@ -432,7 +491,7 @@ func (r *Rank) irecv(buf mem.Ptr, count int, dt *datatype.Datatype, source, tag,
 		case in.isRts && in.isGet:
 			r.startRecvGet(q, in.from, in.tag, in.size, in.sendID, in.rkey)
 		case in.isRts:
-			r.startRecvData(q, in.from, in.tag, in.size, in.sendID)
+			r.startRecvData(q, in.from, in.tag, in.size, in.sendID, in.packed)
 		default:
 			r.deliverEager(q, in.from, in.tag, in.size, in.payload)
 			mem.PutBytes(in.payload)
@@ -490,6 +549,7 @@ func (r *Rank) handleMessage(from int, msg ib.Message, payload []byte) {
 		q.peerID = m.recvID
 		q.totalChunks = m.totalChunks
 		q.chunkBytes = m.chunkBytes
+		q.peerHolds = m.held
 		if len(q.slots) == 0 { // the first CTS; a recycled request keeps its array
 			if cap(q.slots) < m.totalChunks {
 				q.slots = make([]slotEntry, m.totalChunks)
@@ -526,7 +586,7 @@ func (r *Rank) dispatchEager(from, tag, ctx, size int, payload []byte) {
 	// The arrival's payload is recycled when this call returns; the
 	// unexpected copy lives until a receive matches it.
 	data := mem.GetBytes(len(payload))
-	copy(data, payload)
+	r.w.bytes.Copy(data, payload)
 	r.unexpected = append(r.unexpected, inbound{
 		from: from, tag: tag, ctx: ctx, size: size,
 		payload: data,
@@ -537,13 +597,13 @@ func (r *Rank) dispatchEager(from, tag, ctx, size int, payload []byte) {
 func (r *Rank) dispatchRTS(m *header) {
 	r.stats.RndvRecvd++
 	if q := r.matchPosted(m.src, m.tag, m.ctx); q != nil {
-		r.startRecvData(q, m.src, m.tag, m.size, m.sendID)
+		r.startRecvData(q, m.src, m.tag, m.size, m.sendID, m.packed)
 		return
 	}
 	r.stats.Unexpected++
 	r.unexpected = append(r.unexpected, inbound{
 		from: m.src, tag: m.tag, ctx: m.ctx, size: m.size,
-		sendID: m.sendID, isRts: true,
+		sendID: m.sendID, isRts: true, packed: m.packed,
 	})
 	r.notifyArrival()
 }
@@ -587,7 +647,7 @@ func (r *Rank) deliverEager(q *Request, from, tag, size int, payload []byte) {
 		return
 	}
 	data := mem.GetBytes(len(payload))
-	copy(data, payload)
+	r.w.bytes.Copy(data, payload)
 	if q.buf.IsDevice() {
 		r.transport().DeliverFromHost(q, data)
 		return
@@ -630,8 +690,10 @@ func (x *hscatter) scatter() {
 	q.CompleteRecv()
 }
 
-// startRecvData launches the rendezvous receiver for a matched RTS.
-func (r *Rank) startRecvData(q *Request, from, tag, size, sendID int) {
+// startRecvData launches the rendezvous receiver for a matched RTS,
+// which offered packed (see GPUTransport). A host receiver leaves the
+// offer to the sender.
+func (r *Rank) startRecvData(q *Request, from, tag, size, sendID int, packed []byte) {
 	q.setMatched(from, tag, size)
 	q.peer = from // resolve AnySource for the data phase
 	q.peerID = sendID
@@ -643,7 +705,7 @@ func (r *Rank) startRecvData(q *Request, from, tag, size, sendID int) {
 		q.finQ = sim.NewQueueNumbered[int](r.w.e, r.reqName, q.id, ".fin")
 	}
 	if q.buf.IsDevice() {
-		r.transport().StartRendezvousRecv(q)
+		r.transport().StartRendezvousRecv(q, packed)
 		return
 	}
 	r.w.host.recvData(q)
@@ -651,11 +713,13 @@ func (r *Rank) startRecvData(q *Request, from, tag, size, sendID int) {
 
 // SendCTS announces landing slots to the sender. GPU transports may call
 // it several times with successive batches when staging memory is scarce.
-func (r *Rank) SendCTS(q *Request, totalChunks, chunkBytes int, slots []Slot) {
+// held says the receiver holds the packed buffer the RTS offered; every
+// batch of one transfer says the same.
+func (r *Rank) SendCTS(q *Request, totalChunks, chunkBytes int, slots []Slot, held bool) {
 	r.w.hub.Instant(obs.KindCTS, r.obsTrack, -1, len(slots)*chunkBytes)
 	r.post(nil, q.peer, header{
 		kind: hdrCTS, sendID: q.peerID, recvID: q.id,
-		totalChunks: totalChunks, chunkBytes: chunkBytes, slots: slots,
+		totalChunks: totalChunks, chunkBytes: chunkBytes, slots: slots, held: held,
 	}, nil, 0)
 }
 

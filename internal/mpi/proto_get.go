@@ -134,7 +134,7 @@ func (x *hget) waitReads() {
 	switch {
 	case x.device:
 		packed := mem.GetBytes(x.size)
-		copy(packed, x.landing.Bytes(x.size))
+		r.w.bytes.Copy(packed, x.landing.Bytes(x.size))
 		r.FreeHost(x.landing)
 		x.free()
 		r.transport().DeliverFromHost(q, packed)

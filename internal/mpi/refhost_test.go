@@ -103,7 +103,7 @@ func refRecvHostData(p *sim.Proc, q *Request) {
 		}
 		slots[c] = Slot{Chunk: c, Rkey: region.Rkey, Off: c * chunkBytes, Len: n}
 	}
-	r.SendCTS(q, total, chunkBytes, slots)
+	r.SendCTS(q, total, chunkBytes, slots, false)
 
 	for got := 0; got < total; got++ {
 		q.AwaitFin(p)

@@ -54,6 +54,7 @@ type Request struct {
 	chunkBytes  int             // pipeline granularity for this transfer
 	slots       []slotEntry     // sender: landing slot by chunk, sized by the first CTS; kept on reuse
 	slotWait    bool            // sender: something waits on ev for a CTS batch
+	peerHolds   bool            // sender: the CTS said the receiver holds the packed buffer
 	slotChunk   int             // sender: the chunk a blocked AwaitSlotThen waits for
 	slotFn      func()          // sender: that AwaitSlotThen's continuation
 	slotRetryFn func()          // sender: slotRetry, bound on first use

@@ -18,6 +18,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -158,6 +159,29 @@ func (s *Store) Append(recs ...Record) error {
 	}
 	s.recs = append(s.recs, stamped...)
 	return nil
+}
+
+// AppendBench is the one way a bench document enters a store: it
+// extracts the document's metrics (Extract), stamps each with commit,
+// appends them to the store at path, creating the file if needed, and
+// reports the append on w.
+func AppendBench(w io.Writer, path, commit string, benchDoc []byte) error {
+	st, err := Open(path)
+	if err != nil {
+		return err
+	}
+	source, recs, err := Extract(benchDoc)
+	if err != nil {
+		return err
+	}
+	for i := range recs {
+		recs[i].Commit = commit
+	}
+	if err := st.Append(recs...); err != nil {
+		return err
+	}
+	_, err = fmt.Fprintf(w, "Perf store: appended %d %s metric(s) to %s\n", len(recs), source, path)
+	return err
 }
 
 // Seed truncates the file and writes the records fresh with sequence

@@ -1,9 +1,11 @@
 package store
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -200,5 +202,41 @@ func TestOpenMissingFileIsEmpty(t *testing.T) {
 	}
 	if s.Len() != 0 {
 		t.Fatalf("missing file loaded %d records", s.Len())
+	}
+}
+
+// TestAppendBench: a bench document goes in as its extracted records,
+// each stamped with the commit, after what the store already holds, and
+// the append is reported; a document of no known format appends nothing.
+func TestAppendBench(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.jsonl")
+	var out strings.Builder
+	for _, doc := range []string{packDoc, loadDoc} {
+		if err := AppendBench(&out, path, "c1", []byte(doc)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, pack, _ := Extract([]byte(packDoc))
+	_, load, _ := Extract([]byte(loadDoc))
+	want := append(pack, load...)
+	got := s.Records()
+	if len(got) != len(want) {
+		t.Fatalf("%d records, want %d", len(got), len(want))
+	}
+	for i, r := range got {
+		if r.Commit != "c1" || r.Seq != i+1 || r.Metric != want[i].Metric || r.Value != want[i].Value {
+			t.Fatalf("record %d = %+v, want %s=%g at seq %d from c1", i, r, want[i].Metric, want[i].Value, i+1)
+		}
+	}
+	if want := fmt.Sprintf("Perf store: appended %d pack metric(s) to %s\nPerf store: appended %d load metric(s) to %s\n",
+		len(pack), path, len(load), path); out.String() != want {
+		t.Errorf("reported %q, want %q", out.String(), want)
+	}
+	if err := AppendBench(&out, path, "c2", []byte(`{"unknown": 1}`)); err == nil {
+		t.Error("an unknown document appended without an error")
 	}
 }
