@@ -86,7 +86,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mv2lint: %v\n", err)
 		os.Exit(2)
 	}
-	diags, err := lint.Run(pkgs, analyzers)
+	diags, err := lint.Run(loader, pkgs, analyzers)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mv2lint: %v\n", err)
 		os.Exit(2)

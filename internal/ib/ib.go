@@ -475,30 +475,17 @@ func (h *HCA) PostSendRailInto(done *sim.Event, dst int, msg Message, payload []
 	t.send, t.msg, t.snap = true, msg, snap
 }
 
-// RDMAWrite transfers n bytes from local memory src into the remote region
-// identified by rkey at byte offset roff on rail 0, with no receiver-side
-// notification (a silent one-sided put). The source bytes are snapshotted
-// at post time, modeling the HCA's DMA read; the returned event fires at
-// local completion. The bytes become visible in remote memory at delivery
+// RDMAWriteRailInto transfers n bytes from local memory src into the
+// remote region identified by rkey at byte offset roff on the given rail,
+// with no receiver-side notification (a silent one-sided put). The source
+// bytes are snapshotted at post time, modeling the HCA's DMA read; done,
+// an event the caller holds, is re-armed here and fires at local
+// completion. The bytes become visible in remote memory at delivery
 // time, strictly before any send posted afterwards on the same rail of
-// this HCA is delivered.
-func (h *HCA) RDMAWrite(dst int, src mem.Ptr, n int, rkey uint32, roff int) *sim.Event {
-	return h.RDMAWriteRail(dst, src, n, rkey, roff, 0)
-}
-
-// RDMAWriteRail is RDMAWrite on an explicit rail. The FIN-after-data
-// invariant holds only against sends posted on the same rail.
-func (h *HCA) RDMAWriteRail(dst int, src mem.Ptr, n int, rkey uint32, roff, railIdx int) *sim.Event {
-	done := new(sim.Event)
-	h.RDMAWriteRailInto(done, dst, src, n, rkey, roff, railIdx, obs.Span{}, -1)
-	return done
-}
-
-// RDMAWriteRailInto is RDMAWriteRail with the wire tasks parented to an
-// enclosing pipeline-stage span and tagged with a chunk index (see
-// transmit), completing done, an event the caller holds: it is re-armed
-// here and fires at local completion. An inert parent and chunk -1
-// degrade to plain tracing.
+// this HCA is delivered: the FIN-after-data invariant holds only on that
+// rail. The wire tasks are parented to an enclosing pipeline-stage span
+// and tagged with a chunk index (see transmit); an inert parent and chunk
+// -1 degrade to plain tracing.
 func (h *HCA) RDMAWriteRailInto(done *sim.Event, dst int, src mem.Ptr, n int, rkey uint32, roff, railIdx int, parent obs.Span, chunk int) {
 	h.rdmaWrite(done, dst, src, n, rkey, roff, railIdx, parent, chunk)
 }

@@ -18,6 +18,18 @@ type net struct {
 	host []*mem.Space
 }
 
+// RDMAWrite is RDMAWriteRail on rail 0.
+func (h *HCA) RDMAWrite(dst int, src mem.Ptr, n int, rkey uint32, roff int) *sim.Event {
+	return h.RDMAWriteRail(dst, src, n, rkey, roff, 0)
+}
+
+// RDMAWriteRail is RDMAWriteRailInto untraced, completing a fresh event.
+func (h *HCA) RDMAWriteRail(dst int, src mem.Ptr, n int, rkey uint32, roff, railIdx int) *sim.Event {
+	done := new(sim.Event)
+	h.RDMAWriteRailInto(done, dst, src, n, rkey, roff, railIdx, obs.Span{}, -1)
+	return done
+}
+
 // newNet wires n HCAs to one fabric on a fresh engine.
 func newNet(n int) *net {
 	e := sim.New()

@@ -2,8 +2,8 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 
 	"mv2sim/internal/lint/cfg"
@@ -125,16 +125,22 @@ func checkErrorPropagation(pass *Pass, fn *ast.FuncDecl) {
 	exported := fn.Name.IsExported()
 	errType := types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
 
-	ast.Inspect(fn, func(n ast.Node) bool {
+	inspectPath(fn, func(n ast.Node, path []ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
+		// A body that receives a *sim.Proc or *cluster.Node runs inside a
+		// simulation process, where panicking is the designed error
+		// channel (the engine re-raises it at the Run caller).
+		inSim := slices.ContainsFunc(path, func(n ast.Node) bool {
+			return funcTypeOf(n) != nil && simContext(info, n)
+		})
 
 		// MustMalloc outside a simulation context.
 		if mi, ok2 := methodCall(info, call); ok2 && mi.method == "MustMalloc" &&
 			((mi.pkgPath == gpuPath && mi.typeName == "Device") || (mi.pkgPath == cudaPath && mi.typeName == "Ctx")) {
-			if !inSimContext(pass, call.Pos()) {
+			if !inSim {
 				pass.Reportf(call.Pos(),
 					"MustMalloc panics on allocation failure; outside a simulation process the error should propagate (use Malloc and return the error)")
 			}
@@ -145,37 +151,11 @@ func checkErrorPropagation(pass *Pass, fn *ast.FuncDecl) {
 		if id, ok2 := call.Fun.(*ast.Ident); ok2 && id.Name == "panic" && len(call.Args) == 1 {
 			tv, ok3 := info.Types[call.Args[0]]
 			if ok3 && tv.Type != nil && types.Implements(tv.Type, errType) &&
-				exported && !inSimContext(pass, call.Pos()) {
+				exported && !inSim {
 				pass.Reportf(call.Pos(),
 					"%s panics with an error value; exported library API should return the error (wrap with %%w)", fn.Name.Name)
 			}
 		}
 		return true
 	})
-}
-
-// inSimContext reports whether pos sits inside a function node (a decl or
-// a nested literal) that receives a *sim.Proc or *cluster.Node: those
-// bodies run inside a simulation process, where panicking is the designed
-// error channel (the engine re-raises it at the Run caller).
-func inSimContext(pass *Pass, pos token.Pos) bool {
-	file := fileOf(pass, pos)
-	if file == nil {
-		return false
-	}
-	for _, n := range enclosing(file, pos) {
-		if funcTypeOf(n) != nil && simContext(pass.TypesInfo, n) {
-			return true
-		}
-	}
-	return false
-}
-
-func fileOf(pass *Pass, pos token.Pos) *ast.File {
-	for _, f := range pass.Files {
-		if f.Pos() <= pos && pos < f.End() {
-			return f
-		}
-	}
-	return nil
 }

@@ -23,10 +23,8 @@
 package cfg
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
-	"strings"
 )
 
 // A Block is one basic block: Nodes execute in order, then control moves
@@ -75,24 +73,6 @@ func edge(from, to *Block) {
 	}
 	from.Succs = append(from.Succs, to)
 	to.Preds = append(to.Preds, from)
-}
-
-// String renders the graph compactly for tests and debugging:
-// "0:entry -> 3; 3:body[2] -> 1; ...", where [n] is the node count.
-func (g *Graph) String() string {
-	var parts []string
-	for _, b := range g.Blocks {
-		var succs []string
-		for _, s := range b.Succs {
-			succs = append(succs, fmt.Sprint(s.Index))
-		}
-		n := ""
-		if len(b.Nodes) > 0 {
-			n = fmt.Sprintf("[%d]", len(b.Nodes))
-		}
-		parts = append(parts, fmt.Sprintf("%d:%s%s -> %s", b.Index, b.Kind, n, strings.Join(succs, ",")))
-	}
-	return strings.Join(parts, "; ")
 }
 
 // ---------------------------------------------------------------------------

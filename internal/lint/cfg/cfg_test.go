@@ -1,9 +1,11 @@
 package cfg
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"strings"
 	"testing"
 )
 
@@ -355,4 +357,22 @@ loop:
 	if !reaches(g.Entry, blockCalling(t, g, "done")) {
 		t.Errorf("loop exit lost: %s", g)
 	}
+}
+
+// String renders the graph compactly for tests and debugging:
+// "0:entry -> 3; 3:body[2] -> 1; ...", where [n] is the node count.
+func (g *Graph) String() string {
+	var parts []string
+	for _, b := range g.Blocks {
+		var succs []string
+		for _, s := range b.Succs {
+			succs = append(succs, fmt.Sprint(s.Index))
+		}
+		n := ""
+		if len(b.Nodes) > 0 {
+			n = fmt.Sprintf("[%d]", len(b.Nodes))
+		}
+		parts = append(parts, fmt.Sprintf("%d:%s%s -> %s", b.Index, b.Kind, n, strings.Join(succs, ",")))
+	}
+	return strings.Join(parts, "; ")
 }

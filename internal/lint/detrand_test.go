@@ -32,7 +32,7 @@ func TestDetRandWorkerPoolExemption(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	diags, err := Run(pkgs, []*Analyzer{DetRand})
+	diags, err := Run(loader, pkgs, []*Analyzer{DetRand})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 	"strings"
 
 	"mv2sim/internal/lint/cfg"
@@ -82,14 +83,7 @@ func (p *oblProblem) Merge(a, b liveSet) liveSet {
 	return s
 }
 
-func (p *oblProblem) Equal(a, b liveSet) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
+func (p *oblProblem) Equal(a, b liveSet) bool { return slices.Equal(a, b) }
 
 func (p *oblProblem) Transfer(b *cfg.Block, in liveSet) liveSet {
 	out := make(liveSet, len(in))
@@ -288,7 +282,10 @@ func factEffect(info *types.Info, call *ast.CallExpr, obj types.Object, facts *F
 		return useNone, false
 	}
 	callee := calleeFunc(info, call)
-	if callee == nil || !facts.hasDeclFor(callee) {
+	if callee == nil {
+		return useNone, false
+	}
+	if _, _, ok := facts.Decl(callee); !ok {
 		return useNone, false
 	}
 	eff := useNone

@@ -41,11 +41,11 @@ func TestSeededFlowBugsEscapeLegacyAnalyzers(t *testing.T) {
 			if err != nil {
 				t.Fatalf("load %s: %v", tc.path, err)
 			}
-			legacyDiags, err := RunWithUniverse(loader.Packages(), pkgs, []*Analyzer{tc.legacy})
+			legacyDiags, err := Run(loader, pkgs, []*Analyzer{tc.legacy})
 			if err != nil {
 				t.Fatalf("legacy run: %v", err)
 			}
-			freshDiags, err := RunWithUniverse(loader.Packages(), pkgs, []*Analyzer{tc.fresh})
+			freshDiags, err := Run(loader, pkgs, []*Analyzer{tc.fresh})
 			if err != nil {
 				t.Fatalf("fresh run: %v", err)
 			}

@@ -21,11 +21,12 @@
 package lint
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -83,21 +84,13 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{ProcBlock, EventPair, SpanEnd, AllocFree, ErrFree, ChunkConst, DetRand}
 }
 
-// Run applies the analyzers to every package and returns the surviving
-// diagnostics (after //lint:ignore suppression), sorted by position. The
-// cross-package Facts universe is the analyzed packages themselves; use
-// RunWithUniverse when helper packages outside the analyzed set should be
-// visible to fact queries.
-func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return RunWithUniverse(pkgs, pkgs, analyzers)
-}
-
-// RunWithUniverse is Run with an explicit Facts universe: facts are
-// computed over universe (typically every package the loader touched,
-// including dependencies of the analyzed set), while diagnostics are
-// produced only for pkgs.
-func RunWithUniverse(universe, pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	facts := NewFacts(universe)
+// Run applies the analyzers to pkgs and returns the surviving
+// diagnostics (after //lint:ignore suppression), sorted by position.
+// Facts are computed over every package l has loaded: pkgs and their
+// in-tree dependencies, so a helper in a package that is not itself
+// linted is still seen through.
+func Run(l *Loader, pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
+	facts := NewFacts(l.Packages())
 	var out []Diagnostic
 	for _, pkg := range pkgs {
 		ignores := collectIgnores(pkg.Fset, pkg.Files)
@@ -120,33 +113,15 @@ func RunWithUniverse(universe, pkgs []*Package, analyzers []*Analyzer) ([]Diagno
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Pos.Column != b.Pos.Column {
-			return a.Pos.Column < b.Pos.Column
-		}
-		if a.Analyzer != b.Analyzer {
-			return a.Analyzer < b.Analyzer
-		}
-		return a.Message < b.Message
+	slices.SortFunc(out, func(a, b Diagnostic) int {
+		return cmp.Or(strings.Compare(a.Pos.Filename, b.Pos.Filename),
+			cmp.Compare(a.Pos.Line, b.Pos.Line), cmp.Compare(a.Pos.Column, b.Pos.Column),
+			strings.Compare(a.Analyzer, b.Analyzer), strings.Compare(a.Message, b.Message))
 	})
 	// De-duplicate identical findings: the same position can be analyzed
 	// twice when a package is loaded both as itself and as the in-package
 	// half of its test variant.
-	dedup := out[:0]
-	for i, d := range out {
-		if i > 0 && d == out[i-1] {
-			continue
-		}
-		dedup = append(dedup, d)
-	}
-	return dedup, nil
+	return slices.Compact(out), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -272,23 +247,6 @@ func methodCall(info *types.Info, call *ast.CallExpr) (methodInfo, bool) {
 		method:   sel.Sel.Name,
 		recv:     sel.X,
 	}, true
-}
-
-// enclosing returns the ancestor chain (outermost first) of nodes in file
-// containing pos.
-func enclosing(file *ast.File, pos token.Pos) []ast.Node {
-	var path []ast.Node
-	ast.Inspect(file, func(n ast.Node) bool {
-		if n == nil {
-			return false
-		}
-		if n.Pos() <= pos && pos < n.End() {
-			path = append(path, n)
-			return true
-		}
-		return false
-	})
-	return path
 }
 
 // funcHasParam reports whether ft declares a parameter whose type matches

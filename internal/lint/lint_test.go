@@ -10,7 +10,7 @@ func TestSuppression(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	diags, err := Run(pkgs, Analyzers())
+	diags, err := Run(loader, pkgs, Analyzers())
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

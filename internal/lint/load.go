@@ -61,21 +61,6 @@ func NewModuleLoader(root string, includeTests bool) (*Loader, error) {
 	return l, nil
 }
 
-// NewTreeLoader creates a loader that resolves every import path to
-// srcRoot/<path> when that directory exists — the layout analysistest-style
-// golden tests use (testdata/src/<importpath>).
-func NewTreeLoader(srcRoot string) *Loader {
-	l := newLoader(true)
-	l.resolve = func(importPath string) (string, bool) {
-		dir := filepath.Join(srcRoot, filepath.FromSlash(importPath))
-		if st, err := os.Stat(dir); err == nil && st.IsDir() {
-			return dir, true
-		}
-		return "", false
-	}
-	return l
-}
-
 func newLoader(includeTests bool) *Loader {
 	fset := token.NewFileSet()
 	std, _ := importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)

@@ -9,7 +9,7 @@ import (
 )
 
 // This file renders a diagnostic list in machine-readable formats. All
-// writers take the already-sorted output of Run/RunWithUniverse and a
+// writers take the already-sorted output of Run and a
 // root directory against which file paths are relativized (slash-
 // separated), so reports are stable across checkouts and CI runners.
 

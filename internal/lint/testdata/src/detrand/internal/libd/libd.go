@@ -8,6 +8,7 @@ import (
 	"sort"
 	"time"
 
+	"mv2sim/internal/hostmem"
 	"mv2sim/internal/obs"
 	"mv2sim/internal/sim"
 )
@@ -30,6 +31,15 @@ func emitViaHelper(h *obs.Hub, sizes map[string]int) {
 
 func record(h *obs.Hub, name string, n int) {
 	h.Instant(name, "rank0.mpi", -1, n)
+}
+
+// Positive (rule 1, through a package that is not linted): Pool.Put
+// ends the vbuf's hold span in hostmem, which is loaded only as a
+// dependency. The message names the in-tree hop and the root it reaches.
+func returnAll(pool *hostmem.Pool, held map[int]*hostmem.Vbuf) {
+	for _, v := range held { // want `sim-visible work \(hostmem\.Pool\.Put → obs\.Span\.End\);`
+		pool.Put(v)
+	}
 }
 
 // Positive (rule 1, closure): one level of local closures is inlined.

@@ -14,7 +14,7 @@ type Proc struct{}
 type Event struct{ fired bool }
 
 // Resource is a counted resource.
-type Resource struct{}
+type Resource struct{ grant *Event }
 
 // Queue is a blocking queue.
 type Queue struct{}
@@ -31,8 +31,10 @@ func (e *Engine) CallAt(t Time, fn func()) {}
 // CallAfter schedules fn after d in engine context.
 func (e *Engine) CallAfter(d Time, fn func()) {}
 
-// Spawn starts a process.
-func (e *Engine) Spawn(name string, fn func(p *Proc)) {}
+// Spawn starts a process: a scheduled call runs fn as the process body.
+func (e *Engine) Spawn(name string, fn func(p *Proc)) {
+	e.CallAt(0, func() { fn(&Proc{}) })
+}
 
 // Run runs the simulation.
 func (e *Engine) Run() error { return nil }
@@ -51,6 +53,12 @@ func (p *Proc) Wait(ev *Event) {}
 
 // WaitAll blocks on all events.
 func (p *Proc) WaitAll(evs ...*Event) {}
+
+// WaitAny blocks until one of the events fires.
+func (p *Proc) WaitAny(evs ...*Event) int { return 0 }
+
+// block hands control back to the engine.
+func (p *Proc) block() {}
 
 // Sleep blocks for d.
 func (p *Proc) Sleep(d Time) {}
@@ -71,16 +79,19 @@ func (ev *Event) OnTrigger(fn func()) {}
 func (ev *Event) Then(fn func()) {}
 
 // Acquire takes n units, blocking p.
-func (r *Resource) Acquire(p *Proc, n int) {}
+func (r *Resource) Acquire(p *Proc, n int) { p.Wait(r.grant) }
 
 // AcquireThen runs fn in engine context once a unit is granted.
-func (r *Resource) AcquireThen(fn func()) {}
+func (r *Resource) AcquireThen(fn func()) { r.grant.Then(fn) }
 
 // Release returns n units.
 func (r *Resource) Release(n int) {}
 
 // Get blocks p until an item arrives.
-func (q *Queue) Get(p *Proc) interface{} { return nil }
+func (q *Queue) Get(p *Proc) interface{} {
+	p.block()
+	return nil
+}
 
 // GetThen hands the next item to fn in engine context.
 func (q *Queue) GetThen(fn func(interface{})) {}

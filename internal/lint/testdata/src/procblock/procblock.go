@@ -148,3 +148,52 @@ func spawned(e *sim.Engine, s *cuda.Stream) {
 		p.Sleep(0)
 	})
 }
+
+// Positive: every Proc wait blocks, WaitAny included, and a derived
+// blocking method counts like a root: AwaitFin reaches Proc.block through
+// Queue.Get, AwaitSlot reaches Proc.Wait.
+func derivedBlocking(e *sim.Engine, ev *sim.Event, req *mpi.Request, p *sim.Proc) {
+	e.CallAt(5, func() {
+		p.WaitAny(ev) // want `blocking call Proc.WaitAny inside an engine-context callback`
+	})
+	req.AwaitFin(nil) // want `blocking call Request.AwaitFin with nil \*sim\.Proc`
+	req.AwaitCTSThen(func() {
+		req.AwaitSlot(p, 0) // want `blocking call Request.AwaitSlot inside an engine-context callback`
+	})
+}
+
+// Negative: an async copy blocks only to charge a non-nil process its
+// issue cost, so engine code may issue it with a nil process.
+func asyncFromEngine(e *sim.Engine, ctx *cuda.Ctx, s *cuda.Stream, dst, src mem.Ptr) {
+	e.CallAfter(1, func() {
+		ctx.MemcpyAsync(nil, dst, src, 8, s)
+		ctx.Memcpy2DAsync(nil, dst, 8, src, 8, 8, 1, s)
+	})
+}
+
+// Negative: a Launch-style rank body runs in the rank's process, so it
+// may block on r.Proc(); the closure Launch wraps it in takes a *sim.Proc.
+func rankBodies(w *mpi.World, s *cuda.Stream) {
+	w.Launch(func(r *mpi.Rank) {
+		p := r.Proc()
+		p.Sleep(1)
+		s.Synchronize(r.Proc())
+	})
+}
+
+// Positive: a method the engine runs through a stored method value is an
+// engine callback too, even when the process it blocks is its owner's.
+type waiter struct {
+	proc    *sim.Proc
+	ev      *sim.Event
+	retryFn func()
+}
+
+func (w *waiter) arm() {
+	w.retryFn = w.retry
+	w.ev.Then(w.retryFn)
+}
+
+func (w *waiter) retry() {
+	w.proc.Wait(w.ev) // want `blocking call Proc.Wait inside an engine-context callback`
+}

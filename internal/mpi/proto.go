@@ -32,14 +32,14 @@ const (
 // fields out, so no post allocates.
 type header struct {
 	kind                    hdrKind
+	held                    bool   // CTS: the receiver holds the offered packed buffer
 	rkey                    uint32 // get RTS
-	src, tag, ctx, size     int    // eager, RTS, get RTS: the envelope
+	tag, ctx, size          int    // eager, RTS, get RTS: the envelope but its source, handleMessage's from
 	sendID, recvID          int    // the sender's and the receiver's request IDs
 	chunk                   int    // FIN
 	totalChunks, chunkBytes int    // CTS
 	slots                   []Slot // CTS: the poster's slice, read on delivery
 	packed                  []byte // RTS: the sender's packed buffer, offered to the receiver
-	held                    bool   // CTS: the receiver holds the offered packed buffer
 	next                    *header
 }
 
@@ -254,7 +254,7 @@ func (q *Request) SendPacked(packed []byte) {
 		return
 	}
 	// The post snapshots packed, which the caller then recycles.
-	r.post(&q.ev, q.peer, header{kind: hdrEager, src: r.rank, tag: q.tag, ctx: q.ctx, size: q.size}, packed, 0)
+	r.post(&q.ev, q.peer, header{kind: hdrEager, tag: q.tag, ctx: q.ctx, size: q.size}, packed, 0)
 	if q.completeSendFn == nil {
 		q.completeSendFn = q.CompleteSend
 	}
@@ -268,7 +268,7 @@ func (q *Request) SendPacked(packed []byte) {
 // GPUTransport); a host sender offers none.
 func (r *Rank) SendRTS(q *Request, packed []byte) {
 	r.w.hub.Instant(obs.KindRTS, r.obsTrack, -1, q.size)
-	r.post(nil, q.peer, header{kind: hdrRTS, src: r.rank, tag: q.tag, ctx: q.ctx, size: q.size, sendID: q.id, packed: packed}, nil, 0)
+	r.post(nil, q.peer, header{kind: hdrRTS, tag: q.tag, ctx: q.ctx, size: q.size, sendID: q.id, packed: packed}, nil, 0)
 }
 
 // slotEntry is one chunk's landing slot on the sender, once announced.
@@ -530,11 +530,11 @@ func (r *Rank) handleMessage(from int, msg ib.Message, payload []byte) {
 	r.w.freeHdrs = p
 	switch m.kind {
 	case hdrEager:
-		r.dispatchEager(m.src, m.tag, m.ctx, m.size, payload)
+		r.dispatchEager(from, m.tag, m.ctx, m.size, payload)
 	case hdrRTS:
-		r.dispatchRTS(&m)
+		r.dispatchRTS(from, &m)
 	case hdrRTSGet:
-		r.dispatchRTSGet(&m)
+		r.dispatchRTSGet(from, &m)
 	case hdrDone:
 		q := r.reqs[m.sendID]
 		if q == nil {
@@ -594,15 +594,15 @@ func (r *Rank) dispatchEager(from, tag, ctx, size int, payload []byte) {
 	r.notifyArrival()
 }
 
-func (r *Rank) dispatchRTS(m *header) {
+func (r *Rank) dispatchRTS(from int, m *header) {
 	r.stats.RndvRecvd++
-	if q := r.matchPosted(m.src, m.tag, m.ctx); q != nil {
-		r.startRecvData(q, m.src, m.tag, m.size, m.sendID, m.packed)
+	if q := r.matchPosted(from, m.tag, m.ctx); q != nil {
+		r.startRecvData(q, from, m.tag, m.size, m.sendID, m.packed)
 		return
 	}
 	r.stats.Unexpected++
 	r.unexpected = append(r.unexpected, inbound{
-		from: m.src, tag: m.tag, ctx: m.ctx, size: m.size,
+		from: from, tag: m.tag, ctx: m.ctx, size: m.size,
 		sendID: m.sendID, isRts: true, packed: m.packed,
 	})
 	r.notifyArrival()

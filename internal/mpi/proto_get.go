@@ -42,7 +42,7 @@ func (r *Rank) sendHostGet(q *Request) {
 	}
 	q.rkey = r.hca.Register(packed, q.size).Rkey
 	r.post(nil, q.peer, header{
-		kind: hdrRTSGet, src: r.rank, tag: q.tag, ctx: q.ctx, size: q.size,
+		kind: hdrRTSGet, tag: q.tag, ctx: q.ctx, size: q.size,
 		sendID: q.id, rkey: q.rkey,
 	}, nil, 0)
 }
@@ -166,15 +166,15 @@ func (x *hget) free() {
 }
 
 // dispatchRTSGet handles an arriving get-RTS: match or queue unexpected.
-func (r *Rank) dispatchRTSGet(m *header) {
+func (r *Rank) dispatchRTSGet(from int, m *header) {
 	r.stats.RndvRecvd++
-	if q := r.matchPosted(m.src, m.tag, m.ctx); q != nil {
-		r.startRecvGet(q, m.src, m.tag, m.size, m.sendID, m.rkey)
+	if q := r.matchPosted(from, m.tag, m.ctx); q != nil {
+		r.startRecvGet(q, from, m.tag, m.size, m.sendID, m.rkey)
 		return
 	}
 	r.stats.Unexpected++
 	r.unexpected = append(r.unexpected, inbound{
-		from: m.src, tag: m.tag, ctx: m.ctx, size: m.size,
+		from: from, tag: m.tag, ctx: m.ctx, size: m.size,
 		sendID: m.sendID, isRts: true, isGet: true, rkey: m.rkey,
 	})
 	r.notifyArrival()
