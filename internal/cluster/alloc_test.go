@@ -151,17 +151,20 @@ func checkNoAllocs(t *testing.T, what string, bytesPerTrip, mallocsPerTrip float
 // long minus short ping-pong as above. Hardware models (CUDA streams,
 // HCA transfers) and core's eager staging run as scheduled calls rather
 // than processes, so the only processes are the two ranks. Each of a
-// trip's four Send and Recv calls resumes its rank twice: once after the
-// call-overhead Sleep and once from the wait for completion. The 68
-// items a trip dispatches are the same as when the staging was processes.
+// trip's four Send and Recv calls resumes its rank once, from the wait
+// for completion: the call's post runs as the item its call-overhead
+// Sleep would have woken the rank in (mpi's blocking.go), where the
+// process form resumed the rank there too. The 68 items a trip
+// dispatches are the same as with two resumes per call, and as when the
+// staging was processes.
 func TestEagerSwitchesPerTrip(t *testing.T) {
 	const short, long = 50, 250
 	s, l := eagerPingPong(t, short, nil).Engine, eagerPingPong(t, long, nil).Engine
 	perTrip := float64(l.Switches()-s.Switches()) / (long - short)
 	events := float64(l.Events()-s.Events()) / (long - short)
 	t.Logf("per round trip: %.2f switches, %.2f events", perTrip, events)
-	if perTrip != 8 {
-		t.Errorf("%.2f process switches per 4 KB round trip, want exactly 8", perTrip)
+	if perTrip != 4 {
+		t.Errorf("%.2f process switches per 4 KB round trip, want exactly 4", perTrip)
 	}
 	if events != 68 {
 		t.Errorf("%.2f events per 4 KB round trip, want exactly 68", events)
@@ -183,8 +186,8 @@ func TestRendezvousSteadyStateAllocs(t *testing.T) {
 // TestRendezvousSwitchesPerTransfer pins the process handoffs of the
 // rendezvous path, long minus short ping-pong as above. The pipeline's
 // sender and receiver run as continuations, so the switches left are the
-// ranks' resumes: two for each of a trip's four Send and Recv calls, one
-// after the call-overhead Sleep and one from the wait for completion.
+// ranks' resumes: one for each of a trip's four Send and Recv calls,
+// from the wait for completion (see TestEagerSwitchesPerTrip).
 // Each step takes the slot of a pipeline process's wake-up, the start
 // call that of its start-up resume, so a trip dispatches the 94 items the
 // process pipeline (core's test reference) does.
@@ -194,8 +197,8 @@ func TestRendezvousSwitchesPerTransfer(t *testing.T) {
 	perTrip := float64(l.Switches()-s.Switches()) / (long - short)
 	events := float64(l.Events()-s.Events()) / (long - short)
 	t.Logf("per round trip: %.2f switches, %.2f events", perTrip, events)
-	if perTrip != 8 {
-		t.Errorf("%.2f process switches per 32 KB rendezvous round trip, want exactly 8", perTrip)
+	if perTrip != 4 {
+		t.Errorf("%.2f process switches per 32 KB rendezvous round trip, want exactly 4", perTrip)
 	}
 	if events != 94 {
 		t.Errorf("%.2f events per 32 KB rendezvous round trip, want exactly 94", events)
@@ -222,8 +225,8 @@ func TestNicRendezvousPins(t *testing.T) {
 	bytesPerTrip, mallocsPerTrip := perTrip(t, nicPingPong)
 	t.Logf("per round trip: %.2f switches, %.2f events, %.0f heap bytes, %.1f mallocs",
 		switches, events, bytesPerTrip, mallocsPerTrip)
-	if switches != 8 {
-		t.Errorf("%.2f process switches per 32 KB NIC round trip, want exactly 8", switches)
+	if switches != 4 {
+		t.Errorf("%.2f process switches per 32 KB NIC round trip, want exactly 4", switches)
 	}
 	if events != 68 {
 		t.Errorf("%.2f events per 32 KB NIC round trip, want exactly 68", events)
@@ -252,11 +255,14 @@ func TestHostRendezvousPins(t *testing.T) {
 		mode             mpi.RendezvousMode
 		switches, events float64
 	}{
-		// Two resumes for each of a trip's four calls: after the
-		// call-overhead Sleep and from the wait for completion.
-		{"put", mpi.RendezvousPut, 8, 62},
-		// A get sender packs in the rank: one more Sleep per Send.
-		{"get", mpi.RendezvousGet, 10, 44},
+		// One resume for each of a trip's four calls, from the wait
+		// for completion (see TestEagerSwitchesPerTrip).
+		{"put", mpi.RendezvousPut, 4, 62},
+		// A get sender packs on the CPU after its post. The pack is
+		// a second post in the slot the rank's second Sleep would
+		// wake in, so a Send still resumes once (it took 10 resumes a
+		// trip).
+		{"get", mpi.RendezvousGet, 4, 44},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			const short, long = 50, 250

@@ -600,48 +600,136 @@ func TestGetProtocolIntoDeviceBuffer(t *testing.T) {
 	}
 }
 
-// TestDeviceEagerBuffersNotAliased is the device-buffer form of the
-// eager aliasing check: two same-size eager vectors are in flight at once,
-// one of them arriving unexpected, and a third passes through the
-// recycler while the unexpected copy waits. The sender rewrites its
-// buffers as soon as each send completes; all three arrive byte-exact,
-// and the recycler's counters show buffers were reused during the run.
-func TestDeviceEagerBuffersNotAliased(t *testing.T) {
+// eagerAliasing runs eager messages of one 2 KB vector between buffers
+// in device memory or, with host set, in host memory, and checks that no
+// packed buffer serves two live messages and none is recycled twice.
+// Rank 0 sends two messages to rank 1 at once, one of which arrives
+// unexpected, and a third after both; each rank also sends itself one
+// message that waits unexpected and one whose receive is posted first.
+// Then rank 1 streams contiguous host messages of the same length to
+// rank 0 while one from rank 0 is being delivered to it, so new packed
+// buffers are taken and written while that delivery holds its own. Senders rewrite their buffers as soon as each send
+// completes, while the other messages, all of the same length, pass
+// through the recycler.
+// Every message must arrive byte-exact, the recycler must have served
+// buffers it got back during the run, and it must have got back exactly
+// the buffers it handed out: every packed buffer is parked once, and so
+// is every mapping, each freed by the end of the run.
+func eagerAliasing(t *testing.T, host bool) {
+	// Rank 1 streams stream messages, streamGap apart: together they
+	// span the delivery of the message it receives meanwhile.
+	const (
+		stream    = 8
+		streamGap = 500 * sim.Nanosecond
+	)
 	v, _ := datatype.Vector(512, 4, 16, datatype.Byte) // 2 KB packed
 	v.MustCommit()
+	cl := cluster.New(cluster.Config{Nodes: 2})
 	before := mem.Recycled()
-	cl := runPair(t, cluster.Config{}, func(n *cluster.Node) {
-		r := n.Rank
-		var bufs [4]mem.Ptr
-		for i := 1; i <= 3; i++ {
-			bufs[i] = n.Ctx.MustMalloc(v.Span(1))
+	err := cl.Run(func(n *cluster.Node) {
+		r, me := n.Rank, n.Rank.Rank()
+		alloc := func() mem.Ptr {
+			if host {
+				return r.AllocHost(v.Span(1))
+			}
+			return n.Ctx.MustMalloc(v.Span(1))
 		}
-		switch r.Rank() {
+		var bufs [8]mem.Ptr
+		for i := range bufs {
+			bufs[i] = alloc()
+		}
+		var streamed [stream]mem.Ptr
+		for k := range streamed {
+			streamed[k] = r.AllocHost(v.Size())
+		}
+		send := func(i, to int) {
+			fillDev(bufs[i], v.Span(1), byte(i))
+			r.Send(bufs[i], 1, v, to, i)
+			fillDev(bufs[i], v.Span(1), 99)
+		}
+		// selfSends sends message i to itself unexpected and message i+1
+		// with its receive posted first, into bufs 6 and 7.
+		selfSends := func(i int) {
+			send(i, me)
+			q := r.Irecv(bufs[7], 1, v, me, i+1)
+			send(i+1, me)
+			r.Wait(q)
+			r.Recv(bufs[6], 1, v, me, i)
+			checkTyped(t, v, 1, bufs[6], byte(i), fmt.Sprintf("rank %d self-send %d", me, i))
+			checkTyped(t, v, 1, bufs[7], byte(i+1), fmt.Sprintf("rank %d self-send %d", me, i+1))
+		}
+		switch me {
 		case 0:
 			fillDev(bufs[2], v.Span(1), 2)
 			fillDev(bufs[1], v.Span(1), 1)
 			q2 := r.Isend(bufs[2], 1, v, 1, 2)
 			q1 := r.Isend(bufs[1], 1, v, 1, 1)
 			r.Waitall(q1, q2)
-			fillDev(bufs[1], v.Span(1), 9)
-			fillDev(bufs[2], v.Span(1), 9)
-			fillDev(bufs[3], v.Span(1), 3)
-			r.Send(bufs[3], 1, v, 1, 3)
-			fillDev(bufs[3], v.Span(1), 9)
+			fillDev(bufs[1], v.Span(1), 99)
+			fillDev(bufs[2], v.Span(1), 99)
+			send(3, 1)
+			selfSends(4)
+			var qs [stream]*mpi.Request
+			for k := range qs {
+				qs[k] = r.Irecv(streamed[k], v.Size(), datatype.Byte, 1, 8+k)
+			}
+			send(6, 1)
+			r.Waitall(qs[:]...)
+			for k := range qs {
+				checkTyped(t, datatype.Byte, v.Size(), streamed[k], byte(8+k), fmt.Sprintf("streamed message %d", 8+k))
+			}
 		case 1:
 			r.Recv(bufs[1], 1, v, 0, 1)
 			r.Recv(bufs[3], 1, v, 0, 3)
+			selfSends(4)
 			r.Proc().Sleep(sim.Millisecond)
 			r.Recv(bufs[2], 1, v, 0, 2) // long since arrived
 			for i := 1; i <= 3; i++ {
 				checkTyped(t, v, 1, bufs[i], byte(i), fmt.Sprintf("message %d", i))
 			}
+			q := r.Irecv(bufs[6], 1, v, 0, 6)
+			var qs [stream]*mpi.Request
+			for k := range qs {
+				fillDev(streamed[k], v.Size(), byte(8+k))
+				qs[k] = r.Isend(streamed[k], v.Size(), datatype.Byte, 0, 8+k)
+				r.Proc().Sleep(streamGap)
+			}
+			r.Wait(q)
+			r.Waitall(qs[:]...)
+			checkTyped(t, v, 1, bufs[6], 6, "message 6")
+		}
+		for _, b := range bufs {
+			if host {
+				r.FreeHost(b)
+			} else if err := n.Ctx.Free(b); err != nil {
+				t.Error(err)
+			}
+		}
+		for _, b := range streamed {
+			r.FreeHost(b)
 		}
 	})
-	if st := cl.Nodes[1].Rank.Stats(); st.Unexpected == 0 {
-		t.Error("no message took the unexpected path")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if mem.Recycled().Reused() == before.Reused() {
+	if st := cl.Nodes[1].Rank.Stats(); st.Unexpected < 2 {
+		t.Errorf("%d messages took rank 1's unexpected path, want at least 2", st.Unexpected)
+	}
+	after := mem.Recycled()
+	if after.Reused() == before.Reused() {
 		t.Error("no buffer was reused during the run")
 	}
+	if takes, puts := after.Takes-before.Takes, after.Puts-before.Puts; takes != puts {
+		t.Errorf("the recycler handed out %d buffers and got %d back", takes, puts)
+	}
 }
+
+// TestDeviceEagerBuffersNotAliased is eagerAliasing between device
+// buffers: each message's packed buffer backs the sender's tbuf, travels
+// on the wire and backs the receiver's tbuf.
+func TestDeviceEagerBuffersNotAliased(t *testing.T) { eagerAliasing(t, false) }
+
+// TestHostEagerBuffersNotAliased is eagerAliasing between host buffers:
+// each message's packed buffer is packed on the CPU, travels on the wire
+// and is unpacked on the CPU.
+func TestHostEagerBuffersNotAliased(t *testing.T) { eagerAliasing(t, true) }

@@ -22,6 +22,15 @@ import (
 // complete events the record holds by value (cuda's *Into forms), and a
 // kernel's kernOps decrement stays an inline OnTrigger callback, so
 // resolveEngine's busy check sees the count the process would have left.
+//
+// The packed bytes are written once and read once. The message's packed
+// buffer, the one the wire carries (mpi.Request.SendPacked), backs the
+// sender's tbuf, so the pack writes straight into it, and the receiver's
+// tbuf, so the unpack reads straight out of it. The D2H, the host copies
+// between vbufs and the packed buffer, and the H2D keep their streams,
+// spans and slots but move no bytes: nothing reads a vbuf. A contiguous
+// end has no tbuf of its own; its chunks move between the user buffer
+// and the packed buffer at their D2H or H2D completion.
 
 // eager is one eager message in flight through StageToHost or
 // DeliverFromHost. Records are pooled per node; their steps are method
@@ -31,9 +40,9 @@ type eager struct {
 	e      *sim.Engine
 	req    *mpi.Request
 	pl     plan
-	packed []byte
+	packed []byte // the message's packed buffer, which the wire carries
 	size   int
-	tbuf   mem.Ptr // packed copy on the device, or the user buffer when contiguous
+	tbuf   mem.Ptr // packed on the device, or the user buffer when contiguous
 
 	bufs [2]*hostmem.Vbuf
 	nbuf int
@@ -48,8 +57,9 @@ type eager struct {
 
 	kernel bool                // the pack or unpack runs as a kernel
 	kd     datatype.KernelDesc // that kernel's segments
-	// Operands of the host memcpy call in flight.
-	copyDst, copySrc []byte
+	// moveOff[b] is the packed offset of the chunk whose D2H or H2D is in
+	// flight on vbuf b: a contiguous end moves it at the completion.
+	moveOff [2]int
 
 	eagerSteps
 	next *eager
@@ -60,6 +70,7 @@ type eagerSteps struct {
 	startFn, packFn, getStageFn, drainedFn, copiedFn, d2hFn  func()
 	deliverFn, fillFn, filledFn, h2dFn, drainAllFn, unpackFn func()
 	deliverDoneFn, copyFn, packBodyFn, unpackBodyFn          func()
+	movedFn                                                  [2]func()
 	gotStageFn, gotDeliverFn                                 func(*hostmem.Vbuf)
 }
 
@@ -74,6 +85,7 @@ func (n1 *NodeGPU) newEager(req *mpi.Request, pl plan) *eager {
 		x.drainAllFn, x.unpackFn, x.deliverDoneFn = x.drainAll, x.unpack, x.deliverDone
 		x.copyFn, x.packBodyFn, x.unpackBodyFn = x.copyTask, x.packBody, x.unpackBody
 		x.gotStageFn, x.gotDeliverFn = x.gotStage, x.gotDeliver
+		x.movedFn = [2]func(){func() { x.moved(0) }, func() { x.moved(1) }}
 	} else {
 		n1.eagerFree = x.next
 	}
@@ -98,28 +110,49 @@ func (x *eager) issueTime() sim.Time { return x.n1.Ctx.Model().AsyncIssue }
 // chunkLen is the length of the chunk at packed offset off.
 func (x *eager) chunkLen(off int) int { return min(x.n1.Pool.ChunkSize(), x.size-off) }
 
-// hostCopy models a host memcpy of src into dst: the bytes move in a
-// call at the end of the modeled copy, and step follows in the next
-// slot.
-func (x *eager) hostCopy(dst, src []byte, step func()) {
-	hc := x.req.Rank().HostCopyCost(len(dst))
-	x.copyDst, x.copySrc = dst, src
+// hostCopy models the host memcpy of an n-byte chunk between its vbuf
+// and the packed buffer: the call that would move the bytes at the end
+// of the modeled copy keeps its slot, and step follows in the next one.
+func (x *eager) hostCopy(n int, step func()) {
+	hc := x.req.Rank().HostCopyCost(n)
 	x.e.CallAt(x.e.Now()+hc, x.copyFn)
 	x.after(hc, step)
 }
 
-// mallocTbuf allocates the message's packed copy on the device. A step
-// that panics makes Run re-raise the panic to its caller, as a process
-// body's panic does.
-func (x *eager) mallocTbuf() {
-	p, err := x.n1.Ctx.Malloc(x.size)
+// copyTask is the host memcpy's byte move, which the packed buffer makes
+// needless: the vbuf it would fill or drain is never read.
+func (x *eager) copyTask() {}
+
+// mapTbuf maps the packed buffer as the message's tbuf on the device.
+// A step that panics makes Run re-raise the panic to its caller, as a
+// process body's panic does.
+func (x *eager) mapTbuf() {
+	p, err := x.n1.Ctx.MallocWith(x.packed)
 	if err != nil {
 		panic(err)
 	}
 	x.tbuf = p
 }
 
-func (x *eager) copyTask() { copy(x.copyDst, x.copySrc) }
+// unmapTbuf unmaps the tbuf, leaving its packed buffer to the record.
+func (x *eager) unmapTbuf() {
+	if _, err := x.n1.Ctx.Release(x.tbuf); err != nil {
+		panic(err)
+	}
+}
+
+// moved moves a contiguous end's chunk on vbuf b between the user buffer
+// and the packed buffer, at its D2H or H2D completion: the slot its
+// bytes reach or leave the vbuf in when the hops move them.
+func (x *eager) moved(b int) {
+	off := x.moveOff[b]
+	pk := x.packed[off : off+x.chunkLen(off)]
+	if x.req.Kind() == mpi.SendReq {
+		mem.CopyOut(pk, x.tbuf.Add(off))
+	} else {
+		mem.CopyIn(x.tbuf.Add(off), pk)
+	}
+}
 
 func (x *eager) packBody()   { x.kd.Pack(x.tbuf, x.req.Buf()) }
 func (x *eager) unpackBody() { x.kd.Unpack(x.req.Buf(), x.tbuf) }
@@ -129,7 +162,7 @@ func (x *eager) unpackBody() { x.kd.Unpack(x.req.Buf(), x.tbuf) }
 // two vbufs, so the host memcpy draining chunk i overlaps chunk i+1's D2H.
 // The second vbuf is best-effort (TryGet): a drained pool degrades to the
 // serial single-vbuf path instead of risking deadlock. The packed bytes
-// live in a pooled buffer that is recycled once req.SendPacked returns.
+// live in a pooled buffer, which tbuf maps and req.SendPacked takes over.
 func (t *Transport) StageToHost(req *mpi.Request) {
 	n1 := t.Node(req.Rank())
 	x := n1.newEager(req, t.planFor(req))
@@ -145,7 +178,7 @@ func (x *eager) stageStart() {
 		x.getStage()
 		return
 	}
-	x.mallocTbuf()
+	x.mapTbuf()
 	x.kernel = !pl.packByCopy(0)
 	if x.kernel {
 		x.kd = pl.cp.Kernel(0, x.size)
@@ -181,12 +214,17 @@ func (x *eager) gotStage(v *hostmem.Vbuf) {
 	x.after(x.issueTime(), x.d2hFn)
 }
 
-// d2h enqueues the D2H of the chunk at issueOff into vbuf issueB. A D2H
-// issued ahead of the current chunk (double-buffered) is followed by the
-// current chunk's host copy; any other returns to the loop.
+// d2h enqueues the D2H of the chunk at issueOff into vbuf issueB, with
+// no bytes. A D2H issued ahead of the current chunk (double-buffered) is
+// followed by the current chunk's host copy; any other returns to the
+// loop.
 func (x *eager) d2h() {
-	n1 := x.n1
-	n1.Ctx.MemcpyAsyncInto(&x.ev[x.issueB], x.bufs[x.issueB].Ptr, x.tbuf.Add(x.issueOff), x.chunkLen(x.issueOff), n1.d2hStreams[0], x.req.ObsSpan(), -1)
+	n1, b := x.n1, x.issueB
+	n1.Ctx.MemcpyAsyncNoBytesInto(&x.ev[b], x.bufs[b].Ptr, x.tbuf.Add(x.issueOff), x.chunkLen(x.issueOff), n1.d2hStreams[0], x.req.ObsSpan(), -1)
+	if x.pl.contig {
+		x.moveOff[b] = x.issueOff
+		x.ev[b].OnTrigger(x.movedFn[b])
+	}
 	if x.issueOff > x.off {
 		x.drainChunk()
 		return
@@ -214,13 +252,9 @@ func (x *eager) drained() {
 	x.drainChunk()
 }
 
-// drainChunk copies the current chunk from its vbuf into packed. The
-// vbuf is not re-filled before the copy's call has run, and packed is
-// only read once the loop is over.
-func (x *eager) drainChunk() {
-	n := x.chunkLen(x.off)
-	x.hostCopy(x.packed[x.off:x.off+n], x.bufs[x.b].Ptr.Bytes(n), x.copiedFn)
-}
+// drainChunk copies the current chunk from its vbuf into packed, in
+// time only.
+func (x *eager) drainChunk() { x.hostCopy(x.chunkLen(x.off), x.copiedFn) }
 
 func (x *eager) copied() {
 	next := x.off + x.n1.Pool.ChunkSize()
@@ -235,8 +269,9 @@ func (x *eager) copied() {
 	x.stageLoop()
 }
 
-// stageDone returns the vbufs and tbuf and hands packed to the protocol.
-// The record is free by then, so a self-send's delivery may reuse it.
+// stageDone returns the vbufs, unmaps the tbuf and hands packed to the
+// protocol. The record is free by then, so a self-send's delivery may
+// reuse it.
 func (x *eager) stageDone() {
 	n1 := x.n1
 	n1.Pool.Put(x.bufs[0])
@@ -244,19 +279,19 @@ func (x *eager) stageDone() {
 		n1.Pool.Put(x.bufs[1])
 	}
 	if !x.pl.contig {
-		mustFree(n1.Ctx, x.tbuf)
+		x.unmapTbuf()
 	}
 	req, packed := x.req, x.packed
 	x.free()
 	req.SendPacked(packed)
-	mem.PutBytes(packed)
 }
 
 // DeliverFromHost unpacks eager payload bytes into the device buffer:
 // host copy into a vbuf, H2D into tbuf, D2D unpack, complete. The host
 // copies and H2D transfers are double-buffered across two vbufs (when the
 // pool allows): the H2D of chunk i runs while the host fills chunk i+1.
-// packed goes back to the recycler (mem.PutBytes) once the fills have read it.
+// tbuf maps packed, which goes back to the recycler (mem.PutBytes) once
+// the unpack has read it.
 func (t *Transport) DeliverFromHost(req *mpi.Request, packed []byte) {
 	n1 := t.Node(req.Rank())
 	x := n1.newEager(req, t.planFor(req))
@@ -269,7 +304,7 @@ func (x *eager) deliverStart() {
 	if x.pl.contig {
 		x.tbuf = x.req.Buf().Add(x.pl.shape.Off)
 	} else {
-		x.mallocTbuf()
+		x.mapTbuf()
 	}
 	x.n1.RecvPool.GetThen(x.gotDeliverFn)
 }
@@ -290,9 +325,6 @@ func (x *eager) gotDeliver(v *hostmem.Vbuf) {
 func (x *eager) deliverLoop() {
 	switch {
 	case x.off >= x.size:
-		// Every fill copy's slot has passed, so nothing reads packed now.
-		mem.PutBytes(x.packed)
-		x.packed = nil
 		x.drain = 0
 		x.drainAll()
 	case x.issued[x.b]:
@@ -302,18 +334,20 @@ func (x *eager) deliverLoop() {
 	}
 }
 
-// fill copies the current chunk into its vbuf; the H2D that reads the
-// vbuf is issued after the copy's call has run.
-func (x *eager) fill() {
-	n := x.chunkLen(x.off)
-	x.hostCopy(x.bufs[x.b].Ptr.Bytes(n), x.packed[x.off:x.off+n], x.filledFn)
-}
+// fill copies the current chunk into its vbuf, in time only; the H2D
+// is issued after the copy's call.
+func (x *eager) fill() { x.hostCopy(x.chunkLen(x.off), x.filledFn) }
 
 func (x *eager) filled() { x.after(x.issueTime(), x.h2dFn) }
 
+// h2d enqueues the current chunk's H2D from its vbuf, with no bytes.
 func (x *eager) h2d() {
-	n1 := x.n1
-	n1.Ctx.MemcpyAsyncInto(&x.ev[x.b], x.tbuf.Add(x.off), x.bufs[x.b].Ptr, x.chunkLen(x.off), n1.h2dStreams[0], x.req.ObsSpan(), -1)
+	n1, b := x.n1, x.b
+	n1.Ctx.MemcpyAsyncNoBytesInto(&x.ev[b], x.tbuf.Add(x.off), x.bufs[b].Ptr, x.chunkLen(x.off), n1.h2dStreams[0], x.req.ObsSpan(), -1)
+	if x.pl.contig {
+		x.moveOff[b] = x.off
+		x.ev[b].OnTrigger(x.movedFn[b])
+	}
 	x.issued[x.b] = true
 	if x.nbuf == 2 {
 		x.b = 1 - x.b
@@ -363,10 +397,13 @@ func (x *eager) unpack() {
 	x.ev[0].Then(x.deliverDoneFn)
 }
 
+// deliverDone unmaps the tbuf, recycles the packed buffer and completes
+// the receive.
 func (x *eager) deliverDone() {
 	if !x.pl.contig {
-		mustFree(x.n1.Ctx, x.tbuf)
+		x.unmapTbuf()
 	}
+	mem.PutBytes(x.packed)
 	req := x.req
 	x.free()
 	req.CompleteRecv()

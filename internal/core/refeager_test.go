@@ -11,9 +11,13 @@ import (
 
 // refEager is the reference the eager records are checked against: the
 // transport with StageToHost and DeliverFromHost as the staging processes
-// the records replace, one spawned per message. The records must produce
-// the same simulation — the same events at the same instants in the same
-// order, the same item count, memory, pool counters and trace.
+// the records replace, one spawned per message, and moving the packed
+// bytes at every hop — pack into a tbuf of its own, D2H, host copy into
+// the packed buffer; host copy into a vbuf, H2D into a tbuf of its own,
+// unpack — where the records write them once into the packed buffer and
+// read them once out of it. The records must produce the same simulation:
+// the same events at the same instants in the same order, the same item
+// count, memory, pool counters and trace.
 type refEager struct{ *Transport }
 
 // RefEagerTransport returns t with its eager path run by the reference
@@ -60,8 +64,8 @@ func (t refEager) StageToHost(req *mpi.Request) {
 				issue(1-b, next)
 			}
 			hc := r.HostCopyCost(n)
-			dst, src := packed[off:off+n], bufs[b].Ptr.Bytes(n)
-			e.CallAt(p.Now()+hc, func() { copy(dst, src) })
+			dst, src := packed[off:off+n], bufs[b].Ptr
+			e.CallAt(p.Now()+hc, func() { mem.CopyOut(dst, src) })
 			p.Sleep(hc)
 			if next < size && nbuf == 1 {
 				issue(0, next)
@@ -78,7 +82,6 @@ func (t refEager) StageToHost(req *mpi.Request) {
 			mustFree(n1.Ctx, tbuf)
 		}
 		req.SendPacked(packed)
-		mem.PutBytes(packed)
 	})
 }
 
@@ -113,8 +116,8 @@ func (t refEager) DeliverFromHost(req *mpi.Request, packed []byte) {
 				p.Wait(evs[b])
 			}
 			hc := r.HostCopyCost(n)
-			dst, src := bufs[b].Ptr.Bytes(n), packed[off:off+n]
-			e.CallAt(p.Now()+hc, func() { copy(dst, src) })
+			dst, src := bufs[b].Ptr, packed[off:off+n]
+			e.CallAt(p.Now()+hc, func() { mem.CopyIn(dst, src) })
 			p.Sleep(hc)
 			evs[b] = n1.Ctx.MemcpyAsyncTask(p, tbuf.Add(off), bufs[b].Ptr, n, n1.h2dStreams[0], req.ObsSpan(), -1)
 			if nbuf == 2 {

@@ -100,17 +100,20 @@ func (t *Datatype) walk(pv []byte, typed mem.Ptr, packOff int, packing bool) {
 		} else {
 			copy(tv, pv)
 		}
+		mem.Strided(typed, 1, n)
 		return
 	}
 	ext := t.Extent()
 	lo := t.trueLB + packOff/t.size*ext
 	hi := t.trueUB + (packOff+n-1)/t.size*ext
 	tv := typed.Add(lo).Bytes(hi - lo)
-	p := 0
+	p, pieces := 0, 0
 	t.clip(packOff, n, func(off, l, stride, k int) {
 		moveRun(pv[p:], tv, off-lo, l, stride, k, packing)
 		p += k * l
+		pieces += k
 	})
+	mem.Strided(typed, pieces, n)
 }
 
 // Shape2D describes a uniform strided layout equivalent to the type map of

@@ -165,9 +165,12 @@ func (p *ChunkPlan) walk(pv []byte, typed mem.Ptr, packOff int, packing bool) {
 	runs := p.runs[p.index[c0]:p.index[c1]]
 	lo, hi := runsHull(runs)
 	tv := typed.Add(lo).Bytes(hi - lo)
+	pieces := 0
 	for _, r := range runs {
 		moveRun(pv[r.pack-packOff:], tv, r.off-lo, r.len, r.stride, r.n, packing)
+		pieces += r.n
 	}
+	mem.Strided(typed, pieces, len(pv))
 }
 
 // planCache holds the lazily built per-(count, chunkBytes) plans; see

@@ -82,10 +82,10 @@ type Message interface{}
 
 // Handler receives two-sided messages on an HCA. It runs in engine
 // context at delivery-completion time and must not block; payload is the
-// sender's snapshot of the inline data (nil for header-only messages). The
-// snapshot is a pooled buffer that is recycled for another message as
-// soon as the handler returns, so it must not be retained beyond the call
-// without copying.
+// message's inline data (nil for header-only messages), the pooled
+// buffer (mem.GetBytes) the sender handed over, which the handler owns
+// from then on: it keeps it, or hands it back with mem.PutBytes once
+// done with it.
 type Handler func(from int, msg Message, payload []byte)
 
 // Fabric is the switch connecting all HCAs.
@@ -450,29 +450,26 @@ func (t *transfer) landed() {
 		panic(fmt.Sprintf("ib: message for node %d dropped: no handler", rx.node))
 	}
 	rx.handler(from, msg, snap)
-	mem.PutBytes(snap)
 }
 
 // headerBytes approximates the wire size of a header-only message.
 const headerBytes = 64
 
-// PostSendRailInto transmits a two-sided message carrying msg and an
-// optional payload snapshot taken from payload at post time, on rail
-// railIdx. Delivery order is guaranteed only relative to other operations
-// on the same rail. The remote handler is invoked when the message fully
-// arrives; the snapshot goes back to the recycler (mem.PutBytes) when the
-// handler returns. done, an event the caller holds, is re-armed and fires
-// at local completion (send buffer reusable); the caller must not reuse
-// it before it has fired and its waiters have run. Protocol control
-// messages (RTS, CTS, FIN) pass nil: nothing waits for their local
-// completion.
-func (h *HCA) PostSendRailInto(done *sim.Event, dst int, msg Message, payload []byte, railIdx int) {
-	snap := mem.GetBytes(len(payload))
-	h.f.bytes.Copy(snap, payload)
+// HandOffSendRailInto transmits a two-sided message carrying msg and an
+// optional payload on rail railIdx. Delivery order is guaranteed only
+// relative to other operations on the same rail. The caller hands the
+// payload over: a pooled buffer (mem.GetBytes) that nothing else refers
+// to, which travels as it is, with no post-time snapshot, and which the
+// remote handler owns from its invocation, when the message fully
+// arrives (see Handler). done, an event the caller holds, is re-armed and
+// fires at local completion; the caller must not reuse it before it has
+// fired and its waiters have run. Protocol control messages (RTS, CTS,
+// FIN) pass nil: nothing waits for their local completion.
+func (h *HCA) HandOffSendRailInto(done *sim.Event, dst int, msg Message, payload []byte, railIdx int) {
 	h.stats.SendsPosted++
 	t := h.f.newTransfer()
-	h.transmit(t, done, dst, headerBytes+len(snap), obs.KindSend, railIdx, obs.Span{}, -1)
-	t.send, t.msg, t.snap = true, msg, snap
+	h.transmit(t, done, dst, headerBytes+len(payload), obs.KindSend, railIdx, obs.Span{}, -1)
+	t.send, t.msg, t.snap = true, msg, payload
 }
 
 // RDMAWriteRailInto transfers n bytes from local memory src into the

@@ -42,6 +42,15 @@ func newNet(n int) *net {
 	return nw
 }
 
+// PostSendRailInto is HandOffSendRailInto of a snapshot of payload taken
+// at post time, counted as copied bytes: a send whose caller lends its
+// buffer instead of handing it over, as the tests here post.
+func (h *HCA) PostSendRailInto(done *sim.Event, dst int, msg Message, payload []byte, railIdx int) {
+	snap := mem.GetBytes(len(payload))
+	h.f.bytes.Copy(snap, payload)
+	h.HandOffSendRailInto(done, dst, msg, snap, railIdx)
+}
+
 // postSend posts on rail 0 and returns the event that fires at local
 // completion.
 func postSend(h *HCA, dst int, msg Message, payload []byte) *sim.Event {
@@ -526,6 +535,7 @@ func TestPostSendSnapshotsNotAliased(t *testing.T) {
 	got := map[int][]byte{}
 	nw.hcas[1].SetHandler(func(from int, msg Message, payload []byte) {
 		got[msg.(int)] = append([]byte(nil), payload...)
+		mem.PutBytes(payload) // the handler owns the snapshot
 	})
 	a, b := make([]byte, 256), make([]byte, 256)
 	fill := func(buf []byte, seed byte) {

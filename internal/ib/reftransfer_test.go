@@ -70,7 +70,6 @@ func post(h *HCA, ref bool, dst int, msg Message, payload []byte, write bool, sr
 	h.stats.SendsPosted++
 	return h.refTransmit(dst, headerBytes+len(snap), obs.KindSend, func(rx *HCA, _ obs.Task) {
 		rx.handler(h.node, msg, snap)
-		mem.PutBytes(snap)
 	})
 }
 

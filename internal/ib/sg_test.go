@@ -58,15 +58,19 @@ func TestGatherCostWQESplitting(t *testing.T) {
 // the floor binds; a slower configured rate wins over the floor; and a
 // zero-bandwidth model (no wire to floor against) uses the raw rate.
 func TestNicGatherRateFloor(t *testing.T) {
+	// slowGather is a configured rate above the wire's, so it beats the floor.
+	const slowGather = 1.5
 	m := DefaultModel()
 	if got, want := m.NicGatherRate(), 1e9/m.Bandwidth; got != want {
 		t.Errorf("default rate %v, want wire floor %v", got, want)
 	}
-	m.NicGatherNsPerByte = 1.5
-	if got := m.NicGatherRate(); got != 1.5 {
+	m.NicGatherNsPerByte = slowGather
+	if got := m.NicGatherRate(); got != slowGather {
 		t.Errorf("slow configured rate %v, want 1.5", got)
 	}
-	m.NicGatherNsPerByte = 0
+	// An unset rate with no wire to floor against falls back to the default.
+	const unsetGather = 0
+	m.NicGatherNsPerByte = unsetGather
 	m.Bandwidth = 0
 	if got := m.NicGatherRate(); got != DefaultNicGatherNsPerByte {
 		t.Errorf("no-wire rate %v, want raw default %v", got, DefaultNicGatherNsPerByte)

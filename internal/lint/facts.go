@@ -398,6 +398,9 @@ var callbackRoots = map[[3]string]int{
 	// GetThen parks fn in a waiter FIFO that Put hands to a scheduled
 	// take; no field or parameter carries it to CallAt.
 	{simPath, "Queue", "GetThen"}: 0,
+	// A post runs from the dispatch loop while its process is blocked.
+	{simPath, "Proc", "SleepPost"}: 1,
+	{simPath, "Proc", "PostAfter"}: 1,
 }
 
 const tracePath = "mv2sim/internal/trace"

@@ -156,6 +156,9 @@ func TestRunDeterministicPerSeed(t *testing.T) {
 		trace []byte
 		doc   []byte
 	}
+	// docRails is the rail count the document records: smallConfig's
+	// cluster runs on one rail.
+	const docRails = 1
 	once := func(proc Process, seed int64) run {
 		chrome := obs.NewChromeTracer()
 		cfg := smallConfig(proc)
@@ -165,7 +168,7 @@ func TestRunDeterministicPerSeed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		doc, err := Doc{Schema: LoadSchema, Seed: seed, Pairs: cfg.Pairs, Rails: 1,
+		doc, err := Doc{Schema: LoadSchema, Seed: seed, Pairs: cfg.Pairs, Rails: docRails,
 			PackMode: "auto", HorizonMs: cfg.Horizon.Millis(),
 			Curves: []Curve{NewCurve(proc, []Result{res})}}.Marshal()
 		if err != nil {

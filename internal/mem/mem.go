@@ -415,6 +415,11 @@ func Copy2D(dst Ptr, dpitch int, src Ptr, spitch, width, height int) {
 		dst.sp.bytes.Copy(d, s) // rows that abut on both sides are one run
 		return
 	}
+	typed := dst.sp // the strided side: the destination, unless its rows abut
+	if dpitch == width {
+		typed = src.sp
+	}
+	typed.bytes.strided(height, height*width)
 	for r := 0; r < height; r++ {
 		copy(d[r*dpitch:r*dpitch+width], s[r*spitch:r*spitch+width])
 	}
@@ -449,13 +454,18 @@ func Equal(a, b Ptr, n int) bool {
 type ByteCounters struct {
 	// Copied is the contiguous bytes copied: Copy, Copy2D of rows that
 	// abut on both sides, RDMA write snapshots and landings, RDMA read
-	// snapshots and landings, two-sided send snapshots and the MPI
-	// layer's and the GPU transport's host copies. Strided copies (the
-	// pack and unpack walks) are not counted.
+	// snapshots and landings, and the MPI layer's and the GPU transport's
+	// host copies. Strided copies (the pack and unpack walks) are counted
+	// apart, in the Strided fields.
 	Copied int64
 	// Zeroed is the bytes a new mapping's backing zeroed: a fresh slice,
 	// or a recycled one another owner freed.
 	Zeroed int64
+	// StridedPieces and StridedBytes are the contiguous pieces and the
+	// bytes that strided copies moved: the datatype walks that pack and
+	// unpack (Strided) and Copy2D of rows that do not abut. Each copy is
+	// counted once, whatever its row count.
+	StridedPieces, StridedBytes int64
 }
 
 // Copy copies src into dst, as the builtin does, and counts the bytes.
@@ -466,11 +476,23 @@ func (c *ByteCounters) Copy(dst, src []byte) {
 	}
 }
 
+func (c *ByteCounters) strided(pieces, n int) {
+	if c != nil {
+		c.StridedPieces += int64(pieces)
+		c.StridedBytes += int64(n)
+	}
+}
+
 func (c *ByteCounters) zeroed(n int) {
 	if c != nil {
 		c.Zeroed += int64(n)
 	}
 }
+
+// Strided counts a strided copy of n bytes in pieces contiguous pieces
+// to or from the typed buffer at typed, against typed's space: a pack or
+// unpack walk reports itself here once.
+func Strided(typed Ptr, pieces, n int) { typed.Space().bytes.strided(pieces, n) }
 
 // CopyOut copies the len(dst) bytes at src into dst, a buffer outside
 // every space, and counts them against src's space.

@@ -173,3 +173,27 @@ func TestByteCounters(t *testing.T) {
 		t.Errorf("counted %d copied bytes, want 228", c.Copied)
 	}
 }
+
+// TestByteCountersStrided: a Copy2D whose rows do not abut counts once,
+// as a strided copy of its rows, against the strided side's space, and
+// Strided counts a walk against the typed buffer's space. Abutting rows
+// stay a contiguous copy.
+func TestByteCountersStrided(t *testing.T) {
+	var typed, packed ByteCounters
+	ts := Reserve(Host, "typed", -1, 1<<16)
+	ts.SetByteCounters(&typed)
+	ps := Reserve(Host, "packed", -1, 1<<16)
+	ps.SetByteCounters(&packed)
+	tp, pp := ts.Map(0, 4096), ps.Map(0, 4096)
+	Copy2D(pp, 16, tp, 64, 16, 8) // pack: the source is strided
+	Copy2D(tp, 64, pp, 16, 16, 4) // unpack: the destination is strided
+	Copy2D(tp, 16, tp.Add(2048), 16, 16, 8)
+	Strided(tp, 5, 40)
+	if typed.StridedPieces != 17 || typed.StridedBytes != 232 || packed.StridedPieces != 0 {
+		t.Errorf("typed space counted %d pieces and %d strided bytes, packed space %d pieces; want 17, 232 and 0",
+			typed.StridedPieces, typed.StridedBytes, packed.StridedPieces)
+	}
+	if typed.Copied != 128 || packed.Copied != 0 {
+		t.Errorf("counted %d and %d contiguous bytes, want 128 and 0", typed.Copied, packed.Copied)
+	}
+}

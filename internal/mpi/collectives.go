@@ -34,10 +34,9 @@ func (c *Comm) Barrier() {
 	for mask := 1; mask < n; mask <<= 1 {
 		dst := (c.Rank() + mask) % n
 		src := (c.Rank() - mask + n) % n
-		rq := c.r.irecv(empty, 0, datatype.Byte, c.WorldRank(src), collTagBase+round, c.ctxColl)
-		sq := c.r.isend(empty, 0, datatype.Byte, c.WorldRank(dst), collTagBase+round, c.ctxColl)
-		c.r.waitBlocking(sq)
-		c.r.waitBlocking(rq)
+		c.r.blockingCall(
+			posted(empty, 0, datatype.Byte, c.WorldRank(dst), collTagBase+round, c.ctxColl),
+			posted(empty, 0, datatype.Byte, c.WorldRank(src), collTagBase+round, c.ctxColl))
 		round++
 	}
 }
@@ -56,8 +55,7 @@ func (c *Comm) Bcast(buf mem.Ptr, count int, dt *datatype.Datatype, root int) {
 	for mask < n {
 		if vrank&mask != 0 {
 			parent := (vrank - mask + root) % n
-			q := c.r.irecv(buf, count, dt, c.WorldRank(parent), collTagBase+20, c.ctxColl)
-			c.r.waitBlocking(q)
+			c.recvCollBlocking(buf, count, dt, parent, collTagBase+20)
 			break
 		}
 		mask <<= 1
@@ -73,7 +71,13 @@ func (c *Comm) Bcast(buf mem.Ptr, count int, dt *datatype.Datatype, root int) {
 // sendCollBlocking sends on the collective context and waits for local
 // completion, so the caller may reuse buf immediately after.
 func (c *Comm) sendCollBlocking(buf mem.Ptr, count int, dt *datatype.Datatype, dest, tag int) {
-	c.r.waitBlocking(c.r.isend(buf, count, dt, c.WorldRank(dest), tag, c.ctxColl))
+	c.r.blockingCall(posted(buf, count, dt, c.WorldRank(dest), tag, c.ctxColl), callPart{})
+}
+
+// recvCollBlocking receives from communicator rank src on the collective
+// context.
+func (c *Comm) recvCollBlocking(buf mem.Ptr, count int, dt *datatype.Datatype, src, tag int) {
+	c.r.blockingCall(callPart{}, posted(buf, count, dt, c.WorldRank(src), tag, c.ctxColl))
 }
 
 // Op is a reduction operator over float64.
@@ -112,7 +116,7 @@ func (c *Comm) Reduce(sendBuf, recvBuf mem.Ptr, count int, op Op, root int) {
 		if peer >= n {
 			continue
 		}
-		c.r.waitBlocking(c.r.irecv(tmp, count, datatype.Float64, c.WorldRank((peer+root)%n), collTagBase+21, c.ctxColl))
+		c.recvCollBlocking(tmp, count, datatype.Float64, (peer+root)%n, collTagBase+21)
 		readF64(tmp, scratch)
 		for i := range acc {
 			acc[i] = op(acc[i], scratch[i])
@@ -142,7 +146,7 @@ func (c *Comm) Gather(sendBuf mem.Ptr, count int, dt *datatype.Datatype, recvBuf
 			localTypedCopy(dst, sendBuf, count, dt)
 			continue
 		}
-		c.r.waitBlocking(c.r.irecv(dst, count, dt, c.WorldRank(src), collTagBase+22, c.ctxColl))
+		c.recvCollBlocking(dst, count, dt, src, collTagBase+22)
 	}
 }
 
@@ -150,7 +154,7 @@ func (c *Comm) Gather(sendBuf mem.Ptr, count int, dt *datatype.Datatype, recvBuf
 // (laid out by communicator rank) into each member's recvBuf (MPI_Scatter).
 func (c *Comm) Scatter(sendBuf mem.Ptr, count int, dt *datatype.Datatype, recvBuf mem.Ptr, root int) {
 	if c.Rank() != root {
-		c.r.waitBlocking(c.r.irecv(recvBuf, count, dt, c.WorldRank(root), collTagBase+23, c.ctxColl))
+		c.recvCollBlocking(recvBuf, count, dt, root, collTagBase+23)
 		return
 	}
 	for dst := 0; dst < c.Size(); dst++ {

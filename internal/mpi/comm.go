@@ -62,33 +62,53 @@ func (c *Comm) commRankOf(world int) int {
 
 // Send is MPI_Send on this communicator; dest is a communicator rank.
 func (c *Comm) Send(buf mem.Ptr, count int, dt *datatype.Datatype, dest, tag int) {
-	c.r.waitBlocking(c.Isend(buf, count, dt, dest, tag))
+	c.r.blockingCall(c.sendPart(buf, count, dt, dest, tag), callPart{})
 }
 
 // Recv is MPI_Recv on this communicator; source may be AnySource.
 func (c *Comm) Recv(buf mem.Ptr, count int, dt *datatype.Datatype, source, tag int) Status {
-	return c.r.waitBlocking(c.Irecv(buf, count, dt, source, tag))
+	return c.r.blockingCall(callPart{}, c.recvPart(buf, count, dt, source, tag))
 }
 
-// Isend is MPI_Isend on this communicator. dest may be ProcNull.
-func (c *Comm) Isend(buf mem.Ptr, count int, dt *datatype.Datatype, dest, tag int) *Request {
+// sendPart is a send to communicator rank dest, in world ranks: a
+// ProcNull dest costs no call.
+func (c *Comm) sendPart(buf mem.Ptr, count int, dt *datatype.Datatype, dest, tag int) callPart {
 	if dest == ProcNull {
-		return c.r.nullRequest(SendReq)
+		return callPart{kind: partNull}
 	}
-	return c.r.isend(buf, count, dt, c.WorldRank(dest), tag, c.ctxP2P)
+	return posted(buf, count, dt, c.WorldRank(dest), tag, c.ctxP2P)
 }
 
-// Irecv is MPI_Irecv on this communicator. source may be ProcNull or
-// AnySource.
-func (c *Comm) Irecv(buf mem.Ptr, count int, dt *datatype.Datatype, source, tag int) *Request {
+// recvPart is a receive from communicator rank source, in world ranks,
+// which may be AnySource: a ProcNull source costs no call.
+func (c *Comm) recvPart(buf mem.Ptr, count int, dt *datatype.Datatype, source, tag int) callPart {
 	if source == ProcNull {
-		return c.r.nullRequest(RecvReq)
+		return callPart{kind: partNull}
 	}
 	src := AnySource
 	if source != AnySource {
 		src = c.WorldRank(source)
 	}
-	return c.r.irecv(buf, count, dt, src, tag, c.ctxP2P)
+	return posted(buf, count, dt, src, tag, c.ctxP2P)
+}
+
+// Isend is MPI_Isend on this communicator. dest may be ProcNull.
+func (c *Comm) Isend(buf mem.Ptr, count int, dt *datatype.Datatype, dest, tag int) *Request {
+	p := c.sendPart(buf, count, dt, dest, tag)
+	if p.kind == partNull {
+		return c.r.nullRequest(SendReq)
+	}
+	return c.r.isend(p.buf, p.count, p.dt, p.peer, p.tag, p.ctx)
+}
+
+// Irecv is MPI_Irecv on this communicator. source may be ProcNull or
+// AnySource.
+func (c *Comm) Irecv(buf mem.Ptr, count int, dt *datatype.Datatype, source, tag int) *Request {
+	p := c.recvPart(buf, count, dt, source, tag)
+	if p.kind == partNull {
+		return c.r.nullRequest(RecvReq)
+	}
+	return c.r.irecv(p.buf, p.count, p.dt, p.peer, p.tag, p.ctx)
 }
 
 // Sendrecv is MPI_Sendrecv on this communicator.
@@ -96,10 +116,9 @@ func (c *Comm) Sendrecv(
 	sendBuf mem.Ptr, sendCount int, sendType *datatype.Datatype, dest, sendTag int,
 	recvBuf mem.Ptr, recvCount int, recvType *datatype.Datatype, source, recvTag int,
 ) Status {
-	rq := c.Irecv(recvBuf, recvCount, recvType, source, recvTag)
-	sq := c.Isend(sendBuf, sendCount, sendType, dest, sendTag)
-	c.r.waitBlocking(sq)
-	return c.r.waitBlocking(rq)
+	return c.r.blockingCall(
+		c.sendPart(sendBuf, sendCount, sendType, dest, sendTag),
+		c.recvPart(recvBuf, recvCount, recvType, source, recvTag))
 }
 
 // ---------------------------------------------------------------------------
@@ -241,7 +260,7 @@ func (w *World) allocCtx() int {
 // sendColl/recvColl are internal fixed-size byte exchanges on a
 // communicator's collective context.
 func (r *Rank) sendColl(buf mem.Ptr, n int, c *Comm, dest, tag int) {
-	r.waitBlocking(r.isend(buf, n, datatype.Byte, c.WorldRank(dest), tag, c.ctxColl))
+	r.blockingCall(posted(buf, n, datatype.Byte, c.WorldRank(dest), tag, c.ctxColl), callPart{})
 }
 
 func (r *Rank) recvColl(buf mem.Ptr, n int, c *Comm, source, tag int) Status {
@@ -249,7 +268,7 @@ func (r *Rank) recvColl(buf mem.Ptr, n int, c *Comm, source, tag int) Status {
 	if source != AnySource {
 		src = c.WorldRank(source)
 	}
-	return r.waitBlocking(r.irecv(buf, n, datatype.Byte, src, tag, c.ctxColl))
+	return r.blockingCall(callPart{}, posted(buf, n, datatype.Byte, src, tag, c.ctxColl))
 }
 
 func readInt(p mem.Ptr, off int) int {

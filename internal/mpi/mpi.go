@@ -18,7 +18,10 @@
 // Every rank runs as one simulation process, and ranks are the only
 // processes: blocking calls (Send, Recv, Wait, Barrier) suspend the rank
 // in virtual time while the protocol progresses through engine-context
-// handlers and continuations driven by the InfiniBand fabric model.
+// handlers and continuations driven by the InfiniBand fabric model. A
+// blocking Send, Recv or Sendrecv posts from engine context too, in the
+// slot its call overhead ends in, so it resumes its rank once
+// (blocking.go).
 // Steady-state traffic allocates nothing per message: wire headers come
 // from a free list, and the requests of blocking calls are recycled.
 package mpi
@@ -139,6 +142,11 @@ type World struct {
 	host      hostProtocol // host-memory rendezvous: records, or a test reference
 	freeHdrs  *header      // recycled wire headers, shared by the ranks
 
+	// twoResumes, set only by tests, runs every blocking call in the
+	// process form the folded calls (blocking.go) are checked against;
+	// nil: the folded calls.
+	twoResumes func(r *Rank, send, recv callPart) Status
+
 	bytes *mem.ByteCounters // where the ranks' host copies are counted; nil: nowhere
 }
 
@@ -149,7 +157,7 @@ type World struct {
 func (w *World) SetHub(h *obs.Hub) { w.hub = h }
 
 // SetByteCounters makes the ranks count the bytes of their contiguous
-// host copies (payload copies of eager delivery and get staging) in c.
+// host copies (a device get receiver's staged bytes) in c.
 func (w *World) SetByteCounters(c *mem.ByteCounters) { w.bytes = c }
 
 // Hub returns the attached observability hub (nil when tracing is off).
@@ -203,6 +211,7 @@ func (w *World) AddRank(hca *ib.HCA, host *mem.Space) *Rank {
 	if hca.Node() != r.rank {
 		panic(fmt.Sprintf("mpi: HCA node %d attached as rank %d", hca.Node(), r.rank))
 	}
+	r.call.bind(r)
 	hca.SetHandler(r.handleMessage)
 	w.ranks = append(w.ranks, r)
 	return r
@@ -252,6 +261,7 @@ type Rank struct {
 	getFree     *hget             // idle get receivers (proto_get.go)
 	scatterFree *hscatter         // idle host eager scatters
 	finFree     *nicFIN           // idle FINs of NIC-gathered chunks
+	call        callRecord        // the blocking call in flight
 	allocReqs   int               // requests allocated, recycled ones not counted
 	obsTrack    string            // tracing track name, "rankN.mpi"
 	reqName     string            // request event name prefix, "rankN.req"

@@ -67,7 +67,7 @@ func (r *Rank) Issend(buf mem.Ptr, count int, dt *datatype.Datatype, dest, tag i
 		// process per rank the blocking form requires the receive to be
 		// pre-posted, as in MPI.
 		q := r.newRequest(SendReq, buf, dt, count, dest, tag, ctxPt2pt)
-		r.selfSend(q)
+		r.packInRank(q, r.selfSend(q))
 		return q
 	}
 	q := r.newRequest(SendReq, buf, dt, count, dest, tag, ctxPt2pt)
@@ -77,6 +77,6 @@ func (r *Rank) Issend(buf mem.Ptr, count int, dt *datatype.Datatype, dest, tag i
 		r.transport().StartRendezvousSend(q)
 		return q
 	}
-	r.startHostRendezvous(q)
+	r.packInRank(q, r.startHostRendezvous(q))
 	return q
 }

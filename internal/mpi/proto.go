@@ -44,7 +44,9 @@ type header struct {
 }
 
 // post sends h to rank dst on rail through a pooled header, completing
-// done as ib.HCA.PostSendRailInto does (nil: nobody waits).
+// done as ib.HCA.HandOffSendRailInto does (nil: nobody waits). payload,
+// an eager message's packed buffer or nil, is handed to the wire: the
+// destination's handler owns it next.
 func (r *Rank) post(done *sim.Event, dst int, h header, payload []byte, rail int) {
 	p := r.w.freeHdrs
 	if p == nil {
@@ -53,7 +55,7 @@ func (r *Rank) post(done *sim.Event, dst int, h header, payload []byte, rail int
 		r.w.freeHdrs = p.next
 	}
 	*p = h
-	r.hca.PostSendRailInto(done, dst, p, payload, rail)
+	r.hca.HandOffSendRailInto(done, dst, p, payload, rail)
 }
 
 // Slot is one chunk's landing area announced in a CTS: chunk index,
@@ -69,7 +71,7 @@ type Slot struct {
 // inbound is an arrived-but-unmatched message.
 type inbound struct {
 	from, tag, ctx, size int
-	payload              []byte // eager data (a pooled copy); nil for rendezvous
+	payload              []byte // eager data: the packed buffer the wire carried; nil for rendezvous
 	sendID               int    // rendezvous only
 	isRts                bool
 	isGet                bool   // rendezvous RTS advertises an rkey to read
@@ -89,14 +91,16 @@ type inbound struct {
 type GPUTransport interface {
 	// StageToHost packs the request's device buffer into host bytes and
 	// hands them to req.SendPacked when the packed data is ready. Used
-	// for eager-size sends and for self-sends. SendPacked copies what it
-	// keeps, so the packed bytes may be recycled once it returns.
+	// for eager-size sends and for self-sends. The packed bytes are a
+	// pooled buffer (mem.GetBytes) that SendPacked takes over: the
+	// transport must not touch it once SendPacked is called.
 	StageToHost(req *Request)
 	// DeliverFromHost unpacks packed bytes into the request's device
 	// buffer and calls req.CompleteRecv when done. Used for eager-size
-	// receives and self-receives. packed comes from mem.GetBytes and
-	// the transport owns it: it must hand it back with mem.PutBytes once
-	// it has read the bytes.
+	// receives and self-receives. packed is the buffer the sender handed
+	// to SendPacked, unread and uncopied on the way, and the transport
+	// owns it: it must hand it back with mem.PutBytes once it has read
+	// the bytes.
 	DeliverFromHost(req *Request, packed []byte)
 	// StartRendezvousSend drives the sender side of a large transfer from
 	// device memory: it must send the RTS via req.Rank().SendRTS, produce
@@ -154,25 +158,37 @@ func (r *Rank) Isend(buf mem.Ptr, count int, dt *datatype.Datatype, dest, tag in
 // Its request is never seen by the caller, so it goes back to the rank's
 // free list.
 func (r *Rank) Send(buf mem.Ptr, count int, dt *datatype.Datatype, dest, tag int) {
-	r.waitBlocking(r.isend(buf, count, dt, dest, tag, ctxPt2pt))
+	r.blockingCall(posted(buf, count, dt, dest, tag, ctxPt2pt), callPart{})
 }
 
+// isend is a nonblocking send: the call overhead, then the send's post.
 func (r *Rank) isend(buf mem.Ptr, count int, dt *datatype.Datatype, dest, tag, ctx int) *Request {
 	r.callOverhead()
+	q, pack := r.startSend(buf, count, dt, dest, tag, ctx)
+	r.packInRank(q, pack)
+	return q
+}
+
+// startSend is a send's post, what the call does once its overhead has
+// passed: it registers the request and starts the protocol. pack says
+// the CPU packs the data first (see packSend): a host eager or self-send,
+// or a get rendezvous of a packed type. It runs in the rank or, for a
+// blocking call, in engine context, and does not block.
+func (r *Rank) startSend(buf mem.Ptr, count int, dt *datatype.Datatype, dest, tag, ctx int) (q *Request, pack bool) {
 	checkType(dt, count)
 	if dest == ProcNull {
-		return r.nullRequest(SendReq)
+		return r.nullRequest(SendReq), false
 	}
 	if dest < 0 || dest >= len(r.w.ranks) {
 		panic(fmt.Sprintf("mpi rank %d: send to invalid rank %d", r.rank, dest))
 	}
-	q := r.newRequest(SendReq, buf, dt, count, dest, tag, ctx)
+	q = r.newRequest(SendReq, buf, dt, count, dest, tag, ctx)
 	r.stats.BytesSent += int64(q.size)
 	q.span = r.w.hub.Start(sendKind(r, q), r.obsTrack, -1, q.size)
 
 	switch {
 	case dest == r.rank:
-		r.selfSend(q)
+		pack = r.selfSend(q)
 	case q.size == 0:
 		// Zero-byte messages always travel eagerly, device or host.
 		q.SendPacked(nil)
@@ -187,17 +203,36 @@ func (r *Rank) isend(buf mem.Ptr, count int, dt *datatype.Datatype, dest, tag, c
 			r.stats.RndvSent++
 		}
 	case q.size <= r.w.cfg.EagerLimit:
-		r.Proc().Sleep(r.hostPackCost(dt, count))
-		payload := mem.GetBytes(q.size)
-		dt.PackBytes(payload, buf, count)
-		q.SendPacked(payload)
-		mem.PutBytes(payload) // SendPacked took its snapshot
+		pack = true
 		r.stats.EagerSent++
 	default:
-		r.startHostRendezvous(q)
+		pack = r.startHostRendezvous(q)
 		r.stats.RndvSent++
 	}
-	return q
+	return q, pack
+}
+
+// packInRank lets a send's host pack time pass in the rank, then packs
+// and sends, when startSend said the CPU packs.
+func (r *Rank) packInRank(q *Request, pack bool) {
+	if pack {
+		r.Proc().Sleep(r.hostPackCost(q.dt, q.count))
+		r.packSend(q)
+	}
+}
+
+// packSend packs a host send on the CPU once its pack time has passed:
+// an eager or self-send into the buffer the wire carries, a get
+// rendezvous into the copy it advertises.
+func (r *Rank) packSend(q *Request) {
+	if !q.getBuf.IsNil() {
+		q.dt.Pack(q.getBuf, q.buf, q.count)
+		r.advertiseGet(q)
+		return
+	}
+	payload := mem.GetBytes(q.size)
+	q.dt.PackBytes(payload, q.buf, q.count)
+	q.SendPacked(payload)
 }
 
 // sendKind classifies a send request for tracing.
@@ -213,39 +248,40 @@ func sendKind(r *Rank, q *Request) string {
 }
 
 // startHostRendezvous dispatches a large host-buffer send onto the
-// configured protocol.
-func (r *Rank) startHostRendezvous(q *Request) {
+// configured protocol. It reports whether the CPU packs the data first
+// (see packSend).
+func (r *Rank) startHostRendezvous(q *Request) (pack bool) {
 	if r.w.cfg.Rendezvous == RendezvousGet {
-		r.sendHostGet(q)
-		return
+		return r.sendHostGet(q)
 	}
 	r.SendRTS(q, nil)
 	r.w.host.sendData(q)
+	return false
 }
 
 // selfSend delivers a message to this same rank without touching the
-// fabric: SendPacked matches the packed bytes through the normal queues,
-// which copy them, so the packed buffer is free again once it returns.
-func (r *Rank) selfSend(q *Request) {
+// fabric: SendPacked matches the packed buffer through the normal queues,
+// which pass it on to the receive. It reports whether the CPU packs the
+// data first (see packSend), as a host buffer's does.
+func (r *Rank) selfSend(q *Request) (pack bool) {
 	if q.size == 0 {
 		q.SendPacked(nil)
-		return
+		return false
 	}
 	if q.buf.IsDevice() {
 		r.transport().StageToHost(q)
-		return
+		return false
 	}
-	r.Proc().Sleep(r.hostPackCost(q.dt, q.count))
-	payload := mem.GetBytes(q.size)
-	q.dt.PackBytes(payload, q.buf, q.count)
-	q.SendPacked(payload)
-	mem.PutBytes(payload)
+	return true
 }
 
 // SendPacked sends an eager request's packed bytes: a self-send is
 // matched at once and completes; any other send is posted to its
-// destination and completes when the HCA has read the bytes. packed is
-// only read during the call. GPU transports call it from StageToHost.
+// destination and completes when the HCA has read the bytes. packed is a
+// pooled buffer (mem.GetBytes), or nil for an empty message, and
+// SendPacked takes it over: the buffer travels to the receive as it is,
+// and the caller must not touch it again. GPU transports call it from
+// StageToHost.
 func (q *Request) SendPacked(packed []byte) {
 	r := q.r
 	if q.peer == r.rank {
@@ -253,7 +289,6 @@ func (q *Request) SendPacked(packed []byte) {
 		q.CompleteSend()
 		return
 	}
-	// The post snapshots packed, which the caller then recycles.
 	r.post(&q.ev, q.peer, header{kind: hdrEager, tag: q.tag, ctx: q.ctx, size: q.size}, packed, 0)
 	if q.completeSendFn == nil {
 		q.completeSendFn = q.CompleteSend
@@ -464,11 +499,20 @@ func (r *Rank) Irecv(buf mem.Ptr, count int, dt *datatype.Datatype, source, tag 
 // Recv is the blocking form (MPI_Recv). Like Send, it recycles its
 // request.
 func (r *Rank) Recv(buf mem.Ptr, count int, dt *datatype.Datatype, source, tag int) Status {
-	return r.waitBlocking(r.irecv(buf, count, dt, source, tag, ctxPt2pt))
+	return r.blockingCall(callPart{}, posted(buf, count, dt, source, tag, ctxPt2pt))
 }
 
+// irecv is a nonblocking receive: the call overhead, then the receive's
+// post.
 func (r *Rank) irecv(buf mem.Ptr, count int, dt *datatype.Datatype, source, tag, ctx int) *Request {
 	r.callOverhead()
+	return r.startRecv(buf, count, dt, source, tag, ctx)
+}
+
+// startRecv is a receive's post, what the call does once its overhead
+// has passed: it registers the request and matches it against the
+// unexpected queue or posts it. Like startSend, it does not block.
+func (r *Rank) startRecv(buf mem.Ptr, count int, dt *datatype.Datatype, source, tag, ctx int) *Request {
 	checkType(dt, count)
 	if source == ProcNull {
 		return r.nullRequest(RecvReq)
@@ -494,7 +538,6 @@ func (r *Rank) irecv(buf mem.Ptr, count int, dt *datatype.Datatype, source, tag,
 			r.startRecvData(q, in.from, in.tag, in.size, in.sendID, in.packed)
 		default:
 			r.deliverEager(q, in.from, in.tag, in.size, in.payload)
-			mem.PutBytes(in.payload)
 		}
 		return q
 	}
@@ -576,6 +619,9 @@ func (r *Rank) handleMessage(from int, msg ib.Message, payload []byte) {
 	}
 }
 
+// dispatchEager matches an arrived eager message, or queues it
+// unexpected. It owns payload, the packed buffer the sender handed to
+// SendPacked, and passes it on to the delivery or the queue.
 func (r *Rank) dispatchEager(from, tag, ctx, size int, payload []byte) {
 	r.stats.EagerRecvd++
 	if q := r.matchPosted(from, tag, ctx); q != nil {
@@ -583,13 +629,9 @@ func (r *Rank) dispatchEager(from, tag, ctx, size int, payload []byte) {
 		return
 	}
 	r.stats.Unexpected++
-	// The arrival's payload is recycled when this call returns; the
-	// unexpected copy lives until a receive matches it.
-	data := mem.GetBytes(len(payload))
-	r.w.bytes.Copy(data, payload)
 	r.unexpected = append(r.unexpected, inbound{
 		from: from, tag: tag, ctx: ctx, size: size,
-		payload: data,
+		payload: payload,
 	})
 	r.notifyArrival()
 }
@@ -637,19 +679,17 @@ func (q *Request) setMatched(from, tag, size int) {
 }
 
 // deliverEager completes a matched eager receive. Runs in engine or
-// process context. payload is only read during the call: the bytes the
-// delivery needs later are copied into a recycled buffer (mem.GetBytes),
-// which goes back once it has been unpacked.
+// process context. It owns payload, the packed buffer the wire carried,
+// and unpacks straight out of it: a device receive hands it to the GPU
+// transport, a host receive scatters it and recycles it (mem.PutBytes).
 func (r *Rank) deliverEager(q *Request, from, tag, size int, payload []byte) {
 	q.setMatched(from, tag, size)
 	if size == 0 {
 		q.CompleteRecv()
 		return
 	}
-	data := mem.GetBytes(len(payload))
-	r.w.bytes.Copy(data, payload)
 	if q.buf.IsDevice() {
-		r.transport().DeliverFromHost(q, data)
+		r.transport().DeliverFromHost(q, payload)
 		return
 	}
 	if size%q.dt.Size() != 0 {
@@ -665,7 +705,7 @@ func (r *Rank) deliverEager(q *Request, from, tag, size int, payload []byte) {
 		r.scatterFree = x.next
 		x.next = nil
 	}
-	x.q, x.data, x.elems = q, data, size/q.dt.Size()
+	x.q, x.data, x.elems = q, payload, size/q.dt.Size()
 	r.w.e.CallAfter(r.hostPackCost(q.dt, x.elems), x.fn)
 }
 
@@ -761,14 +801,14 @@ func zeroCopy(dt *datatype.Datatype, count int) bool {
 // ---------------------------------------------------------------------------
 
 // Sendrecv executes a combined send and receive (MPI_Sendrecv), safe
-// against the head-to-head deadlock two blocking calls would risk. Its
-// two requests are never seen by the caller, so both are recycled.
+// against the head-to-head deadlock two blocking calls would risk: it
+// posts the receive, then the send, and waits for both. Its two requests
+// are never seen by the caller, so both are recycled.
 func (r *Rank) Sendrecv(
 	sendBuf mem.Ptr, sendCount int, sendType *datatype.Datatype, dest, sendTag int,
 	recvBuf mem.Ptr, recvCount int, recvType *datatype.Datatype, source, recvTag int,
 ) Status {
-	rq := r.Irecv(recvBuf, recvCount, recvType, source, recvTag)
-	sq := r.Isend(sendBuf, sendCount, sendType, dest, sendTag)
-	r.waitBlocking(sq)
-	return r.waitBlocking(rq)
+	return r.blockingCall(
+		posted(sendBuf, sendCount, sendType, dest, sendTag, ctxPt2pt),
+		posted(recvBuf, recvCount, recvType, source, recvTag, ctxPt2pt))
 }

@@ -29,16 +29,25 @@ const (
 	RendezvousGet
 )
 
-// sendHostGet runs the sender side: pack (if needed), register, advertise.
-// Completion arrives with the DONE message; getSent cleans up.
-func (r *Rank) sendHostGet(q *Request) {
-	p := r.Proc()
-	packed := q.buf // zero-copy: expose the user buffer
+// sendHostGet starts the sender side: a contiguous buffer is advertised
+// at once; a packed type gets its host copy, and reports that the CPU
+// packs into it before advertiseGet (see packSend). Completion arrives
+// with the DONE message; getSent cleans up.
+func (r *Rank) sendHostGet(q *Request) (pack bool) {
 	if !zeroCopy(q.dt, q.count) {
-		packed = r.AllocHost(q.size)
-		q.getBuf = packed
-		p.Sleep(r.hostPackCost(q.dt, q.count))
-		q.dt.Pack(packed, q.buf, q.count)
+		q.getBuf = r.AllocHost(q.size)
+		return true
+	}
+	r.advertiseGet(q)
+	return false
+}
+
+// advertiseGet registers the data, the user buffer itself or its packed
+// copy, and posts the get-RTS with its rkey.
+func (r *Rank) advertiseGet(q *Request) {
+	packed := q.buf // zero-copy: expose the user buffer
+	if !q.getBuf.IsNil() {
+		packed = q.getBuf
 	}
 	q.rkey = r.hca.Register(packed, q.size).Rkey
 	r.post(nil, q.peer, header{

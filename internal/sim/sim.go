@@ -1,9 +1,11 @@
 // Package sim implements a deterministic discrete-event simulation engine.
 //
 // The engine advances a virtual clock by executing scheduled items in
-// non-decreasing time order. Two kinds of items exist: callbacks, which
-// run to completion inside the engine's goroutine, and process
-// resumptions, which hand control to a cooperative process.
+// non-decreasing time order. Three kinds of items exist: callbacks, which
+// run to completion inside the engine's goroutine, process resumptions,
+// which hand control to a cooperative process, and posts, which run work
+// for a blocked process and then resume it or leave it waiting
+// (Proc.SleepPost).
 //
 // Processes are coroutines wrapped by Proc: each runs on a pooled carrier
 // (an iter.Pull coroutine, see coro.go) that the engine resumes directly.
@@ -32,7 +34,9 @@
 // the coroutine switches go, along with the start-up item of a server
 // process that existed just to wait for work. A state machine reused
 // message after message holds its events by value and re-arms them with
-// Event.Reset.
+// Event.Reset. A process that sleeps, works and then waits can hand the
+// work to the engine the same way (SleepPost) and resume once instead of
+// twice.
 //
 // All simulated components in this repository are built from the
 // primitives in this package: Proc, Event, Resource and Queue.
@@ -96,6 +100,7 @@ type itemKind uint8
 const (
 	kindCall itemKind = iota
 	kindResume
+	kindPost // a blocked process's post (Proc.SleepPost), then maybe its resume
 )
 
 // item is one entry in the event heap. Items are recycled through the
@@ -331,6 +336,10 @@ func (e *Engine) run(limit Time) error {
 			e.recycle(it)
 			e.switches++
 			e.runProc(p)
+		case kindPost:
+			p := it.proc
+			e.recycle(it)
+			e.runPost(p)
 		}
 	}
 	var msgs []string
@@ -380,6 +389,8 @@ type Proc struct {
 	// for "wait", what is awaited. Formatted only when Run reports.
 	why string
 	on  waitable
+
+	post func() *Event // the pending post of a blocked process (SleepPost)
 }
 
 // waitable is what a blocked process can wait on: an Event, or a Queue's
@@ -426,4 +437,56 @@ func (p *Proc) Sleep(d Time) {
 	}
 	p.scheduleResume(p.e.now + d)
 	p.block("sleep", nil)
+}
+
+// SleepPost is a Sleep(d) followed by work that would end in a Wait,
+// with the work done by the engine instead of by p: the wake-up's item,
+// in the (time, seq) slot Sleep's would take, runs post in engine
+// context while p stays blocked. post returns the event p waits on
+// next. If that has fired, p resumes in the same item, where the process
+// would have run on through its Wait; otherwise p stays blocked until it
+// fires, exactly as if it had called Wait on it as post returned. So p
+// resumes once where Sleep and Wait resume it twice, and the items, their
+// order and the event firings are the same. post may instead hand p on
+// to a further post with PostAfter, and then returns nil.
+func (p *Proc) SleepPost(d Time, post func() *Event) {
+	p.PostAfter(d, post)
+	p.block("sleep", nil)
+}
+
+// PostAfter schedules post for p, d from now, as SleepPost does: the
+// continuation form of a further SleepPost, for a post of p's to call
+// while p is blocked, in the slot that SleepPost's wake-up would take.
+func (p *Proc) PostAfter(d Time, post func() *Event) {
+	if d < 0 {
+		panic("sim: negative sleep")
+	}
+	if p.post != nil {
+		panic("sim: " + p.name.String() + " already has a post pending")
+	}
+	p.post = post
+	it := p.e.newItem()
+	it.kind = kindPost
+	it.proc = p
+	p.e.schedule(p.e.now+d, it)
+}
+
+// runPost runs p's pending post and resumes p, or leaves it waiting, as
+// SleepPost describes.
+func (e *Engine) runPost(p *Proc) {
+	post := p.post
+	p.post = nil
+	ev := post()
+	switch {
+	case ev == nil:
+		if p.post == nil {
+			panic("sim: a post of " + p.name.String() + " returned no event and handed it to no post")
+		}
+	case ev.fired:
+		e.switches++
+		e.runProc(p)
+	default:
+		ev.add(waiter{p: p})
+		p.why, p.on = "wait", ev
+	}
 }

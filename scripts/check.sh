@@ -21,7 +21,8 @@ echo "== go vet"
 go vet ./...
 
 echo "== mv2lint"
-# The JSON report is written even on a clean run so CI always has an
+# Test files are linted too (-tests): a deliberate literal in a test is a
+# named const with its reason. The JSON report is written even on a clean run so CI always has an
 # artifact; set MV2LINT_JSON/MV2LINT_SARIF to keep the reports, and under
 # GitHub Actions findings double as inline annotations.
 lint_json="${MV2LINT_JSON:-$(mktemp /tmp/mv2sim-lint.XXXXXX.json)}"
@@ -32,7 +33,7 @@ fi
 if [ -n "${GITHUB_ACTIONS:-}" ]; then
     lint_flags="$lint_flags -github"
 fi
-go run ./cmd/mv2lint $lint_flags ./...
+go run ./cmd/mv2lint -tests $lint_flags ./...
 if [ -z "${MV2LINT_JSON:-}" ]; then
     rm -f "$lint_json"
 fi
